@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .diagnostics import Diagnostic, DocumentError, DsdlError, LocatorError, Severity
-from .document import parse_document
+from .document import parse_document, read_utf8
 from .locator import ResolutionEnvironment, parse_locator, resolve_locator
 from .resolver import ConcreteType, LibraryEnvironment, ResolvedSchema, resolve_schema
 from .schema import ClassDomain, StructClass
@@ -135,9 +135,11 @@ class _Pipeline:
 
     def run(self, validate: bool = True) -> None:
         try:
-            text = self.path.read_text(encoding="utf-8")
+            text = read_utf8(self.path, str(self.path))
         except OSError as exc:
             raise _UsageFailure(f"cannot read {self.path}: {exc}") from exc
+        except DocumentError as exc:
+            raise _UnreadableInput(exc.diagnostic) from exc
         fmt = {".json": "json", ".yaml": "yaml", ".yml": "yaml"}.get(self.path.suffix, "auto")
         try:
             self.doc = parse_document(
@@ -185,6 +187,10 @@ class _Pipeline:
 
 class _UsageFailure(Exception):
     pass
+
+
+class _UnreadableInput(DsdlError):
+    """The description file cannot be decoded: an I/O failure with a coded diagnostic."""
 
 
 def _emit(lines: list[str]) -> None:
@@ -474,6 +480,9 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_summary(args.file, config)
     except _UsageFailure as exc:
         print(f"dsdl: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except _UnreadableInput as exc:
+        print(exc.diagnostic.format(), file=sys.stderr)
         return EXIT_USAGE
     except DsdlError as exc:
         print(exc.diagnostic.format())

@@ -8,7 +8,7 @@ sample data (e.g. ``samples/3/objects/0/bbox``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 
@@ -93,31 +93,3 @@ class ClassLookupError(DsdlError):
 
 class LocatorError(DsdlError):
     """Object-locator parse or resolution failure."""
-
-
-@dataclass
-class DiagnosticBag:
-    """Ordered accumulator used by the validation passes."""
-
-    items: list[Diagnostic] = field(default_factory=list)
-
-    def add(self, diag: Diagnostic) -> None:
-        self.items.append(diag)
-
-    def extend(self, diags) -> None:
-        self.items.extend(diags)
-
-    def error_count(self) -> int:
-        return sum(1 for d in self.items if d.severity is Severity.ERROR)
-
-    def warning_count(self) -> int:
-        return sum(1 for d in self.items if d.severity is Severity.WARNING)
-
-    def has_errors(self) -> bool:
-        return any(d.severity is Severity.ERROR for d in self.items)
-
-    def __iter__(self):
-        return iter(self.items)
-
-    def __len__(self) -> int:
-        return len(self.items)

@@ -7,6 +7,7 @@ at the top level (library files use the latter). Any other ``$``-prefixed
 top-level key is reserved and rejected.
 
 Parsing is pure: text in, structure out, no environment reads.
+:func:`read_utf8` is the one place the other stages read a file's text.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import yaml
 
@@ -159,6 +161,21 @@ def _load_json(text: str, source: str | None) -> object:
                 f"malformed JSON: {exc.msg} at line {exc.lineno}, column {exc.colno}",
                 source,
             )
+        ) from exc
+
+
+def read_utf8(file: Path, path: str) -> str:
+    """Read ``file`` as UTF-8 text.
+
+    Undecodable bytes raise :class:`DocumentError` with an
+    ``ENCODING_ERROR`` diagnostic located at ``path``; ``OSError``
+    propagates to the caller.
+    """
+    try:
+        return file.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DocumentError(
+            error("ENCODING_ERROR", path, f"{file} is not valid UTF-8: {exc.reason} at byte {exc.start}", str(file))
         ) from exc
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .diagnostics import Diagnostic, DocumentError, ResolutionError, error, note, warning
-from .document import RawDocument, parse_document
+from .document import RawDocument, parse_document, read_utf8
 from .schema import (
     BUILTINS,
     BuiltinSignature,
@@ -180,7 +180,7 @@ def resolve_imports(
             loaded.add(resolved)
             try:
                 imported = parse_document(
-                    resolved.read_text(encoding="utf-8"),
+                    read_utf8(resolved, f"$import/{name}"),
                     format="yaml" if resolved.suffix == ".yaml" else "json",
                     source=str(resolved),
                 )
@@ -592,12 +592,3 @@ def _instantiate_spec(
         diag = exc.diagnostic
         diags.append(error(diag.code, diag.path or path, diag.message))
         return None
-
-
-def render_concrete(ctype: ConcreteType) -> str:
-    """Stable one-line rendering used by reports and the inspector."""
-    return ctype.describe()
-
-
-def expr_text(expr: TypeExpr) -> str:
-    return render_type_expression(expr)

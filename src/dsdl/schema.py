@@ -28,9 +28,11 @@ from .typeexpr import (
 
 _SEGMENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _SEGMENT_ANNOT_RE = re.compile(r"(?P<name>[^\[\]]+)(\[(?P<parent>[^\]]+)\])?")
+# a whole dotted path of plain identifiers: no annotation, no warning
+_PLAIN_PATH_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassSegment:
     """One dotted-path segment, optionally annotated ``name[parent]``."""
 
@@ -49,7 +51,7 @@ def _path_text(path: ClassPath) -> str:
     return ".".join(_path_names(path))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassRef:
     """A resolved reference to a class within a domain.
 
@@ -68,12 +70,80 @@ class ClassRef:
         return f"{self.domain}[{'.'.join(str(i) for i in self.index_path)}]"
 
 
+class ClassIndex:
+    """Lookup tables for one class domain, filled once as classes are declared.
+
+    ``refs`` holds every class in declared order (the flat 1-based
+    index), ``by_name`` maps each dotted name to its ref, ``by_leaf``
+    maps the last segment of each multi-segment class to its ref, or to
+    ``None`` when several classes share it, and ``children`` lists the
+    distinct names below each name prefix in first-appearance order.
+    """
+
+    __slots__ = ("domain", "refs", "by_name", "by_leaf", "children", "_positions")
+
+    def __init__(self, domain: str):
+        self.domain = domain
+        self.refs: list[ClassRef] = []
+        self.by_name: dict[str, ClassRef] = {}
+        self.by_leaf: dict[str, ClassRef | None] = {}
+        self.children: dict[tuple[str, ...], list[str]] = {}
+        # name prefix -> {child name: 1-based position}; only add() reads it
+        self._positions: dict[tuple[str, ...], dict[str, int]] = {}
+
+    def add(self, names: tuple[str, ...], text: str) -> bool:
+        """Append the class ``names`` (dotted: ``text``); False, and nothing
+        added, when the path is a duplicate."""
+        if text in self.by_name:
+            return False
+        index_path = []
+        for depth, name in enumerate(names):
+            prefix = names[:depth]
+            positions = self._positions.get(prefix)
+            if positions is None:
+                positions = self._positions[prefix] = {}
+                self.children[prefix] = []
+            position = positions.get(name)
+            if position is None:
+                position = positions[name] = len(positions) + 1
+                self.children[prefix].append(name)
+            index_path.append(position)
+        ref = ClassRef(self.domain, tuple(index_path), text)
+        self.refs.append(ref)
+        self.by_name[text] = ref
+        if len(names) > 1:
+            leaf = names[-1]
+            self.by_leaf[leaf] = None if leaf in self.by_leaf else ref
+        return True
+
+    def seal(self) -> ClassIndex:
+        """Drop the state only :meth:`add` needs."""
+        self._positions = {}
+        return self
+
+
 @dataclass
 class ClassDomain:
+    """An ordered, possibly hierarchical list of class paths.
+
+    ``index`` is built once, when the domain is defined, so the cost of
+    :func:`lookup_class` does not depend on the domain's size. A domain
+    constructed directly from ``classes`` builds it on creation; it does
+    not follow later changes to ``classes``.
+    """
+
     name: str
     classes: list[ClassPath]
     skeleton: list[tuple[int, int]] | None = None
     parents: list[str] = field(default_factory=list)
+    index: ClassIndex | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.index is None:
+            self.index = ClassIndex(self.name)
+            for cls_path in self.classes:
+                self.index.add(_path_names(cls_path), _path_text(cls_path))
+            self.index.seal()
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -186,9 +256,6 @@ class DefinitionRegistry:
     def domains(self) -> dict[str, ClassDomain]:
         return {k: v for k, v in self.entries.items() if isinstance(v, ClassDomain)}
 
-    def structs(self) -> dict[str, StructClass]:
-        return {k: v for k, v in self.entries.items() if isinstance(v, StructClass)}
-
 
 def build_definitions(
     raw_defs: dict[str, object],
@@ -246,31 +313,37 @@ def _build_class_domain(
             diags.append(warning("DEF_UNKNOWN_KEY", f"{path}/{key}", f"unrecognized class_domain key {key!r}", source))
 
     classes: list[ClassPath] = []
-    seen: set[tuple[str, ...]] = set()
+    index = ClassIndex(name)
+    plain: dict[str, ClassSegment] = {}  # equal plain segments are shared
     for i, item in enumerate(classes_raw):
         if not isinstance(item, str) or not item:
             diags.append(error("MALFORMED_DEF", f"{path}/classes/{i}", "class name must be a non-empty string", source))
             return None
-        segments = []
-        for seg_text in item.split("."):
-            m = _SEGMENT_ANNOT_RE.fullmatch(seg_text)
-            if not m:
-                diags.append(error("MALFORMED_DEF", f"{path}/classes/{i}", f"malformed class path {item!r}", source))
-                return None
-            seg_name = m.group("name")
-            if not _SEGMENT_RE.fullmatch(seg_name):
-                # taken verbatim, but flagged: the convention is to map
-                # special characters to underscores in global-info
-                diags.append(
-                    warning("CLASS_NAME_SYNTAX", f"{path}/classes/{i}", f"class name segment {seg_name!r} is not an identifier", source)
-                )
-            segments.append(ClassSegment(seg_name, m.group("parent")))
-        cls_path = tuple(segments)
-        names = _path_names(cls_path)
-        if names in seen:
-            diags.append(error("MALFORMED_DEF", f"{path}/classes/{i}", f"duplicate class path {_path_text(cls_path)!r}", source))
+        if _PLAIN_PATH_RE.fullmatch(item):
+            text = item
+            names = tuple(item.split("."))
+            cls_path = tuple([plain.get(n) or plain.setdefault(n, ClassSegment(n)) for n in names])
+        else:
+            segments = []
+            for seg_text in item.split("."):
+                m = _SEGMENT_ANNOT_RE.fullmatch(seg_text)
+                if not m:
+                    diags.append(error("MALFORMED_DEF", f"{path}/classes/{i}", f"malformed class path {item!r}", source))
+                    return None
+                seg_name = m.group("name")
+                if not _SEGMENT_RE.fullmatch(seg_name):
+                    # taken verbatim, but flagged: the convention is to map
+                    # special characters to underscores in global-info
+                    diags.append(
+                        warning("CLASS_NAME_SYNTAX", f"{path}/classes/{i}", f"class name segment {seg_name!r} is not an identifier", source)
+                    )
+                segments.append(ClassSegment(seg_name, m.group("parent")))
+            cls_path = tuple(segments)
+            names = _path_names(cls_path)
+            text = ".".join(names)
+        if not index.add(names, text):
+            diags.append(error("MALFORMED_DEF", f"{path}/classes/{i}", f"duplicate class path {text!r}", source))
             return None
-        seen.add(names)
         classes.append(cls_path)
 
     skeleton = None
@@ -302,7 +375,7 @@ def _build_class_domain(
                 return None
             skeleton.append((a, b))
 
-    return ClassDomain(name, classes, skeleton, parents)
+    return ClassDomain(name, classes, skeleton, parents, index.seal())
 
 
 def _build_struct(
@@ -368,42 +441,6 @@ def _build_struct(
     return StructClass(name, list(params_raw), fields, frozenset(optional_raw), parents)
 
 
-class _Hierarchy:
-    """Per-level ordered children implied by dotted class paths."""
-
-    def __init__(self, domain: ClassDomain):
-        self.children: dict[tuple[str, ...], list[str]] = {}
-        self.leaves = {_path_names(p) for p in domain.classes}
-        for cls_path in domain.classes:
-            names = _path_names(cls_path)
-            for depth in range(len(names)):
-                prefix = names[:depth]
-                siblings = self.children.setdefault(prefix, [])
-                if names[depth] not in siblings:
-                    siblings.append(names[depth])
-
-    def index_path_of(self, names: tuple[str, ...]) -> tuple[int, ...]:
-        out = []
-        for depth in range(len(names)):
-            out.append(self.children[names[:depth]].index(names[depth]) + 1)
-        return tuple(out)
-
-    def names_at(self, index_path: tuple[int, ...]) -> tuple[str, ...]:
-        names: tuple[str, ...] = ()
-        for idx in index_path:
-            siblings = self.children.get(names, [])
-            if not 1 <= idx <= len(siblings):
-                raise ClassLookupError(
-                    error(
-                        "CLASS_INDEX_RANGE",
-                        "",
-                        f"index {idx} out of range 1..{len(siblings)} at level {len(names) + 1}",
-                    )
-                )
-            names = names + (siblings[idx - 1],)
-        return names
-
-
 _INDEX_PATH_RE = re.compile(r"\d+(\.\d+)*")
 
 
@@ -412,53 +449,64 @@ def lookup_class(domain: ClassDomain, selector: str | int) -> ClassRef:
 
     Selectors are dot-delimited name paths (``animal.dog.hound``), a
     bare 1-based integer addressing the flat declared list, or a dotted
-    1-based index path (``3.2.5``) walking the hierarchy. Raises
+    1-based index path (``3.2.5``) walking the hierarchy. A selector
+    that reads as an index path is never taken as a name. Raises
     :class:`ClassLookupError` with ``CLASS_NOT_FOUND`` or
     ``CLASS_INDEX_RANGE``.
+
+    Every lookup reads the domain's :class:`ClassIndex`, built once when
+    the domain was defined, so its cost does not depend on the domain's
+    size: an index path costs one step per level.
     """
-    hierarchy = _Hierarchy(domain)
+    index = domain.index
     if isinstance(selector, bool):
         raise ClassLookupError(error("CLASS_NOT_FOUND", "", f"invalid class selector {selector!r}"))
     if isinstance(selector, int):
-        return _lookup_flat(domain, hierarchy, selector)
+        return _lookup_flat(domain, selector)
     if _INDEX_PATH_RE.fullmatch(selector):
         parts = tuple(int(p) for p in selector.split("."))
         if len(parts) == 1:
-            return _lookup_flat(domain, hierarchy, parts[0])
-        names = hierarchy.names_at(parts)
-        if names not in hierarchy.leaves:
+            return _lookup_flat(domain, parts[0])
+        names: tuple[str, ...] = ()
+        for idx in parts:
+            siblings = index.children.get(names, ())
+            if not 1 <= idx <= len(siblings):
+                raise ClassLookupError(
+                    error(
+                        "CLASS_INDEX_RANGE",
+                        "",
+                        f"index {idx} out of range 1..{len(siblings)} at level {len(names) + 1}",
+                    )
+                )
+            names += (siblings[idx - 1],)
+        ref = index.by_name.get(".".join(names))
+        if ref is None:
             raise ClassLookupError(
                 error("CLASS_NOT_FOUND", "", f"index path {selector!r} addresses no declared class in {domain.name}")
             )
-        return ClassRef(domain.name, parts, ".".join(names))
-    return _lookup_name(domain, hierarchy, selector)
+        return ref
+    ref = index.by_name.get(selector)
+    if ref is not None:
+        return ref
+    if selector in index.by_leaf:
+        # a bare leaf is accepted when it is unambiguous in the domain
+        ref = index.by_leaf[selector]
+        if ref is None:
+            raise ClassLookupError(
+                error("CLASS_NOT_FOUND", "", f"class name {selector!r} is ambiguous in {domain.name}")
+            )
+        return ref
+    raise ClassLookupError(error("CLASS_NOT_FOUND", "", f"no class {selector!r} in {domain.name}"))
 
 
-def _lookup_flat(domain: ClassDomain, hierarchy: _Hierarchy, index: int) -> ClassRef:
-    if not 1 <= index <= len(domain.classes):
+def _lookup_flat(domain: ClassDomain, index: int) -> ClassRef:
+    refs = domain.index.refs
+    if not 1 <= index <= len(refs):
         raise ClassLookupError(
             error(
                 "CLASS_INDEX_RANGE",
                 "",
-                f"class index {index} out of range 1..{len(domain.classes)} in {domain.name}",
+                f"class index {index} out of range 1..{len(refs)} in {domain.name}",
             )
         )
-    names = _path_names(domain.classes[index - 1])
-    return ClassRef(domain.name, hierarchy.index_path_of(names), ".".join(names))
-
-
-def _lookup_name(domain: ClassDomain, hierarchy: _Hierarchy, selector: str) -> ClassRef:
-    names = tuple(selector.split("."))
-    if names in hierarchy.leaves:
-        return ClassRef(domain.name, hierarchy.index_path_of(names), ".".join(names))
-    if len(names) == 1:
-        # a bare leaf is accepted when it is unambiguous in the domain
-        matches = [leaf for leaf in hierarchy.leaves if leaf[-1] == names[0]]
-        if len(matches) == 1:
-            leaf = matches[0]
-            return ClassRef(domain.name, hierarchy.index_path_of(leaf), ".".join(leaf))
-        if len(matches) > 1:
-            raise ClassLookupError(
-                error("CLASS_NOT_FOUND", "", f"class name {selector!r} is ambiguous in {domain.name}")
-            )
-    raise ClassLookupError(error("CLASS_NOT_FOUND", "", f"no class {selector!r} in {domain.name}"))
+    return refs[index - 1]

@@ -29,7 +29,7 @@ from .diagnostics import (
     Severity,
     error,
 )
-from .document import LOCAL_PATH, RawDataSection, _load_json, _load_yaml
+from .document import LOCAL_PATH, RawDataSection, _load_json, _load_yaml, read_utf8
 from .locator import ObjectLocator, parse_locator
 from .resolver import ConcreteType, ResolvedSchema
 from .schema import ClassDomain, ClassRef, lookup_class
@@ -126,6 +126,13 @@ class _Validator:
         severity = Severity.ERROR if self.strict and code == "FIELD_MISSING" else Severity.WARNING
         self.diags.append(Diagnostic(code, severity, path, message))
 
+    def non_finite(self, value, path: str, what: str) -> bool:
+        """Report NaN or an infinity as ``RANGE``; True when reported."""
+        if isinstance(value, float) and not math.isfinite(value):
+            self.fail("RANGE", path, f"{what} must be finite, got {value}")
+            return True
+        return False
+
     # -- dispatch ---------------------------------------------------------
 
     def value(self, raw, ctype: ConcreteType, path: str):
@@ -158,7 +165,7 @@ class _Validator:
 
     def _num(self, raw, ctype, path):
         if _is_number(raw):
-            return raw
+            return None if self.non_finite(raw, path, "number") else raw
         self.fail("TYPE_MISMATCH", path, f"expected a number, got {_type_name(raw)}")
         return None
 
@@ -180,6 +187,8 @@ class _Validator:
         for i, item in enumerate(raw):
             if not _is_number(item):
                 self.fail("TYPE_MISMATCH", f"{path}/{i}", f"{what} component must be a number")
+                return None
+            if self.non_finite(item, f"{path}/{i}", f"{what} component"):
                 return None
         return tuple(raw)
 
@@ -254,6 +263,9 @@ class _Validator:
                 if not all(_is_number(v) for v in point):
                     self.fail("TYPE_MISMATCH", f"{ring_path}/{pi}", "polygon point must be numeric")
                     return None
+                for ci, v in enumerate(point):
+                    if self.non_finite(v, f"{ring_path}/{pi}/{ci}", "polygon coordinate"):
+                        return None
                 points.append((point[0], point[1]))
             rings.append(tuple(points))
         return tuple(rings)
@@ -391,7 +403,7 @@ class _Validator:
             self.fail("TYPE_MISMATCH", path, f"Keypoint value must be a flat list, got {_type_name(raw)}")
             return None
         expected = 3 * len(dom.classes)
-        if len(raw) % 3 != 0 or len(raw) != expected:
+        if len(raw) != expected:
             self.fail(
                 "ARITY",
                 path,
@@ -401,6 +413,8 @@ class _Validator:
         for i, item in enumerate(raw):
             if not _is_number(item):
                 self.fail("TYPE_MISMATCH", f"{path}/{i}", "keypoint component must be a number")
+                return None
+            if self.non_finite(item, f"{path}/{i}", "keypoint component"):
                 return None
         triples = tuple(
             (raw[i], raw[i + 1], raw[i + 2]) for i in range(0, len(raw), 3)
@@ -525,8 +539,8 @@ def _load_external(path: str, base: str | Path) -> dict:
     full = Path(base) / path
     if not full.is_file():
         raise DsdlError(error("FILE_NOT_FOUND", str(path), f"external data file {full} does not exist"))
-    text = full.read_text(encoding="utf-8")
     try:
+        text = read_utf8(full, str(path))
         if full.suffix in (".yaml", ".yml"):
             payload = _load_yaml(text, str(full))
         else:

@@ -28,6 +28,16 @@ def test_validate_missing_file_exits_two():
     assert out == ""
 
 
+def test_validate_non_utf8_file_exits_two(tmp_path):
+    bad = tmp_path / "latin.yaml"
+    bad.write_bytes(b'$dsdl-version: "0.5.0"\nmeta: {name: caf\xe9}\n')
+    for command in ("validate", "inspect", "summary"):
+        code, out, err = run_cli(command, str(bad))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error ENCODING_ERROR {bad} ")
+
+
 def test_usage_error_exits_two():
     code, _, _ = run_cli("validate")
     assert code == 2

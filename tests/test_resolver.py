@@ -97,6 +97,13 @@ def test_imported_library_requires_version_header(tmp_path):
     assert errors[0].source.endswith("broken.yaml")
 
 
+def test_imported_library_not_utf8(tmp_path):
+    (tmp_path / "latin.yaml").write_bytes(b'$dsdl-version: "0.5.0"\nD:\n  $def: class_domain\n  classes: [caf\xe9]\n')
+    doc = parse_document('$dsdl-version: "0.5.0"\n$import: [latin]\n', format="yaml")
+    _, diags = resolve_imports(doc, LibraryEnvironment((tmp_path,)))
+    assert [(d.code, d.path) for d in diags] == [("ENCODING_ERROR", "$import/latin")]
+
+
 def test_nested_imports_merge_depth_first(tmp_path):
     (tmp_path / "base.yaml").write_text(
         '$dsdl-version: "0.5.0"\nD:\n  $def: class_domain\n  classes: [x]\n'

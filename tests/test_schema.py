@@ -1,6 +1,9 @@
 """Schema model: definition building, builtin inventory, class lookup."""
 
+import re
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dsdl import build_definitions, lookup_class, parse_document
 from dsdl.diagnostics import ClassLookupError
@@ -239,3 +242,107 @@ def test_shared_leaf_requires_full_path():
 def test_name_index_agreement_for_every_class(hierarchical_dom):
     for i, name in enumerate(hierarchical_dom.class_names(), start=1):
         assert lookup_class(hierarchical_dom, name) == lookup_class(hierarchical_dom, i)
+
+
+# -- differential property: lookup_class against a linear-scan oracle ----------
+
+_SEGMENT_NAMES = ("a", "b", "c", "x_1", "1", "2", "10")
+
+
+def _oracle_lookup(domain, selector):
+    """Brute-force restatement of the class-selector rules.
+
+    Sibling order, index paths and leaf matches are recomputed by scanning
+    the declared class list on every call, so nothing is shared with the
+    index that ``lookup_class`` uses. Returns a ``ClassRef`` or the
+    ``(code, message)`` the lookup must raise.
+    """
+    paths = [tuple(seg.name for seg in p) for p in domain.classes]
+
+    def siblings(prefix):
+        out = []
+        for names in paths:
+            if len(names) > len(prefix) and names[: len(prefix)] == prefix and names[len(prefix)] not in out:
+                out.append(names[len(prefix)])
+        return out
+
+    def ref(names):
+        index_path = tuple(siblings(names[:d]).index(names[d]) + 1 for d in range(len(names)))
+        return ClassRef(domain.name, index_path, ".".join(names))
+
+    def flat(index):
+        if not 1 <= index <= len(paths):
+            return ("CLASS_INDEX_RANGE", f"class index {index} out of range 1..{len(paths)} in {domain.name}")
+        return ref(paths[index - 1])
+
+    if isinstance(selector, bool):
+        return ("CLASS_NOT_FOUND", f"invalid class selector {selector!r}")
+    if isinstance(selector, int):
+        return flat(selector)
+    if re.fullmatch(r"\d+(\.\d+)*", selector):
+        parts = tuple(int(p) for p in selector.split("."))
+        if len(parts) == 1:
+            return flat(parts[0])
+        names = ()
+        for idx in parts:
+            level = siblings(names)
+            if not 1 <= idx <= len(level):
+                return ("CLASS_INDEX_RANGE", f"index {idx} out of range 1..{len(level)} at level {len(names) + 1}")
+            names += (level[idx - 1],)
+        if names not in paths:
+            return ("CLASS_NOT_FOUND", f"index path {selector!r} addresses no declared class in {domain.name}")
+        return ClassRef(domain.name, parts, ".".join(names))
+    names = tuple(selector.split("."))
+    if names in paths:
+        return ref(names)
+    if len(names) == 1:
+        matches = [p for p in paths if p[-1] == names[0]]
+        if len(matches) == 1:
+            return ref(matches[0])
+        if len(matches) > 1:
+            return ("CLASS_NOT_FOUND", f"class name {selector!r} is ambiguous in {domain.name}")
+    return ("CLASS_NOT_FOUND", f"no class {selector!r} in {domain.name}")
+
+
+@st.composite
+def _class_domains(draw):
+    """Class lists with digit-named segments, ``name[parent]`` annotations,
+    shared leaves and prefixes that are classes themselves."""
+    segment = st.sampled_from(_SEGMENT_NAMES)
+    paths = draw(st.lists(st.lists(segment, min_size=1, max_size=3).map(tuple), min_size=1, max_size=10, unique=True))
+    for path in draw(st.lists(st.sampled_from(paths), max_size=3)):
+        if len(path) > 1 and path[:-1] not in paths:
+            paths.append(path[:-1])
+    annotate = st.sampled_from((None, None, "p", "q"))
+
+    def segment_text(name):
+        parent = draw(annotate)
+        return name if parent is None else f"{name}[{parent}]"
+
+    classes = [".".join(segment_text(name) for name in path) for path in paths]
+    registry, diags = build_definitions({"Dom": {"$def": "class_domain", "classes": classes}})
+    assert [d.code for d in diags if d.code != "CLASS_NAME_SYNTAX"] == []
+    return registry.get("Dom")
+
+
+def _outcome(lookup, domain, selector):
+    try:
+        return lookup(domain, selector)
+    except ClassLookupError as exc:
+        return (exc.code, exc.diagnostic.message)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_class_domains(), st.data())
+def test_lookup_class_matches_linear_scan_oracle(domain, data):
+    names = domain.class_names()
+    selectors = [True, False, -1, 0, len(names) + 1, str(len(names) + 1), "", "zz", "a.zz"]
+    for i, name in enumerate(names, start=1):
+        ref = _oracle_lookup(domain, i)
+        selectors += [name, i, str(i), name.split(".")[-1], ".".join(str(k) for k in ref.index_path)]
+    # index paths with out-of-range components at every level
+    index_path = st.lists(st.integers(0, 5), min_size=1, max_size=4).map(lambda p: ".".join(map(str, p)))
+    selectors += data.draw(st.lists(index_path, max_size=8))
+    selectors += data.draw(st.lists(st.lists(st.sampled_from(_SEGMENT_NAMES), min_size=1, max_size=3).map(".".join), max_size=8))
+    for selector in selectors:
+        assert _outcome(lookup_class, domain, selector) == _outcome(_oracle_lookup, domain, selector), selector

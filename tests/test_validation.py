@@ -298,6 +298,37 @@ def test_instance_and_unique_ids(registry):
     assert [d.code for d in check(registry, "InstanceID", 1.5)[1]] == ["TYPE_MISMATCH"]
 
 
+def test_non_finite_numbers_are_range_errors(registry):
+    from dsdl import parse_document, resolve_schema
+
+    text = (
+        '$dsdl-version: "0.5.0"\n'
+        "defs:\n"
+        "  S:\n    $def: struct\n    $fields: {b: BBox, i: Interval}\n"
+        "data:\n"
+        "  sample-type: S\n"
+        "  samples:\n"
+        "    - {b: [0, 0, .nan, .inf], i: [.nan, 1]}\n"
+    )
+    doc = parse_document(text, format="yaml")
+    schema, _ = resolve_schema(doc, None)
+    report = validate_dataset(schema, doc.data)
+    assert [(d.code, d.path) for d in report.diagnostics] == [
+        ("RANGE", "samples/0/b/2"),
+        ("RANGE", "samples/0/i/0"),
+    ]
+    for spec, raw, path in (
+        ("Num", math.nan, "v"),
+        ("Num", -math.inf, "v"),
+        ("Coord", [1, math.inf], "v/1"),
+        ("Polygon", [[0, 0], [1, 0], [math.nan, 1]], "v/2/0"),
+        ("Keypoint[dom=KeypointDom1]", [1.0, math.inf, 2], "v/1"),
+    ):
+        value, diags = check(registry, spec, raw)
+        assert value is None
+        assert [(d.code, d.path) for d in diags] == [("RANGE", path)], spec
+
+
 # -- keypoints and rotated boxes ----------------------------------------------------------------
 
 
@@ -358,6 +389,14 @@ def test_external_file_not_found(tmp_path):
     with pytest.raises(DsdlError) as exc:
         load_external_samples("missing.json", tmp_path)
     assert exc.value.code == "FILE_NOT_FOUND"
+
+
+def test_external_file_not_utf8(tmp_path):
+    (tmp_path / "bad.json").write_bytes(b'{"samples": ["\xff"]}')
+    with pytest.raises(DsdlError) as exc:
+        load_external_samples("bad.json", tmp_path)
+    assert exc.value.code == "ENCODING_ERROR"
+    assert exc.value.diagnostic.path == "bad.json"
 
 
 def test_trackingnet_nested_samples():
