@@ -18,6 +18,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import yaml
+from yaml.composer import Composer
+from yaml.constructor import SafeConstructor
+from yaml.resolver import Resolver
 
 from .diagnostics import DocumentError, error
 
@@ -74,12 +77,15 @@ class _DuplicateKey(Exception):
         self.column = column
 
 
-class _CoreLoader(yaml.SafeLoader):
-    """SafeLoader restricted to YAML 1.2 core-schema scalars.
+class _CoreSchema:
+    """YAML 1.2 core-schema scalars and duplicate-key rejection.
 
-    Drops the 1.1-only implicit resolvers (yes/no/on/off booleans,
-    sexagesimal numbers) and rejects duplicate mapping keys.
+    Mixed into both loaders, ahead of PyYAML's classes, so its resolver
+    table and ``construct_mapping`` win. The table drops the 1.1-only
+    implicit resolvers (yes/no/on/off booleans, sexagesimal numbers).
     """
+
+    yaml_implicit_resolvers: dict = {}
 
     def construct_mapping(self, node, deep=False):
         seen = set()
@@ -93,7 +99,6 @@ class _CoreLoader(yaml.SafeLoader):
         return super().construct_mapping(node, deep)
 
 
-_CoreLoader.yaml_implicit_resolvers = {}
 for _tag, _regexp, _first in [
     ("tag:yaml.org,2002:null", r"~|null|Null|NULL|", list("~nN") + [""]),
     ("tag:yaml.org,2002:bool", r"true|True|TRUE|false|False|FALSE", list("tTfF")),
@@ -110,12 +115,87 @@ for _tag, _regexp, _first in [
     ),
 ]:
     for _ch in _first:
-        _CoreLoader.add_implicit_resolver(_tag, re.compile(f"^(?:{_regexp})$"), [_ch])
+        _CoreSchema.yaml_implicit_resolvers.setdefault(_ch, []).append(
+            (_tag, re.compile(f"^(?:{_regexp})$"))
+        )
+
+
+class _CoreLoader(_CoreSchema, yaml.SafeLoader):
+    """Pure-Python SafeLoader: the reference parser and the only source of YAML diagnostics."""
+
+
+if yaml.__with_libyaml__:
+
+    class _FastLoader(_CoreSchema, Composer, yaml.cyaml.CParser, SafeConstructor, Resolver):
+        """libyaml's C scanner and parser feeding PyYAML's Python composer.
+
+        The composer is the Python one, not libyaml's, because the C
+        composer recurses on the C stack and a deep enough nest crashes
+        the interpreter; the Python one raises ``RecursionError``.
+        """
+
+        def __init__(self, stream):
+            yaml.cyaml.CParser.__init__(self, stream)
+            Composer.__init__(self)
+            SafeConstructor.__init__(self)
+            Resolver.__init__(self)
+
+        def compose_scalar_node(self, anchor):
+            # PyYAML's parser resolves a scalar tagged with the non-specific
+            # "!" as plain even when it is empty; libyaml does not, which
+            # would turn a bare "!" into '' instead of None.
+            event = self.peek_event()
+            if event.tag == "!":
+                event.implicit = (True, False)
+            return super().compose_scalar_node(anchor)
+
+else:
+    _FastLoader = _CoreLoader
+
+
+# block-scalar header with a comment but no space before it ("|#")
+_BLOCK_HEADER_COMMENT_RE = re.compile(r"[|>][-+0-9]*#")
+
+
+def _libyaml_agrees(text: str) -> bool:
+    """False for text on which libyaml is known to accept what the pure-Python loader rejects.
+
+    That is a tab anywhere, a ``?`` anywhere (libyaml reads it
+    differently inside flow collections), a byte-order mark after the
+    first character and a comment glued to a block-scalar header.
+    Screened-out text goes straight to the pure-Python loader.
+    """
+    return (
+        "\t" not in text
+        and "?" not in text
+        and text.find("\ufeff", 1) < 0
+        and not _BLOCK_HEADER_COMMENT_RE.search(text)
+    )
 
 
 def _load_yaml(text: str, source: str | None) -> object:
+    """Load YAML ``text``, raising :class:`DocumentError` on any failure.
+
+    Text passes first through :class:`_FastLoader` (libyaml's parser
+    under PyYAML's composer and constructor) unless
+    :func:`_libyaml_agrees` screens it out. If that raises anything but
+    ``RecursionError``, the text is parsed again by :class:`_CoreLoader`,
+    so every ``SYNTAX_ERROR`` and ``DUPLICATE_KEY`` message, line and
+    column comes from the pure-Python loader whether or not PyYAML was
+    built with libyaml. Nesting deeper than the composer's recursion
+    allows is a ``SYNTAX_ERROR`` on both paths.
+    """
     try:
+        if _FastLoader is not _CoreLoader and _libyaml_agrees(text):
+            try:
+                return yaml.load(text, Loader=_FastLoader)
+            except RecursionError:
+                raise
+            except Exception:
+                pass  # parsed again below, so the pure-Python loader reports it
         return yaml.load(text, Loader=_CoreLoader)
+    except RecursionError as exc:
+        raise DocumentError(error("SYNTAX_ERROR", "", "malformed YAML: nesting is too deep", source)) from exc
     except _DuplicateKey as exc:
         raise DocumentError(
             error(
@@ -149,6 +229,8 @@ def _json_pairs_hook(pairs):
 def _load_json(text: str, source: str | None) -> object:
     try:
         return json.loads(text, object_pairs_hook=_json_pairs_hook)
+    except RecursionError as exc:
+        raise DocumentError(error("SYNTAX_ERROR", "", "malformed JSON: nesting is too deep", source)) from exc
     except _DuplicateKey as exc:
         raise DocumentError(
             error("DUPLICATE_KEY", "", f"duplicate mapping key {exc.key!r}", source)

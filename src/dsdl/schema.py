@@ -452,14 +452,15 @@ def lookup_class(domain: ClassDomain, selector: str | int) -> ClassRef:
     1-based index path (``3.2.5``) walking the hierarchy. A selector
     that reads as an index path is never taken as a name. Raises
     :class:`ClassLookupError` with ``CLASS_NOT_FOUND`` or
-    ``CLASS_INDEX_RANGE``.
+    ``CLASS_INDEX_RANGE``; a selector that is neither ``str`` nor
+    ``int`` (``bool`` included) is an invalid ``CLASS_NOT_FOUND``.
 
     Every lookup reads the domain's :class:`ClassIndex`, built once when
     the domain was defined, so its cost does not depend on the domain's
     size: an index path costs one step per level.
     """
     index = domain.index
-    if isinstance(selector, bool):
+    if isinstance(selector, bool) or not isinstance(selector, (str, int)):
         raise ClassLookupError(error("CLASS_NOT_FOUND", "", f"invalid class selector {selector!r}"))
     if isinstance(selector, int):
         return _lookup_flat(domain, selector)

@@ -26,6 +26,7 @@ from dsdl import (
     validate_value,
 )
 from dsdl.diagnostics import GrammarError, LocatorError, Severity
+from dsdl.document import _CoreLoader
 from dsdl.locator import AliasPath, ObjectId, RelativePath, ResolutionEnvironment
 from dsdl.schema import (
     ClassDomain,
@@ -516,3 +517,19 @@ def test_c09_cli_contract(tmp_path):
     assert run_cli("validate", str(tmp_path / "missing.yaml"))[0] == 2
     assert run_cli("validate")[0] == 2
     print("\nPASS criterion 9: exit codes, JSON round-trip, and byte-identical reruns verified")
+
+
+# -- the pure-Python YAML loader -------------------------------------------------
+
+
+def test_acceptance_on_the_pure_python_yaml_loader(monkeypatch, tmp_path):
+    """Criteria 1-3 and 9 with libyaml's parser taken away, as under a PyYAML built without it."""
+    with_libyaml = {rel: run_cli("validate", str(CORPUS / rel)) for rel in CORPUS_FILES}
+    monkeypatch.setattr("dsdl.document._FastLoader", _CoreLoader)
+    test_c01_conformance_corpus()
+    test_c02_json_yaml_equivalence()
+    for sub in ("c03", "c09"):
+        (tmp_path / sub).mkdir()
+    test_c03_mutation_suite(tmp_path / "c03")
+    test_c09_cli_contract(tmp_path / "c09")
+    assert {rel: run_cli("validate", str(CORPUS / rel)) for rel in CORPUS_FILES} == with_libyaml

@@ -38,6 +38,45 @@ def test_validate_non_utf8_file_exits_two(tmp_path):
         assert err.startswith(f"error ENCODING_ERROR {bad} ")
 
 
+_DEEP_NEST = "[" * 100_000 + "]" * 100_000
+_DEEP_CASES = {
+    "yaml-description": ({"d.yaml": '$dsdl-version: "0.5.0"\nmeta: {a: ' + _DEEP_NEST + "}\n"}, "YAML"),
+    "json-description": ({"d.json": '{"$dsdl-version": "0.5.0", "meta": {"a": ' + _DEEP_NEST + "}}"}, "JSON"),
+    "yaml-import": (
+        {
+            "d.yaml": '$dsdl-version: "0.5.0"\n$import: [./deep]\n',
+            "deep.yaml": '$dsdl-version: "0.5.0"\nX: ' + _DEEP_NEST + "\n",
+        },
+        "YAML",
+    ),
+    "json-external-samples": (
+        {
+            "d.yaml": '$dsdl-version: "0.5.0"\ndata:\n  sample-type: Int\n  sample-path: s.json\n',
+            "s.json": '{"samples": ' + _DEEP_NEST + "}",
+        },
+        "JSON",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_DEEP_CASES))
+def test_validate_nesting_too_deep_is_a_coded_finding(tmp_path, case):
+    files, label = _DEEP_CASES[case]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    description = next(tmp_path / name for name in files if name.startswith("d."))
+    for argv in (("validate",), ("validate", "--format", "json"), ("summary",)):
+        code, out, err = run_cli(*argv, str(description))
+        assert code == 1
+        assert err == ""
+        assert f"malformed {label}: nesting is too deep" in out
+    code, out, _ = run_cli("validate", str(description))
+    assert out.splitlines() == [
+        f"error SYNTAX_ERROR  malformed {label}: nesting is too deep",
+        "0 samples validated, 1 errors, 0 warnings",
+    ]
+
+
 def test_usage_error_exits_two():
     code, _, _ = run_cli("validate")
     assert code == 2

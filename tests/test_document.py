@@ -1,9 +1,13 @@
 """Description-file parsing: structure, headers, reserved keys."""
 
 import pytest
+import yaml
+from hypothesis import example, given, settings, strategies as st
 
 from dsdl import parse_document
-from dsdl.diagnostics import DocumentError
+from dsdl.diagnostics import DocumentError, DsdlError
+from dsdl.document import _CoreLoader, _DuplicateKey, _FastLoader, _load_yaml
+from dsdl.validation import load_external_samples
 
 from conftest import CORPUS
 
@@ -150,3 +154,111 @@ def test_meta_is_schema_free():
     doc = parse_document(text, format="yaml")
     assert doc.meta["Dataset Name"] == "CMP Facade"
     assert doc.meta["anything"] == 3
+
+
+# -- deep nesting -----------------------------------------------------------------
+
+DEEP = 100_000
+
+
+def _deep_document(fmt: str) -> str:
+    nest = "[" * DEEP + "]" * DEEP
+    if fmt == "yaml":
+        return f'$dsdl-version: "0.5.0"\nmeta: {{a: {nest}}}\n'
+    return f'{{"$dsdl-version": "0.5.0", "meta": {{"a": {nest}}}}}'
+
+
+@pytest.mark.parametrize("fmt", ["yaml", "json", "auto"])
+def test_nesting_too_deep_is_a_syntax_error(fmt):
+    text = _deep_document("json" if fmt == "auto" else fmt)
+    with pytest.raises(DocumentError) as exc:
+        parse_document(text, format=fmt, source="deep")
+    label = "YAML" if fmt == "yaml" else "JSON"
+    assert exc.value.diagnostic.format() == f"error SYNTAX_ERROR  malformed {label}: nesting is too deep"
+    assert exc.value.diagnostic.source == "deep"
+
+
+@pytest.mark.parametrize("suffix", [".yaml", ".json"])
+def test_external_file_nesting_too_deep_is_a_syntax_error(tmp_path, suffix):
+    nest = "[" * DEEP + "]" * DEEP
+    (tmp_path / f"deep{suffix}").write_text(f'{{"samples": {nest}}}')
+    with pytest.raises(DsdlError) as exc:
+        load_external_samples(f"deep{suffix}", tmp_path)
+    assert exc.value.code == "SYNTAX_ERROR"
+    assert exc.value.diagnostic.message.endswith("nesting is too deep")
+
+
+# -- libyaml fast path against the pure-Python loader ----------------------------
+
+_REPO = CORPUS.parent.parent
+_YAML_FILES = sorted(CORPUS.rglob("*.yaml")) + sorted((_REPO / "src/dsdl/library").glob("*.yaml"))
+
+
+@pytest.mark.parametrize("path", _YAML_FILES, ids=lambda p: str(p.relative_to(_REPO)))
+def test_fast_loader_matches_pure_python_loader_on_shipped_yaml(path):
+    text = path.read_text(encoding="utf-8")
+    assert yaml.load(text, Loader=_FastLoader) == yaml.load(text, Loader=_CoreLoader)
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+def test_shipped_yaml_never_needs_the_pure_python_loader(monkeypatch):
+    class _Refuse(_CoreLoader):
+        def __init__(self, stream):
+            raise AssertionError("fell back to the pure-Python loader")
+
+    monkeypatch.setattr("dsdl.document._CoreLoader", _Refuse)
+    for path in _YAML_FILES:
+        _load_yaml(path.read_text(encoding="utf-8"), str(path))
+
+
+def _reference_outcome(text: str) -> tuple:
+    """The pure-Python loader, its errors wrapped as ``_load_yaml`` wrapped them before libyaml was used."""
+    try:
+        return ("value", repr(yaml.load(text, Loader=_CoreLoader)))
+    except _DuplicateKey as exc:
+        return ("DUPLICATE_KEY", f"duplicate mapping key {exc.key!r} at line {exc.line}, column {exc.column}")
+    except yaml.MarkedYAMLError as exc:
+        mark = exc.problem_mark
+        where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        return ("SYNTAX_ERROR", f"malformed YAML: {exc.problem or exc}{where}")
+    except yaml.YAMLError as exc:
+        return ("SYNTAX_ERROR", f"malformed YAML: {exc}")
+    except Exception as exc:  # an ill-typed explicit tag escapes both loaders alike
+        return (type(exc).__name__, str(exc))
+
+
+def _outcome(text: str) -> tuple:
+    try:
+        return ("value", repr(_load_yaml(text, None)))
+    except DocumentError as exc:
+        return (exc.code, exc.diagnostic.message)
+    except Exception as exc:
+        return (type(exc).__name__, str(exc))
+
+
+# tab, "?" and a mid-stream BOM are what libyaml accepts and the pure-Python
+# loader rejects; a lone surrogate cannot be encoded for libyaml at all
+_YAMLISH = st.lists(
+    st.sampled_from(
+        [
+            "a", "b", "k", "1", "-1", "0x1F", "0o17", "1e3", ".5", ".inf", ".nan", "null", "~", "true", "yes",
+            "2001-12-14", "é", ":", ": ", " ", "  ", "\n", "\n  ", "\r", "\x85", "- ", "-", "#", "'", '"', "\\",
+            "|", ">", "[", "]", "{", "}", ",", "&x ", "*x", "!!str ", "!!int ", "!!set ", "!t ", "!", "<<",
+            "a: 1\n", "a: 2\n", "%YAML 1.2\n", "---", "...", "\t", "?", "? ", "\ufeff", "\ud800",
+        ]
+    ),
+    max_size=40,
+).map("".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_YAMLISH)
+# each of these once parsed differently under libyaml
+@example("!")
+@example("a:\t1\n")
+@example("[a?]")
+@example("a: |#\n")
+@example("a: 1\n\ufeffb: 2\n")
+@example("a: \ud800\n")
+def test_load_yaml_agrees_with_the_pure_python_loader(text):
+    assert _outcome(text) == _reference_outcome(text)

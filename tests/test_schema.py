@@ -200,6 +200,14 @@ def test_lookup_index_out_of_range(my_class_dom):
         assert exc.value.code == "CLASS_INDEX_RANGE"
 
 
+def test_lookup_rejects_selectors_of_other_types(my_class_dom):
+    for bad in (True, 1.5, 2.0, None, [1], (2,), b"cat", {"cat": 1}):
+        with pytest.raises(ClassLookupError) as exc:
+            lookup_class(my_class_dom, bad)
+        assert exc.value.code == "CLASS_NOT_FOUND"
+        assert exc.value.diagnostic.message == f"invalid class selector {bad!r}"
+
+
 def test_hierarchical_name_lookup(hierarchical_dom):
     ref = lookup_class(hierarchical_dom, "vehicle.airplane")
     assert ref.path == "vehicle.airplane"
