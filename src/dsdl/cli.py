@@ -16,19 +16,13 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .diagnostics import Diagnostic, DocumentError, DsdlError, LocatorError, Severity
-from .document import parse_document, read_utf8
+from .diagnostics import DocumentError, DsdlError, LocatorError
+from .document import RawDocument, parse_document, read_utf8
 from .locator import ResolutionEnvironment, parse_locator, resolve_locator
 from .resolver import ConcreteType, LibraryEnvironment, ResolvedSchema, resolve_schema
 from .schema import ClassDomain, StructClass
 from .typeexpr import render_type_expression
-from .validation import (
-    ClassRef,
-    MediaRef,
-    Record,
-    ValidationReport,
-    validate_dataset,
-)
+from .validation import ClassRef, MediaRef, Record, ValidationReport, validate_dataset
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
@@ -122,69 +116,6 @@ def _config_from_args(args: argparse.Namespace) -> CliConfig:
     )
 
 
-class _Pipeline:
-    """parse -> resolve -> validate, collecting diagnostics in order."""
-
-    def __init__(self, file: str, config: CliConfig):
-        self.path = Path(file)
-        self.config = config
-        self.diagnostics: list[Diagnostic] = []
-        self.doc = None
-        self.schema: ResolvedSchema | None = None
-        self.report: ValidationReport | None = None
-
-    def run(self, validate: bool = True) -> None:
-        try:
-            text = read_utf8(self.path, str(self.path))
-        except OSError as exc:
-            raise _UsageFailure(f"cannot read {self.path}: {exc}") from exc
-        except DocumentError as exc:
-            raise _UnreadableInput(exc.diagnostic) from exc
-        fmt = {".json": "json", ".yaml": "yaml", ".yml": "yaml"}.get(self.path.suffix, "auto")
-        try:
-            self.doc = parse_document(
-                text, format=fmt, source=str(self.path), allow_version=self.config.allow_version
-            )
-        except DocumentError as exc:
-            self.diagnostics.append(exc.diagnostic)
-            return
-        self.schema, diags = resolve_schema(
-            self.doc, self.config.library_environment(), source=self.path
-        )
-        self.diagnostics.extend(diags)
-        if validate and self.schema is not None:
-            self.report = validate_dataset(
-                self.schema,
-                self.doc.data,
-                base=self.path.parent,
-                strict=self.config.strict,
-                max_errors=self.config.max_errors,
-            )
-            self.diagnostics.extend(self.report.diagnostics)
-
-    def error_count(self) -> int:
-        return sum(1 for d in self.diagnostics if d.severity is Severity.ERROR)
-
-    def warning_count(self) -> int:
-        return sum(1 for d in self.diagnostics if d.severity is Severity.WARNING)
-
-    def note_count(self) -> int:
-        return sum(1 for d in self.diagnostics if d.severity is Severity.NOTE)
-
-    def counts_by_code(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for d in self.diagnostics:
-            counts[d.code] = counts.get(d.code, 0) + 1
-        return dict(sorted(counts.items()))
-
-    def exit_code(self) -> int:
-        if self.error_count() > 0:
-            return EXIT_FINDINGS
-        if self.config.strict and self.warning_count() > 0:
-            return EXIT_FINDINGS
-        return EXIT_OK
-
-
 class _UsageFailure(Exception):
     pass
 
@@ -193,42 +124,60 @@ class _UnreadableInput(DsdlError):
     """The description file cannot be decoded: an I/O failure with a coded diagnostic."""
 
 
-def _emit(lines: list[str]) -> None:
+def _run(
+    file: str, config: CliConfig, validate: bool
+) -> tuple[RawDocument | None, ResolvedSchema | None, ValidationReport]:
+    """parse -> resolve -> validate; the report holds every diagnostic in that order."""
+    path = Path(file)
+    try:
+        text = read_utf8(path, str(path))
+    except OSError as exc:
+        raise _UsageFailure(f"cannot read {path}: {exc}") from exc
+    except DocumentError as exc:
+        raise _UnreadableInput(exc.diagnostic) from exc
+    fmt = {".json": "json", ".yaml": "yaml", ".yml": "yaml"}.get(path.suffix, "auto")
+    try:
+        doc = parse_document(text, format=fmt, source=str(path), allow_version=config.allow_version)
+    except DocumentError as exc:
+        return None, None, ValidationReport(diagnostics=[exc.diagnostic])
+    schema, diags = resolve_schema(doc, config.library_environment(), source=path)
+    report = ValidationReport()
+    if validate and schema is not None:
+        report = validate_dataset(
+            schema, doc.data, base=path.parent, strict=config.strict, max_errors=config.max_errors
+        )
+    report.diagnostics[:0] = diags
+    return doc, schema, report
+
+
+def _exit_code(report: ValidationReport, config: CliConfig) -> int:
+    return EXIT_FINDINGS if report.errors or (config.strict and report.warnings) else EXIT_OK
+
+
+def _emit(config: CliConfig, payload: dict, lines: list[str]) -> None:
+    """Write ``payload`` as JSON or ``lines`` as text, with the config block if asked for."""
+    if config.format == "json":
+        if config.show_config:
+            payload = {**payload, "config": config.lines()[1:]}
+        lines = [json.dumps(payload, indent=2)]
+    elif config.show_config:
+        lines = config.lines() + lines
     sys.stdout.write("\n".join(lines) + "\n" if lines else "")
 
 
+def _emit_failure(file: str, config: CliConfig, report: ValidationReport) -> None:
+    payload = {"file": file, "diagnostics": [d.to_jsonable() for d in report.diagnostics]}
+    _emit(config, payload, [d.format() for d in report.diagnostics])
+
+
 def cmd_validate(file: str, config: CliConfig) -> int:
-    pipe = _Pipeline(file, config)
-    pipe.run(validate=True)
-    sample_count = pipe.report.sample_count if pipe.report is not None else 0
-    if config.format == "json":
-        payload = {
-            "file": file,
-            "sample_count": sample_count,
-            "errors": pipe.error_count(),
-            "warnings": pipe.warning_count(),
-            "notes": pipe.note_count(),
-            "counts_by_code": pipe.counts_by_code(),
-            "truncated": bool(pipe.report.truncated) if pipe.report else False,
-            "diagnostics": [d.to_jsonable() for d in pipe.diagnostics],
-        }
-        if config.show_config:
-            payload["config"] = config.lines()[1:]
-        _emit([json.dumps(payload, indent=2, sort_keys=False)])
-        return pipe.exit_code()
-    lines: list[str] = []
-    if config.show_config:
-        lines.extend(config.lines())
-    lines.extend(d.format() for d in pipe.diagnostics)
-    summary = (
-        f"{sample_count} samples validated, "
-        f"{pipe.error_count()} errors, {pipe.warning_count()} warnings"
-    )
-    if pipe.report is not None and pipe.report.truncated:
+    _, _, report = _run(file, config, validate=True)
+    summary = f"{report.sample_count} samples validated, {report.errors} errors, {report.warnings} warnings"
+    if report.truncated:
         summary += " (truncated)"
-    lines.append(summary)
-    _emit(lines)
-    return pipe.exit_code()
+    lines = [d.format() for d in report.diagnostics] + [summary]
+    _emit(config, {"file": file, **report.to_jsonable()}, lines)
+    return _exit_code(report, config)
 
 
 def _concrete_lines(ctype: ConcreteType, indent: str, out: list[str], seen: tuple[str, ...] = ()) -> None:
@@ -264,125 +213,82 @@ def _concrete_jsonable(ctype: ConcreteType) -> dict:
 
 
 def cmd_inspect(file: str, config: CliConfig) -> int:
-    pipe = _Pipeline(file, config)
-    pipe.run(validate=False)
-    if pipe.error_count() > 0 or pipe.schema is None:
-        if config.format == "json":
-            _emit([json.dumps({"file": file, "diagnostics": [d.to_jsonable() for d in pipe.diagnostics]}, indent=2)])
-        else:
-            _emit([d.format() for d in pipe.diagnostics])
-        return EXIT_FINDINGS if pipe.diagnostics else EXIT_OK
+    doc, schema, report = _run(file, config, validate=False)
+    if report.errors or schema is None:
+        _emit_failure(file, config, report)
+        return EXIT_FINDINGS if report.diagnostics else EXIT_OK
 
-    schema = pipe.schema
-    if config.format == "json":
-        defs = {}
-        for name, entry in schema.registry.items():
-            prov = schema.registry.provenance[name]
-            if isinstance(entry, ClassDomain):
-                defs[name] = {
-                    "kind": "class_domain",
-                    "classes": {str(i): c for i, c in enumerate(entry.class_names(), start=1)},
-                    "source": prov.source,
-                }
-                if entry.skeleton:
-                    defs[name]["skeleton"] = [list(p) for p in entry.skeleton]
-                if entry.parents:
-                    defs[name]["parents"] = entry.parents
-            else:
-                defs[name] = {
-                    "kind": "struct",
-                    "params": entry.params,
-                    "fields": {f: render_type_expression(e) for f, e in entry.fields.items()},
-                    "optional": sorted(entry.optional),
-                    "source": prov.source,
-                }
-        payload: dict = {"file": file, "version": pipe.doc.dsdl_version, "definitions": defs}
-        if schema.sample_type is not None:
-            payload["sample_type"] = _concrete_jsonable(schema.sample_type)
-        if schema.global_info_type is not None:
-            payload["global_info_type"] = _concrete_jsonable(schema.global_info_type)
-        if pipe.diagnostics:
-            payload["diagnostics"] = [d.to_jsonable() for d in pipe.diagnostics]
-        if config.show_config:
-            payload["config"] = config.lines()[1:]
-        _emit([json.dumps(payload, indent=2, sort_keys=False)])
-        return EXIT_OK
-
-    lines: list[str] = []
-    if config.show_config:
-        lines.extend(config.lines())
-    lines.append(f"file: {file}")
-    lines.append(f"dsdl-version: {pipe.doc.dsdl_version}")
-    lines.extend(d.format() for d in pipe.diagnostics)
+    defs: dict = {}
+    lines = [f"file: {file}", f"dsdl-version: {doc.dsdl_version}"]
+    lines.extend(d.format() for d in report.diagnostics)
     lines.append("definitions:")
     for name, entry in schema.registry.items():
-        prov = schema.registry.provenance[name]
-        origin = f" [{prov.source}]" if prov.source else ""
+        source = schema.registry.provenance[name].source
+        origin = f" [{source}]" if source else ""
         if isinstance(entry, ClassDomain):
+            classes = entry.class_names()
+            defs[name] = {
+                "kind": "class_domain",
+                "classes": {str(i): c for i, c in enumerate(classes, start=1)},
+                "source": source,
+            }
             lines.append(f"  class_domain {name} ({len(entry)} classes){origin}")
-            for i, cname in enumerate(entry.class_names(), start=1):
-                lines.append(f"    {i}. {cname}")
+            lines.extend(f"    {i}. {cname}" for i, cname in enumerate(classes, start=1))
             if entry.skeleton:
-                edges = ", ".join(f"[{a}, {b}]" for a, b in entry.skeleton)
-                lines.append(f"    skeleton: {edges}")
+                defs[name]["skeleton"] = [list(p) for p in entry.skeleton]
+                lines.append("    skeleton: " + ", ".join(f"[{a}, {b}]" for a, b in entry.skeleton))
+            if entry.parents:
+                defs[name]["parents"] = entry.parents
         else:
+            fields = {f: render_type_expression(e) for f, e in entry.fields.items()}
+            defs[name] = {
+                "kind": "struct",
+                "params": entry.params,
+                "fields": fields,
+                "optional": sorted(entry.optional),
+                "source": source,
+            }
             params = f"[{', '.join(entry.params)}]" if entry.params else ""
             lines.append(f"  struct {name}{params}{origin}")
-            for fname, fexpr in entry.fields.items():
+            for fname, text in fields.items():
                 suffix = " (optional)" if fname in entry.optional else ""
-                lines.append(f"    {fname}: {render_type_expression(fexpr)}{suffix}")
-    if schema.sample_type is not None:
-        lines.append(f"sample-type: {schema.sample_type.describe()}")
-        _concrete_lines(schema.sample_type, "  ", lines)
-    if schema.global_info_type is not None:
-        lines.append(f"global-info-type: {schema.global_info_type.describe()}")
-        _concrete_lines(schema.global_info_type, "  ", lines)
-    _emit(lines)
+                lines.append(f"    {fname}: {text}{suffix}")
+
+    payload: dict = {"file": file, "version": doc.dsdl_version, "definitions": defs}
+    for key, label, ctype in (
+        ("sample_type", "sample-type", schema.sample_type),
+        ("global_info_type", "global-info-type", schema.global_info_type),
+    ):
+        if ctype is not None:
+            payload[key] = _concrete_jsonable(ctype)
+            lines.append(f"{label}: {ctype.describe()}")
+            _concrete_lines(ctype, "  ", lines)
+    if report.diagnostics:
+        payload["diagnostics"] = [d.to_jsonable() for d in report.diagnostics]
+    _emit(config, payload, lines)
     return EXIT_OK
 
 
 def cmd_resolve_loc(locator_text: str, config: CliConfig) -> int:
-    lines: list[str] = []
-    if config.show_config and config.format == "text":
-        lines.extend(config.lines())
+    payload: dict = {"locator": locator_text}
     try:
         loc = parse_locator(locator_text)
     except LocatorError as exc:
-        if config.format == "json":
-            _emit([json.dumps({"locator": locator_text, "error": exc.diagnostic.to_jsonable()}, indent=2)])
-        else:
-            lines.append(exc.diagnostic.format())
-            _emit(lines)
+        payload["error"] = exc.diagnostic.to_jsonable()
+        _emit(config, payload, [exc.diagnostic.format()])
         return EXIT_FINDINGS
 
-    address = None
-    failure: Diagnostic | None = None
+    payload["variant"] = loc.kind
     try:
-        address = resolve_locator(loc, config.resolution_environment())
+        payload["address"] = address = resolve_locator(loc, config.resolution_environment())
+        line = f"{loc.kind} -> {address}"
     except LocatorError as exc:
         if exc.code not in _ENV_INSUFFICIENT:
-            failure = exc.diagnostic
-
-    if config.format == "json":
-        payload: dict = {"locator": locator_text, "variant": loc.kind}
-        if address is not None:
-            payload["address"] = address
-        if failure is not None:
-            payload["error"] = failure.to_jsonable()
-        if config.show_config:
-            payload["config"] = config.lines()[1:]
-        _emit([json.dumps(payload, indent=2)])
-        return EXIT_FINDINGS if failure else EXIT_OK
-
-    if failure is not None:
-        lines.append(failure.format())
-        _emit(lines)
-        return EXIT_FINDINGS
-    if address is not None:
-        lines.append(f"{loc.kind} -> {address}")
-    else:
-        lines.append(f"{loc.kind} {locator_text} (unresolved: environment insufficient)")
-    _emit(lines)
+            payload["error"] = exc.diagnostic.to_jsonable()
+            _emit(config, payload, [exc.diagnostic.format()])
+            return EXIT_FINDINGS
+        line = f"{loc.kind} {locator_text} (unresolved: environment insufficient)"
+    _emit(config, payload, [line])
     return EXIT_OK
 
 
@@ -397,19 +303,15 @@ def _walk_values(value):
 
 
 def cmd_summary(file: str, config: CliConfig) -> int:
-    pipe = _Pipeline(file, config)
-    pipe.run(validate=True)
-    if pipe.error_count() > 0 or pipe.report is None:
-        if config.format == "json":
-            _emit([json.dumps({"file": file, "diagnostics": [d.to_jsonable() for d in pipe.diagnostics]}, indent=2)])
-        else:
-            _emit([d.format() for d in pipe.diagnostics])
+    _, schema, report = _run(file, config, validate=True)
+    if report.errors or schema is None:
+        _emit_failure(file, config, report)
         return EXIT_FINDINGS
 
     labels: dict[str, int] = {}
     fill: dict[tuple[str, str], list[int]] = {}
     locators: dict[str, int] = {}
-    for sample in pipe.report.samples:
+    for sample in report.samples:
         for value in _walk_values(sample):
             if isinstance(value, ClassRef):
                 key = str(value)
@@ -417,7 +319,7 @@ def cmd_summary(file: str, config: CliConfig) -> int:
             elif isinstance(value, MediaRef):
                 locators[value.locator.kind] = locators.get(value.locator.kind, 0) + 1
             elif isinstance(value, Record):
-                struct = pipe.schema.registry.get(value.struct_name)
+                struct = schema.registry.get(value.struct_name)
                 optional = struct.optional if isinstance(struct, StructClass) else frozenset()
                 for fname in optional:
                     counts = fill.setdefault((value.struct_name, fname), [0, 0])
@@ -425,59 +327,45 @@ def cmd_summary(file: str, config: CliConfig) -> int:
                     if value.values.get(fname) is not None:
                         counts[0] += 1
 
-    if config.format == "json":
-        payload = {
-            "file": file,
-            "sample_count": pipe.report.sample_count,
-            "labels": dict(sorted(labels.items())),
-            "optional_fill": {
-                f"{s}.{f}": {"present": c[0], "total": c[1]}
-                for (s, f), c in sorted(fill.items())
-            },
-            "locator_variants": dict(sorted(locators.items())),
-            "errors": pipe.error_count(),
-            "warnings": pipe.warning_count(),
-        }
-        if config.show_config:
-            payload["config"] = config.lines()[1:]
-        _emit([json.dumps(payload, indent=2, sort_keys=False)])
-        return pipe.exit_code()
-
-    lines: list[str] = []
-    if config.show_config:
-        lines.extend(config.lines())
-    lines.append(f"samples: {pipe.report.sample_count}")
-    lines.append("labels:")
-    for key, count in sorted(labels.items()):
-        lines.append(f"  {key}: {count}")
+    payload = {
+        "file": file,
+        "sample_count": report.sample_count,
+        "labels": dict(sorted(labels.items())),
+        "optional_fill": {
+            f"{s}.{f}": {"present": c[0], "total": c[1]} for (s, f), c in sorted(fill.items())
+        },
+        "locator_variants": dict(sorted(locators.items())),
+        "errors": report.errors,
+        "warnings": report.warnings,
+    }
+    lines = [f"samples: {report.sample_count}", "labels:"]
+    lines.extend(f"  {key}: {count}" for key, count in payload["labels"].items())
     if fill:
         lines.append("optional-fill:")
-        for (struct, fname), counts in sorted(fill.items()):
-            lines.append(f"  {struct}.{fname}: {counts[0]}/{counts[1]}")
+        lines.extend(f"  {key}: {c['present']}/{c['total']}" for key, c in payload["optional_fill"].items())
     if locators:
         lines.append("locators:")
-        for kind, count in sorted(locators.items()):
-            lines.append(f"  {kind}: {count}")
-    _emit(lines)
-    return pipe.exit_code()
+        lines.extend(f"  {kind}: {count}" for kind, count in payload["locator_variants"].items())
+    _emit(config, payload, lines)
+    return _exit_code(report, config)
+
+
+_COMMANDS = {
+    "validate": cmd_validate,
+    "inspect": cmd_inspect,
+    "resolve-loc": cmd_resolve_loc,
+    "summary": cmd_summary,
+}
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    config = _config_from_args(args)
+    target = args.locator if args.command == "resolve-loc" else args.file
     try:
-        if args.command == "validate":
-            return cmd_validate(args.file, config)
-        if args.command == "inspect":
-            return cmd_inspect(args.file, config)
-        if args.command == "resolve-loc":
-            return cmd_resolve_loc(args.locator, config)
-        if args.command == "summary":
-            return cmd_summary(args.file, config)
+        return _COMMANDS[args.command](target, _config_from_args(args))
     except _UsageFailure as exc:
         print(f"dsdl: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -487,8 +375,6 @@ def main(argv: list[str] | None = None) -> int:
     except DsdlError as exc:
         print(exc.diagnostic.format())
         return EXIT_FINDINGS
-    parser.error(f"unknown command {args.command!r}")
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

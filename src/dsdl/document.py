@@ -19,7 +19,8 @@ from pathlib import Path
 
 import yaml
 from yaml.composer import Composer
-from yaml.constructor import SafeConstructor
+from yaml.constructor import ConstructorError, SafeConstructor
+from yaml.nodes import MappingNode
 from yaml.resolver import Resolver
 
 from .diagnostics import DocumentError, error
@@ -78,22 +79,40 @@ class _DuplicateKey(Exception):
 
 
 class _CoreSchema:
-    """YAML 1.2 core-schema scalars and duplicate-key rejection.
+    """YAML 1.2 core-schema scalars, duplicate-key rejection and ill-typed tags.
 
     Mixed into both loaders, ahead of PyYAML's classes, so its resolver
-    table and ``construct_mapping`` win. The table drops the 1.1-only
-    implicit resolvers (yes/no/on/off booleans, sexagesimal numbers).
+    table, ``construct_object`` and ``construct_mapping`` win. The table
+    drops the 1.1-only implicit resolvers (yes/no/on/off booleans,
+    sexagesimal numbers). A value its explicit tag cannot read and an
+    unhashable mapping key raise ``ConstructorError``, with the node's
+    mark, like PyYAML's own constructor failures.
     """
 
     yaml_implicit_resolvers: dict = {}
 
+    def construct_object(self, node, deep=False):
+        # PyYAML's scalar constructors raise plain Python errors on a value
+        # their explicit tag cannot read (``!!int x``, ``!!bool x``)
+        try:
+            return super().construct_object(node, deep)
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+            tag = node.tag.replace("tag:yaml.org,2002:", "!!")
+            value = f" {node.value!r}" if isinstance(node.value, str) else ""
+            raise ConstructorError(None, None, f"invalid {tag} value{value}", node.start_mark) from exc
+
     def construct_mapping(self, node, deep=False):
         seen = set()
-        for key_node, _ in node.value:
+        # a node that is not a mapping (``!!set a``) is left for PyYAML to reject
+        for key_node, _ in node.value if isinstance(node, MappingNode) else ():
             key = self.construct_object(key_node, deep=True)
             if isinstance(key, list):
                 key = tuple(key)
-            if key in seen:
+            try:
+                duplicate = key in seen
+            except TypeError:
+                continue  # unhashable: PyYAML's construct_mapping reports it with its mark
+            if duplicate:
                 raise _DuplicateKey(key, key_node.start_mark.line + 1, key_node.start_mark.column + 1)
             seen.add(key)
         return super().construct_mapping(node, deep)

@@ -231,7 +231,6 @@ MEDIA_BUILTINS = tuple(name for name, s in BUILTINS.items() if s.media)
 @dataclass(frozen=True)
 class Provenance:
     source: str | None
-    order: int
 
 
 @dataclass
@@ -253,9 +252,6 @@ class DefinitionRegistry:
     def items(self):
         return self.entries.items()
 
-    def domains(self) -> dict[str, ClassDomain]:
-        return {k: v for k, v in self.entries.items() if isinstance(v, ClassDomain)}
-
 
 def build_definitions(
     raw_defs: dict[str, object],
@@ -269,7 +265,7 @@ def build_definitions(
     """
     registry = DefinitionRegistry()
     diags: list[Diagnostic] = []
-    for order, (key, body) in enumerate(raw_defs.items()):
+    for key, body in raw_defs.items():
         source = (provenance or {}).get(key)
         name, parents = split_definition_key(key)
         path = f"defs/{name}"
@@ -292,7 +288,7 @@ def build_definitions(
         if entry is None:
             continue
         registry.entries[name] = entry
-        registry.provenance[name] = Provenance(source, order)
+        registry.provenance[name] = Provenance(source)
     return registry, diags
 
 

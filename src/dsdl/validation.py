@@ -460,56 +460,31 @@ def validate_label(
     ``Dom::path`` and ``Dom[idx.path]`` carry their own domain and must
     agree with the bound one when both exist.
     """
-    diags: list[Diagnostic] = []
-
-    def lookup(domain: ClassDomain, selector) -> ClassRef | None:
-        try:
-            return lookup_class(domain, selector)
-        except ClassLookupError as exc:
-            diags.append(error(exc.code, path, exc.diagnostic.message))
-            return None
-
-    if isinstance(raw, bool) or isinstance(raw, float):
-        diags.append(error("LABEL_SYNTAX", path, f"label must be a name or integer index, got {raw!r}"))
-        return None, diags
-    if isinstance(raw, int):
-        if dom is None:
-            diags.append(error("LABEL_SYNTAX", path, "bare label index requires a bound class domain"))
-            return None, diags
-        return lookup(dom, raw), diags
-    if not isinstance(raw, str) or not raw:
-        diags.append(error("LABEL_SYNTAX", path, f"label must be a name or integer index, got {_type_name(raw)}"))
-        return None, diags
-    return _finish_label(raw, dom, path, diags, lookup)
-
-
-def _finish_label(raw, dom, path, diags, lookup):
-    name_match = _QUALIFIED_NAME.fullmatch(raw)
-    index_match = None if name_match else _QUALIFIED_INDEX.fullmatch(raw)
-    qualified = name_match or index_match
+    if isinstance(raw, (bool, float)):
+        return None, [error("LABEL_SYNTAX", path, f"label must be a name or integer index, got {raw!r}")]
+    if not isinstance(raw, (int, str)) or raw == "":
+        return None, [error("LABEL_SYNTAX", path, f"label must be a name or integer index, got {_type_name(raw)}")]
+    selector = raw
+    qualified = isinstance(raw, str) and (_QUALIFIED_NAME.fullmatch(raw) or _QUALIFIED_INDEX.fullmatch(raw))
     if qualified:
         dom_name = qualified.group("dom")
-        if dom is not None and dom.name != dom_name:
-            diags.append(
-                error(
-                    "LABEL_DOMAIN_MISMATCH",
-                    path,
-                    f"label names domain {dom_name!r} but the field is bound to {dom.name!r}",
-                )
-            )
-            return None, diags
-        selector = name_match.group("path") if name_match else index_match.group("idx")
-        if dom is not None:
-            return lookup(dom, selector), diags
-        # unbound: record the reference without range validation
-        if name_match:
-            return ClassRef(dom_name, (), selector), diags
-        return ClassRef(dom_name, tuple(int(p) for p in selector.split(".")), ""), diags
-
-    if dom is None:
-        diags.append(error("LABEL_SYNTAX", path, f"bare label {raw!r} requires a bound class domain"))
-        return None, diags
-    return lookup(dom, raw), diags
+        by_name = qualified.re is _QUALIFIED_NAME
+        selector = qualified.group("path" if by_name else "idx")
+        if dom is None:
+            # unbound: record the reference without range validation
+            if by_name:
+                return ClassRef(dom_name, (), selector), []
+            return ClassRef(dom_name, tuple(int(p) for p in selector.split(".")), ""), []
+        if dom.name != dom_name:
+            message = f"label names domain {dom_name!r} but the field is bound to {dom.name!r}"
+            return None, [error("LABEL_DOMAIN_MISMATCH", path, message)]
+    elif dom is None:
+        what = "index" if isinstance(raw, int) else repr(raw)
+        return None, [error("LABEL_SYNTAX", path, f"bare label {what} requires a bound class domain")]
+    try:
+        return lookup_class(dom, selector), []
+    except ClassLookupError as exc:
+        return None, [error(exc.code, path, exc.diagnostic.message)]
 
 
 def load_external_samples(path: str, base: str | Path) -> list:

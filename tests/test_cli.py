@@ -297,3 +297,44 @@ def test_show_config_prints_effective_settings(monkeypatch):
     assert "/lib/a" in out and "/lib/b" in out
     assert "data-root: /data" in out
     assert "m=/mnt" in out
+
+
+_CYCLE = (
+    '$dsdl-version: "0.5.0"\n'
+    "defs:\n"
+    "  A:\n    $def: struct\n    $fields: {x: B}\n"
+    "  B:\n    $def: struct\n    $fields: {y: A}\n"
+)
+
+
+def _assert_shows_config(argv: tuple[str, ...]) -> None:
+    code, out, _ = run_cli(*argv, "--show-config")
+    assert code == 1
+    assert out.startswith("config:\n")
+    code, out, _ = run_cli(*argv, "--show-config", "--format", "json")
+    assert code == 1
+    assert json.loads(out)["config"][-1] == "  max-errors: <unlimited>"
+
+
+def test_show_config_on_inspect_failure(tmp_path):
+    target = tmp_path / "cycle.yaml"
+    target.write_text(_CYCLE)
+    _assert_shows_config(("inspect", str(target)))
+
+
+def test_show_config_on_summary_failure(tmp_path):
+    target = tmp_path / "broken.yaml"
+    target.write_text('$dsdl-version: "0.5.0"\nmeta: [unclosed\n')
+    _assert_shows_config(("summary", str(target)))
+
+
+def test_show_config_on_locator_syntax_error():
+    _assert_shows_config(("resolve-loc", "$$bad"))
+
+
+def test_ill_typed_yaml_tag_is_a_coded_finding(tmp_path):
+    target = tmp_path / "tagged.yaml"
+    target.write_text('$dsdl-version: "0.5.0"\nmeta: {n: !!int x}\n')
+    code, out, err = run_cli("validate", str(target))
+    assert (code, err) == (1, "")
+    assert out.splitlines()[0] == "error SYNTAX_ERROR  malformed YAML: invalid !!int value 'x' at line 2, column 11"

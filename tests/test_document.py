@@ -217,14 +217,12 @@ def _reference_outcome(text: str) -> tuple:
         return ("value", repr(yaml.load(text, Loader=_CoreLoader)))
     except _DuplicateKey as exc:
         return ("DUPLICATE_KEY", f"duplicate mapping key {exc.key!r} at line {exc.line}, column {exc.column}")
-    except yaml.MarkedYAMLError as exc:
+    except yaml.MarkedYAMLError as exc:  # an ill-typed explicit tag is one too, in both loaders
         mark = exc.problem_mark
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
         return ("SYNTAX_ERROR", f"malformed YAML: {exc.problem or exc}{where}")
     except yaml.YAMLError as exc:
         return ("SYNTAX_ERROR", f"malformed YAML: {exc}")
-    except Exception as exc:  # an ill-typed explicit tag escapes both loaders alike
-        return (type(exc).__name__, str(exc))
 
 
 def _outcome(text: str) -> tuple:
@@ -260,5 +258,44 @@ _YAMLISH = st.lists(
 @example("a: |#\n")
 @example("a: 1\n\ufeffb: 2\n")
 @example("a: \ud800\n")
+@example("!!set a")
 def test_load_yaml_agrees_with_the_pure_python_loader(text):
     assert _outcome(text) == _reference_outcome(text)
+
+
+_HEADER = '$dsdl-version: "0.5.0"\n'
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(_YAMLISH, st.text(), _YAMLISH.map(_HEADER.__add__)),
+    st.sampled_from(["yaml", "json", "auto"]),
+)
+@example("a: !!int x", "yaml")
+@example("a: !!float x", "yaml")
+@example("a: !!timestamp x", "yaml")
+@example("{{a: 1}: 2}", "yaml")
+@example("!!set a", "yaml")
+def test_parse_document_is_total(text, fmt):
+    try:
+        parse_document(text, format=fmt)
+    except DocumentError:
+        pass
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a: !!int x", "invalid !!int value 'x' at line 1, column 4"),
+        ("a: !!float x", "invalid !!float value 'x' at line 1, column 4"),
+        ("a: !!timestamp x", "invalid !!timestamp value 'x' at line 1, column 4"),
+        ("a: [1, !!bool maybe]", "invalid !!bool value 'maybe' at line 1, column 8"),
+        ("{{a: 1}: 2}", "found unhashable key at line 1, column 2"),
+        ("!!set a", "expected a mapping node, but found scalar at line 1, column 1"),
+    ],
+)
+def test_ill_typed_tag_is_a_syntax_error(text, message):
+    with pytest.raises(DocumentError) as info:
+        _load_yaml(text, "d.yaml")
+    assert info.value.diagnostic.code == "SYNTAX_ERROR"
+    assert info.value.diagnostic.message == f"malformed YAML: {message}"
