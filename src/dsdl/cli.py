@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .diagnostics import DocumentError, DsdlError, LocatorError
 from .document import RawDocument, parse_document, read_utf8
-from .locator import ResolutionEnvironment, parse_locator, resolve_locator
+from .locator import ResolutionEnvironment, default_media_registry, parse_locator, resolve_locator
 from .resolver import ConcreteType, LibraryEnvironment, ResolvedSchema, resolve_schema
 from .schema import ClassDomain, StructClass
 from .typeexpr import render_type_expression
@@ -75,6 +75,16 @@ def _parse_alias(text: str) -> tuple[str, str]:
     return name, target
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"N must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
@@ -82,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--library-path", action="append", default=[], metavar="DIR")
     common.add_argument("--data-root", metavar="DIR")
     common.add_argument("--alias", action="append", default=[], type=_parse_alias, metavar="NAME=DIR")
-    common.add_argument("--max-errors", type=int, metavar="N")
+    common.add_argument("--max-errors", type=_positive_int, metavar="N")
     common.add_argument("--allow-version", action="store_true")
     common.add_argument("--show-config", action="store_true")
 
@@ -140,7 +150,12 @@ def _run(
         doc = parse_document(text, format=fmt, source=str(path), allow_version=config.allow_version)
     except DocumentError as exc:
         return None, None, ValidationReport(diagnostics=[exc.diagnostic])
-    schema, diags = resolve_schema(doc, config.library_environment(), source=path)
+    schema, diags = resolve_schema(
+        doc,
+        config.library_environment(),
+        source=path,
+        media_extensions=default_media_registry().extension_names(),
+    )
     report = ValidationReport()
     if validate and schema is not None:
         report = validate_dataset(

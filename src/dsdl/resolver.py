@@ -57,12 +57,9 @@ class LibraryEnvironment:
         cls,
         extra_paths: tuple[Path, ...] = (),
         environ: dict | None = None,
-        include_default: bool = True,
     ) -> "LibraryEnvironment":
         env = os.environ if environ is None else environ
-        paths: list[Path] = []
-        if include_default:
-            paths.append(DEFAULT_LIBRARY_DIR)
+        paths: list[Path] = [DEFAULT_LIBRARY_DIR]
         raw = env.get(LIBRARY_PATH_VAR, "")
         for entry in raw.split(os.pathsep):
             if entry:

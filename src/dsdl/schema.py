@@ -43,14 +43,6 @@ class ClassSegment:
 ClassPath = tuple[ClassSegment, ...]
 
 
-def _path_names(path: ClassPath) -> tuple[str, ...]:
-    return tuple(seg.name for seg in path)
-
-
-def _path_text(path: ClassPath) -> str:
-    return ".".join(_path_names(path))
-
-
 @dataclass(frozen=True, slots=True)
 class ClassRef:
     """A resolved reference to a class within a domain.
@@ -70,89 +62,37 @@ class ClassRef:
         return f"{self.domain}[{'.'.join(str(i) for i in self.index_path)}]"
 
 
-class ClassIndex:
-    """Lookup tables for one class domain, filled once as classes are declared.
-
-    ``refs`` holds every class in declared order (the flat 1-based
-    index), ``by_name`` maps each dotted name to its ref, ``by_leaf``
-    maps the last segment of each multi-segment class to its ref, or to
-    ``None`` when several classes share it, and ``children`` lists the
-    distinct names below each name prefix in first-appearance order.
-    """
-
-    __slots__ = ("domain", "refs", "by_name", "by_leaf", "children", "_positions")
-
-    def __init__(self, domain: str):
-        self.domain = domain
-        self.refs: list[ClassRef] = []
-        self.by_name: dict[str, ClassRef] = {}
-        self.by_leaf: dict[str, ClassRef | None] = {}
-        self.children: dict[tuple[str, ...], list[str]] = {}
-        # name prefix -> {child name: 1-based position}; only add() reads it
-        self._positions: dict[tuple[str, ...], dict[str, int]] = {}
-
-    def add(self, names: tuple[str, ...], text: str) -> bool:
-        """Append the class ``names`` (dotted: ``text``); False, and nothing
-        added, when the path is a duplicate."""
-        if text in self.by_name:
-            return False
-        index_path = []
-        for depth, name in enumerate(names):
-            prefix = names[:depth]
-            positions = self._positions.get(prefix)
-            if positions is None:
-                positions = self._positions[prefix] = {}
-                self.children[prefix] = []
-            position = positions.get(name)
-            if position is None:
-                position = positions[name] = len(positions) + 1
-                self.children[prefix].append(name)
-            index_path.append(position)
-        ref = ClassRef(self.domain, tuple(index_path), text)
-        self.refs.append(ref)
-        self.by_name[text] = ref
-        if len(names) > 1:
-            leaf = names[-1]
-            self.by_leaf[leaf] = None if leaf in self.by_leaf else ref
-        return True
-
-    def seal(self) -> ClassIndex:
-        """Drop the state only :meth:`add` needs."""
-        self._positions = {}
-        return self
-
-
-@dataclass
+@dataclass(frozen=True)
 class ClassDomain:
     """An ordered, possibly hierarchical list of class paths.
 
-    ``index`` is built once, when the domain is defined, so the cost of
-    :func:`lookup_class` does not depend on the domain's size. A domain
-    constructed directly from ``classes`` builds it on creation; it does
-    not follow later changes to ``classes``.
+    Only :func:`build_definitions` creates domains. It fills the lookup
+    tables in the same pass that parses ``classes``, so the cost of
+    :func:`lookup_class` does not depend on the domain's size: ``refs``
+    holds every class in declared order (the flat 1-based index),
+    ``by_name`` maps each dotted name to its ref, ``by_leaf`` maps the
+    last segment of each multi-segment class to its ref, or to ``None``
+    when several classes share it, and ``children`` lists the distinct
+    names below each name prefix in first-appearance order.
     """
 
     name: str
     classes: list[ClassPath]
-    skeleton: list[tuple[int, int]] | None = None
-    parents: list[str] = field(default_factory=list)
-    index: ClassIndex | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.index is None:
-            self.index = ClassIndex(self.name)
-            for cls_path in self.classes:
-                self.index.add(_path_names(cls_path), _path_text(cls_path))
-            self.index.seal()
+    skeleton: list[tuple[int, int]] | None
+    parents: list[str]
+    refs: list[ClassRef] = field(repr=False, compare=False)
+    by_name: dict[str, ClassRef] = field(repr=False, compare=False)
+    by_leaf: dict[str, ClassRef | None] = field(repr=False, compare=False)
+    children: dict[tuple[str, ...], list[str]] = field(repr=False, compare=False)
 
     def __len__(self) -> int:
-        return len(self.classes)
+        return len(self.refs)
 
     def class_names(self) -> list[str]:
-        return [_path_text(p) for p in self.classes]
+        return [ref.path for ref in self.refs]
 
 
-@dataclass
+@dataclass(frozen=True)
 class StructClass:
     name: str
     params: list[str] = field(default_factory=list)
@@ -309,7 +249,10 @@ def _build_class_domain(
             diags.append(warning("DEF_UNKNOWN_KEY", f"{path}/{key}", f"unrecognized class_domain key {key!r}", source))
 
     classes: list[ClassPath] = []
-    index = ClassIndex(name)
+    refs: list[ClassRef] = []
+    by_name: dict[str, ClassRef] = {}
+    by_leaf: dict[str, ClassRef | None] = {}
+    positions: dict[tuple[str, ...], dict[str, int]] = {}  # prefix -> {child: 1-based position}
     plain: dict[str, ClassSegment] = {}  # equal plain segments are shared
     for i, item in enumerate(classes_raw):
         if not isinstance(item, str) or not item:
@@ -335,11 +278,27 @@ def _build_class_domain(
                     )
                 segments.append(ClassSegment(seg_name, m.group("parent")))
             cls_path = tuple(segments)
-            names = _path_names(cls_path)
+            names = tuple(seg.name for seg in segments)
             text = ".".join(names)
-        if not index.add(names, text):
+        if text in by_name:
             diags.append(error("MALFORMED_DEF", f"{path}/classes/{i}", f"duplicate class path {text!r}", source))
             return None
+        index_path = []
+        for depth, seg_name in enumerate(names):
+            prefix = names[:depth]
+            siblings = positions.get(prefix)
+            if siblings is None:
+                siblings = positions[prefix] = {}
+            position = siblings.get(seg_name)
+            if position is None:
+                position = siblings[seg_name] = len(siblings) + 1
+            index_path.append(position)
+        ref = ClassRef(name, tuple(index_path), text)
+        refs.append(ref)
+        by_name[text] = ref
+        if len(names) > 1:
+            leaf = names[-1]
+            by_leaf[leaf] = None if leaf in by_leaf else ref
         classes.append(cls_path)
 
     skeleton = None
@@ -371,7 +330,8 @@ def _build_class_domain(
                 return None
             skeleton.append((a, b))
 
-    return ClassDomain(name, classes, skeleton, parents, index.seal())
+    children = {prefix: list(siblings) for prefix, siblings in positions.items()}
+    return ClassDomain(name, classes, skeleton, parents, refs, by_name, by_leaf, children)
 
 
 def _build_struct(
@@ -451,11 +411,10 @@ def lookup_class(domain: ClassDomain, selector: str | int) -> ClassRef:
     ``CLASS_INDEX_RANGE``; a selector that is neither ``str`` nor
     ``int`` (``bool`` included) is an invalid ``CLASS_NOT_FOUND``.
 
-    Every lookup reads the domain's :class:`ClassIndex`, built once when
-    the domain was defined, so its cost does not depend on the domain's
-    size: an index path costs one step per level.
+    Every lookup reads the domain's tables, built once when the domain
+    was defined, so its cost does not depend on the domain's size: an
+    index path costs one step per level.
     """
-    index = domain.index
     if isinstance(selector, bool) or not isinstance(selector, (str, int)):
         raise ClassLookupError(error("CLASS_NOT_FOUND", "", f"invalid class selector {selector!r}"))
     if isinstance(selector, int):
@@ -466,7 +425,7 @@ def lookup_class(domain: ClassDomain, selector: str | int) -> ClassRef:
             return _lookup_flat(domain, parts[0])
         names: tuple[str, ...] = ()
         for idx in parts:
-            siblings = index.children.get(names, ())
+            siblings = domain.children.get(names, ())
             if not 1 <= idx <= len(siblings):
                 raise ClassLookupError(
                     error(
@@ -476,18 +435,18 @@ def lookup_class(domain: ClassDomain, selector: str | int) -> ClassRef:
                     )
                 )
             names += (siblings[idx - 1],)
-        ref = index.by_name.get(".".join(names))
+        ref = domain.by_name.get(".".join(names))
         if ref is None:
             raise ClassLookupError(
                 error("CLASS_NOT_FOUND", "", f"index path {selector!r} addresses no declared class in {domain.name}")
             )
         return ref
-    ref = index.by_name.get(selector)
+    ref = domain.by_name.get(selector)
     if ref is not None:
         return ref
-    if selector in index.by_leaf:
+    if selector in domain.by_leaf:
         # a bare leaf is accepted when it is unambiguous in the domain
-        ref = index.by_leaf[selector]
+        ref = domain.by_leaf[selector]
         if ref is None:
             raise ClassLookupError(
                 error("CLASS_NOT_FOUND", "", f"class name {selector!r} is ambiguous in {domain.name}")
@@ -497,7 +456,7 @@ def lookup_class(domain: ClassDomain, selector: str | int) -> ClassRef:
 
 
 def _lookup_flat(domain: ClassDomain, index: int) -> ClassRef:
-    refs = domain.index.refs
+    refs = domain.refs
     if not 1 <= index <= len(refs):
         raise ClassLookupError(
             error(

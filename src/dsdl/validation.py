@@ -520,6 +520,8 @@ def _load_external(path: str, base: str | Path) -> dict:
             payload = _load_yaml(text, str(full))
         else:
             payload = _load_json(text, str(full))
+    except OSError as exc:
+        raise DsdlError(error("FILE_NOT_FOUND", str(path), f"cannot read external data file {full}: {exc}")) from exc
     except DocumentError as exc:
         raise DsdlError(exc.diagnostic) from exc
     if not isinstance(payload, dict):
@@ -582,7 +584,8 @@ def validate_dataset(
     Inline ``samples`` are used iff ``sample-path`` is ``$local``;
     otherwise the external file wins. The same rule applies to
     global-info. Samples validate independently; ``max_errors`` stops a
-    channel early and marks the report truncated.
+    channel once that many errors, and at least one, are counted, and
+    marks the report truncated.
     """
     report = ValidationReport()
     if data is None:
@@ -605,7 +608,7 @@ def validate_dataset(
             report.samples.append(value)
             report.diagnostics.extend(diags)
             errors_seen += sum(1 for d in diags if d.severity is Severity.ERROR)
-            if max_errors is not None and errors_seen >= max_errors and i + 1 < len(raw_samples):
+            if max_errors is not None and errors_seen >= max(max_errors, 1) and i + 1 < len(raw_samples):
                 report.truncated = True
                 break
         report.sample_count = len(report.samples)

@@ -1,9 +1,12 @@
 """CLI contract: exit codes, output formats, determinism."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 import yaml as pyyaml
+from hypothesis import given, settings, strategies as st
 
 from conftest import CORPUS, run_cli
 
@@ -338,3 +341,130 @@ def test_ill_typed_yaml_tag_is_a_coded_finding(tmp_path):
     code, out, err = run_cli("validate", str(target))
     assert (code, err) == (1, "")
     assert out.splitlines()[0] == "error SYNTAX_ERROR  malformed YAML: invalid !!int value 'x' at line 2, column 11"
+
+
+_TWO_BAD_SAMPLES = (
+    '$dsdl-version: "0.5.0"\n'
+    "defs:\n"
+    "  S:\n    $def: struct\n    $fields: {n: Int}\n"
+    "data:\n"
+    "  sample-type: S\n"
+    "  samples:\n"
+    "    - {n: 1}\n"
+    "    - {n: bad}\n"
+    "    - {n: worse}\n"
+)
+
+
+def test_max_errors_below_one_is_a_usage_error(tmp_path):
+    target = tmp_path / "bad.yaml"
+    target.write_text(_TWO_BAD_SAMPLES)
+    for n in ("0", "-1"):
+        code, out, err = run_cli("validate", "--max-errors", n, str(target))
+        assert (code, out) == (2, "")
+        assert "--max-errors" in err
+    code, out, _ = run_cli("validate", "--max-errors", "1", str(target))
+    assert code == 1
+    assert out.splitlines()[-1] == "2 samples validated, 1 errors, 0 warnings (truncated)"
+
+
+def test_cli_resolves_registered_media_class(monkeypatch, tmp_path):
+    from dsdl import locator
+
+    monkeypatch.setattr(locator, "_default_registry", locator.MediaClassRegistry())
+    locator.register_media_class("PointCloudV2", lambda reader, descr: reader.read())
+    target = tmp_path / "points.yaml"
+    target.write_text(
+        '$dsdl-version: "0.5.0"\n'
+        "defs:\n"
+        "  S:\n    $def: struct\n    $fields: {cloud: PointCloudV2}\n"
+        "data:\n"
+        "  sample-type: S\n"
+        '  samples: [{cloud: "scans/0001.pcd"}]\n'
+    )
+    code, out, _ = run_cli("validate", str(target))
+    assert (code, out) == (0, "1 samples validated, 0 errors, 0 warnings\n")
+
+
+@pytest.mark.parametrize(
+    "channel, payload",
+    [("sample-path", '{"samples": [1]}'), ("global-info-path", '{"global-info": 1}')],
+)
+def test_unreadable_external_file_is_a_coded_finding(monkeypatch, tmp_path, channel, payload):
+    from dsdl import validation
+
+    (tmp_path / "ext.json").write_text(payload)
+    target = tmp_path / "d.yaml"
+    target.write_text(
+        '$dsdl-version: "0.5.0"\n'
+        "data:\n"
+        "  sample-type: Int\n"
+        "  global-info-type: Int\n"
+        f"  {channel}: ext.json\n"
+    )
+
+    def refuse(file, path):
+        raise PermissionError(13, "Permission denied", str(file))
+
+    monkeypatch.setattr(validation, "read_utf8", refuse)
+    code, out, err = run_cli("validate", str(target))
+    assert (code, err) == (1, "")
+    assert out.splitlines()[0] == (
+        f"error FILE_NOT_FOUND ext.json cannot read external data file {tmp_path / 'ext.json'}: "
+        f"[Errno 13] Permission denied: '{tmp_path / 'ext.json'}'"
+    )
+
+
+_CLI_TOKENS = [
+    b"$dsdl-version: 0.5.0\n",
+    b'$dsdl-version: "0.5.0"\n',
+    b"data:\n",
+    b"  sample-type: ",
+    b"  samples:\n",
+    b"    - ",
+    b"  sample-path: s.json\n",
+    b"  global-info-path: $local\n",
+    b"defs:\n",
+    b"  D:\n",
+    b"  S:\n",
+    b"    $def: class_domain\n",
+    b"    classes: [a, b.c, b.d]\n",
+    b"$def: struct",
+    b"    $fields: {",
+    b"$import: [",
+    b"Label[dom=D]",
+    b"List[etype=",
+    b"BBox",
+    b"S",
+    b"]",
+    b"}",
+    b"\n",
+    b"  ",
+    b"- ",
+    b": ",
+    b'{"',
+    b'": ',
+    b"[",
+    b",",
+    b"!!int x",
+    b"&a ",
+    b"*a",
+    b"D::b.c",
+    b"1.2",
+    b"\xff",
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    content=st.lists(st.one_of(st.binary(max_size=12), st.sampled_from(_CLI_TOKENS)), max_size=40).map(b"".join),
+    suffix=st.sampled_from([".yaml", ".json", ".txt"]),
+    command=st.sampled_from(["validate", "inspect", "summary"]),
+    flags=st.sampled_from([(), ("--format", "json")]),
+)
+def test_cli_is_total(content, suffix, command, flags):
+    with tempfile.TemporaryDirectory() as tmp:
+        target = Path(tmp) / f"input{suffix}"
+        target.write_bytes(content)
+        code, _, _ = run_cli(command, *flags, str(target))
+    assert code in (0, 1, 2)

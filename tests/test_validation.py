@@ -528,3 +528,21 @@ def test_max_errors_truncates(registry, library_env):
     full = validate_dataset(schema, doc.data)
     assert not full.truncated
     assert full.errors == 10
+
+
+def test_max_errors_below_one_counts_an_error_before_truncating(library_env):
+    from dsdl import parse_document, resolve_schema
+
+    text = (
+        '$dsdl-version: "0.5.0"\n'
+        "defs:\n"
+        "  S:\n    $def: struct\n    $fields: {n: Int}\n"
+        "data:\n"
+        "  sample-type: S\n"
+        "  samples: [{n: 1}, {n: bad}, {n: worse}]\n"
+    )
+    doc = parse_document(text, format="yaml")
+    schema, _ = resolve_schema(doc, library_env)
+    for max_errors in (0, -1):
+        report = validate_dataset(schema, doc.data, max_errors=max_errors)
+        assert (report.sample_count, report.errors, report.truncated) == (2, 1, True)
