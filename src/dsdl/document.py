@@ -31,15 +31,6 @@ _VERSION_RE = re.compile(r"0\.5(\.\w+)?")
 _DEF_KEY_RE = re.compile(r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)(\[(?P<parents>[^\]]+)\])?")
 
 _KNOWN_DIRECTIVES = ("$dsdl-version", "$import")
-_SECTION_KEYS = ("meta", "defs", "data")
-_DATA_KEYS = (
-    "sample-type",
-    "sample-path",
-    "samples",
-    "global-info-type",
-    "global-info-path",
-    "global-info",
-)
 
 
 @dataclass

@@ -84,8 +84,8 @@ class ConcreteType:
     fields: dict | None = None
     optional: frozenset[str] = frozenset()
 
-    def arg(self, name: str, default=None):
-        return self.args.get(name, default)
+    def arg(self, name: str):
+        return self.args.get(name)
 
     def describe(self) -> str:
         if not self.args:
@@ -285,6 +285,21 @@ def substitute_params(expr: TypeExpr, bindings: dict[str, object]) -> TypeExpr:
     return TypeExpr(expr.head, tuple(new_args))
 
 
+@dataclass
+class _Instantiation:
+    """What one :func:`instantiate_type` call shares.
+
+    ``structs`` maps each closed struct expression already built, without
+    a diagnostic, to its concrete type, so a struct used at many paths is
+    built once and the result shares that node.
+    """
+
+    registry: DefinitionRegistry
+    media_extensions: tuple[str, ...]
+    diags: list[Diagnostic]
+    structs: dict[TypeExpr, ConcreteType] = field(default_factory=dict)
+
+
 def instantiate_type(
     expr: TypeExpr,
     bindings: dict[str, object],
@@ -302,7 +317,8 @@ def instantiate_type(
     ``MISSING_PARAM``, ``EXTRA_PARAM``, or ``ARG_KIND`` problems.
     """
     closed = substitute_params(expr, bindings)
-    return _instantiate_closed(closed, registry, media_extensions, diags if diags is not None else [], _path)
+    run = _Instantiation(registry, media_extensions, diags if diags is not None else [])
+    return _instantiate_closed(closed, run, _path)
 
 
 def _bind_args(
@@ -360,43 +376,30 @@ def _check_fmt(fmt: str, path: str) -> None:
             i += 1
 
 
-def _instantiate_closed(
-    expr: TypeExpr,
-    registry: DefinitionRegistry,
-    media_extensions: tuple[str, ...],
-    diags: list[Diagnostic],
-    path: str,
-) -> ConcreteType:
+def _instantiate_closed(expr: TypeExpr, run: _Instantiation, path: str) -> ConcreteType:
     head = expr.head
     if head in BUILTINS:
-        return _instantiate_builtin(expr, BUILTINS[head], registry, media_extensions, diags, path)
-    entry = registry.get(head)
+        return _instantiate_builtin(expr, BUILTINS[head], run, path)
+    entry = run.registry.get(head)
     if isinstance(entry, StructClass):
-        return _instantiate_struct(expr, entry, registry, media_extensions, diags, path)
+        return _instantiate_struct(expr, entry, run, path)
     if isinstance(entry, ClassDomain):
         raise ResolutionError(
             error("UNKNOWN_TYPE", path, f"{head!r} is a class domain, not a type")
         )
-    if head in media_extensions:
+    if head in run.media_extensions:
         if expr.args:
             raise ResolutionError(error("EXTRA_PARAM", path, f"{head} takes no arguments"))
         return ConcreteType(head, "media")
     raise ResolutionError(error("UNKNOWN_TYPE", path, f"unknown type {head!r}"))
 
 
-def _instantiate_builtin(
-    expr: TypeExpr,
-    sig: BuiltinSignature,
-    registry: DefinitionRegistry,
-    media_extensions: tuple[str, ...],
-    diags: list[Diagnostic],
-    path: str,
-) -> ConcreteType:
+def _instantiate_builtin(expr: TypeExpr, sig: BuiltinSignature, run: _Instantiation, path: str) -> ConcreteType:
     args = expr.args
     if sig.name == "LabelMap" and any(a.key == "cdom" for a in args):
         # the templates use both spellings; canonicalize and say so
         args = tuple(Arg("dom", a.value) if a.key == "cdom" else a for a in args)
-        diags.append(note("PARAM_ALIAS", path, "LabelMap argument cdom canonicalized to dom"))
+        run.diags.append(note("PARAM_ALIAS", path, "LabelMap argument cdom canonicalized to dom"))
 
     names = [p.name for p in sig.params]
     bound = _bind_args(sig.name, args, names, path)
@@ -410,9 +413,7 @@ def _instantiate_builtin(
             if spec.default is not None:
                 materialized[spec.name] = spec.default
             continue
-        materialized[spec.name] = _materialize(
-            sig.name, spec, bound[spec.name], registry, media_extensions, diags, path
-        )
+        materialized[spec.name] = _materialize(sig.name, spec, bound[spec.name], run, path)
 
     if sig.name == "RotatedBBox":
         mode = materialized.get("mode")
@@ -434,15 +435,7 @@ def _instantiate_builtin(
     return ConcreteType(sig.name, sig.shape, materialized)
 
 
-def _materialize(
-    head: str,
-    spec,
-    value,
-    registry: DefinitionRegistry,
-    media_extensions: tuple[str, ...],
-    diags: list[Diagnostic],
-    path: str,
-):
+def _materialize(head: str, spec, value, run: _Instantiation, path: str):
     if spec.kind == "domain-ref":
         name = None
         if isinstance(value, TypeExpr) and not value.args:
@@ -453,7 +446,7 @@ def _materialize(
             raise ResolutionError(
                 error("ARG_KIND", path, f"{head}.{spec.name} must name a class domain")
             )
-        entry = registry.get(name)
+        entry = run.registry.get(name)
         if entry is None:
             raise ResolutionError(
                 error("UNKNOWN_TYPE", path, f"{head}.{spec.name}: unknown class domain {name!r}")
@@ -466,7 +459,7 @@ def _materialize(
     if spec.kind == "type-ref":
         if not isinstance(value, TypeExpr):
             raise ResolutionError(error("ARG_KIND", path, f"{head}.{spec.name} must be a type"))
-        return _instantiate_closed(value, registry, media_extensions, diags, path)
+        return _instantiate_closed(value, run, path)
     if spec.kind == "string":
         if isinstance(value, str):
             return value
@@ -480,14 +473,16 @@ def _materialize(
     raise AssertionError(f"unknown param kind {spec.kind}")
 
 
-def _instantiate_struct(
-    expr: TypeExpr,
-    struct: StructClass,
-    registry: DefinitionRegistry,
-    media_extensions: tuple[str, ...],
-    diags: list[Diagnostic],
-    path: str,
-) -> ConcreteType:
+def _instantiate_struct(expr: TypeExpr, struct: StructClass, run: _Instantiation, path: str) -> ConcreteType:
+    key: TypeExpr | None = expr
+    try:
+        hash(key)
+    except TypeError:  # a caller's binding that is no type-expression value
+        key = None
+    shared = run.structs.get(key)
+    if shared is not None:
+        return shared
+    reported = len(run.diags)
     bound = _bind_args(struct.name, expr.args, struct.params, path)
     missing = [p for p in struct.params if p not in bound]
     if missing:
@@ -500,8 +495,9 @@ def _instantiate_struct(
         )
     display: dict[str, object] = {}
     for name, value in bound.items():
-        if isinstance(value, TypeExpr) and not value.args and isinstance(registry.get(value.head), ClassDomain):
-            display[name] = registry.get(value.head)
+        domain = run.registry.get(value.head) if isinstance(value, TypeExpr) and not value.args else None
+        if isinstance(domain, ClassDomain):
+            display[name] = domain
         elif isinstance(value, NumberLit):
             display[name] = value.as_number()
         else:
@@ -511,8 +507,13 @@ def _instantiate_struct(
     for fname, fexpr in struct.fields.items():
         fpath = f"{path}/{fname}" if path else fname
         closed = substitute_params(fexpr, bound)
-        fields[fname] = _instantiate_closed(closed, registry, media_extensions, diags, fpath)
-    return ConcreteType(struct.name, "struct", display, fields, struct.optional)
+        fields[fname] = _instantiate_closed(closed, run, fpath)
+    ctype = ConcreteType(struct.name, "struct", display, fields, struct.optional)
+    if key is not None and len(run.diags) == reported:
+        # a build that reported something is redone at each path, so
+        # every path gets its own diagnostics
+        run.structs[key] = ctype
+    return ctype
 
 
 def resolve_schema(

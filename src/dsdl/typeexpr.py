@@ -9,7 +9,9 @@ Grammar::
 Whitespace between tokens is ignored. Strings are double-quoted with
 backslash escapes. Numbers keep their exact decimal text so a later
 consumer decides int-versus-float. Positional arguments may only
-precede keyed ones.
+precede keyed ones. A type expression nests at most ``MAX_TYPE_DEPTH``
+levels (``Int`` is one, ``List[etype=Int]`` two), counted across the
+string and mapping forms together.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from .diagnostics import GrammarError
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _NUMBER_RE = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+MAX_TYPE_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -58,10 +62,18 @@ class TypeExpr:
 ArgValue = TypeExpr | ParamRef | NumberLit | str | bool
 
 
+class _TooDeep(GrammarError):
+    """Nesting past ``MAX_TYPE_DEPTH``; never read as a literal string."""
+
+    def __init__(self, offset: int):
+        super().__init__("type expression nested too deeply", offset)
+
+
 class _Scanner:
-    def __init__(self, text: str):
+    def __init__(self, text: str, depth: int):
         self.text = text
         self.pos = 0
+        self.depth = depth  # type-expression levels enclosing the text
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -126,7 +138,11 @@ def parse_type_expression(text: str) -> TypeExpr:
     malformed input: unbalanced brackets, ``T[]``, trailing commas,
     a positional argument after a keyed one, or stray trailing text.
     """
-    sc = _Scanner(text)
+    return _parse_text(text, 0)
+
+
+def _parse_text(text: str, depth: int) -> TypeExpr:
+    sc = _Scanner(text, depth)
     expr = _parse_expr(sc)
     if not sc.at_end():
         raise GrammarError("unexpected trailing input", sc.pos)
@@ -137,6 +153,8 @@ def _parse_expr(sc: _Scanner) -> TypeExpr:
     head = sc.ident()
     if head in ("true", "false"):
         raise GrammarError("boolean literal cannot head a type expression", sc.pos)
+    if sc.depth >= MAX_TYPE_DEPTH:
+        raise _TooDeep(sc.pos)
     if sc.peek() != "[":
         return TypeExpr(head)
     sc.expect("[")
@@ -144,6 +162,7 @@ def _parse_expr(sc: _Scanner) -> TypeExpr:
         raise GrammarError("empty argument list", sc.pos)
     args: list[Arg] = []
     seen_keyed = False
+    sc.depth += 1
     while True:
         arg = _parse_arg(sc)
         if arg.key is None and seen_keyed:
@@ -158,6 +177,7 @@ def _parse_expr(sc: _Scanner) -> TypeExpr:
             continue
         if ch == "]":
             sc.expect("]")
+            sc.depth -= 1
             return TypeExpr(head, tuple(args))
         raise GrammarError("expected ',' or ']'", sc.pos)
 
@@ -230,25 +250,29 @@ def parse_sample_type_spec(raw: object) -> TypeExpr:
     parse as type expressions become nested ASTs, everything else stays
     a literal.
     """
+    return _parse_spec(raw, 0)
+
+
+def _parse_spec(raw: object, depth: int) -> TypeExpr:
     if isinstance(raw, str):
-        return parse_type_expression(raw)
+        return _parse_text(raw, depth)
     if isinstance(raw, dict):
         if "$type" not in raw:
             raise GrammarError("mapping type spec lacks required key $type", 0, code="MISSING_TYPE_KEY")
         head_raw = raw["$type"]
         if not isinstance(head_raw, str):
             raise GrammarError("$type must be a string", 0)
-        expr = parse_type_expression(head_raw)
+        expr = _parse_text(head_raw, depth)
         extra: list[Arg] = []
         for key, value in raw.items():
             if key == "$type":
                 continue
-            extra.append(Arg(key, _spec_value(value)))
+            extra.append(Arg(key, _spec_value(value, depth + 1)))
         return TypeExpr(expr.head, expr.args + tuple(extra))
     raise GrammarError(f"type spec must be a string or mapping, got {type(raw).__name__}", 0)
 
 
-def _spec_value(value: object) -> ArgValue:
+def _spec_value(value: object, depth: int) -> ArgValue:
     if isinstance(value, bool):
         return value
     if isinstance(value, (int, float)):
@@ -257,11 +281,13 @@ def _spec_value(value: object) -> ArgValue:
         if value.startswith("$") and _IDENT_RE.fullmatch(value[1:] or "-"):
             return ParamRef(value[1:])
         try:
-            return parse_type_expression(value)
+            return _parse_text(value, depth)
+        except _TooDeep:
+            raise
         except GrammarError:
             return value
     if isinstance(value, dict):
-        return parse_sample_type_spec(value)
+        return _parse_spec(value, depth)
     raise GrammarError(f"unsupported argument value of type {type(value).__name__}", 0)
 
 

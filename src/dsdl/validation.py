@@ -7,9 +7,11 @@ Validation never raises for bad data; it returns a typed value (or
 ``None``) plus located diagnostics, so one bad sample never hides the
 rest of the corpus.
 
+Each value shape has one checker, found by a single ``_CHECKS`` lookup.
 Records are null-complete: a typed record carries every declared field
 exactly once, with omitted optionals explicitly ``None``. A missing
-required field is a warning by default and an error in strict mode.
+required field is a ``FIELD_MISSING`` warning; ``validate_value`` makes
+it an error in strict mode, and strict mode changes nothing else.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import datetime
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .diagnostics import (
@@ -28,6 +30,7 @@ from .diagnostics import (
     LocatorError,
     Severity,
     error,
+    warning,
 )
 from .document import LOCAL_PATH, RawDataSection, _load_json, _load_yaml, read_utf8
 from .locator import ObjectLocator, parse_locator
@@ -114,328 +117,282 @@ def _type_name(value) -> str:
     return type(value).__name__
 
 
-class _Validator:
-    def __init__(self, strict: bool = False):
-        self.strict = strict
-        self.diags: list[Diagnostic] = []
+def _fail(diags: list[Diagnostic], code: str, path: str, message: str) -> None:
+    """Record an error; returns ``None``, the value of an unusable input."""
+    diags.append(error(code, path, message))
 
-    def fail(self, code: str, path: str, message: str) -> None:
-        self.diags.append(error(code, path, message))
 
-    def warn(self, code: str, path: str, message: str) -> None:
-        severity = Severity.ERROR if self.strict and code == "FIELD_MISSING" else Severity.WARNING
-        self.diags.append(Diagnostic(code, severity, path, message))
+# Every checker is ``check(raw, ctype, path, diags)``: it appends its
+# findings to ``diags`` and returns the typed value, or None when the
+# input is unusable. ``_CHECKS`` maps each value shape to its checker.
 
-    def non_finite(self, value, path: str, what: str) -> bool:
-        """Report NaN or an infinity as ``RANGE``; True when reported."""
-        if isinstance(value, float) and not math.isfinite(value):
-            self.fail("RANGE", path, f"{what} must be finite, got {value}")
-            return True
-        return False
+# -- scalars ------------------------------------------------------------------
 
-    # -- dispatch ---------------------------------------------------------
 
-    def value(self, raw, ctype: ConcreteType, path: str):
-        handler = getattr(self, "_" + ctype.shape, None)
-        if handler is None:  # pragma: no cover - inventory is closed
-            raise AssertionError(f"no handler for shape {ctype.shape}")
-        return handler(raw, ctype, path)
+def _check_bool(raw, ctype, path, diags):
+    if isinstance(raw, bool):
+        return raw
+    return _fail(diags, "TYPE_MISMATCH", path, f"expected a boolean, got {_type_name(raw)}")
 
-    # -- scalars ----------------------------------------------------------
 
-    def _bool(self, raw, ctype, path):
-        if isinstance(raw, bool):
-            return raw
-        self.fail("TYPE_MISMATCH", path, f"expected a boolean, got {_type_name(raw)}")
+def _check_int(raw, ctype, path, diags):
+    if isinstance(raw, float) and raw.is_integer():
+        return int(raw)
+    if isinstance(raw, float):
+        return _fail(diags, "TYPE_MISMATCH", path, f"expected an integer, got non-integral {raw}")
+    if _is_number(raw):
+        return raw
+    return _fail(diags, "TYPE_MISMATCH", path, f"expected an integer, got {_type_name(raw)}")
+
+
+def _check_num(raw, ctype, path, diags):
+    if not _is_number(raw):
+        return _fail(diags, "TYPE_MISMATCH", path, f"expected a number, got {_type_name(raw)}")
+    if isinstance(raw, float) and not math.isfinite(raw):
+        return _fail(diags, "RANGE", path, f"number must be finite, got {raw}")
+    return raw
+
+
+def _check_str(raw, ctype, path, diags):
+    if isinstance(raw, str):
+        return raw
+    return _fail(diags, "TYPE_MISMATCH", path, f"expected a string, got {_type_name(raw)}")
+
+
+def _check_id(raw, ctype, path, diags):
+    """InstanceID and UniqueID: an integer or a string, kept as a string."""
+    if isinstance(raw, str):
+        return raw
+    if isinstance(raw, int) and not isinstance(raw, bool):
+        return str(raw)
+    return _fail(diags, "TYPE_MISMATCH", path, f"{ctype.head} must be an integer or string, got {_type_name(raw)}")
+
+
+# -- fixed-arity numeric shapes -------------------------------------------------
+
+
+def _numbers(raw, arity: int, path: str, diags: list[Diagnostic], what: str) -> tuple | None:
+    """``raw`` as a tuple of ``arity`` finite numbers, or None after an error."""
+    if not isinstance(raw, list):
+        return _fail(diags, "TYPE_MISMATCH", path, f"{what} must be a list, got {_type_name(raw)}")
+    if len(raw) != arity:
+        return _fail(diags, "ARITY", path, f"{what} requires exactly {arity} values, got {len(raw)}")
+    for i, item in enumerate(raw):
+        if not _is_number(item):
+            return _fail(diags, "TYPE_MISMATCH", f"{path}/{i}", f"{what} component must be a number")
+        if isinstance(item, float) and not math.isfinite(item):
+            return _fail(diags, "RANGE", f"{path}/{i}", f"{what} component must be finite, got {item}")
+    return tuple(raw)
+
+
+def _check_coord(raw, ctype, path, diags):
+    return _numbers(raw, 3 if ctype.shape == "coord3d" else 2, path, diags, ctype.head)
+
+
+def _check_interval(raw, ctype, path, diags):
+    values = _numbers(raw, 2, path, diags, "Interval")
+    if values is None:
         return None
+    begin, end = values
+    if begin > end:
+        return _fail(diags, "RANGE", path, f"interval begin {begin} exceeds end {end}")
+    return IntervalValue(begin, end)
 
-    def _int(self, raw, ctype, path):
-        if isinstance(raw, bool):
-            self.fail("TYPE_MISMATCH", path, "expected an integer, got boolean")
-            return None
-        if isinstance(raw, int):
-            return raw
-        if isinstance(raw, float) and raw.is_integer():
-            return int(raw)
-        if isinstance(raw, float):
-            self.fail("TYPE_MISMATCH", path, f"expected an integer, got non-integral {raw}")
-            return None
-        self.fail("TYPE_MISMATCH", path, f"expected an integer, got {_type_name(raw)}")
+
+def _check_bbox(raw, ctype, path, diags):
+    values = _numbers(raw, 4, path, diags, "BBox")
+    if values is None:
         return None
+    x, y, w, h = values
+    if w < 0 or h < 0:
+        return _fail(diags, "RANGE", path, f"BBox width/height must be non-negative, got {w}x{h}")
+    return Box(x, y, w, h)
 
-    def _num(self, raw, ctype, path):
-        if _is_number(raw):
-            return None if self.non_finite(raw, path, "number") else raw
-        self.fail("TYPE_MISMATCH", path, f"expected a number, got {_type_name(raw)}")
+
+def _check_image_shape(raw, ctype, path, diags):
+    values = _numbers(raw, 2, path, diags, "ImageShape")
+    if values is None:
         return None
+    if any(isinstance(v, float) and not v.is_integer() for v in values):
+        return _fail(diags, "TYPE_MISMATCH", path, "ImageShape values must be integers")
+    width, height = (int(v) for v in values)
+    if width <= 0 or height <= 0:
+        return _fail(diags, "RANGE", path, f"ImageShape values must be positive, got {[width, height]}")
+    return ImageShapeValue(width, height)
 
-    def _str(self, raw, ctype, path):
-        if isinstance(raw, str):
-            return raw
-        self.fail("TYPE_MISMATCH", path, f"expected a string, got {_type_name(raw)}")
+
+def _check_rotated_bbox(raw, ctype, path, diags):
+    mode = ctype.arg("mode")
+    measure = ctype.args.get("measure", "radian")
+    values = _numbers(raw, 8 if mode == "xyxy" else 5, path, diags, f"RotatedBBox[mode={mode}]")
+    if values is None:
         return None
+    if mode == "xywht":
+        angle = values[4]
+        bound, unit = (180.0, "degrees") if measure == "degree" else (math.pi, "radians")
+        if not (-bound < angle < bound):
+            return _fail(diags, "RANGE", path, f"rotation angle {angle} outside (-{bound}, {bound}) {unit}")
+    return RotatedBox(mode, measure, values)
 
-    # -- fixed-arity numeric shapes ---------------------------------------
 
-    def _numbers(self, raw, arity: int, path: str, what: str):
-        if not isinstance(raw, list):
-            self.fail("TYPE_MISMATCH", path, f"{what} must be a list, got {_type_name(raw)}")
-            return None
-        if len(raw) != arity:
-            self.fail("ARITY", path, f"{what} requires exactly {arity} values, got {len(raw)}")
-            return None
-        for i, item in enumerate(raw):
-            if not _is_number(item):
-                self.fail("TYPE_MISMATCH", f"{path}/{i}", f"{what} component must be a number")
-                return None
-            if self.non_finite(item, f"{path}/{i}", f"{what} component"):
-                return None
-        return tuple(raw)
-
-    def _coord(self, raw, ctype, path):
-        return self._numbers(raw, 2, path, "Coord")
-
-    def _coord3d(self, raw, ctype, path):
-        return self._numbers(raw, 3, path, "Coord3D")
-
-    def _interval(self, raw, ctype, path):
-        values = self._numbers(raw, 2, path, "Interval")
-        if values is None:
-            return None
-        begin, end = values
-        if begin > end:
-            self.fail("RANGE", path, f"interval begin {begin} exceeds end {end}")
-            return None
-        return IntervalValue(begin, end)
-
-    def _bbox(self, raw, ctype, path):
-        values = self._numbers(raw, 4, path, "BBox")
-        if values is None:
-            return None
-        x, y, w, h = values
-        if w < 0 or h < 0:
-            self.fail("RANGE", path, f"BBox width/height must be non-negative, got {w}x{h}")
-            return None
-        return Box(x, y, w, h)
-
-    def _image_shape(self, raw, ctype, path):
-        values = self._numbers(raw, 2, path, "ImageShape")
-        if values is None:
-            return None
-        out = []
-        for v in values:
-            if isinstance(v, float) and not v.is_integer():
-                self.fail("TYPE_MISMATCH", path, "ImageShape values must be integers")
-                return None
-            out.append(int(v))
-        if any(v <= 0 for v in out):
-            self.fail("RANGE", path, f"ImageShape values must be positive, got {out}")
-            return None
-        return ImageShapeValue(out[0], out[1])
-
-    def _polygon(self, raw, ctype, path):
-        if not isinstance(raw, list):
-            self.fail("TYPE_MISMATCH", path, f"Polygon must be a list, got {_type_name(raw)}")
-            return None
-        if not raw:
-            self.fail("ARITY", path, "Polygon requires at least one ring")
-            return None
-
-        def is_point(item) -> bool:
-            return isinstance(item, list) and len(item) == 2 and all(_is_number(v) for v in item)
-
-        wrapped = all(is_point(item) for item in raw)
-        rings_raw = [raw] if wrapped else raw
-        rings = []
-        for ri, ring in enumerate(rings_raw):
-            ring_path = path if wrapped else f"{path}/{ri}"
-            if not isinstance(ring, list):
-                self.fail("TYPE_MISMATCH", ring_path, "polygon ring must be a list of points")
-                return None
-            if len(ring) < 3:
-                self.fail("ARITY", ring_path, f"polygon ring requires at least 3 points, got {len(ring)}")
-                return None
-            points = []
-            for pi, point in enumerate(ring):
-                if not isinstance(point, list) or len(point) != 2:
-                    self.fail("ARITY", f"{ring_path}/{pi}", "polygon point must be an [x, y] pair")
-                    return None
-                if not all(_is_number(v) for v in point):
-                    self.fail("TYPE_MISMATCH", f"{ring_path}/{pi}", "polygon point must be numeric")
-                    return None
-                for ci, v in enumerate(point):
-                    if self.non_finite(v, f"{ring_path}/{pi}/{ci}", "polygon coordinate"):
-                        return None
-                points.append((point[0], point[1]))
-            rings.append(tuple(points))
-        return tuple(rings)
-
-    # -- dates and times ---------------------------------------------------
-
-    def _date(self, raw, ctype, path):
-        return self._datetime_value(raw, ctype, path, kind="date")
-
-    def _time(self, raw, ctype, path):
-        return self._datetime_value(raw, ctype, path, kind="time")
-
-    def _datetime_value(self, raw, ctype, path, kind: str):
-        if not isinstance(raw, str):
-            self.fail("TYPE_MISMATCH", path, f"{kind} value must be a string, got {_type_name(raw)}")
-            return None
-        fmt = ctype.arg("fmt")
-        try:
-            if fmt is not None:
-                parsed = datetime.datetime.strptime(raw, fmt)
-                return parsed.date() if kind == "date" else parsed.time()
-            if kind == "date":
-                return datetime.date.fromisoformat(raw)
-            return datetime.time.fromisoformat(raw)
-        except ValueError as exc:
-            expected = fmt if fmt is not None else "ISO 8601"
-            self.fail("DATE_FORMAT", path, f"{raw!r} does not match {expected}: {exc}")
-            return None
-
-    # -- labels -------------------------------------------------------------
-
-    def _label(self, raw, ctype, path):
-        ref, diags = validate_label(raw, ctype.arg("dom"), path=path)
-        self.diags.extend(diags)
-        return ref
-
-    # -- containers ----------------------------------------------------------
-
-    def _list(self, raw, ctype, path):
-        if not isinstance(raw, list):
-            self.fail("TYPE_MISMATCH", path, f"expected a list, got {_type_name(raw)}")
-            return None
-        etype = ctype.arg("etype")
-        return [self.value(item, etype, f"{path}/{i}") for i, item in enumerate(raw)]
-
-    def _struct(self, raw, ctype, path):
-        if not isinstance(raw, dict):
-            self.fail("TYPE_MISMATCH", path, f"expected a {ctype.head} record, got {_type_name(raw)}")
-            return None
-        values: dict[str, object] = {}
-        for fname, ftype in ctype.fields.items():
-            fpath = f"{path}/{fname}" if path else fname
-            if fname not in raw or raw[fname] is None:
-                if fname not in ctype.optional:
-                    self.warn("FIELD_MISSING", fpath, f"required field {fname!r} is missing")
-                values[fname] = None
-                continue
-            values[fname] = self.value(raw[fname], ftype, fpath)
-        for key in raw:
-            if key not in ctype.fields:
-                self.warn("FIELD_UNKNOWN", f"{path}/{key}" if path else str(key),
-                          f"field {key!r} is not declared on {ctype.head}")
-        return Record(ctype.head, values)
-
-    # -- media and special shapes ---------------------------------------------
-
-    def _media(self, raw, ctype, path):
-        if isinstance(raw, str):
-            return self._media_ref(raw, None, ctype, path)
-        if isinstance(raw, dict):
-            return self._media_mapping(raw, ctype, path)
-        self.fail(
-            "TYPE_MISMATCH",
-            path,
-            f"{ctype.head} value must be an object locator string or a $loc mapping, got {_type_name(raw)}",
-        )
+def _check_keypoint(raw, ctype, path, diags):
+    dom: ClassDomain = ctype.arg("dom")
+    if not isinstance(raw, list):
+        return _fail(diags, "TYPE_MISMATCH", path, f"Keypoint value must be a flat list, got {_type_name(raw)}")
+    expected = 3 * len(dom.classes)
+    if len(raw) != expected:
+        message = f"keypoint list for {dom.name} ({len(dom.classes)} classes) requires {expected} values, got {len(raw)}"
+        return _fail(diags, "ARITY", path, message)
+    values = _numbers(raw, expected, path, diags, "keypoint")
+    if values is None:
         return None
+    return KeypointSet(dom.name, tuple(values[i:i + 3] for i in range(0, expected, 3)))
 
-    def _media_mapping(self, raw, ctype, path):
-        if "$loc" not in raw:
-            self.fail("LOC_SYNTAX", path, f"{ctype.head} mapping lacks required key $loc")
-            return None
-        loc_raw = raw["$loc"]
-        if not isinstance(loc_raw, str):
-            self.fail("LOC_SYNTAX", f"{path}/$loc", "$loc must be a string")
-            return None
-        descr = raw.get("$descr")
-        if descr is not None and not isinstance(descr, dict):
-            self.fail("TYPE_MISMATCH", f"{path}/$descr", "$descr must be a mapping")
-            return None
-        for key in raw:
-            if key not in ("$loc", "$descr"):
-                self.warn("FIELD_UNKNOWN", f"{path}/{key}", f"unexpected key {key!r} in {ctype.head} mapping")
-        return self._media_ref(loc_raw, descr, ctype, path)
 
-    def _media_ref(self, text: str, descr, ctype, path):
-        try:
-            locator = parse_locator(text)
-        except LocatorError as exc:
-            self.fail("LOC_SYNTAX", path, exc.diagnostic.message)
-            return None
-        packed = tuple(descr.items()) if isinstance(descr, dict) else None
-        return MediaRef(ctype.head, locator, packed)
+def _check_polygon(raw, ctype, path, diags):
+    if not isinstance(raw, list):
+        return _fail(diags, "TYPE_MISMATCH", path, f"Polygon must be a list, got {_type_name(raw)}")
+    if not raw:
+        return _fail(diags, "ARITY", path, "Polygon requires at least one ring")
 
-    def _text(self, raw, ctype, path):
+    def is_point(item) -> bool:
+        return isinstance(item, list) and len(item) == 2 and all(_is_number(v) for v in item)
+
+    wrapped = all(is_point(item) for item in raw)
+    rings = []
+    for ri, ring in enumerate([raw] if wrapped else raw):
+        ring_path = path if wrapped else f"{path}/{ri}"
+        if not isinstance(ring, list):
+            return _fail(diags, "TYPE_MISMATCH", ring_path, "polygon ring must be a list of points")
+        if len(ring) < 3:
+            return _fail(diags, "ARITY", ring_path, f"polygon ring requires at least 3 points, got {len(ring)}")
+        for pi, point in enumerate(ring):
+            if not isinstance(point, list) or len(point) != 2:
+                return _fail(diags, "ARITY", f"{ring_path}/{pi}", "polygon point must be an [x, y] pair")
+            if not all(_is_number(v) for v in point):
+                return _fail(diags, "TYPE_MISMATCH", f"{ring_path}/{pi}", "polygon point must be numeric")
+            for ci, v in enumerate(point):
+                if isinstance(v, float) and not math.isfinite(v):
+                    message = f"polygon coordinate must be finite, got {v}"
+                    return _fail(diags, "RANGE", f"{ring_path}/{pi}/{ci}", message)
+        rings.append(tuple((x, y) for x, y in ring))
+    return tuple(rings)
+
+
+# -- dates, labels, media -------------------------------------------------------
+
+
+def _check_datetime(raw, ctype, path, diags):
+    """Date and Time: ISO 8601, or the type's ``fmt`` when it has one."""
+    kind = ctype.shape
+    if not isinstance(raw, str):
+        return _fail(diags, "TYPE_MISMATCH", path, f"{kind} value must be a string, got {_type_name(raw)}")
+    fmt = ctype.arg("fmt")
+    try:
+        if fmt is None:
+            return (datetime.date if kind == "date" else datetime.time).fromisoformat(raw)
+        parsed = datetime.datetime.strptime(raw, fmt)
+        return parsed.date() if kind == "date" else parsed.time()
+    except ValueError as exc:
+        expected = fmt if fmt is not None else "ISO 8601"
+        return _fail(diags, "DATE_FORMAT", path, f"{raw!r} does not match {expected}: {exc}")
+
+
+def _check_label(raw, ctype, path, diags):
+    ref, found = validate_label(raw, ctype.arg("dom"), path=path)
+    diags.extend(found)
+    return ref
+
+
+def _check_media(raw, ctype, path, diags):
+    """A locator string or a ``{$loc, $descr}`` mapping; Text may also be inline."""
+    text = ctype.shape == "text"
+    if isinstance(raw, str) and text:
         # inline string content is the text itself; loading through a
         # locator requires the explicit {$loc: ...} form
-        if isinstance(raw, str):
-            return raw
-        if isinstance(raw, dict):
-            return self._media_mapping(raw, ctype, path)
-        self.fail("TYPE_MISMATCH", path, f"Text value must be a string or $loc mapping, got {_type_name(raw)}")
-        return None
+        return raw
+    descr = None
+    if isinstance(raw, dict):
+        if "$loc" not in raw:
+            return _fail(diags, "LOC_SYNTAX", path, f"{ctype.head} mapping lacks required key $loc")
+        if not isinstance(raw["$loc"], str):
+            return _fail(diags, "LOC_SYNTAX", f"{path}/$loc", "$loc must be a string")
+        descr = raw.get("$descr")
+        if descr is not None and not isinstance(descr, dict):
+            return _fail(diags, "TYPE_MISMATCH", f"{path}/$descr", "$descr must be a mapping")
+        for key in raw:
+            if key not in ("$loc", "$descr"):
+                message = f"unexpected key {key!r} in {ctype.head} mapping"
+                diags.append(warning("FIELD_UNKNOWN", f"{path}/{key}", message))
+        raw = raw["$loc"]
+    elif not isinstance(raw, str):
+        if text:
+            what = "Text value must be a string or $loc mapping"
+        else:
+            what = f"{ctype.head} value must be an object locator string or a $loc mapping"
+        return _fail(diags, "TYPE_MISMATCH", path, f"{what}, got {_type_name(raw)}")
+    try:
+        locator = parse_locator(raw)
+    except LocatorError as exc:
+        return _fail(diags, "LOC_SYNTAX", path, exc.diagnostic.message)
+    return MediaRef(ctype.head, locator, tuple(descr.items()) if descr is not None else None)
 
-    def _instance_id(self, raw, ctype, path):
-        return self._id_value(raw, path, "InstanceID")
 
-    def _unique_id(self, raw, ctype, path):
-        return self._id_value(raw, path, "UniqueID")
+# -- containers -------------------------------------------------------------------
 
-    def _id_value(self, raw, path, what):
-        if isinstance(raw, bool):
-            self.fail("TYPE_MISMATCH", path, f"{what} must be an integer or string, got boolean")
-            return None
-        if isinstance(raw, int):
-            return str(raw)
-        if isinstance(raw, str):
-            return raw
-        self.fail("TYPE_MISMATCH", path, f"{what} must be an integer or string, got {_type_name(raw)}")
-        return None
 
-    def _keypoint(self, raw, ctype, path):
-        dom: ClassDomain = ctype.arg("dom")
-        if not isinstance(raw, list):
-            self.fail("TYPE_MISMATCH", path, f"Keypoint value must be a flat list, got {_type_name(raw)}")
-            return None
-        expected = 3 * len(dom.classes)
-        if len(raw) != expected:
-            self.fail(
-                "ARITY",
-                path,
-                f"keypoint list for {dom.name} ({len(dom.classes)} classes) requires {expected} values, got {len(raw)}",
-            )
-            return None
-        for i, item in enumerate(raw):
-            if not _is_number(item):
-                self.fail("TYPE_MISMATCH", f"{path}/{i}", "keypoint component must be a number")
-                return None
-            if self.non_finite(item, f"{path}/{i}", "keypoint component"):
-                return None
-        triples = tuple(
-            (raw[i], raw[i + 1], raw[i + 2]) for i in range(0, len(raw), 3)
-        )
-        return KeypointSet(dom.name, triples)
+def _check_list(raw, ctype, path, diags):
+    if not isinstance(raw, list):
+        return _fail(diags, "TYPE_MISMATCH", path, f"expected a list, got {_type_name(raw)}")
+    etype = ctype.arg("etype")
+    check = _CHECKS[etype.shape]
+    return [check(item, etype, f"{path}/{i}", diags) for i, item in enumerate(raw)]
 
-    def _rotated_bbox(self, raw, ctype, path):
-        mode = ctype.arg("mode")
-        measure = ctype.arg("measure", "radian")
-        arity = 8 if mode == "xyxy" else 5
-        values = self._numbers(raw, arity, path, f"RotatedBBox[mode={mode}]")
-        if values is None:
-            return None
-        if mode == "xywht":
-            angle = values[4]
-            bound = 180.0 if measure == "degree" else math.pi
-            if not (-bound < angle < bound):
-                unit = "degrees" if measure == "degree" else "radians"
-                self.fail("RANGE", path, f"rotation angle {angle} outside (-{bound}, {bound}) {unit}")
-                return None
-        return RotatedBox(mode, measure, values)
+
+def _check_struct(raw, ctype, path, diags):
+    """A null-complete record; a missing required field is a ``FIELD_MISSING`` warning."""
+    if not isinstance(raw, dict):
+        return _fail(diags, "TYPE_MISMATCH", path, f"expected a {ctype.head} record, got {_type_name(raw)}")
+    values: dict[str, object] = {}
+    for fname, ftype in ctype.fields.items():
+        fpath = f"{path}/{fname}" if path else fname
+        item = raw.get(fname)
+        if item is None:
+            if fname not in ctype.optional:
+                diags.append(warning("FIELD_MISSING", fpath, f"required field {fname!r} is missing"))
+            values[fname] = None
+        else:
+            values[fname] = _CHECKS[ftype.shape](item, ftype, fpath, diags)
+    for key in raw:
+        if key not in ctype.fields:
+            message = f"field {key!r} is not declared on {ctype.head}"
+            diags.append(warning("FIELD_UNKNOWN", f"{path}/{key}" if path else str(key), message))
+    return Record(ctype.head, values)
+
+
+_CHECKS = {
+    "bool": _check_bool,
+    "int": _check_int,
+    "num": _check_num,
+    "str": _check_str,
+    "coord": _check_coord,
+    "coord3d": _check_coord,
+    "interval": _check_interval,
+    "bbox": _check_bbox,
+    "polygon": _check_polygon,
+    "date": _check_datetime,
+    "time": _check_datetime,
+    "label": _check_label,
+    "list": _check_list,
+    "media": _check_media,
+    "text": _check_media,
+    "keypoint": _check_keypoint,
+    "rotated_bbox": _check_rotated_bbox,
+    "instance_id": _check_id,
+    "unique_id": _check_id,
+    "image_shape": _check_image_shape,
+    "struct": _check_struct,
+}
 
 
 def validate_value(
@@ -444,11 +401,14 @@ def validate_value(
     """Validate ``raw`` against the concrete type ``ctype``.
 
     Returns the typed value (``None`` when unusable) and the located
-    diagnostics, in document order.
+    diagnostics, in document order. ``strict`` makes a missing required
+    field (``FIELD_MISSING``) an error; every other severity stays.
     """
-    v = _Validator(strict=strict)
-    value = v.value(raw, ctype, path)
-    return value, v.diags
+    diags: list[Diagnostic] = []
+    value = _CHECKS[ctype.shape](raw, ctype, path, diags)
+    if strict:
+        diags = [replace(d, severity=Severity.ERROR) if d.code == "FIELD_MISSING" else d for d in diags]
+    return value, diags
 
 
 def validate_label(
@@ -489,28 +449,14 @@ def validate_label(
 
 def load_external_samples(path: str, base: str | Path) -> list:
     """Load the ``samples`` list from an external JSON or YAML file."""
-    payload = _load_external(path, base)
-    if "samples" not in payload:
-        raise DsdlError(
-            error("MISSING_SAMPLES_KEY", "samples", f"{path} has no top-level 'samples' key")
-        )
-    samples = payload["samples"]
-    if not isinstance(samples, list):
-        raise DsdlError(error("MALFORMED_SAMPLES", "samples", f"'samples' in {path} is not a list"))
-    return samples
+    return _load_external(path, base, "samples")
 
 
-def load_external_global_info(path: str, base: str | Path):
-    """Load the ``global-info`` value from an external JSON or YAML file."""
-    payload = _load_external(path, base)
-    if "global-info" not in payload:
-        raise DsdlError(
-            error("MISSING_GLOBAL_INFO_KEY", "global-info", f"{path} has no top-level 'global-info' key")
-        )
-    return payload["global-info"]
+_MISSING_KEY_CODES = {"samples": "MISSING_SAMPLES_KEY", "global-info": "MISSING_GLOBAL_INFO_KEY"}
 
 
-def _load_external(path: str, base: str | Path) -> dict:
+def _load_external(path: str, base: str | Path, key: str):
+    """The top-level ``key`` (``samples`` or ``global-info``) of an external JSON or YAML file."""
     full = Path(base) / path
     if not full.is_file():
         raise DsdlError(error("FILE_NOT_FOUND", str(path), f"external data file {full} does not exist"))
@@ -528,7 +474,11 @@ def _load_external(path: str, base: str | Path) -> dict:
         raise DsdlError(
             error("MALFORMED_SAMPLES", str(path), f"external data file {full} must hold a mapping")
         )
-    return payload
+    if key not in payload:
+        raise DsdlError(error(_MISSING_KEY_CODES[key], key, f"{path} has no top-level {key!r} key"))
+    if key == "samples" and not isinstance(payload[key], list):
+        raise DsdlError(error("MALFORMED_SAMPLES", "samples", f"'samples' in {path} is not a list"))
+    return payload[key]
 
 
 @dataclass
@@ -571,6 +521,27 @@ class ValidationReport:
         }
 
 
+_ABSENT = object()
+
+
+def _load_channel(where: str | None, inline, key: str, base: str | Path, report: ValidationReport):
+    """The raw value of one data channel, or ``_ABSENT``.
+
+    ``inline`` when ``where`` is ``$local``, else the top-level ``key``
+    of the external file ``where``. ``_ABSENT`` when the channel has no
+    source, or when its file failed to load, which ``report`` records.
+    """
+    if where is None:
+        return _ABSENT
+    if where == LOCAL_PATH:
+        return inline
+    try:
+        return _load_external(where, base, key)
+    except DsdlError as exc:
+        report.diagnostics.append(exc.diagnostic)
+        return _ABSENT
+
+
 def validate_dataset(
     schema: ResolvedSchema,
     data: RawDataSection | None,
@@ -591,41 +562,23 @@ def validate_dataset(
     if data is None:
         return report
 
-    raw_samples: list | None = None
-    if schema.sample_type is not None and data.sample_path is not None:
-        if data.sample_path == LOCAL_PATH:
-            raw_samples = data.samples or []
-        else:
-            try:
-                raw_samples = load_external_samples(data.sample_path, base)
-            except DsdlError as exc:
-                report.diagnostics.append(exc.diagnostic)
-
-    if raw_samples is not None:
-        errors_seen = 0
-        for i, raw in enumerate(raw_samples):
-            value, diags = validate_value(raw, schema.sample_type, f"samples/{i}", strict=strict)
-            report.samples.append(value)
-            report.diagnostics.extend(diags)
-            errors_seen += sum(1 for d in diags if d.severity is Severity.ERROR)
-            if max_errors is not None and errors_seen >= max(max_errors, 1) and i + 1 < len(raw_samples):
-                report.truncated = True
-                break
-        report.sample_count = len(report.samples)
+    if schema.sample_type is not None:
+        raw_samples = _load_channel(data.sample_path, data.samples or [], "samples", base, report)
+        if raw_samples is not _ABSENT:
+            errors_seen = 0
+            for i, raw in enumerate(raw_samples):
+                value, diags = validate_value(raw, schema.sample_type, f"samples/{i}", strict=strict)
+                report.samples.append(value)
+                report.diagnostics.extend(diags)
+                errors_seen += sum(1 for d in diags if d.severity is Severity.ERROR)
+                if max_errors is not None and errors_seen >= max(max_errors, 1) and i + 1 < len(raw_samples):
+                    report.truncated = True
+                    break
+            report.sample_count = len(report.samples)
 
     if schema.global_info_type is not None:
-        raw_info = None
-        have_info = False
-        if data.global_info_path == LOCAL_PATH:
-            raw_info = data.global_info
-            have_info = True
-        elif data.global_info_path is not None:
-            try:
-                raw_info = load_external_global_info(data.global_info_path, base)
-                have_info = True
-            except DsdlError as exc:
-                report.diagnostics.append(exc.diagnostic)
-        if have_info:
+        raw_info = _load_channel(data.global_info_path, data.global_info, "global-info", base, report)
+        if raw_info is not _ABSENT:
             value, diags = validate_value(raw_info, schema.global_info_type, "global-info", strict=strict)
             report.global_info = value
             report.diagnostics.extend(diags)

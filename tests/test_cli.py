@@ -80,6 +80,47 @@ def test_validate_nesting_too_deep_is_a_coded_finding(tmp_path, case):
     ]
 
 
+def _list_type(levels: int, form: str):
+    """``List[etype=...Int]`` nested ``levels`` deep, as text or as ``{$type: ...}`` mappings."""
+    spec = "Int"
+    for _ in range(levels - 1):
+        spec = f"List[etype={spec}]" if form == "string" else {"$type": "List", "etype": spec}
+    return spec
+
+
+@pytest.mark.parametrize("form", ["string", "mapping"])
+def test_type_nesting_limit(tmp_path, form):
+    from dsdl.typeexpr import MAX_TYPE_DEPTH
+
+    value = 7
+    for _ in range(MAX_TYPE_DEPTH - 1):
+        value = [value]
+    ok = tmp_path / "ok.json"
+    sample_type = _list_type(MAX_TYPE_DEPTH, form)
+    ok.write_text(json.dumps({"$dsdl-version": "0.5.0", "data": {"sample-type": sample_type, "samples": [value]}}))
+    assert run_cli("validate", str(ok)) == (0, "1 samples validated, 0 errors, 0 warnings\n", "")
+
+    for levels in (MAX_TYPE_DEPTH + 1, 400):
+        deep = tmp_path / f"deep{levels}.json"
+        sample_type = _list_type(levels, form)
+        deep.write_text(json.dumps({"$dsdl-version": "0.5.0", "data": {"sample-type": sample_type, "samples": [[]]}}))
+        for argv in (("validate",), ("inspect",), ("summary", "--format", "json")):
+            code, out, err = run_cli(*argv, str(deep))
+            assert (code, err) == (1, "")
+            assert "type expression nested too deeply" in out
+        code, out, _ = run_cli("validate", str(deep))
+        lines = out.splitlines()
+        assert lines[0].startswith("error GRAMMAR_ERROR data/sample-type type expression nested too deeply (at offset ")
+        assert lines[1:] == ["0 samples validated, 1 errors, 0 warnings"]
+
+        field = tmp_path / f"field{levels}.json"
+        defs = {"S": {"$def": "struct", "$fields": {"f": sample_type}}}
+        field.write_text(json.dumps({"$dsdl-version": "0.5.0", "defs": defs}))
+        code, out, err = run_cli("validate", str(field))
+        assert (code, err) == (1, "")
+        assert out.startswith("error GRAMMAR_ERROR defs/S/$fields/f type expression nested too deeply (at offset ")
+
+
 def test_usage_error_exits_two():
     code, _, _ = run_cli("validate")
     assert code == 2

@@ -1,5 +1,7 @@
 """Import resolution, cycle checking, and type instantiation."""
 
+import json
+
 import pytest
 
 from dsdl import (
@@ -9,6 +11,7 @@ from dsdl import (
     parse_document,
     resolve_imports,
     resolve_schema,
+    validate_dataset,
 )
 from dsdl.diagnostics import ResolutionError, Severity
 from dsdl.resolver import ConcreteType, substitute_params
@@ -329,6 +332,57 @@ def test_substitute_params_chains():
     expr = parse_type_expression("Label[dom=$cdom1]")
     out = substitute_params(expr, {"cdom1": parse_type_expression("KeypointDom")})
     assert out == parse_type_expression("Label[dom=KeypointDom]")
+
+
+def _struct_chain(levels: int) -> dict:
+    """``S0`` .. ``S<levels>``, where ``S<i>`` has fields ``a`` and ``b`` of type ``S<i+1>``."""
+    defs = {f"S{i}": {"$def": "struct", "$fields": {"a": f"S{i + 1}", "b": f"S{i + 1}"}} for i in range(levels)}
+    defs[f"S{levels}"] = {"$def": "struct", "$fields": {"x": "Int"}}
+    return defs
+
+
+def test_shared_struct_is_built_once_per_instantiation():
+    ctype = instantiate_type(parse_type_expression("S0"), {}, _registry_from(_struct_chain(3)))
+    assert ctype.fields["a"] is ctype.fields["b"]
+    assert ctype.fields["a"].fields["a"] is ctype.fields["b"].fields["b"]
+    # without sharing, a chain this deep would build 2**40 struct nodes
+    doc = parse_document(
+        json.dumps({"$dsdl-version": "0.5.0", "defs": _struct_chain(40), "data": {"sample-type": "S0", "samples": [{}]}}),
+        format="json",
+    )
+    schema, diags = resolve_schema(doc, LibraryEnvironment())
+    assert diags == []
+    report = validate_dataset(schema, doc.data)
+    assert [(d.code, d.path) for d in report.diagnostics] == [
+        ("FIELD_MISSING", "samples/0/a"),
+        ("FIELD_MISSING", "samples/0/b"),
+    ]
+
+
+def test_unhashable_binding_in_a_struct_argument_is_a_coded_error():
+    registry = _registry_from(
+        {
+            "Dom": {"$def": "class_domain", "classes": ["x"]},
+            "S": {"$def": "struct", "$params": ["d"], "$fields": {"l": "Label[dom=$d]"}},
+        }
+    )
+    with pytest.raises(ResolutionError) as exc:
+        instantiate_type(parse_type_expression("S[d=$x]"), {"x": ["Dom"]}, registry)
+    assert (exc.value.code, exc.value.diagnostic.path) == ("ARG_KIND", "l")
+
+
+def test_param_alias_note_at_every_path_of_a_shared_struct():
+    registry = _registry_from(
+        {
+            "Dom": {"$def": "class_domain", "classes": ["x"]},
+            "M": {"$def": "struct", "$fields": {"m": "LabelMap[cdom=Dom]"}},
+            "S": {"$def": "struct", "$fields": {"a": "M", "b": "M"}},
+        }
+    )
+    notes = []
+    ctype = instantiate_type(parse_type_expression("S"), {}, registry, diags=notes)
+    assert [(d.code, d.path) for d in notes] == [("PARAM_ALIAS", "a/m"), ("PARAM_ALIAS", "b/m")]
+    assert ctype.fields["a"] == ctype.fields["b"]
 
 
 # -- schema resolution -----------------------------------------------------------

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from dsdl.diagnostics import GrammarError
 from dsdl.typeexpr import (
+    MAX_TYPE_DEPTH,
     Arg,
     NumberLit,
     ParamRef,
@@ -108,6 +109,38 @@ def test_mapping_spec_without_type_key():
 def test_mapping_spec_plain_string_value_stays_literal():
     expr = parse_sample_type_spec({"$type": "Time", "fmt": "%H:%M"})
     assert expr.args[0] == Arg("fmt", "%H:%M")
+
+
+def _nested(levels: int, mapping_levels: int):
+    """``List[etype=...Int]`` nested ``levels`` deep; the outer ``mapping_levels``
+    levels use the ``{$type: ...}`` form, the rest the string form."""
+    text = "Int"
+    for _ in range(levels - mapping_levels - 1):
+        text = f"List[etype={text}]"
+    spec = text
+    for _ in range(mapping_levels):
+        spec = {"$type": "List", "etype": spec}
+    return spec
+
+
+@pytest.mark.parametrize("mapping_levels", [0, 1, 50, MAX_TYPE_DEPTH - 1])
+def test_nesting_limit_counts_both_forms(mapping_levels):
+    expr = parse_sample_type_spec(_nested(MAX_TYPE_DEPTH, mapping_levels))
+    for _ in range(MAX_TYPE_DEPTH - 1):
+        expr = expr.args[0].value
+    assert expr == TypeExpr("Int")
+    for levels in (MAX_TYPE_DEPTH + 1, 400):
+        with pytest.raises(GrammarError) as exc:
+            parse_sample_type_spec(_nested(levels, mapping_levels))
+        assert exc.value.code == "GRAMMAR_ERROR"
+        assert exc.value.diagnostic.message.startswith("type expression nested too deeply")
+
+
+def test_nesting_limit_applies_to_a_mapping_type_head():
+    head = "List[etype=" * (MAX_TYPE_DEPTH - 2) + "Int" + "]" * (MAX_TYPE_DEPTH - 2)
+    parse_sample_type_spec({"$type": "List", "etype": {"$type": head}})
+    with pytest.raises(GrammarError, match="nested too deeply"):
+        parse_sample_type_spec({"$type": "List", "etype": {"$type": "List", "etype": {"$type": head}}})
 
 
 # hypothesis strategy mirrors the generated-AST corpus used in acceptance

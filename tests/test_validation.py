@@ -460,6 +460,25 @@ def test_external_dataset_reads_both_channels():
     assert report.global_info.values["class-info"][0].values["label"].path == "dog"
 
 
+def test_external_null_global_info_is_validated(tmp_path, library_env):
+    from dsdl import parse_document, resolve_schema
+
+    (tmp_path / "info.json").write_text('{"global-info": null}')
+    (tmp_path / "none.json").write_text("{}")
+    text = (
+        '$dsdl-version: "0.5.0"\n'
+        "data:\n  sample-type: Int\n  samples: []\n  global-info-type: Int\n  global-info-path: {}\n"
+    )
+    for name, expected in (
+        ("info.json", [("TYPE_MISMATCH", "global-info", "expected an integer, got null")]),
+        ("none.json", [("MISSING_GLOBAL_INFO_KEY", "global-info", "none.json has no top-level 'global-info' key")]),
+    ):
+        doc = parse_document(text.format(name), format="yaml")
+        schema, _ = resolve_schema(doc, library_env)
+        report = validate_dataset(schema, doc.data, base=tmp_path)
+        assert [(d.code, d.path, d.message) for d in report.diagnostics] == expected
+
+
 def test_determinism_identical_reports():
     _, first, _ = run_corpus_pipeline("voc/train.yaml")
     _, second, _ = run_corpus_pipeline("voc/train.yaml")
@@ -546,3 +565,46 @@ def test_max_errors_below_one_counts_an_error_before_truncating(library_env):
     for max_errors in (0, -1):
         report = validate_dataset(schema, doc.data, max_errors=max_errors)
         assert (report.sample_count, report.errors, report.truncated) == (2, 1, True)
+
+
+def test_every_value_shape_has_one_checker():
+    from dsdl.schema import BUILTINS
+    from dsdl.validation import _CHECKS
+
+    assert set(_CHECKS) == {s.shape for s in BUILTINS.values()} | {"struct"}
+
+
+def test_strict_field_missing_counts_toward_max_errors(library_env):
+    from dsdl import parse_document, resolve_schema
+
+    text = (
+        '$dsdl-version: "0.5.0"\n'
+        "defs:\n"
+        "  S:\n    $def: struct\n    $fields: {n: Int, m: Int}\n"
+        "data:\n"
+        "  sample-type: S\n"
+        "  samples: [{n: 1}, {n: bad, m: 2}, {n: 3, m: 4}]\n"
+    )
+    doc = parse_document(text, format="yaml")
+    schema, _ = resolve_schema(doc, library_env)
+    report = validate_dataset(schema, doc.data, strict=True, max_errors=1)
+    assert [(d.severity, d.code, d.path) for d in report.diagnostics] == [
+        (Severity.ERROR, "FIELD_MISSING", "samples/0/m"),
+    ]
+    assert (report.sample_count, report.truncated) == (1, True)
+    lenient = validate_dataset(schema, doc.data, max_errors=1)
+    assert [(d.severity, d.code) for d in lenient.diagnostics] == [
+        (Severity.WARNING, "FIELD_MISSING"),
+        (Severity.ERROR, "TYPE_MISMATCH"),
+    ]
+    assert (lenient.sample_count, lenient.truncated) == (2, True)
+
+
+def test_strict_promotes_only_field_missing(registry):
+    raw = {"image": {"$loc": "a.jpg", "$extra": 1}, "extra": 2}
+    _, diags = validate_value(raw, ctype(registry, "Sample"), "v", strict=True)
+    assert [(d.severity, d.code, d.path) for d in diags] == [
+        (Severity.WARNING, "FIELD_UNKNOWN", "v/image/$extra"),
+        (Severity.ERROR, "FIELD_MISSING", "v/label"),
+        (Severity.WARNING, "FIELD_UNKNOWN", "v/extra"),
+    ]
