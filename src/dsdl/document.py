@@ -18,10 +18,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import yaml
-from yaml.composer import Composer
-from yaml.constructor import ConstructorError, SafeConstructor
+from yaml.constructor import ConstructorError
 from yaml.nodes import MappingNode
-from yaml.resolver import Resolver
 
 from .diagnostics import DocumentError, error
 
@@ -69,18 +67,44 @@ class _DuplicateKey(Exception):
         self.column = column
 
 
-class _CoreSchema:
-    """YAML 1.2 core-schema scalars, duplicate-key rejection and ill-typed tags.
+_CORE_INT_RE = re.compile(r"[-+]?[0-9]+|0o[0-7]+|0x[0-9a-fA-F]+")
 
-    Mixed into both loaders, ahead of PyYAML's classes, so its resolver
-    table, ``construct_object`` and ``construct_mapping`` win. The table
-    drops the 1.1-only implicit resolvers (yes/no/on/off booleans,
-    sexagesimal numbers). A value its explicit tag cannot read and an
-    unhashable mapping key raise ``ConstructorError``, with the node's
-    mark, like PyYAML's own constructor failures.
+
+def _core_int(text: str) -> int:
+    """A YAML 1.2 core-schema int: decimal, octal after ``0o``, hexadecimal after ``0x``."""
+    if not _CORE_INT_RE.fullmatch(text):
+        raise ValueError(text)
+    return int(text, {"0o": 8, "0x": 16}.get(text[:2], 10))
+
+
+_CORE_FLOAT = r"[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)([eE][-+]?[0-9]+)?|[-+]?\.(inf|Inf|INF)|\.(nan|NaN|NAN)"
+
+# YAML 1.2 core-schema plain scalars: tag, pattern, possible first characters, value.
+# No yes/no/on/off booleans, sexagesimal numbers or leading-zero octals.
+_CORE_SCALARS = [
+    ("null", r"~|null|Null|NULL|", [*"~nN", ""], lambda text: None),
+    ("bool", r"true|True|TRUE|false|False|FALSE", "tTfF", lambda text: text[0] in "tT"),
+    ("int", _CORE_INT_RE.pattern, "-+0123456789", _core_int),
+    # float() reads ".inf" and ".nan" without their dot
+    ("float", _CORE_FLOAT, "-+0123456789.", lambda t: float(t.replace(".", "", 1) if t[-1] in "fFnN" else t)),
+]
+_CORE_RESOLVERS: dict[str, list] = {}  # PyYAML's resolver table: first character -> [(tag, pattern)]
+for _name, _regexp, _first, _ in _CORE_SCALARS:
+    for _ch in _first:
+        _CORE_RESOLVERS.setdefault(_ch, []).append((f"tag:yaml.org,2002:{_name}", re.compile(f"^(?:{_regexp})$")))
+_CORE_VALUES = {f"tag:yaml.org,2002:{name}": value for name, _, _, value in _CORE_SCALARS}
+
+
+class _CoreLoader(yaml.SafeLoader):
+    """Pure-Python SafeLoader: the reference parser and the only source of YAML diagnostics.
+
+    Plain scalars resolve through the core-schema table and a repeated
+    key raises :class:`_DuplicateKey`. A value its explicit tag cannot
+    read and an unhashable mapping key raise ``ConstructorError``, with
+    the node's mark, like PyYAML's own constructor failures.
     """
 
-    yaml_implicit_resolvers: dict = {}
+    yaml_implicit_resolvers = _CORE_RESOLVERS
 
     def construct_object(self, node, deep=False):
         # PyYAML's scalar constructors raise plain Python errors on a value
@@ -109,58 +133,82 @@ class _CoreSchema:
         return super().construct_mapping(node, deep)
 
 
-for _tag, _regexp, _first in [
-    ("tag:yaml.org,2002:null", r"~|null|Null|NULL|", list("~nN") + [""]),
-    ("tag:yaml.org,2002:bool", r"true|True|TRUE|false|False|FALSE", list("tTfF")),
-    (
-        "tag:yaml.org,2002:int",
-        r"[-+]?[0-9]+|0o[0-7]+|0x[0-9a-fA-F]+",
-        list("-+0123456789"),
-    ),
-    (
-        "tag:yaml.org,2002:float",
-        r"[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)([eE][-+]?[0-9]+)?"
-        r"|[-+]?\.(inf|Inf|INF)|\.(nan|NaN|NAN)",
-        list("-+0123456789."),
-    ),
-]:
-    for _ch in _first:
-        _CoreSchema.yaml_implicit_resolvers.setdefault(_ch, []).append(
-            (_tag, re.compile(f"^(?:{_regexp})$"))
-        )
+_CoreLoader.add_constructor("tag:yaml.org,2002:int", lambda loader, node: _core_int(loader.construct_scalar(node)))
 
 
-class _CoreLoader(_CoreSchema, yaml.SafeLoader):
-    """Pure-Python SafeLoader: the reference parser and the only source of YAML diagnostics."""
+def _load_core(text: str) -> object:
+    return yaml.load(text, Loader=_CoreLoader)
 
 
-if yaml.__with_libyaml__:
+_MAX_DEPTH = 100  # open collections the event loop builds before it leaves the text to _CoreLoader
 
-    class _FastLoader(_CoreSchema, Composer, yaml.cyaml.CParser, SafeConstructor, Resolver):
-        """libyaml's C scanner and parser feeding PyYAML's Python composer.
 
-        The composer is the Python one, not libyaml's, because the C
-        composer recurses on the C stack and a deep enough nest crashes
-        the interpreter; the Python one raises ``RecursionError``.
-        """
+class _NotTaken(Exception):
+    """Input the event loop leaves to :class:`_CoreLoader`."""
 
-        def __init__(self, stream):
-            yaml.cyaml.CParser.__init__(self, stream)
-            Composer.__init__(self)
-            SafeConstructor.__init__(self)
-            Resolver.__init__(self)
 
-        def compose_scalar_node(self, anchor):
-            # PyYAML's parser resolves a scalar tagged with the non-specific
-            # "!" as plain even when it is empty; libyaml does not, which
-            # would turn a bare "!" into '' instead of None.
-            event = self.peek_event()
-            if event.tag == "!":
-                event.implicit = (True, False)
-            return super().compose_scalar_node(anchor)
+def _load_events(text: str) -> object:
+    """Build the value of ``text`` in one loop over libyaml's parser events.
 
-else:
-    _FastLoader = _CoreLoader
+    Open lists and dicts, and a dict's pending key, sit on the loop's
+    own stack: nesting costs no Python recursion. Plain scalars resolve
+    through the core-schema table; quoted and block scalars are ``str``.
+    Any tag (a bare ``!`` too), anchor or alias, a non-scalar or
+    repeated key, a second document, nesting deeper than ``_MAX_DEPTH``
+    and any libyaml exception leave the whole text to :class:`_CoreLoader`.
+    """
+    try:
+        get = yaml.cyaml.CParser(text).get_event
+        get()  # stream start
+        if type(get()) is yaml.StreamEndEvent:
+            return None
+        stack: list = []
+        depth = 0
+        while True:
+            event = get()
+            kind = type(event)
+            if kind is yaml.ScalarEvent:
+                if event.tag is not None or event.anchor is not None:
+                    raise _NotTaken
+                value = event.value
+                if event.implicit[0]:
+                    for tag, regexp in _CORE_RESOLVERS.get(value[:1], ()):
+                        if regexp.match(value):
+                            value = _CORE_VALUES[tag](value)
+                            break
+            elif kind is yaml.MappingStartEvent or kind is yaml.SequenceStartEvent:
+                if event.tag is not None or event.anchor is not None or depth == _MAX_DEPTH:
+                    raise _NotTaken
+                stack.append({} if kind is yaml.MappingStartEvent else [])
+                depth += 1
+                continue
+            elif kind is yaml.MappingEndEvent or kind is yaml.SequenceEndEvent:
+                value = stack.pop()
+                depth -= 1
+            else:
+                raise _NotTaken  # an alias
+            if not stack:
+                break
+            top = stack[-1]
+            if type(top) is list:
+                top.append(value)
+            elif type(top) is dict:
+                if value in top:  # a list or dict key raises TypeError: unhashable
+                    raise _NotTaken  # the key rule of _CoreLoader.construct_mapping
+                stack.append(value)
+            else:
+                stack.pop()
+                stack[-1][top] = value
+        get()  # document end
+        if type(get()) is not yaml.StreamEndEvent:
+            raise _NotTaken  # a second document
+        return value
+    except Exception:  # libyaml's errors too: the pure-Python loader parses the text again and reports
+        return _load_core(text)
+
+
+if not yaml.__with_libyaml__:
+    _load_events = _load_core
 
 
 # block-scalar header with a comment but no space before it ("|#")
@@ -186,35 +234,19 @@ def _libyaml_agrees(text: str) -> bool:
 def _load_yaml(text: str, source: str | None) -> object:
     """Load YAML ``text``, raising :class:`DocumentError` on any failure.
 
-    Text passes first through :class:`_FastLoader` (libyaml's parser
-    under PyYAML's composer and constructor) unless
-    :func:`_libyaml_agrees` screens it out. If that raises anything but
-    ``RecursionError``, the text is parsed again by :class:`_CoreLoader`,
-    so every ``SYNTAX_ERROR`` and ``DUPLICATE_KEY`` message, line and
-    column comes from the pure-Python loader whether or not PyYAML was
-    built with libyaml. Nesting deeper than the composer's recursion
-    allows is a ``SYNTAX_ERROR`` on both paths.
+    Text :func:`_libyaml_agrees` passes goes to :func:`_load_events`,
+    other text to :class:`_CoreLoader`, so every ``SYNTAX_ERROR`` and
+    ``DUPLICATE_KEY`` message, line and column come from the pure-Python
+    loader whether or not PyYAML was built with libyaml. Nesting deeper
+    than its recursion allows is a ``SYNTAX_ERROR``.
     """
     try:
-        if _FastLoader is not _CoreLoader and _libyaml_agrees(text):
-            try:
-                return yaml.load(text, Loader=_FastLoader)
-            except RecursionError:
-                raise
-            except Exception:
-                pass  # parsed again below, so the pure-Python loader reports it
-        return yaml.load(text, Loader=_CoreLoader)
+        return _load_events(text) if _libyaml_agrees(text) else _load_core(text)
     except RecursionError as exc:
         raise DocumentError(error("SYNTAX_ERROR", "", "malformed YAML: nesting is too deep", source)) from exc
     except _DuplicateKey as exc:
-        raise DocumentError(
-            error(
-                "DUPLICATE_KEY",
-                "",
-                f"duplicate mapping key {exc.key!r} at line {exc.line}, column {exc.column}",
-                source,
-            )
-        ) from exc
+        message = f"duplicate mapping key {exc.key!r} at line {exc.line}, column {exc.column}"
+        raise DocumentError(error("DUPLICATE_KEY", "", message, source)) from exc
     except yaml.MarkedYAMLError as exc:
         mark = exc.problem_mark
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
@@ -242,18 +274,10 @@ def _load_json(text: str, source: str | None) -> object:
     except RecursionError as exc:
         raise DocumentError(error("SYNTAX_ERROR", "", "malformed JSON: nesting is too deep", source)) from exc
     except _DuplicateKey as exc:
-        raise DocumentError(
-            error("DUPLICATE_KEY", "", f"duplicate mapping key {exc.key!r}", source)
-        ) from exc
+        raise DocumentError(error("DUPLICATE_KEY", "", f"duplicate mapping key {exc.key!r}", source)) from exc
     except json.JSONDecodeError as exc:
-        raise DocumentError(
-            error(
-                "SYNTAX_ERROR",
-                "",
-                f"malformed JSON: {exc.msg} at line {exc.lineno}, column {exc.colno}",
-                source,
-            )
-        ) from exc
+        message = f"malformed JSON: {exc.msg} at line {exc.lineno}, column {exc.colno}"
+        raise DocumentError(error("SYNTAX_ERROR", "", message, source)) from exc
 
 
 def read_utf8(file: Path, path: str) -> str:
@@ -301,36 +325,24 @@ def parse_document(
         raise ValueError(f"unknown format {format!r}")
 
     if not isinstance(payload, dict):
-        raise DocumentError(
-            error("SYNTAX_ERROR", "", "document must be a mapping at the top level", source)
-        )
+        raise DocumentError(error("SYNTAX_ERROR", "", "document must be a mapping at the top level", source))
     return _build_document(payload, source, allow_version)
 
 
 def _build_document(payload: dict, source: str | None, allow_version: bool) -> RawDocument:
     version = payload.get("$dsdl-version")
     if version is None or version == "":
-        raise DocumentError(
-            error("VERSION_MISSING", "$dsdl-version", "missing required header $dsdl-version", source)
-        )
+        raise DocumentError(error("VERSION_MISSING", "$dsdl-version", "missing required header $dsdl-version", source))
     version = str(version)
     if not _VERSION_RE.fullmatch(version) and not allow_version:
-        raise DocumentError(
-            error(
-                "VERSION_UNSUPPORTED",
-                "$dsdl-version",
-                f"unsupported DSDL version {version!r} (accepted: 0.5.x)",
-                source,
-            )
-        )
+        message = f"unsupported DSDL version {version!r} (accepted: 0.5.x)"
+        raise DocumentError(error("VERSION_UNSUPPORTED", "$dsdl-version", message, source))
 
     imports_raw = payload.get("$import", [])
     if isinstance(imports_raw, str):
         imports_raw = [imports_raw]
     if not isinstance(imports_raw, list) or not all(isinstance(i, str) for i in imports_raw):
-        raise DocumentError(
-            error("MALFORMED_IMPORT", "$import", "$import must be a list of library names", source)
-        )
+        raise DocumentError(error("MALFORMED_IMPORT", "$import", "$import must be a list of library names", source))
 
     meta = payload.get("meta") or {}
     if not isinstance(meta, dict):
@@ -340,13 +352,10 @@ def _build_document(payload: dict, source: str | None, allow_version: bool) -> R
 
     def _add_def(key: object, body: object, path: str) -> None:
         if not isinstance(key, str):
-            raise DocumentError(
-                error("MALFORMED_DEF", path, f"definition name must be a string, got {key!r}", source)
-            )
+            raise DocumentError(error("MALFORMED_DEF", path, f"definition name must be a string, got {key!r}", source))
         if key in defs:
-            raise DocumentError(
-                error("DUPLICATE_DEF", f"{path}/{key}", f"definition {key!r} appears twice in this file", source)
-            )
+            message = f"definition {key!r} appears twice in this file"
+            raise DocumentError(error("DUPLICATE_DEF", f"{path}/{key}", message, source))
         defs[key] = body
 
     data_section = None
@@ -354,9 +363,8 @@ def _build_document(payload: dict, source: str | None, allow_version: bool) -> R
         if key in _KNOWN_DIRECTIVES:
             continue
         if isinstance(key, str) and key.startswith("$"):
-            raise DocumentError(
-                error("UNKNOWN_DIRECTIVE", key, f"reserved key {key!r} is not a DSDL directive", source)
-            )
+            message = f"reserved key {key!r} is not a DSDL directive"
+            raise DocumentError(error("UNKNOWN_DIRECTIVE", key, message, source))
         if key == "meta":
             continue
         if key == "defs":
@@ -387,49 +395,28 @@ def _build_data_section(value: object, source: str | None) -> RawDataSection:
 
     samples = value.get("samples")
     if samples is not None and not isinstance(samples, list):
-        raise DocumentError(
-            error("MALFORMED_SAMPLES", "data/samples", "samples must be a list", source)
-        )
+        raise DocumentError(error("MALFORMED_SAMPLES", "data/samples", "samples must be a list", source))
 
     sample_path = value.get("sample-path")
     if sample_path is not None and not isinstance(sample_path, str):
-        raise DocumentError(
-            error("MALFORMED_DATA_SECTION", "data/sample-path", "sample-path must be a string", source)
-        )
+        message = "sample-path must be a string"
+        raise DocumentError(error("MALFORMED_DATA_SECTION", "data/sample-path", message, source))
     if sample_path is None and samples is not None:
         sample_path = LOCAL_PATH
     if sample_path == LOCAL_PATH and samples is None:
-        raise DocumentError(
-            error(
-                "MALFORMED_DATA_SECTION",
-                "data/samples",
-                "sample-path is $local but no samples are present",
-                source,
-            )
-        )
+        message = "sample-path is $local but no samples are present"
+        raise DocumentError(error("MALFORMED_DATA_SECTION", "data/samples", message, source))
 
     global_info = value.get("global-info")
     global_info_path = value.get("global-info-path")
     if global_info_path is not None and not isinstance(global_info_path, str):
-        raise DocumentError(
-            error(
-                "MALFORMED_DATA_SECTION",
-                "data/global-info-path",
-                "global-info-path must be a string",
-                source,
-            )
-        )
+        message = "global-info-path must be a string"
+        raise DocumentError(error("MALFORMED_DATA_SECTION", "data/global-info-path", message, source))
     if global_info_path is None and global_info is not None:
         global_info_path = LOCAL_PATH
     if global_info_path == LOCAL_PATH and global_info is None:
-        raise DocumentError(
-            error(
-                "MALFORMED_DATA_SECTION",
-                "data/global-info",
-                "global-info-path is $local but no global-info is present",
-                source,
-            )
-        )
+        message = "global-info-path is $local but no global-info is present"
+        raise DocumentError(error("MALFORMED_DATA_SECTION", "data/global-info", message, source))
 
     return RawDataSection(
         sample_type=value.get("sample-type"),

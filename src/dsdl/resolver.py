@@ -145,9 +145,14 @@ def resolve_imports(
             merged[key] = body
             origins[key] = origin
 
-    def visit(document: RawDocument, doc_source: Path | None, stack: list[Path]) -> None:
+    root = Path(source) if source is not None else None
+    # Depth first with an explicit stack, so a long import chain costs no
+    # recursion; a file's definitions merge after everything it imports.
+    frames = [(root, iter(doc.imports), doc.defs)]
+    while frames:
+        doc_source, names, defs = frames[-1]
         base = doc_source.parent if doc_source is not None else None
-        for name in document.imports:
+        for name in names:
             resolved = _find_import(name, base, env)
             if resolved is None:
                 searched = [str(base)] if base is not None else []
@@ -161,8 +166,9 @@ def resolve_imports(
                     )
                 )
                 continue
-            if resolved in stack:
-                cycle = [p.name for p in stack[stack.index(resolved):]] + [resolved.name]
+            chain = [frame[0] for frame in frames]  # the files on the current import path
+            if resolved in chain:
+                cycle = [p.name for p in chain[chain.index(resolved):]] + [resolved.name]
                 diags.append(
                     error(
                         "IMPORT_CYCLE",
@@ -187,12 +193,11 @@ def resolve_imports(
             except DocumentError as exc:
                 diags.append(exc.diagnostic)
                 continue
-            visit(imported, resolved, stack + [resolved])
-            merge_defs(imported.defs, str(resolved))
-
-    root = Path(source) if source is not None else None
-    visit(doc, root, [root] if root is not None else [])
-    merge_defs(doc.defs, str(root) if root is not None else None)
+            frames.append((resolved, iter(imported.imports), imported.defs))
+            break
+        else:
+            frames.pop()
+            merge_defs(defs, str(doc_source) if doc_source is not None else None)
 
     registry, build_diags = build_definitions(merged, provenance=origins)
     diags.extend(build_diags)

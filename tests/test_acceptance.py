@@ -26,7 +26,7 @@ from dsdl import (
     validate_value,
 )
 from dsdl.diagnostics import GrammarError, LocatorError, Severity
-from dsdl.document import _CoreLoader
+from dsdl.document import _load_core
 from dsdl.locator import AliasPath, ObjectId, RelativePath, ResolutionEnvironment
 from dsdl.schema import (
     ClassDomain,
@@ -525,7 +525,7 @@ def test_c09_cli_contract(tmp_path):
 def test_acceptance_on_the_pure_python_yaml_loader(monkeypatch, tmp_path):
     """Criteria 1-3 and 9 with libyaml's parser taken away, as under a PyYAML built without it."""
     with_libyaml = {rel: run_cli("validate", str(CORPUS / rel)) for rel in CORPUS_FILES}
-    monkeypatch.setattr("dsdl.document._FastLoader", _CoreLoader)
+    monkeypatch.setattr("dsdl.document._load_events", _load_core)
     test_c01_conformance_corpus()
     test_c02_json_yaml_equivalence()
     for sub in ("c03", "c09"):

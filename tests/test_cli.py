@@ -80,6 +80,18 @@ def test_validate_nesting_too_deep_is_a_coded_finding(tmp_path, case):
     ]
 
 
+def test_long_import_chain_validates(tmp_path):
+    """``lib{i}`` imports ``lib{i+1}``, 1,200 files deep, each defining one struct."""
+    depth = 1_200
+    for i in range(depth):
+        imports = f"$import: [lib{i + 1}]\n" if i + 1 < depth else ""
+        struct = f"S{i}:\n  $def: struct\n  $fields:\n    x: Int\n"
+        (tmp_path / f"lib{i}.yaml").write_text(f'$dsdl-version: "0.5.0"\n{imports}{struct}')
+    description = tmp_path / "d.yaml"
+    description.write_text('$dsdl-version: "0.5.0"\n$import: [lib0]\ndata:\n  sample-type: S0\n  samples: [{x: 1}]\n')
+    assert run_cli("validate", str(description)) == (0, "1 samples validated, 0 errors, 0 warnings\n", "")
+
+
 def _list_type(levels: int, form: str):
     """``List[etype=...Int]`` nested ``levels`` deep, as text or as ``{$type: ...}`` mappings."""
     spec = "Int"

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dsdl import parse_document
 from dsdl.diagnostics import DocumentError, DsdlError
-from dsdl.document import _CoreLoader, _DuplicateKey, _FastLoader, _load_yaml
+from dsdl.document import _MAX_DEPTH, _CoreLoader, _DuplicateKey, _load_events, _load_yaml
 from dsdl.validation import load_external_samples
 
 from conftest import CORPUS
@@ -197,7 +197,7 @@ _YAML_FILES = sorted(CORPUS.rglob("*.yaml")) + sorted((_REPO / "src/dsdl/library
 @pytest.mark.parametrize("path", _YAML_FILES, ids=lambda p: str(p.relative_to(_REPO)))
 def test_fast_loader_matches_pure_python_loader_on_shipped_yaml(path):
     text = path.read_text(encoding="utf-8")
-    assert yaml.load(text, Loader=_FastLoader) == yaml.load(text, Loader=_CoreLoader)
+    assert _load_events(text) == yaml.load(text, Loader=_CoreLoader)
 
 
 @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
@@ -261,6 +261,49 @@ _YAMLISH = st.lists(
 @example("!!set a")
 def test_load_yaml_agrees_with_the_pure_python_loader(text):
     assert _outcome(text) == _reference_outcome(text)
+
+
+def _nest(depth: int) -> str:
+    return "[" * depth + "]" * depth
+
+
+# text, and whether libyaml's event loop leaves it to the pure-Python loader
+_EVENT_LOOP_CASES = {
+    "anchor": ("a: &x 1\n", True),
+    "anchor on a collection": ("a: &x [1]\n", True),
+    "alias": ("a: &x 1\nb: *x\n", True),
+    "explicit tag": ("!!str 1", True),
+    "bare !": ("!", True),
+    "local tag": ("a: !x b", True),
+    "sequence as key": ("[a, b]: 1", True),
+    "mapping as key": ("{{a: 1}: 2}", True),
+    "duplicate 1 and true": ("{1: a, true: b}", True),
+    "second document": ("--- a\n--- b", True),
+    "nesting at the bound": (_nest(_MAX_DEPTH), False),
+    "nesting past the bound": (_nest(_MAX_DEPTH + 1), True),
+    "literal block scalar": ("a: |\n  x: 1\n  2\n", False),
+    "folded block scalar": ("a: >-\n  x\n  true\n", False),
+}
+
+
+@pytest.mark.parametrize("text, leaves", list(_EVENT_LOOP_CASES.values()), ids=list(_EVENT_LOOP_CASES))
+def test_event_loop_agrees_with_the_pure_python_loader(monkeypatch, text, leaves):
+    parsed = []
+
+    class _Recording(_CoreLoader):
+        def __init__(self, stream):
+            parsed.append(stream)
+            super().__init__(stream)
+
+    monkeypatch.setattr("dsdl.document._CoreLoader", _Recording)
+    assert _outcome(text) == _reference_outcome(text)
+    assert bool(parsed) == (leaves or not yaml.__with_libyaml__)
+
+
+@pytest.mark.parametrize("text, value", [("012", 12), ("019", 19), ("-007", -7), ("0o17", 15), ("0x1F", 31)])
+def test_integers_follow_the_yaml_1_2_core_schema(text, value):
+    assert _load_yaml(f"n: {text}\n", None) == {"n": value}
+    assert yaml.load(f"n: {text}\n", Loader=_CoreLoader) == {"n": value}
 
 
 _HEADER = '$dsdl-version: "0.5.0"\n'

@@ -57,6 +57,26 @@ def test_later_import_wins_and_warns(tmp_path, library_env):
     assert registry.provenance["S"].source.endswith("libb.yaml")
 
 
+def test_importing_file_overwrites_what_it_imports(tmp_path):
+    """A file's definitions merge after those of the files it imports, however deep."""
+    (tmp_path / "liba.yaml").write_text(
+        '$dsdl-version: "0.5.0"\n$import: [libb, libc]\nS:\n  $def: struct\n  $fields:\n    a: Int\n'
+    )
+    (tmp_path / "libb.yaml").write_text(
+        '$dsdl-version: "0.5.0"\n$import: [libc]\nS:\n  $def: struct\n  $fields:\n    b: Int\n'
+    )
+    (tmp_path / "libc.yaml").write_text('$dsdl-version: "0.5.0"\nS:\n  $def: struct\n  $fields:\n    c: Int\n')
+    doc = parse_document('$dsdl-version: "0.5.0"\n$import: [liba]\n', format="yaml")
+    registry, diags = resolve_imports(doc, LibraryEnvironment((tmp_path,)))
+    lib = {name: str((tmp_path / f"{name}.yaml").resolve()) for name in ("liba", "libb", "libc")}
+    assert [d.message for d in diags] == [
+        f"definition 'S' from {lib['libc']} is overwritten by {lib['libb']}",
+        f"definition 'S' from {lib['libb']} is overwritten by {lib['liba']}",
+    ]
+    assert list(registry.get("S").fields) == ["a"]
+    assert registry.provenance["S"].source == lib["liba"]
+
+
 def test_own_definition_overwrites_import_with_warning(tmp_path):
     (tmp_path / "liba.yaml").write_text(
         '$dsdl-version: "0.5.0"\nD:\n  $def: class_domain\n  classes: [x]\n'
