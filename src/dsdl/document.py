@@ -258,13 +258,14 @@ def _load_yaml(text: str, source: str | None) -> object:
 
 
 def _json_pairs_hook(pairs):
-    seen = set()
-    out = {}
-    for key, value in pairs:
-        if key in seen:
-            raise _DuplicateKey(key, None, None)
-        seen.add(key)
-        out[key] = value
+    out = dict(pairs)
+    if len(out) != len(pairs):
+        # only a repeated key shrinks the dict; name the first one repeated
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise _DuplicateKey(key, None, None)
+            seen.add(key)
     return out
 
 

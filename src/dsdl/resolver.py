@@ -9,7 +9,9 @@ definition and raises an ``IMPORT_OVERWRITE`` warning.
 
 Instantiation substitutes ``$param`` references from the given
 bindings, binds positional arguments to declared parameter order, and
-produces a fully concrete type ready for validation.
+produces a fully concrete type ready for validation. A concrete type
+nests at most ``MAX_TYPE_DEPTH`` levels, counted through struct fields;
+a deeper one is a ``TYPE_TOO_DEEP`` error.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .schema import (
     build_definitions,
 )
 from .typeexpr import (
+    MAX_TYPE_DEPTH,
     Arg,
     GrammarError,
     NumberLit,
@@ -294,15 +297,19 @@ def substitute_params(expr: TypeExpr, bindings: dict[str, object]) -> TypeExpr:
 class _Instantiation:
     """What one :func:`instantiate_type` call shares.
 
-    ``structs`` maps each closed struct expression already built, without
-    a diagnostic, to its concrete type, so a struct used at many paths is
-    built once and the result shares that node.
+    ``depth`` counts the types open around the one being built, struct
+    fields included; a concrete type nests at most ``MAX_TYPE_DEPTH``
+    levels, so building, compiling and validating it recurse boundedly.
+    ``structs`` maps each closed struct expression already built at a
+    depth, without a diagnostic, to its concrete type, so a struct used
+    at many paths is built once per depth and the result shares that node.
     """
 
     registry: DefinitionRegistry
     media_extensions: tuple[str, ...]
     diags: list[Diagnostic]
-    structs: dict[TypeExpr, ConcreteType] = field(default_factory=dict)
+    structs: dict[tuple[TypeExpr, int], ConcreteType] = field(default_factory=dict)
+    depth: int = 0
 
 
 def instantiate_type(
@@ -382,21 +389,28 @@ def _check_fmt(fmt: str, path: str) -> None:
 
 
 def _instantiate_closed(expr: TypeExpr, run: _Instantiation, path: str) -> ConcreteType:
-    head = expr.head
-    if head in BUILTINS:
-        return _instantiate_builtin(expr, BUILTINS[head], run, path)
-    entry = run.registry.get(head)
-    if isinstance(entry, StructClass):
-        return _instantiate_struct(expr, entry, run, path)
-    if isinstance(entry, ClassDomain):
-        raise ResolutionError(
-            error("UNKNOWN_TYPE", path, f"{head!r} is a class domain, not a type")
-        )
-    if head in run.media_extensions:
-        if expr.args:
-            raise ResolutionError(error("EXTRA_PARAM", path, f"{head} takes no arguments"))
-        return ConcreteType(head, "media")
-    raise ResolutionError(error("UNKNOWN_TYPE", path, f"unknown type {head!r}"))
+    if run.depth >= MAX_TYPE_DEPTH:
+        message = f"type nested too deeply: more than {MAX_TYPE_DEPTH} levels through struct fields"
+        raise ResolutionError(error("TYPE_TOO_DEEP", path, message))
+    run.depth += 1
+    try:
+        head = expr.head
+        if head in BUILTINS:
+            return _instantiate_builtin(expr, BUILTINS[head], run, path)
+        entry = run.registry.get(head)
+        if isinstance(entry, StructClass):
+            return _instantiate_struct(expr, entry, run, path)
+        if isinstance(entry, ClassDomain):
+            raise ResolutionError(
+                error("UNKNOWN_TYPE", path, f"{head!r} is a class domain, not a type")
+            )
+        if head in run.media_extensions:
+            if expr.args:
+                raise ResolutionError(error("EXTRA_PARAM", path, f"{head} takes no arguments"))
+            return ConcreteType(head, "media")
+        raise ResolutionError(error("UNKNOWN_TYPE", path, f"unknown type {head!r}"))
+    finally:
+        run.depth -= 1
 
 
 def _instantiate_builtin(expr: TypeExpr, sig: BuiltinSignature, run: _Instantiation, path: str) -> ConcreteType:
@@ -479,7 +493,7 @@ def _materialize(head: str, spec, value, run: _Instantiation, path: str):
 
 
 def _instantiate_struct(expr: TypeExpr, struct: StructClass, run: _Instantiation, path: str) -> ConcreteType:
-    key: TypeExpr | None = expr
+    key: tuple[TypeExpr, int] | None = (expr, run.depth)
     try:
         hash(key)
     except TypeError:  # a caller's binding that is no type-expression value

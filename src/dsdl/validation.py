@@ -7,7 +7,15 @@ Validation never raises for bad data; it returns a typed value (or
 ``None``) plus located diagnostics, so one bad sample never hides the
 rest of the corpus.
 
-Each value shape has one checker, found by a single ``_CHECKS`` lookup.
+Each ``validate_value`` or ``validate_dataset`` call first compiles its
+type, once, into one closure per type node, through the single
+``_CHECKS`` table of value shapes; a struct node shared by many fields
+compiles once. Values are then checked by calling closures, with no
+per-value dispatch. A value's path is built only when a finding is
+reported, or by the struct or list that holds other values. Common
+well-typed input is accepted in one pass; anything else goes to the
+shape's checker, which builds every diagnostic.
+
 Records are null-complete: a typed record carries every declared field
 exactly once, with omitted optionals explicitly ``None``. A missing
 required field is a ``FIELD_MISSING`` warning; ``validate_value`` makes
@@ -122,9 +130,15 @@ def _fail(diags: list[Diagnostic], code: str, path: str, message: str) -> None:
     diags.append(error(code, path, message))
 
 
+def _path(parent, key) -> str:
+    """The path of the value at ``key`` below ``parent``; ``key`` itself at the top."""
+    return key if parent is None else f"{parent}/{key}"
+
+
 # Every checker is ``check(raw, ctype, path, diags)``: it appends its
 # findings to ``diags`` and returns the typed value, or None when the
-# input is unusable. ``_CHECKS`` maps each value shape to its checker.
+# input is unusable. The compiled closures below fall back to it for any
+# input that they do not accept themselves.
 
 # -- scalars ------------------------------------------------------------------
 
@@ -298,12 +312,6 @@ def _check_datetime(raw, ctype, path, diags):
         return _fail(diags, "DATE_FORMAT", path, f"{raw!r} does not match {expected}: {exc}")
 
 
-def _check_label(raw, ctype, path, diags):
-    ref, found = validate_label(raw, ctype.arg("dom"), path=path)
-    diags.extend(found)
-    return ref
-
-
 def _check_media(raw, ctype, path, diags):
     """A locator string or a ``{$loc, $descr}`` mapping; Text may also be inline."""
     text = ctype.shape == "text"
@@ -338,61 +346,173 @@ def _check_media(raw, ctype, path, diags):
     return MediaRef(ctype.head, locator, tuple(descr.items()) if descr is not None else None)
 
 
-# -- containers -------------------------------------------------------------------
+# -- compiled closures -----------------------------------------------------------
+#
+# ``_CHECKS`` maps each value shape to a factory ``make(ctype, closures)``
+# that returns the shape's closure ``check(raw, parent, key, diags)``;
+# ``_compile(etype, closures)`` gives that of a nested type. The value's
+# path is ``_path(parent, key)``: a struct or list builds its own, a leaf
+# builds it only to report. A leaf accepts its common exact-typed input in
+# one pass and hands any other input to its checker above.
+
+_INF = math.inf
+_NUMBER = (int, float)
 
 
-def _check_list(raw, ctype, path, diags):
-    if not isinstance(raw, list):
-        return _fail(diags, "TYPE_MISMATCH", path, f"expected a list, got {_type_name(raw)}")
-    etype = ctype.arg("etype")
-    check = _CHECKS[etype.shape]
-    return [check(item, etype, f"{path}/{i}", diags) for i, item in enumerate(raw)]
+def _leaf(checker, fast=None):
+    """The factory of a leaf shape.
+
+    ``fast(raw)``, when given, types common input in one pass and gives
+    None for anything else. ``checker`` then runs with an empty path and,
+    only when it reported, again with the real one, so a value that
+    passes costs no path.
+    """
+
+    def make(ctype, closures):
+        def check(raw, parent, key, diags):
+            if fast is not None:
+                value = fast(raw)
+                if value is not None:
+                    return value
+            mark = len(diags)
+            value = checker(raw, ctype, "", diags)
+            if len(diags) > mark:
+                del diags[mark:]
+                value = checker(raw, ctype, _path(parent, key), diags)
+            return value
+
+        return check
+
+    return make
 
 
-def _check_struct(raw, ctype, path, diags):
+def _fast_num(raw):
+    # comparing with an infinity never converts an int, so 10**400 is safe
+    return raw if type(raw) is int or type(raw) is float and -_INF < raw < _INF else None
+
+
+def _fast_bbox(raw):
+    if type(raw) is list and len(raw) == 4:
+        x, y, w, h = raw
+        if (
+            type(x) in _NUMBER and type(y) in _NUMBER and type(w) in _NUMBER and type(h) in _NUMBER
+            and -_INF < x < _INF and -_INF < y < _INF and 0 <= w < _INF and 0 <= h < _INF
+        ):
+            return Box(x, y, w, h)
+    return None
+
+
+def _fast_image_shape(raw):
+    if type(raw) is list and len(raw) == 2:
+        width, height = raw
+        if type(width) is int and type(height) is int and width > 0 and height > 0:
+            return ImageShapeValue(width, height)
+    return None
+
+
+def _make_label(ctype, closures):
+    dom: ClassDomain | None = ctype.arg("dom")
+    by_name, refs = (dom.by_name, dom.refs) if dom is not None else ({}, [])
+
+    def check(raw, parent, key, diags):
+        if type(raw) is str:
+            ref = by_name.get(raw)
+            # a class name may also read as an index path or as ``Dom::path``
+            # (never as ``Dom[idx]``: a class segment holds no bracket)
+            if ref is not None and not raw[0].isdigit() and "::" not in raw:
+                return ref
+        elif type(raw) is int and 0 < raw <= len(refs):
+            return refs[raw - 1]
+        ref, found = validate_label(raw, dom, _path(parent, key))
+        diags.extend(found)
+        return ref
+
+    return check
+
+
+def _make_list(ctype, closures):
+    check_item = _compile(ctype.arg("etype"), closures)
+
+    def check(raw, parent, key, diags):
+        path = _path(parent, key)
+        if not isinstance(raw, list):
+            return _fail(diags, "TYPE_MISMATCH", path, f"expected a list, got {_type_name(raw)}")
+        return [check_item(item, path, i, diags) for i, item in enumerate(raw)]
+
+    return check
+
+
+def _make_struct(ctype, closures):
     """A null-complete record; a missing required field is a ``FIELD_MISSING`` warning."""
-    if not isinstance(raw, dict):
-        return _fail(diags, "TYPE_MISMATCH", path, f"expected a {ctype.head} record, got {_type_name(raw)}")
-    values: dict[str, object] = {}
-    for fname, ftype in ctype.fields.items():
-        fpath = f"{path}/{fname}" if path else fname
-        item = raw.get(fname)
-        if item is None:
-            if fname not in ctype.optional:
-                diags.append(warning("FIELD_MISSING", fpath, f"required field {fname!r} is missing"))
-            values[fname] = None
-        else:
-            values[fname] = _CHECKS[ftype.shape](item, ftype, fpath, diags)
-    for key in raw:
-        if key not in ctype.fields:
-            message = f"field {key!r} is not declared on {ctype.head}"
-            diags.append(warning("FIELD_UNKNOWN", f"{path}/{key}" if path else str(key), message))
-    return Record(ctype.head, values)
+    head, names = ctype.head, ctype.fields.keys()
+    fields = tuple((name, name in ctype.optional, _compile(ftype, closures)) for name, ftype in ctype.fields.items())
+
+    def check(raw, parent, key, diags):
+        path = _path(parent, key)
+        if not isinstance(raw, dict):
+            return _fail(diags, "TYPE_MISMATCH", path, f"expected a {head} record, got {_type_name(raw)}")
+        inner = path or None
+        values: dict[str, object] = {}
+        for name, optional, check_field in fields:
+            item = raw.get(name)
+            if item is not None:
+                values[name] = check_field(item, inner, name, diags)
+                continue
+            if not optional:
+                diags.append(warning("FIELD_MISSING", _path(inner, name), f"required field {name!r} is missing"))
+            values[name] = None
+        if not raw.keys() <= names:
+            for name in raw:
+                if name not in names:
+                    message = f"field {name!r} is not declared on {head}"
+                    diags.append(warning("FIELD_UNKNOWN", _path(inner, str(name)), message))
+        return Record(head, values)
+
+    return check
 
 
 _CHECKS = {
-    "bool": _check_bool,
-    "int": _check_int,
-    "num": _check_num,
-    "str": _check_str,
-    "coord": _check_coord,
-    "coord3d": _check_coord,
-    "interval": _check_interval,
-    "bbox": _check_bbox,
-    "polygon": _check_polygon,
-    "date": _check_datetime,
-    "time": _check_datetime,
-    "label": _check_label,
-    "list": _check_list,
-    "media": _check_media,
-    "text": _check_media,
-    "keypoint": _check_keypoint,
-    "rotated_bbox": _check_rotated_bbox,
-    "instance_id": _check_id,
-    "unique_id": _check_id,
-    "image_shape": _check_image_shape,
-    "struct": _check_struct,
+    "bool": _leaf(_check_bool),
+    "int": _leaf(_check_int),
+    "num": _leaf(_check_num, _fast_num),
+    "str": _leaf(_check_str),
+    "coord": _leaf(_check_coord),
+    "coord3d": _leaf(_check_coord),
+    "interval": _leaf(_check_interval),
+    "bbox": _leaf(_check_bbox, _fast_bbox),
+    "polygon": _leaf(_check_polygon),
+    "date": _leaf(_check_datetime),
+    "time": _leaf(_check_datetime),
+    "label": _make_label,
+    "list": _make_list,
+    "media": _leaf(_check_media),
+    "text": _leaf(_check_media),
+    "keypoint": _leaf(_check_keypoint),
+    "rotated_bbox": _leaf(_check_rotated_bbox),
+    "instance_id": _leaf(_check_id),
+    "unique_id": _leaf(_check_id),
+    "image_shape": _leaf(_check_image_shape, _fast_image_shape),
+    "struct": _make_struct,
 }
+
+
+def _compile(ctype: ConcreteType, closures: dict):
+    """The closure of ``ctype``. ``closures`` holds those already built, by
+    node identity, so a node shared by many fields (see
+    ``resolver._Instantiation``) compiles once; every node stays alive in
+    the caller's type while it is used."""
+    check = closures.get(id(ctype))
+    if check is None:
+        check = closures[id(ctype)] = _CHECKS[ctype.shape](ctype, closures)
+    return check
+
+
+def _run(check, raw, parent, key, strict: bool) -> tuple[object, list[Diagnostic]]:
+    diags: list[Diagnostic] = []
+    value = check(raw, parent, key, diags)
+    if strict:
+        diags = [replace(d, severity=Severity.ERROR) if d.code == "FIELD_MISSING" else d for d in diags]
+    return value, diags
 
 
 def validate_value(
@@ -404,11 +524,7 @@ def validate_value(
     diagnostics, in document order. ``strict`` makes a missing required
     field (``FIELD_MISSING``) an error; every other severity stays.
     """
-    diags: list[Diagnostic] = []
-    value = _CHECKS[ctype.shape](raw, ctype, path, diags)
-    if strict:
-        diags = [replace(d, severity=Severity.ERROR) if d.code == "FIELD_MISSING" else d for d in diags]
-    return value, diags
+    return _run(_compile(ctype, {}), raw, None, path, strict)
 
 
 def validate_label(
@@ -562,12 +678,14 @@ def validate_dataset(
     if data is None:
         return report
 
+    closures: dict = {}
     if schema.sample_type is not None:
         raw_samples = _load_channel(data.sample_path, data.samples or [], "samples", base, report)
         if raw_samples is not _ABSENT:
+            check = _compile(schema.sample_type, closures)
             errors_seen = 0
             for i, raw in enumerate(raw_samples):
-                value, diags = validate_value(raw, schema.sample_type, f"samples/{i}", strict=strict)
+                value, diags = _run(check, raw, "samples", i, strict)
                 report.samples.append(value)
                 report.diagnostics.extend(diags)
                 errors_seen += sum(1 for d in diags if d.severity is Severity.ERROR)
@@ -579,7 +697,7 @@ def validate_dataset(
     if schema.global_info_type is not None:
         raw_info = _load_channel(data.global_info_path, data.global_info, "global-info", base, report)
         if raw_info is not _ABSENT:
-            value, diags = validate_value(raw_info, schema.global_info_type, "global-info", strict=strict)
+            value, diags = _run(_compile(schema.global_info_type, closures), raw_info, None, "global-info", strict)
             report.global_info = value
             report.diagnostics.extend(diags)
 

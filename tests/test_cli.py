@@ -133,6 +133,38 @@ def test_type_nesting_limit(tmp_path, form):
         assert out.startswith("error GRAMMAR_ERROR defs/S/$fields/f type expression nested too deeply (at offset ")
 
 
+def test_deep_struct_chain_is_a_coded_finding(tmp_path):
+    """``S{i}.x: S{i+1}``, 600 structs deep: a finding, not a ``RecursionError``."""
+    from dsdl.typeexpr import MAX_TYPE_DEPTH
+
+    levels = 600
+    defs = {f"S{i}": {"$def": "struct", "$fields": {"x": f"S{i + 1}"}} for i in range(levels - 1)}
+    defs[f"S{levels - 1}"] = {"$def": "struct", "$fields": {"x": "Int"}}
+    deep = tmp_path / "chain.json"
+    deep.write_text(json.dumps({"$dsdl-version": "0.5.0", "defs": defs, "data": {"sample-type": "S0", "samples": [{}]}}))
+    for argv in (("validate",), ("inspect",), ("summary", "--format", "json")):
+        code, out, err = run_cli(*argv, str(deep))
+        assert (code, err) == (1, "")
+        assert "TYPE_TOO_DEEP" in out
+    code, out, _ = run_cli("validate", str(deep))
+    # the struct at level MAX_TYPE_DEPTH + 1 is reported at its field path
+    path = "data/sample-type" + "/x" * MAX_TYPE_DEPTH
+    assert out.splitlines() == [
+        f"error TYPE_TOO_DEEP {path} type nested too deeply: more than {MAX_TYPE_DEPTH} levels through struct fields",
+        "0 samples validated, 1 errors, 0 warnings",
+    ]
+
+    # MAX_TYPE_DEPTH levels in all: MAX_TYPE_DEPTH - 1 structs around an Int
+    defs = {f"S{i}": {"$def": "struct", "$fields": {"x": f"S{i + 1}"}} for i in range(MAX_TYPE_DEPTH - 2)}
+    defs[f"S{MAX_TYPE_DEPTH - 2}"] = {"$def": "struct", "$fields": {"x": "Int"}}
+    value: object = 7
+    for _ in range(MAX_TYPE_DEPTH - 1):
+        value = {"x": value}
+    ok = tmp_path / "ok.json"
+    ok.write_text(json.dumps({"$dsdl-version": "0.5.0", "defs": defs, "data": {"sample-type": "S0", "samples": [value]}}))
+    assert run_cli("validate", str(ok)) == (0, "1 samples validated, 0 errors, 0 warnings\n", "")
+
+
 def test_usage_error_exits_two():
     code, _, _ = run_cli("validate")
     assert code == 2

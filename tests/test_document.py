@@ -110,6 +110,17 @@ def test_duplicate_json_keys_are_rejected():
     assert exc.value.code == "DUPLICATE_KEY"
 
 
+def test_json_duplicate_key_names_the_first_repeated_key(tmp_path):
+    """A key repeated three times in a nested object of an external samples
+    file is reported once, and before a later key repeated only twice."""
+    text = '{"samples": [{"m": {"a": 1, "k": 1, "b": 2, "k": 2, "k": 3, "a": 4}}]}'
+    (tmp_path / "samples.json").write_text(text)
+    with pytest.raises(DsdlError) as exc:
+        load_external_samples("samples.json", tmp_path)
+    assert exc.value.diagnostic.format() == "error DUPLICATE_KEY  duplicate mapping key 'k'"
+    assert exc.value.diagnostic.source == str(tmp_path / "samples.json")
+
+
 def test_yaml_syntax_error_reports_line_and_column():
     with pytest.raises(DocumentError) as exc:
         parse_document("a: [1, 2\nb: 3\n", format="yaml")

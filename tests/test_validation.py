@@ -4,6 +4,7 @@ import datetime
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dsdl import (
     instantiate_type,
@@ -15,6 +16,7 @@ from dsdl import (
 )
 from dsdl.diagnostics import DsdlError, Severity
 from dsdl.locator import RelativePath
+from dsdl.resolver import ConcreteType
 from dsdl.schema import ClassRef, build_definitions
 from dsdl.validation import (
     Box,
@@ -608,3 +610,126 @@ def test_strict_promotes_only_field_missing(registry):
         (Severity.ERROR, "FIELD_MISSING", "v/label"),
         (Severity.WARNING, "FIELD_UNKNOWN", "v/extra"),
     ]
+
+
+# -- compiled closures against the per-component checkers -------------------------------------
+
+
+class _Float(float):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+def _label_checker(raw, ctype, path, diags):
+    ref, found = validate_label(raw, ctype.arg("dom"), path)
+    diags.extend(found)
+    return ref
+
+
+def _differential_types():
+    """Each builtin type, with the per-component checker that its compiled
+    closure must agree with."""
+    from dsdl import validation as v
+
+    registry, _ = build_definitions(
+        {
+            # names that also read as an index path or a qualified label
+            "D": {"$def": "class_domain", "classes": ["dog", "cat", "2", "x::y", "a.b", "\u0663"]},
+            "K": {"$def": "class_domain", "classes": ["p", "q"]},
+        }
+    )
+    checkers = {
+        "Bool": v._check_bool,
+        "Int": v._check_int,
+        "Num": v._check_num,
+        "Str": v._check_str,
+        "Coord": v._check_coord,
+        "Coord3D": v._check_coord,
+        "Interval": v._check_interval,
+        "BBox": v._check_bbox,
+        "Polygon": v._check_polygon,
+        "Date": v._check_datetime,
+        'Time[fmt="%H:%M"]': v._check_datetime,
+        "Label[dom=D]": _label_checker,
+        "Image": v._check_media,
+        "Text": v._check_media,
+        "Keypoint[dom=K]": v._check_keypoint,
+        'RotatedBBox[mode="xywht", measure="degree"]': v._check_rotated_bbox,
+        'RotatedBBox[mode="xyxy"]': v._check_rotated_bbox,
+        "InstanceID": v._check_id,
+        "UniqueID": v._check_id,
+        "ImageShape": v._check_image_shape,
+    }
+    return [(ctype(registry, spec), checker) for spec, checker in checkers.items()]
+
+
+_DIFFERENTIAL_TYPES = _differential_types()
+_FLOATS = st.floats() | st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 1e308, 5e-324])
+_NUMBERS = st.one_of(
+    st.integers(-3, 700),
+    st.sampled_from([10**400, -(10**400), True, False]),
+    _FLOATS,
+    _FLOATS.map(_Float),
+    st.integers().map(_Int),
+)
+_WORDS = st.sampled_from(
+    ["dog", "2", "7", "1.1", "\u0663", "x::y", "D::dog", "D::x::y", "D[2]", "D[9]", "E::dog", "a.b", "b", "",
+     "2024-02-29", "2024-13-01", "12:30", "12:30:00", "img/a.png", "$bad", "::d::1"]
+)
+_VALUES = st.recursive(
+    st.one_of(st.none(), _NUMBERS, _WORDS, st.text(max_size=4)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=9),
+        st.dictionaries(st.sampled_from(["$loc", "$descr", "x"]), inner, max_size=3),
+    ),
+    max_leaves=12,
+)
+
+
+def test_differential_types_cover_every_builtin_shape():
+    from dsdl.schema import BUILTINS
+
+    shapes = {t.shape for t, _ in _DIFFERENTIAL_TYPES}
+    assert shapes | {"list"} == {s.shape for s in BUILTINS.values()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_VALUES | st.lists(_NUMBERS, max_size=9))
+@example([0, math.inf, 1, 1])
+@example([0, 0, -0.0, 10**400])
+@example([0, 0, math.nan, 1])
+@example([_Float(1.0), 2, 3, 4])
+@example([True, 2, 3, 4])
+@example([1, 2, 3])
+@example([640, 480])
+@example([640.0, 480])
+@example([10**400, 1])
+@example([[0, 0], [1, 0], [1, math.inf]])
+@example(_Float("inf"))
+@example(10**400)
+@example(True)
+@example("D[2]")
+@example("\u0663")
+@example({"$loc": "a.png", "$descr": {"k": 1}, "x": 2})
+def test_compiled_closures_match_per_component_checkers(raw):
+    """Each closure, fast path or not, gives its checker's value and findings,
+    at the top and at a list item's path."""
+
+    def findings(diags):
+        return [(d.severity, d.code, d.path, d.message) for d in diags]
+
+    for ct, checker in _DIFFERENTIAL_TYPES:
+        expected_diags = []
+        expected = checker(raw, ct, "v", expected_diags)
+        value, diags = validate_value(raw, ct, "v")
+        assert (value, findings(diags)) == (expected, findings(expected_diags)), ct.describe()
+
+        items = [raw, raw]
+        expected_diags = []
+        expected = [checker(item, ct, f"v/{i}", expected_diags) for i, item in enumerate(items)]
+        listed = ConcreteType("List", "list", {"etype": ct})
+        value, diags = validate_value(items, listed, "v")
+        assert (value, findings(diags)) == (expected, findings(expected_diags)), ct.describe()
