@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .diagnostics import DocumentError, DsdlError, LocatorError
@@ -31,41 +30,23 @@ EXIT_USAGE = 2
 _ENV_INSUFFICIENT = ("DATA_ROOT_UNSET", "ID_MAPPER_MISSING")
 
 
-@dataclass
-class CliConfig:
-    """Effective configuration after flag > environment > default merging."""
+def _resolution_environment(args: argparse.Namespace) -> ResolutionEnvironment:
+    return ResolutionEnvironment.from_sources(args.data_root, dict(args.alias), environ=os.environ)
 
-    library_paths: tuple[str, ...] = ()
-    data_root: str | None = None
-    aliases: dict[str, str] = field(default_factory=dict)
-    format: str = "text"
-    strict: bool = False
-    max_errors: int | None = None
-    allow_version: bool = False
-    show_config: bool = False
 
-    def library_environment(self) -> LibraryEnvironment:
-        return LibraryEnvironment.from_environment(tuple(Path(p) for p in self.library_paths))
-
-    def resolution_environment(self) -> ResolutionEnvironment:
-        return ResolutionEnvironment.from_sources(
-            data_root=self.data_root,
-            cli_aliases=self.aliases,
-            environ=os.environ,
-        )
-
-    def lines(self) -> list[str]:
-        env = self.library_environment()
-        out = ["config:"]
-        out.append("  library-paths: " + (", ".join(str(p) for p in env.search_paths) or "<none>"))
-        out.append(f"  data-root: {self.data_root or '<unset>'}")
-        aliases = self.resolution_environment().aliases
-        alias_text = ", ".join(f"{k}={v}" for k, v in sorted(aliases.items())) or "<none>"
-        out.append(f"  aliases: {alias_text}")
-        out.append(f"  format: {self.format}")
-        out.append(f"  strict: {'true' if self.strict else 'false'}")
-        out.append(f"  max-errors: {self.max_errors if self.max_errors is not None else '<unlimited>'}")
-        return out
+def _config_lines(args: argparse.Namespace) -> list[str]:
+    """The ``--show-config`` block: the effective settings after flag > environment > default."""
+    paths = LibraryEnvironment.from_environment(args.library_path).search_paths
+    aliases = sorted(_resolution_environment(args).aliases.items())
+    return [
+        "config:",
+        "  library-paths: " + ", ".join(str(p) for p in paths),
+        f"  data-root: {args.data_root or '<unset>'}",
+        "  aliases: " + (", ".join(f"{k}={v}" for k, v in aliases) or "<none>"),
+        f"  format: {args.format}",
+        f"  strict: {'true' if args.strict else 'false'}",
+        f"  max-errors: {args.max_errors or '<unlimited>'}",
+    ]
 
 
 def _parse_alias(text: str) -> tuple[str, str]:
@@ -102,97 +83,81 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", parents=[common], help="validate a description file")
-    p.add_argument("file")
-    p = sub.add_parser("inspect", parents=[common], help="dump the resolved schema")
-    p.add_argument("file")
-    p = sub.add_parser("resolve-loc", parents=[common], help="classify and resolve an object locator")
-    p.add_argument("locator")
-    p = sub.add_parser("summary", parents=[common], help="dataset statistics")
-    p.add_argument("file")
+    for name, run, operand, text in (
+        ("validate", cmd_validate, "file", "validate a description file"),
+        ("inspect", cmd_inspect, "file", "dump the resolved schema"),
+        ("resolve-loc", cmd_resolve_loc, "locator", "classify and resolve an object locator"),
+        ("summary", cmd_summary, "file", "dataset statistics"),
+    ):
+        p = sub.add_parser(name, parents=[common], help=text)
+        p.add_argument(operand)
+        p.set_defaults(run=run)
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> CliConfig:
-    return CliConfig(
-        library_paths=tuple(args.library_path),
-        data_root=args.data_root,
-        aliases=dict(args.alias),
-        format=args.format,
-        strict=args.strict,
-        max_errors=args.max_errors,
-        allow_version=args.allow_version,
-        show_config=args.show_config,
-    )
-
-
 class _UsageFailure(Exception):
-    pass
-
-
-class _UnreadableInput(DsdlError):
-    """The description file cannot be decoded: an I/O failure with a coded diagnostic."""
+    """Exit 2: the input cannot be read. The message is the stderr line."""
 
 
 def _run(
-    file: str, config: CliConfig, validate: bool
+    args: argparse.Namespace, validate: bool
 ) -> tuple[RawDocument | None, ResolvedSchema | None, ValidationReport]:
     """parse -> resolve -> validate; the report holds every diagnostic in that order."""
-    path = Path(file)
+    path = Path(args.file)
     try:
         text = read_utf8(path, str(path))
     except OSError as exc:
-        raise _UsageFailure(f"cannot read {path}: {exc}") from exc
+        raise _UsageFailure(f"dsdl: error: cannot read {path}: {exc}") from exc
     except DocumentError as exc:
-        raise _UnreadableInput(exc.diagnostic) from exc
+        raise _UsageFailure(exc.diagnostic.format()) from exc
     fmt = {".json": "json", ".yaml": "yaml", ".yml": "yaml"}.get(path.suffix, "auto")
     try:
-        doc = parse_document(text, format=fmt, source=str(path), allow_version=config.allow_version)
+        doc = parse_document(text, format=fmt, source=str(path), allow_version=args.allow_version)
     except DocumentError as exc:
         return None, None, ValidationReport(diagnostics=[exc.diagnostic])
     schema, diags = resolve_schema(
         doc,
-        config.library_environment(),
+        LibraryEnvironment.from_environment(args.library_path),
         source=path,
         media_extensions=default_media_registry().extension_names(),
     )
     report = ValidationReport()
     if validate and schema is not None:
         report = validate_dataset(
-            schema, doc.data, base=path.parent, strict=config.strict, max_errors=config.max_errors
+            schema, doc.data, base=path.parent, strict=args.strict, max_errors=args.max_errors
         )
     report.diagnostics[:0] = diags
     return doc, schema, report
 
 
-def _exit_code(report: ValidationReport, config: CliConfig) -> int:
-    return EXIT_FINDINGS if report.errors or (config.strict and report.warnings) else EXIT_OK
+def _exit_code(report: ValidationReport, args: argparse.Namespace) -> int:
+    return EXIT_FINDINGS if report.errors or (args.strict and report.warnings) else EXIT_OK
 
 
-def _emit(config: CliConfig, payload: dict, lines: list[str]) -> None:
+def _emit(args: argparse.Namespace, payload: dict, lines: list[str]) -> None:
     """Write ``payload`` as JSON or ``lines`` as text, with the config block if asked for."""
-    if config.format == "json":
-        if config.show_config:
-            payload = {**payload, "config": config.lines()[1:]}
+    if args.format == "json":
+        if args.show_config:
+            payload = {**payload, "config": _config_lines(args)[1:]}
         lines = [json.dumps(payload, indent=2)]
-    elif config.show_config:
-        lines = config.lines() + lines
+    elif args.show_config:
+        lines = _config_lines(args) + lines
     sys.stdout.write("\n".join(lines) + "\n" if lines else "")
 
 
-def _emit_failure(file: str, config: CliConfig, report: ValidationReport) -> None:
-    payload = {"file": file, "diagnostics": [d.to_jsonable() for d in report.diagnostics]}
-    _emit(config, payload, [d.format() for d in report.diagnostics])
+def _emit_failure(args: argparse.Namespace, report: ValidationReport) -> None:
+    payload = {"file": args.file, "diagnostics": [d.to_jsonable() for d in report.diagnostics]}
+    _emit(args, payload, [d.format() for d in report.diagnostics])
 
 
-def cmd_validate(file: str, config: CliConfig) -> int:
-    _, _, report = _run(file, config, validate=True)
+def cmd_validate(args: argparse.Namespace) -> int:
+    _, _, report = _run(args, validate=True)
     summary = f"{report.sample_count} samples validated, {report.errors} errors, {report.warnings} warnings"
     if report.truncated:
         summary += " (truncated)"
     lines = [d.format() for d in report.diagnostics] + [summary]
-    _emit(config, {"file": file, **report.to_jsonable()}, lines)
-    return _exit_code(report, config)
+    _emit(args, {"file": args.file, **report.to_jsonable()}, lines)
+    return _exit_code(report, args)
 
 
 def _concrete_lines(ctype: ConcreteType, indent: str, out: list[str], seen: tuple[str, ...] = ()) -> None:
@@ -227,18 +192,18 @@ def _concrete_jsonable(ctype: ConcreteType) -> dict:
     return out
 
 
-def cmd_inspect(file: str, config: CliConfig) -> int:
-    doc, schema, report = _run(file, config, validate=False)
+def cmd_inspect(args: argparse.Namespace) -> int:
+    doc, schema, report = _run(args, validate=False)
     if report.errors or schema is None:
-        _emit_failure(file, config, report)
+        _emit_failure(args, report)
         return EXIT_FINDINGS if report.diagnostics else EXIT_OK
 
     defs: dict = {}
-    lines = [f"file: {file}", f"dsdl-version: {doc.dsdl_version}"]
+    lines = [f"file: {args.file}", f"dsdl-version: {doc.dsdl_version}"]
     lines.extend(d.format() for d in report.diagnostics)
     lines.append("definitions:")
     for name, entry in schema.registry.items():
-        source = schema.registry.provenance[name].source
+        source = schema.registry.provenance[name]
         origin = f" [{source}]" if source else ""
         if isinstance(entry, ClassDomain):
             classes = entry.class_names()
@@ -269,7 +234,7 @@ def cmd_inspect(file: str, config: CliConfig) -> int:
                 suffix = " (optional)" if fname in entry.optional else ""
                 lines.append(f"    {fname}: {text}{suffix}")
 
-    payload: dict = {"file": file, "version": doc.dsdl_version, "definitions": defs}
+    payload: dict = {"file": args.file, "version": doc.dsdl_version, "definitions": defs}
     for key, label, ctype in (
         ("sample_type", "sample-type", schema.sample_type),
         ("global_info_type", "global-info-type", schema.global_info_type),
@@ -280,30 +245,30 @@ def cmd_inspect(file: str, config: CliConfig) -> int:
             _concrete_lines(ctype, "  ", lines)
     if report.diagnostics:
         payload["diagnostics"] = [d.to_jsonable() for d in report.diagnostics]
-    _emit(config, payload, lines)
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
-def cmd_resolve_loc(locator_text: str, config: CliConfig) -> int:
-    payload: dict = {"locator": locator_text}
+def cmd_resolve_loc(args: argparse.Namespace) -> int:
+    payload: dict = {"locator": args.locator}
     try:
-        loc = parse_locator(locator_text)
+        loc = parse_locator(args.locator)
     except LocatorError as exc:
         payload["error"] = exc.diagnostic.to_jsonable()
-        _emit(config, payload, [exc.diagnostic.format()])
+        _emit(args, payload, [exc.diagnostic.format()])
         return EXIT_FINDINGS
 
     payload["variant"] = loc.kind
     try:
-        payload["address"] = address = resolve_locator(loc, config.resolution_environment())
+        payload["address"] = address = resolve_locator(loc, _resolution_environment(args))
         line = f"{loc.kind} -> {address}"
     except LocatorError as exc:
         if exc.code not in _ENV_INSUFFICIENT:
             payload["error"] = exc.diagnostic.to_jsonable()
-            _emit(config, payload, [exc.diagnostic.format()])
+            _emit(args, payload, [exc.diagnostic.format()])
             return EXIT_FINDINGS
-        line = f"{loc.kind} {locator_text} (unresolved: environment insufficient)"
-    _emit(config, payload, [line])
+        line = f"{loc.kind} {args.locator} (unresolved: environment insufficient)"
+    _emit(args, payload, [line])
     return EXIT_OK
 
 
@@ -317,10 +282,10 @@ def _walk_values(value):
             yield from _walk_values(item)
 
 
-def cmd_summary(file: str, config: CliConfig) -> int:
-    _, schema, report = _run(file, config, validate=True)
+def cmd_summary(args: argparse.Namespace) -> int:
+    _, schema, report = _run(args, validate=True)
     if report.errors or schema is None:
-        _emit_failure(file, config, report)
+        _emit_failure(args, report)
         return EXIT_FINDINGS
 
     labels: dict[str, int] = {}
@@ -343,7 +308,7 @@ def cmd_summary(file: str, config: CliConfig) -> int:
                         counts[0] += 1
 
     payload = {
-        "file": file,
+        "file": args.file,
         "sample_count": report.sample_count,
         "labels": dict(sorted(labels.items())),
         "optional_fill": {
@@ -361,16 +326,8 @@ def cmd_summary(file: str, config: CliConfig) -> int:
     if locators:
         lines.append("locators:")
         lines.extend(f"  {kind}: {count}" for kind, count in payload["locator_variants"].items())
-    _emit(config, payload, lines)
-    return _exit_code(report, config)
-
-
-_COMMANDS = {
-    "validate": cmd_validate,
-    "inspect": cmd_inspect,
-    "resolve-loc": cmd_resolve_loc,
-    "summary": cmd_summary,
-}
+    _emit(args, payload, lines)
+    return _exit_code(report, args)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -378,14 +335,10 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    target = args.locator if args.command == "resolve-loc" else args.file
     try:
-        return _COMMANDS[args.command](target, _config_from_args(args))
+        return args.run(args)
     except _UsageFailure as exc:
-        print(f"dsdl: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except _UnreadableInput as exc:
-        print(exc.diagnostic.format(), file=sys.stderr)
+        print(exc, file=sys.stderr)
         return EXIT_USAGE
     except DsdlError as exc:
         print(exc.diagnostic.format())

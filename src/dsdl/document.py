@@ -74,7 +74,11 @@ def _core_int(text: str) -> int:
     """A YAML 1.2 core-schema int: decimal, octal after ``0o``, hexadecimal after ``0x``."""
     if not _CORE_INT_RE.fullmatch(text):
         raise ValueError(text)
-    return int(text, {"0o": 8, "0x": 16}.get(text[:2], 10))
+    base = {"0o": 8, "0x": 16}.get(text[:2], 10)
+    value = int(text, base)
+    if base != 10:
+        str(value)  # ValueError past the int-string digit limit, as int() raises on long decimal text
+    return value
 
 
 _CORE_FLOAT = r"[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)([eE][-+]?[0-9]+)?|[-+]?\.(inf|Inf|INF)|\.(nan|NaN|NAN)"
@@ -279,6 +283,8 @@ def _load_json(text: str, source: str | None) -> object:
     except json.JSONDecodeError as exc:
         message = f"malformed JSON: {exc.msg} at line {exc.lineno}, column {exc.colno}"
         raise DocumentError(error("SYNTAX_ERROR", "", message, source)) from exc
+    except ValueError as exc:  # an integer past Python's int-string digit limit
+        raise DocumentError(error("SYNTAX_ERROR", "", "malformed JSON: integer has too many digits", source)) from exc
 
 
 def read_utf8(file: Path, path: str) -> str:

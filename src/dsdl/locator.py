@@ -5,8 +5,8 @@ A locator is a specially formatted string with three forms:
 * relative path (the default): ``abc/001.jpg`` resolves against the
   configured data root;
 * alias path: ``$mydir1/abc/001.jpg`` resolves ``mydir1`` through the
-  alias table (CLI flag beats config file beats ``DSDL_ALIAS_<name>``
-  environment variables);
+  alias table (CLI flag beats the library caller's ``config_aliases``
+  beats ``DSDL_ALIAS_<name>`` environment variables);
 * object id: ``::cuhk.ie::abcd1234xyz`` resolves through a pluggable
   key-value mapper supplied by the embedder.
 
@@ -105,7 +105,7 @@ class ResolutionEnvironment:
         environ: Mapping[str, str] | None = None,
         id_mapper: IdMapper | None = None,
     ) -> "ResolutionEnvironment":
-        """Merge alias sources: CLI flag > config file > environment."""
+        """Merge alias sources: CLI flag > caller's ``config_aliases`` > environment."""
         aliases: dict[str, str] = {}
         for key, value in (environ or {}).items():
             if key.startswith(ALIAS_ENV_PREFIX) and len(key) > len(ALIAS_ENV_PREFIX):
@@ -213,7 +213,7 @@ class MediaClassRegistry:
         """
         if self._frozen:
             raise DsdlError(error("REGISTER_CONFLICT", name, "media registry is frozen"))
-        if name in BUILTINS and not BUILTINS[name].media:
+        if name in BUILTINS and name not in MEDIA_BUILTINS:
             raise DsdlError(
                 error("REGISTER_CONFLICT", name, f"{name!r} is a non-media builtin type")
             )

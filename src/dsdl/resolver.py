@@ -27,7 +27,6 @@ from .schema import (
     BuiltinSignature,
     ClassDomain,
     DefinitionRegistry,
-    Provenance,
     StructClass,
     build_definitions,
 )

@@ -117,11 +117,10 @@ class BuiltinSignature:
     name: str
     params: tuple[ParamSpec, ...]
     shape: str
-    media: bool = False
 
 
-def _sig(name: str, shape: str, *params: ParamSpec, media: bool = False) -> BuiltinSignature:
-    return BuiltinSignature(name, params, shape, media)
+def _sig(name: str, shape: str, *params: ParamSpec) -> BuiltinSignature:
+    return BuiltinSignature(name, params, shape)
 
 
 BUILTINS: dict[str, BuiltinSignature] = {
@@ -145,13 +144,13 @@ BUILTINS: dict[str, BuiltinSignature] = {
             ParamSpec("etype", "type-ref"),
             ParamSpec("ordered", "bool", required=False, default=False),
         ),
-        _sig("Image", "media", media=True),
-        _sig("Video", "media", media=True),
-        _sig("Audio", "media", media=True),
-        _sig("Text", "text", media=True),
-        _sig("PointCloud", "media", media=True),
-        _sig("LabelMap", "media", ParamSpec("dom", "domain-ref"), media=True),
-        _sig("InstanceMap", "media", media=True),
+        _sig("Image", "media"),
+        _sig("Video", "media"),
+        _sig("Audio", "media"),
+        _sig("Text", "text"),
+        _sig("PointCloud", "media"),
+        _sig("LabelMap", "media", ParamSpec("dom", "domain-ref")),
+        _sig("InstanceMap", "media"),
         _sig("Keypoint", "keypoint", ParamSpec("dom", "domain-ref")),
         _sig(
             "RotatedBBox",
@@ -165,20 +164,15 @@ BUILTINS: dict[str, BuiltinSignature] = {
     )
 }
 
-MEDIA_BUILTINS = tuple(name for name, s in BUILTINS.items() if s.media)
-
-
-@dataclass(frozen=True)
-class Provenance:
-    source: str | None
+MEDIA_BUILTINS = tuple(name for name, s in BUILTINS.items() if s.shape in ("media", "text"))
 
 
 @dataclass
 class DefinitionRegistry:
-    """Name -> definition mapping with per-entry provenance."""
+    """Name -> definition mapping, and name -> the file it came from (``None`` when inline)."""
 
     entries: dict[str, Definition] = field(default_factory=dict)
-    provenance: dict[str, Provenance] = field(default_factory=dict)
+    provenance: dict[str, str | None] = field(default_factory=dict)
 
     def get(self, name: str) -> Definition | None:
         return self.entries.get(name)
@@ -228,7 +222,7 @@ def build_definitions(
         if entry is None:
             continue
         registry.entries[name] = entry
-        registry.provenance[name] = Provenance(source)
+        registry.provenance[name] = source
     return registry, diags
 
 

@@ -604,8 +604,11 @@ class ValidationReport:
     samples: list = field(default_factory=list)
     global_info: object = None
     diagnostics: list[Diagnostic] = field(default_factory=list)
-    sample_count: int = 0
     truncated: bool = False
+
+    @property
+    def sample_count(self) -> int:
+        return len(self.samples)
 
     @property
     def errors(self) -> int:
@@ -692,7 +695,6 @@ def validate_dataset(
                 if max_errors is not None and errors_seen >= max(max_errors, 1) and i + 1 < len(raw_samples):
                     report.truncated = True
                     break
-            report.sample_count = len(report.samples)
 
     if schema.global_info_type is not None:
         raw_info = _load_channel(data.global_info_path, data.global_info, "global-info", base, report)

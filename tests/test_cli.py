@@ -1,6 +1,7 @@
 """CLI contract: exit codes, output formats, determinism."""
 
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -387,6 +388,42 @@ def test_show_config_prints_effective_settings(monkeypatch):
     assert "m=/mnt" in out
 
 
+def test_show_config_block_is_exact(monkeypatch):
+    from dsdl.resolver import DEFAULT_LIBRARY_DIR
+
+    monkeypatch.setenv("DSDL_LIBRARY_PATH", os.pathsep.join(["/lib/a", "/lib/c"]))
+    monkeypatch.setenv("DSDL_ALIAS_m", "/env-m")
+    monkeypatch.setenv("DSDL_ALIAS_n", "/env-n")
+    argv = (
+        "validate",
+        corpus("get-started.yaml"),
+        "--show-config",
+        "--library-path",
+        "/lib/b",
+        "--alias",
+        "m=/mnt",
+        "--strict",
+        "--max-errors",
+        "3",
+    )
+    block = [
+        f"  library-paths: {DEFAULT_LIBRARY_DIR}, /lib/a, /lib/c, /lib/b",
+        "  data-root: <unset>",
+        "  aliases: m=/mnt, n=/env-n",
+        "  format: text",
+        "  strict: true",
+        "  max-errors: 3",
+    ]
+    code, out, err = run_cli(*argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["config:", *block, "2 samples validated, 0 errors, 0 warnings"]
+    code, out, err = run_cli(*argv, "--format", "json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["config"] == [*block[:3], "  format: json", *block[4:]]
+    assert payload["sample_count"] == 2
+
+
 _CYCLE = (
     '$dsdl-version: "0.5.0"\n'
     "defs:\n"
@@ -426,6 +463,51 @@ def test_ill_typed_yaml_tag_is_a_coded_finding(tmp_path):
     code, out, err = run_cli("validate", str(target))
     assert (code, err) == (1, "")
     assert out.splitlines()[0] == "error SYNTAX_ERROR  malformed YAML: invalid !!int value 'x' at line 2, column 11"
+
+
+_HUGE_INT = "1" * 5000
+
+
+@pytest.mark.parametrize(
+    "files",
+    [
+        {"d.json": '{"$dsdl-version": "0.5.0", "meta": {"n": ' + _HUGE_INT + "}}"},
+        {
+            "d.yaml": '$dsdl-version: "0.5.0"\ndata:\n  sample-type: Int\n  sample-path: s.json\n',
+            "s.json": '{"samples": [' + _HUGE_INT + "]}",
+        },
+    ],
+    ids=["description", "sample-path"],
+)
+def test_json_integer_past_the_digit_limit_is_a_coded_finding(tmp_path, files):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    description = next(tmp_path / name for name in files if name.startswith("d."))
+    code, out, err = run_cli("validate", str(description))
+    assert (code, err) == (1, "")
+    first = out.splitlines()[0]
+    assert first.startswith("error SYNTAX_ERROR ")
+    assert first.endswith("malformed JSON: integer has too many digits")
+    assert "11111" not in out
+
+
+@pytest.mark.parametrize("field", ["Label[dom=D]", "InstanceID"])
+@pytest.mark.parametrize("digits", ["0x" + "f" * 4000, "0o" + "7" * 5000], ids=["hex", "octal"])
+def test_yaml_hex_or_octal_integer_past_the_digit_limit_is_a_coded_finding(tmp_path, field, digits):
+    target = tmp_path / "d.yaml"
+    target.write_text(
+        '$dsdl-version: "0.5.0"\n'
+        "defs:\n"
+        "  D:\n    $def: class_domain\n    classes: [a, b]\n"
+        "  S:\n    $def: struct\n"
+        f"    $fields: {{v: '{field}'}}\n"
+        "data:\n"
+        "  sample-type: S\n"
+        f"  samples: [{{v: {digits}}}]\n"
+    )
+    code, out, err = run_cli("validate", str(target))
+    assert (code, err) == (1, "")
+    assert out.splitlines()[0].startswith(f"error SYNTAX_ERROR  malformed YAML: invalid !!int value '{digits[:2]}")
 
 
 _TWO_BAD_SAMPLES = (

@@ -136,6 +136,16 @@ def test_builtin_media_classes_preregistered():
         assert name in registry
 
 
+def test_builtin_media_classes_are_the_media_and_text_shapes():
+    from dsdl.schema import BUILTINS
+
+    expected = tuple(name for name, sig in BUILTINS.items() if sig.shape in ("media", "text"))
+    assert MediaClassRegistry().names() == expected
+    assert set(expected) == {"Image", "Video", "Audio", "Text", "PointCloud", "LabelMap", "InstanceMap"}
+    warning = MediaClassRegistry().register("Text", lambda reader, descr: None)
+    assert warning is not None and warning.code == "MEDIA_OVERRIDE"
+
+
 def test_register_new_class():
     registry = MediaClassRegistry()
     warning = registry.register("PointCloudV2", lambda reader, descr: reader.read())

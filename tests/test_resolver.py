@@ -54,7 +54,7 @@ def test_later_import_wins_and_warns(tmp_path, library_env):
     assert len(overwrites) == 1
     assert overwrites[0].severity is Severity.WARNING
     assert list(registry.get("S").fields) == ["b"]
-    assert registry.provenance["S"].source.endswith("libb.yaml")
+    assert registry.provenance["S"].endswith("libb.yaml")
 
 
 def test_importing_file_overwrites_what_it_imports(tmp_path):
@@ -74,7 +74,7 @@ def test_importing_file_overwrites_what_it_imports(tmp_path):
         f"definition 'S' from {lib['libb']} is overwritten by {lib['liba']}",
     ]
     assert list(registry.get("S").fields) == ["a"]
-    assert registry.provenance["S"].source == lib["liba"]
+    assert registry.provenance["S"] == lib["liba"]
 
 
 def test_own_definition_overwrites_import_with_warning(tmp_path):
