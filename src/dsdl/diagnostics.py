@@ -8,8 +8,9 @@ sample data (e.g. ``samples/3/objects/0/bbox``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+
+from .slotted import Frozen, set_field
 
 
 class Severity(str, Enum):
@@ -21,15 +22,17 @@ class Severity(str, Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Frozen):
     """A single located finding."""
 
-    code: str
-    severity: Severity
-    path: str
-    message: str
-    source: str | None = None
+    __slots__ = ("code", "severity", "path", "message", "source")
+
+    def __init__(self, code: str, severity: Severity, path: str, message: str, source: str | None = None):
+        set_field(self, "code", code)
+        set_field(self, "severity", severity)
+        set_field(self, "path", path)
+        set_field(self, "message", message)
+        set_field(self, "source", source)
 
     def format(self) -> str:
         """One-line rendering: ``severity code path message``."""

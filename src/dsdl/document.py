@@ -8,20 +8,17 @@ top-level key is reserved and rejected.
 
 Parsing is pure: text in, structure out, no environment reads.
 :func:`read_utf8` is the one place the other stages read a file's text.
+PyYAML is imported on the first YAML parse, so JSON text never pays for it.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
 
-import yaml
-from yaml.constructor import ConstructorError
-from yaml.nodes import MappingNode
-
 from .diagnostics import DocumentError, error
+from .slotted import Slotted
 
 LOCAL_PATH = "$local"
 
@@ -31,8 +28,7 @@ _DEF_KEY_RE = re.compile(r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)(\[(?P<parents>[^\]]+
 _KNOWN_DIRECTIVES = ("$dsdl-version", "$import")
 
 
-@dataclass
-class RawDataSection:
+class RawDataSection(Slotted):
     """Unresolved ``data`` section.
 
     ``sample_path`` defaults to ``$local`` when samples are inline and no
@@ -40,23 +36,30 @@ class RawDataSection:
     channel at all (e.g. global-info only).
     """
 
-    sample_type: object = None
-    sample_path: str | None = None
-    samples: list | None = None
-    global_info_type: object = None
-    global_info_path: str | None = None
-    global_info: object = None
+    __slots__ = ("sample_type", "sample_path", "samples", "global_info_type", "global_info_path", "global_info")
+
+    def __init__(
+        self, sample_type=None, sample_path=None, samples=None, global_info_type=None, global_info_path=None, global_info=None
+    ):
+        self.sample_type = sample_type
+        self.sample_path = sample_path
+        self.samples = samples
+        self.global_info_type = global_info_type
+        self.global_info_path = global_info_path
+        self.global_info = global_info
 
 
-@dataclass
-class RawDocument:
+class RawDocument(Slotted):
     """A parsed but unresolved description or library file."""
 
-    dsdl_version: str
-    imports: list[str] = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
-    defs: dict[str, object] = field(default_factory=dict)
-    data: RawDataSection | None = None
+    __slots__ = ("dsdl_version", "imports", "meta", "defs", "data")
+
+    def __init__(self, dsdl_version: str, imports=None, meta=None, defs=None, data: RawDataSection | None = None):
+        self.dsdl_version = dsdl_version
+        self.imports = [] if imports is None else imports
+        self.meta = {} if meta is None else meta
+        self.defs = {} if defs is None else defs
+        self.data = data
 
 
 class _DuplicateKey(Exception):
@@ -99,8 +102,9 @@ for _name, _regexp, _first, _ in _CORE_SCALARS:
 _CORE_VALUES = {f"tag:yaml.org,2002:{name}": value for name, _, _, value in _CORE_SCALARS}
 
 
-class _CoreLoader(yaml.SafeLoader):
-    """Pure-Python SafeLoader: the reference parser and the only source of YAML diagnostics.
+class _CoreRules:
+    """The rules of ``_CoreLoader``: the pure-Python SafeLoader that :func:`_yaml` builds,
+    the reference parser and the only source of YAML diagnostics.
 
     Plain scalars resolve through the core-schema table and a repeated
     key raises :class:`_DuplicateKey`. A value its explicit tag cannot
@@ -117,13 +121,15 @@ class _CoreLoader(yaml.SafeLoader):
             return super().construct_object(node, deep)
         except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
             tag = node.tag.replace("tag:yaml.org,2002:", "!!")
-            value = f" {node.value!r}" if isinstance(node.value, str) else ""
-            raise ConstructorError(None, None, f"invalid {tag} value{value}", node.start_mark) from exc
+            shown = ""
+            if isinstance(node.value, str):  # at most _ECHO_LIMIT characters of it
+                shown = f" {node.value[:_ECHO_LIMIT]!r}" + ("..." if len(node.value) > _ECHO_LIMIT else "")
+            raise yaml.constructor.ConstructorError(None, None, f"invalid {tag} value{shown}", node.start_mark) from exc
 
     def construct_mapping(self, node, deep=False):
         seen = set()
         # a node that is not a mapping (``!!set a``) is left for PyYAML to reject
-        for key_node, _ in node.value if isinstance(node, MappingNode) else ():
+        for key_node, _ in node.value if isinstance(node, yaml.MappingNode) else ():
             key = self.construct_object(key_node, deep=True)
             if isinstance(key, list):
                 key = tuple(key)
@@ -137,11 +143,34 @@ class _CoreLoader(yaml.SafeLoader):
         return super().construct_mapping(node, deep)
 
 
-_CoreLoader.add_constructor("tag:yaml.org,2002:int", lambda loader, node: _core_int(loader.construct_scalar(node)))
+_ECHO_LIMIT = 40  # characters of a value that "invalid !!<tag> value" echoes
+yaml = None  # PyYAML, once _yaml() has imported it
+
+
+def _yaml():
+    """PyYAML, imported on the first call, which also builds ``_CoreLoader``."""
+    global yaml, _CoreLoader
+    if yaml is None:
+        import yaml as module
+
+        _CoreLoader = type("_CoreLoader", (_CoreRules, module.SafeLoader), {})
+        _CoreLoader.add_constructor(
+            "tag:yaml.org,2002:int", lambda loader, node: _core_int(loader.construct_scalar(node))
+        )
+        yaml = module
+    return yaml
+
+
+def __getattr__(name: str):
+    # ``_CoreLoader`` exists once PyYAML is imported; asking for it imports it
+    if name == "_CoreLoader":
+        _yaml()
+        return _CoreLoader
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _load_core(text: str) -> object:
-    return yaml.load(text, Loader=_CoreLoader)
+    return _yaml().load(text, Loader=_CoreLoader)
 
 
 _MAX_DEPTH = 100  # open collections the event loop builds before it leaves the text to _CoreLoader
@@ -161,6 +190,9 @@ def _load_events(text: str) -> object:
     repeated key, a second document, nesting deeper than ``_MAX_DEPTH``
     and any libyaml exception leave the whole text to :class:`_CoreLoader`.
     """
+    yaml = _yaml()
+    if not yaml.__with_libyaml__:
+        return _load_core(text)
     try:
         get = yaml.cyaml.CParser(text).get_event
         get()  # stream start
@@ -211,10 +243,6 @@ def _load_events(text: str) -> object:
         return _load_core(text)
 
 
-if not yaml.__with_libyaml__:
-    _load_events = _load_core
-
-
 # block-scalar header with a comment but no space before it ("|#")
 _BLOCK_HEADER_COMMENT_RE = re.compile(r"[|>][-+0-9]*#")
 
@@ -244,6 +272,7 @@ def _load_yaml(text: str, source: str | None) -> object:
     loader whether or not PyYAML was built with libyaml. Nesting deeper
     than its recursion allows is a ``SYNTAX_ERROR``.
     """
+    yaml = _yaml()
     try:
         return _load_events(text) if _libyaml_agrees(text) else _load_core(text)
     except RecursionError as exc:

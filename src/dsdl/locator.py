@@ -18,41 +18,44 @@ data system's job, loading from the reader is the class's job.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from collections.abc import Callable, Mapping
 
 from .diagnostics import Diagnostic, DsdlError, LocatorError, error, warning
 from .schema import BUILTINS, MEDIA_BUILTINS
+from .slotted import Frozen, set_field
 
 ALIAS_ENV_PREFIX = "DSDL_ALIAS_"
 
 _ALIAS_RE = re.compile(r"\$(?P<name>[A-Za-z_][A-Za-z0-9_]*)/(?P<rest>.+)", re.DOTALL)
 
 
-@dataclass(frozen=True)
-class RelativePath:
-    path: str
-    text: str
-
+class RelativePath(Frozen):
+    __slots__ = ("path", "text")
     kind = "relative"
 
+    def __init__(self, path: str, text: str):
+        set_field(self, "path", path)
+        set_field(self, "text", text)
 
-@dataclass(frozen=True)
-class AliasPath:
-    alias: str
-    remainder: str
-    text: str
 
+class AliasPath(Frozen):
+    __slots__ = ("alias", "remainder", "text")
     kind = "alias"
 
+    def __init__(self, alias: str, remainder: str, text: str):
+        set_field(self, "alias", alias)
+        set_field(self, "remainder", remainder)
+        set_field(self, "text", text)
 
-@dataclass(frozen=True)
-class ObjectId:
-    domain: str
-    object_id: str
-    text: str
 
+class ObjectId(Frozen):
+    __slots__ = ("domain", "object_id", "text")
     kind = "object-id"
+
+    def __init__(self, domain: str, object_id: str, text: str):
+        set_field(self, "domain", domain)
+        set_field(self, "object_id", object_id)
+        set_field(self, "text", text)
 
 
 ObjectLocator = RelativePath | AliasPath | ObjectId
@@ -88,13 +91,15 @@ def parse_locator(text: str) -> ObjectLocator:
 IdMapper = Callable[[str, str], "str | None"]
 
 
-@dataclass(frozen=True)
-class ResolutionEnvironment:
+class ResolutionEnvironment(Frozen):
     """Everything locator resolution may consult; nothing ambient."""
 
-    data_root: str | None = None
-    aliases: Mapping[str, str] = field(default_factory=dict)
-    id_mapper: IdMapper | None = None
+    __slots__ = ("data_root", "aliases", "id_mapper")
+
+    def __init__(self, data_root: str | None = None, aliases: Mapping[str, str] | None = None, id_mapper=None):
+        set_field(self, "data_root", data_root)
+        set_field(self, "aliases", {} if aliases is None else aliases)
+        set_field(self, "id_mapper", id_mapper)
 
     @classmethod
     def from_sources(
@@ -161,12 +166,14 @@ def resolve_locator(loc: ObjectLocator, env: ResolutionEnvironment) -> str:
     raise TypeError(f"not an ObjectLocator: {loc!r}")
 
 
-@dataclass(frozen=True)
-class LoadedMedia:
+class LoadedMedia(Frozen):
     """What the stub loaders return: raw payload plus the descriptor."""
 
-    payload: bytes
-    descr: Mapping | None = None
+    __slots__ = ("payload", "descr")
+
+    def __init__(self, payload: bytes, descr: Mapping | None = None):
+        set_field(self, "payload", payload)
+        set_field(self, "descr", descr)
 
 
 def _stub_loader(reader, descr) -> LoadedMedia:

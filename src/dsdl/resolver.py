@@ -17,7 +17,6 @@ a deeper one is a ``TYPE_TOO_DEEP`` error.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .diagnostics import Diagnostic, DocumentError, ResolutionError, error, note, warning
@@ -30,6 +29,7 @@ from .schema import (
     StructClass,
     build_definitions,
 )
+from .slotted import Frozen, Slotted, set_field
 from .typeexpr import (
     MAX_TYPE_DEPTH,
     Arg,
@@ -48,11 +48,13 @@ _IMPORT_EXTENSIONS = (".yaml", ".json")
 DEFAULT_LIBRARY_DIR = Path(__file__).parent / "library"
 
 
-@dataclass(frozen=True)
-class LibraryEnvironment:
+class LibraryEnvironment(Frozen):
     """Ordered library search paths; order is deterministic and reported."""
 
-    search_paths: tuple[Path, ...] = ()
+    __slots__ = ("search_paths",)
+
+    def __init__(self, search_paths: tuple[Path, ...] = ()):
+        set_field(self, "search_paths", search_paths)
 
     @classmethod
     def from_environment(
@@ -70,21 +72,24 @@ class LibraryEnvironment:
         return cls(tuple(paths))
 
 
-@dataclass(frozen=True)
-class ConcreteType:
+class ConcreteType(Frozen):
     """A fully parameter-bound type.
 
     ``args`` maps parameter names to materialized values: class-domain
     entries for domain refs, nested concrete types for type refs, and
     plain scalars otherwise. Struct heads additionally carry a concrete
-    field map and their optional-field set.
+    field map and their optional-field set. ``_check`` keeps the
+    validation closure of the node once it is compiled.
     """
 
-    head: str
-    shape: str
-    args: dict = field(default_factory=dict)
-    fields: dict | None = None
-    optional: frozenset[str] = frozenset()
+    __slots__ = ("head", "shape", "args", "fields", "optional", "_check")
+
+    def __init__(self, head: str, shape: str, args=None, fields: dict | None = None, optional=frozenset()):
+        set_field(self, "head", head)
+        set_field(self, "shape", shape)
+        set_field(self, "args", {} if args is None else args)
+        set_field(self, "fields", fields)
+        set_field(self, "optional", optional)
 
     def arg(self, name: str):
         return self.args.get(name)
@@ -109,12 +114,14 @@ class ConcreteType:
         return f"{self.head}[{', '.join(parts)}]"
 
 
-@dataclass
-class ResolvedSchema:
-    sample_type: ConcreteType | None
-    global_info_type: ConcreteType | None
-    registry: DefinitionRegistry
-    meta: dict
+class ResolvedSchema(Slotted):
+    __slots__ = ("sample_type", "global_info_type", "registry", "meta")
+
+    def __init__(self, sample_type, global_info_type, registry: DefinitionRegistry, meta: dict):
+        self.sample_type = sample_type
+        self.global_info_type = global_info_type
+        self.registry = registry
+        self.meta = meta
 
 
 def resolve_imports(
@@ -292,8 +299,7 @@ def substitute_params(expr: TypeExpr, bindings: dict[str, object]) -> TypeExpr:
     return TypeExpr(expr.head, tuple(new_args))
 
 
-@dataclass
-class _Instantiation:
+class _Instantiation(Slotted):
     """What one :func:`instantiate_type` call shares.
 
     ``depth`` counts the types open around the one being built, struct
@@ -304,11 +310,14 @@ class _Instantiation:
     at many paths is built once per depth and the result shares that node.
     """
 
-    registry: DefinitionRegistry
-    media_extensions: tuple[str, ...]
-    diags: list[Diagnostic]
-    structs: dict[tuple[TypeExpr, int], ConcreteType] = field(default_factory=dict)
-    depth: int = 0
+    __slots__ = ("registry", "media_extensions", "diags", "structs", "depth")
+
+    def __init__(self, registry: DefinitionRegistry, media_extensions: tuple[str, ...], diags: list[Diagnostic]):
+        self.registry = registry
+        self.media_extensions = media_extensions
+        self.diags = diags
+        self.structs: dict[tuple[TypeExpr, int], ConcreteType] = {}
+        self.depth = 0
 
 
 def instantiate_type(

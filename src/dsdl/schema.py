@@ -15,10 +15,10 @@ path (``3.2.5``) walks the hierarchy implied by dotted class names.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .diagnostics import ClassLookupError, Diagnostic, error, warning
 from .document import split_definition_key
+from .slotted import Frozen, Slotted, set_field
 from .typeexpr import (
     GrammarError,
     TypeExpr,
@@ -32,19 +32,20 @@ _SEGMENT_ANNOT_RE = re.compile(r"(?P<name>[^\[\]]+)(\[(?P<parent>[^\]]+)\])?")
 _PLAIN_PATH_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*")
 
 
-@dataclass(frozen=True, slots=True)
-class ClassSegment:
+class ClassSegment(Frozen):
     """One dotted-path segment, optionally annotated ``name[parent]``."""
 
-    name: str
-    parent: str | None = None
+    __slots__ = ("name", "parent")
+
+    def __init__(self, name: str, parent: str | None = None):
+        set_field(self, "name", name)
+        set_field(self, "parent", parent)
 
 
 ClassPath = tuple[ClassSegment, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class ClassRef:
+class ClassRef(Frozen):
     """A resolved reference to a class within a domain.
 
     ``index_path`` is the 1-based hierarchical position (one entry per
@@ -52,9 +53,12 @@ class ClassRef:
     qualified name without a resolvable domain.
     """
 
-    domain: str
-    index_path: tuple[int, ...]
-    path: str
+    __slots__ = ("domain", "index_path", "path")
+
+    def __init__(self, domain: str, index_path: tuple[int, ...], path: str):
+        set_field(self, "domain", domain)
+        set_field(self, "index_path", index_path)
+        set_field(self, "path", path)
 
     def __str__(self) -> str:
         if self.path:
@@ -62,8 +66,7 @@ class ClassRef:
         return f"{self.domain}[{'.'.join(str(i) for i in self.index_path)}]"
 
 
-@dataclass(frozen=True)
-class ClassDomain:
+class ClassDomain(Frozen):
     """An ordered, possibly hierarchical list of class paths.
 
     Only :func:`build_definitions` creates domains. It fills the lookup
@@ -76,14 +79,18 @@ class ClassDomain:
     names below each name prefix in first-appearance order.
     """
 
-    name: str
-    classes: list[ClassPath]
-    skeleton: list[tuple[int, int]] | None
-    parents: list[str]
-    refs: list[ClassRef] = field(repr=False, compare=False)
-    by_name: dict[str, ClassRef] = field(repr=False, compare=False)
-    by_leaf: dict[str, ClassRef | None] = field(repr=False, compare=False)
-    children: dict[tuple[str, ...], list[str]] = field(repr=False, compare=False)
+    __slots__ = ("name", "classes", "skeleton", "parents", "refs", "by_name", "by_leaf", "children")
+    _fields = __slots__[:4]  # equality, hash and repr leave out the lookup tables
+
+    def __init__(self, name: str, classes: list[ClassPath], skeleton, parents, refs, by_name, by_leaf, children):
+        set_field(self, "name", name)
+        set_field(self, "classes", classes)
+        set_field(self, "skeleton", skeleton)
+        set_field(self, "parents", parents)
+        set_field(self, "refs", refs)
+        set_field(self, "by_name", by_name)
+        set_field(self, "by_leaf", by_leaf)
+        set_field(self, "children", children)
 
     def __len__(self) -> int:
         return len(self.refs)
@@ -92,31 +99,37 @@ class ClassDomain:
         return [ref.path for ref in self.refs]
 
 
-@dataclass(frozen=True)
-class StructClass:
-    name: str
-    params: list[str] = field(default_factory=list)
-    fields: dict[str, TypeExpr] = field(default_factory=dict)
-    optional: frozenset[str] = frozenset()
-    parents: list[str] = field(default_factory=list)
+class StructClass(Frozen):
+    __slots__ = ("name", "params", "fields", "optional", "parents")
+
+    def __init__(self, name: str, params=None, fields=None, optional: frozenset[str] = frozenset(), parents=None):
+        set_field(self, "name", name)
+        set_field(self, "params", [] if params is None else params)
+        set_field(self, "fields", {} if fields is None else fields)
+        set_field(self, "optional", optional)
+        set_field(self, "parents", [] if parents is None else parents)
 
 
 Definition = ClassDomain | StructClass
 
 
-@dataclass(frozen=True)
-class ParamSpec:
-    name: str
-    kind: str  # domain-ref | type-ref | string | bool
-    required: bool = True
-    default: object = None
+class ParamSpec(Frozen):
+    __slots__ = ("name", "kind", "required", "default")
+
+    def __init__(self, name: str, kind: str, required: bool = True, default: object = None):
+        set_field(self, "name", name)
+        set_field(self, "kind", kind)  # domain-ref | type-ref | string | bool
+        set_field(self, "required", required)
+        set_field(self, "default", default)
 
 
-@dataclass(frozen=True)
-class BuiltinSignature:
-    name: str
-    params: tuple[ParamSpec, ...]
-    shape: str
+class BuiltinSignature(Frozen):
+    __slots__ = ("name", "params", "shape")
+
+    def __init__(self, name: str, params: tuple[ParamSpec, ...], shape: str):
+        set_field(self, "name", name)
+        set_field(self, "params", params)
+        set_field(self, "shape", shape)
 
 
 def _sig(name: str, shape: str, *params: ParamSpec) -> BuiltinSignature:
@@ -167,12 +180,14 @@ BUILTINS: dict[str, BuiltinSignature] = {
 MEDIA_BUILTINS = tuple(name for name, s in BUILTINS.items() if s.shape in ("media", "text"))
 
 
-@dataclass
-class DefinitionRegistry:
+class DefinitionRegistry(Slotted):
     """Name -> definition mapping, and name -> the file it came from (``None`` when inline)."""
 
-    entries: dict[str, Definition] = field(default_factory=dict)
-    provenance: dict[str, str | None] = field(default_factory=dict)
+    __slots__ = ("entries", "provenance")
+
+    def __init__(self, entries: dict[str, Definition] | None = None, provenance: dict[str, str | None] | None = None):
+        self.entries = {} if entries is None else entries
+        self.provenance = {} if provenance is None else provenance
 
     def get(self, name: str) -> Definition | None:
         return self.entries.get(name)

@@ -17,9 +17,9 @@ string and mapping forms together.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .diagnostics import GrammarError
+from .slotted import Frozen, set_field
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _NUMBER_RE = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
@@ -27,18 +27,22 @@ _NUMBER_RE = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 MAX_TYPE_DEPTH = 100
 
 
-@dataclass(frozen=True)
-class ParamRef:
+class ParamRef(Frozen):
     """A ``$name`` reference to an enclosing struct parameter."""
 
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        set_field(self, "name", name)
 
 
-@dataclass(frozen=True)
-class NumberLit:
+class NumberLit(Frozen):
     """Numeric literal kept as its exact source text."""
 
-    text: str
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        set_field(self, "text", text)
 
     def as_number(self) -> int | float:
         try:
@@ -47,16 +51,20 @@ class NumberLit:
             return float(self.text)
 
 
-@dataclass(frozen=True)
-class Arg:
-    key: str | None
-    value: "ArgValue"
+class Arg(Frozen):
+    __slots__ = ("key", "value")
+
+    def __init__(self, key: str | None, value: ArgValue):
+        set_field(self, "key", key)
+        set_field(self, "value", value)
 
 
-@dataclass(frozen=True)
-class TypeExpr:
-    head: str
-    args: tuple[Arg, ...] = ()
+class TypeExpr(Frozen):
+    __slots__ = ("head", "args")
+
+    def __init__(self, head: str, args: tuple[Arg, ...] = ()):
+        set_field(self, "head", head)
+        set_field(self, "args", args)
 
 
 ArgValue = TypeExpr | ParamRef | NumberLit | str | bool

@@ -7,10 +7,10 @@ Validation never raises for bad data; it returns a typed value (or
 ``None``) plus located diagnostics, so one bad sample never hides the
 rest of the corpus.
 
-Each ``validate_value`` or ``validate_dataset`` call first compiles its
-type, once, into one closure per type node, through the single
-``_CHECKS`` table of value shapes; a struct node shared by many fields
-compiles once. Values are then checked by calling closures, with no
+A type is compiled on its first validation into one closure per type
+node, through the single ``_CHECKS`` table of value shapes, and each
+node keeps its closure: a struct node shared by many fields, or a type
+validated by many calls, compiles once. Values are then checked by calling closures, with no
 per-value dispatch. A value's path is built only when a finding is
 reported, or by the struct or list that holds other values. Common
 well-typed input is accepted in one pass; anything else goes to the
@@ -27,7 +27,6 @@ from __future__ import annotations
 import datetime
 import math
 import re
-from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .diagnostics import (
@@ -44,62 +43,77 @@ from .document import LOCAL_PATH, RawDataSection, _load_json, _load_yaml, read_u
 from .locator import ObjectLocator, parse_locator
 from .resolver import ConcreteType, ResolvedSchema
 from .schema import ClassDomain, ClassRef, lookup_class
+from .slotted import Frozen, Slotted, set_field
 
 _QUALIFIED_NAME = re.compile(r"(?P<dom>[A-Za-z_][A-Za-z0-9_]*)::(?P<path>.+)", re.DOTALL)
 _QUALIFIED_INDEX = re.compile(r"(?P<dom>[A-Za-z_][A-Za-z0-9_]*)\[(?P<idx>\d+(\.\d+)*)\]")
 
 
-@dataclass(frozen=True)
-class Box:
-    x: float
-    y: float
-    w: float
-    h: float
+class Box(Frozen):
+    __slots__ = ("x", "y", "w", "h")
+
+    def __init__(self, x: float, y: float, w: float, h: float):
+        set_field(self, "x", x)
+        set_field(self, "y", y)
+        set_field(self, "w", w)
+        set_field(self, "h", h)
 
 
-@dataclass(frozen=True)
-class IntervalValue:
-    begin: float
-    end: float
+class IntervalValue(Frozen):
+    __slots__ = ("begin", "end")
+
+    def __init__(self, begin: float, end: float):
+        set_field(self, "begin", begin)
+        set_field(self, "end", end)
 
 
-@dataclass(frozen=True)
-class ImageShapeValue:
+class ImageShapeValue(Frozen):
     """Stored as (width, height) by convention; recorded verbatim."""
 
-    width: int
-    height: int
+    __slots__ = ("width", "height")
+
+    def __init__(self, width: int, height: int):
+        set_field(self, "width", width)
+        set_field(self, "height", height)
 
 
-@dataclass(frozen=True)
-class RotatedBox:
-    mode: str
-    measure: str
-    values: tuple[float, ...]
+class RotatedBox(Frozen):
+    __slots__ = ("mode", "measure", "values")
+
+    def __init__(self, mode: str, measure: str, values: tuple[float, ...]):
+        set_field(self, "mode", mode)
+        set_field(self, "measure", measure)
+        set_field(self, "values", values)
 
 
-@dataclass(frozen=True)
-class KeypointSet:
+class KeypointSet(Frozen):
     """Flat ``[x, y, v, ...]`` triples; visibility is kept, not judged."""
 
-    domain: str
-    points: tuple[tuple[float, float, float], ...]
+    __slots__ = ("domain", "points")
+
+    def __init__(self, domain: str, points: tuple[tuple[float, float, float], ...]):
+        set_field(self, "domain", domain)
+        set_field(self, "points", points)
 
 
-@dataclass(frozen=True)
-class MediaRef:
-    class_name: str
-    locator: ObjectLocator
-    descr: tuple | None = None
+class MediaRef(Frozen):
+    __slots__ = ("class_name", "locator", "descr")
+
+    def __init__(self, class_name: str, locator: ObjectLocator, descr: tuple | None = None):
+        set_field(self, "class_name", class_name)
+        set_field(self, "locator", locator)
+        set_field(self, "descr", descr)
 
     def descriptor(self) -> dict | None:
         return dict(self.descr) if self.descr is not None else None
 
 
-@dataclass
-class Record:
-    struct_name: str
-    values: dict[str, object]
+class Record(Slotted):
+    __slots__ = ("struct_name", "values")
+
+    def __init__(self, struct_name: str, values: dict[str, object]):
+        self.struct_name = struct_name
+        self.values = values
 
     def __getitem__(self, name: str):
         return self.values[name]
@@ -348,9 +362,9 @@ def _check_media(raw, ctype, path, diags):
 
 # -- compiled closures -----------------------------------------------------------
 #
-# ``_CHECKS`` maps each value shape to a factory ``make(ctype, closures)``
-# that returns the shape's closure ``check(raw, parent, key, diags)``;
-# ``_compile(etype, closures)`` gives that of a nested type. The value's
+# ``_CHECKS`` maps each value shape to a factory ``make(ctype)`` that
+# returns the shape's closure ``check(raw, parent, key, diags)``;
+# ``_checker(etype)`` gives that of a nested type. The value's
 # path is ``_path(parent, key)``: a struct or list builds its own, a leaf
 # builds it only to report. A leaf accepts its common exact-typed input in
 # one pass and hands any other input to its checker above.
@@ -368,7 +382,7 @@ def _leaf(checker, fast=None):
     passes costs no path.
     """
 
-    def make(ctype, closures):
+    def make(ctype):
         def check(raw, parent, key, diags):
             if fast is not None:
                 value = fast(raw)
@@ -410,7 +424,7 @@ def _fast_image_shape(raw):
     return None
 
 
-def _make_label(ctype, closures):
+def _make_label(ctype):
     dom: ClassDomain | None = ctype.arg("dom")
     by_name, refs = (dom.by_name, dom.refs) if dom is not None else ({}, [])
 
@@ -430,8 +444,8 @@ def _make_label(ctype, closures):
     return check
 
 
-def _make_list(ctype, closures):
-    check_item = _compile(ctype.arg("etype"), closures)
+def _make_list(ctype):
+    check_item = _checker(ctype.arg("etype"))
 
     def check(raw, parent, key, diags):
         path = _path(parent, key)
@@ -442,10 +456,10 @@ def _make_list(ctype, closures):
     return check
 
 
-def _make_struct(ctype, closures):
+def _make_struct(ctype):
     """A null-complete record; a missing required field is a ``FIELD_MISSING`` warning."""
     head, names = ctype.head, ctype.fields.keys()
-    fields = tuple((name, name in ctype.optional, _compile(ftype, closures)) for name, ftype in ctype.fields.items())
+    fields = tuple((name, name in ctype.optional, _checker(ftype)) for name, ftype in ctype.fields.items())
 
     def check(raw, parent, key, diags):
         path = _path(parent, key)
@@ -496,22 +510,26 @@ _CHECKS = {
 }
 
 
-def _compile(ctype: ConcreteType, closures: dict):
-    """The closure of ``ctype``. ``closures`` holds those already built, by
-    node identity, so a node shared by many fields (see
-    ``resolver._Instantiation``) compiles once; every node stays alive in
-    the caller's type while it is used."""
-    check = closures.get(id(ctype))
+def _checker(ctype: ConcreteType):
+    """The closure of ``ctype``, compiled on first use and kept in the node's
+    ``_check`` slot, so a node shared by many fields (see
+    ``resolver._Instantiation``) or validated by many calls compiles once."""
+    check = getattr(ctype, "_check", None)
     if check is None:
-        check = closures[id(ctype)] = _CHECKS[ctype.shape](ctype, closures)
+        check = _compile(ctype)
+        set_field(ctype, "_check", check)
     return check
+
+
+def _compile(ctype: ConcreteType):
+    return _CHECKS[ctype.shape](ctype)
 
 
 def _run(check, raw, parent, key, strict: bool) -> tuple[object, list[Diagnostic]]:
     diags: list[Diagnostic] = []
     value = check(raw, parent, key, diags)
     if strict:
-        diags = [replace(d, severity=Severity.ERROR) if d.code == "FIELD_MISSING" else d for d in diags]
+        diags = [error(d.code, d.path, d.message, d.source) if d.code == "FIELD_MISSING" else d for d in diags]
     return value, diags
 
 
@@ -524,7 +542,7 @@ def validate_value(
     diagnostics, in document order. ``strict`` makes a missing required
     field (``FIELD_MISSING``) an error; every other severity stays.
     """
-    return _run(_compile(ctype, {}), raw, None, path, strict)
+    return _run(_checker(ctype), raw, None, path, strict)
 
 
 def validate_label(
@@ -597,14 +615,16 @@ def _load_external(path: str, base: str | Path, key: str):
     return payload[key]
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(Slotted):
     """Everything one validation run produced, in document order."""
 
-    samples: list = field(default_factory=list)
-    global_info: object = None
-    diagnostics: list[Diagnostic] = field(default_factory=list)
-    truncated: bool = False
+    __slots__ = ("samples", "global_info", "diagnostics", "truncated")
+
+    def __init__(self, samples=None, global_info=None, diagnostics: list[Diagnostic] | None = None, truncated=False):
+        self.samples = [] if samples is None else samples
+        self.global_info = global_info
+        self.diagnostics = [] if diagnostics is None else diagnostics
+        self.truncated = truncated
 
     @property
     def sample_count(self) -> int:
@@ -681,11 +701,10 @@ def validate_dataset(
     if data is None:
         return report
 
-    closures: dict = {}
     if schema.sample_type is not None:
         raw_samples = _load_channel(data.sample_path, data.samples or [], "samples", base, report)
         if raw_samples is not _ABSENT:
-            check = _compile(schema.sample_type, closures)
+            check = _checker(schema.sample_type)
             errors_seen = 0
             for i, raw in enumerate(raw_samples):
                 value, diags = _run(check, raw, "samples", i, strict)
@@ -699,7 +718,7 @@ def validate_dataset(
     if schema.global_info_type is not None:
         raw_info = _load_channel(data.global_info_path, data.global_info, "global-info", base, report)
         if raw_info is not _ABSENT:
-            value, diags = _run(_compile(schema.global_info_type, closures), raw_info, None, "global-info", strict)
+            value, diags = _run(_checker(schema.global_info_type), raw_info, None, "global-info", strict)
             report.global_info = value
             report.diagnostics.extend(diags)
 

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -508,6 +510,53 @@ def test_yaml_hex_or_octal_integer_past_the_digit_limit_is_a_coded_finding(tmp_p
     code, out, err = run_cli("validate", str(target))
     assert (code, err) == (1, "")
     assert out.splitlines()[0].startswith(f"error SYNTAX_ERROR  malformed YAML: invalid !!int value '{digits[:2]}")
+
+
+@pytest.mark.parametrize("digits", ["1" * 5000, "0x" + "f" * 4000], ids=["decimal", "hex"])
+def test_over_long_yaml_integer_is_echoed_cut_short(tmp_path, digits):
+    target = tmp_path / "d.yaml"
+    target.write_text(f'$dsdl-version: "0.5.0"\nmeta: {{n: {digits}}}\n')
+    code, out, err = run_cli("validate", str(target))
+    assert (code, err) == (1, "")
+    first = out.splitlines()[0]
+    assert first.startswith(f"error SYNTAX_ERROR  malformed YAML: invalid !!int value '{digits[:40]}'...")
+    assert len(first) < 200
+
+
+# -- start-up: what a fresh interpreter imports ------------------------------------
+
+_REPO = CORPUS.parent.parent
+
+
+def _fresh_modules(code: str) -> set[str]:
+    """The modules a fresh interpreter running ``code`` holds beyond a bare one."""
+    env = {**os.environ, "PYTHONPATH": str(_REPO / "src")}
+    show = "; import sys; sys.stderr.write(' '.join(sys.modules))"
+
+    def modules(snippet: str) -> set[str]:
+        done = subprocess.run([sys.executable, "-c", snippet + show], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        return set(done.stderr.split())
+
+    return modules(code) - modules("pass")
+
+
+_STARTUP_FREE = {"yaml", "dataclasses", "inspect", "typing"}
+
+
+def test_importing_the_cli_loads_no_yaml_or_dataclasses():
+    assert _fresh_modules("import dsdl.cli") & _STARTUP_FREE == set()
+
+
+def test_validating_json_loads_no_yaml_or_dataclasses():
+    run = f"from dsdl.cli import main; assert main(['validate', '--format', 'json', {corpus('get-started.json')!r}]) == 0"
+    assert _fresh_modules(run) & _STARTUP_FREE == set()
+
+
+def test_validating_yaml_in_a_fresh_interpreter_imports_yaml():
+    run = f"from dsdl.cli import main; assert main(['validate', {corpus('get-started.yaml')!r}]) == 0"
+    added = _fresh_modules(run)
+    assert "yaml" in added and added & {"dataclasses", "inspect"} == set()
 
 
 _TWO_BAD_SAMPLES = (

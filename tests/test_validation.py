@@ -612,6 +612,28 @@ def test_strict_promotes_only_field_missing(registry):
     ]
 
 
+def test_a_type_compiles_once_over_many_calls(registry, monkeypatch):
+    from dsdl import validation
+
+    compiled = []
+
+    def counting(node):
+        compiled.append(node)
+        return compile_node(node)
+
+    compile_node = validation._compile
+    monkeypatch.setattr(validation, "_compile", counting)
+    sample = ctype(registry, "Sample")
+    raw = {"image": {"$loc": "a.jpg", "$extra": 1}, "label": "dog", "extra": 2}
+    first = validate_value(raw, sample, "v", strict=True)
+    nodes = len(compiled)
+    assert nodes == 3  # the struct and its two fields
+    second = validate_value(raw, sample, "v", strict=True)
+    assert len(compiled) == nodes
+    assert first == second and len(first[1]) == 2
+    assert sample == ctype(registry, "Sample") and repr(sample) == repr(ctype(registry, "Sample"))
+
+
 # -- compiled closures against the per-component checkers -------------------------------------
 
 
