@@ -62,6 +62,15 @@ def note(code: str, path: str, message: str, source: str | None = None) -> Diagn
     return Diagnostic(code, Severity.NOTE, path, message, source)
 
 
+def show_number(number) -> str:
+    """``number`` as a message echoes it; an integer past Python's
+    int-to-string digit limit, which ``str`` refuses, reads as a placeholder."""
+    try:
+        return str(number)
+    except ValueError:
+        return f"{'-' if number < 0 else ''}<integer with too many digits>"
+
+
 class DsdlError(Exception):
     """Base error; carries the diagnostic it would report."""
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 
-from .diagnostics import ClassLookupError, Diagnostic, error, warning
+from .diagnostics import ClassLookupError, Diagnostic, error, show_number, warning
 from .document import split_definition_key
 from .slotted import Frozen, Slotted, set_field
 from .typeexpr import (
@@ -429,7 +429,7 @@ def lookup_class(domain: ClassDomain, selector: str | int) -> ClassRef:
     if isinstance(selector, int):
         return _lookup_flat(domain, selector)
     if _INDEX_PATH_RE.fullmatch(selector):
-        parts = tuple(int(p) for p in selector.split("."))
+        parts = index_path(selector)
         if len(parts) == 1:
             return _lookup_flat(domain, parts[0])
         names: tuple[str, ...] = ()
@@ -440,7 +440,7 @@ def lookup_class(domain: ClassDomain, selector: str | int) -> ClassRef:
                     error(
                         "CLASS_INDEX_RANGE",
                         "",
-                        f"index {idx} out of range 1..{len(siblings)} at level {len(names) + 1}",
+                        f"index {show_number(idx)} out of range 1..{len(siblings)} at level {len(names) + 1}",
                     )
                 )
             names += (siblings[idx - 1],)
@@ -464,6 +464,15 @@ def lookup_class(domain: ClassDomain, selector: str | int) -> ClassRef:
     raise ClassLookupError(error("CLASS_NOT_FOUND", "", f"no class {selector!r} in {domain.name}"))
 
 
+def index_path(selector: str) -> tuple[int, ...]:
+    """The indices of a dotted index path such as ``3.2.5``; an index past
+    Python's int-to-string digit limit is a ``CLASS_INDEX_RANGE`` lookup error."""
+    try:
+        return tuple([int(p) for p in selector.split(".")])
+    except ValueError:
+        raise ClassLookupError(error("CLASS_INDEX_RANGE", "", "class index has too many digits")) from None
+
+
 def _lookup_flat(domain: ClassDomain, index: int) -> ClassRef:
     refs = domain.refs
     if not 1 <= index <= len(refs):
@@ -471,7 +480,7 @@ def _lookup_flat(domain: ClassDomain, index: int) -> ClassRef:
             error(
                 "CLASS_INDEX_RANGE",
                 "",
-                f"class index {index} out of range 1..{len(refs)} in {domain.name}",
+                f"class index {show_number(index)} out of range 1..{len(refs)} in {domain.name}",
             )
         )
     return refs[index - 1]

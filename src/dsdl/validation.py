@@ -7,14 +7,14 @@ Validation never raises for bad data; it returns a typed value (or
 ``None``) plus located diagnostics, so one bad sample never hides the
 rest of the corpus.
 
-A type is compiled on its first validation into one closure per type
-node, through the single ``_CHECKS`` table of value shapes, and each
-node keeps its closure: a struct node shared by many fields, or a type
-validated by many calls, compiles once. Values are then checked by calling closures, with no
-per-value dispatch. A value's path is built only when a finding is
-reported, or by the struct or list that holds other values. Common
-well-typed input is accepted in one pass; anything else goes to the
-shape's checker, which builds every diagnostic.
+Each value shape is stated once, as one closure in the ``_CHECKS``
+table. A type is compiled on its first validation into one closure per
+type node, and each node keeps its closure: a struct node shared by many
+fields, or a type validated by many calls, compiles once. Values are
+then checked by calling closures, with no per-value dispatch, and each
+value is checked once. A value's path is built from its parent's path
+and its key only when a finding is reported, or by the struct or list
+that holds other values.
 
 Records are null-complete: a typed record carries every declared field
 exactly once, with omitted optionals explicitly ``None``. A missing
@@ -37,12 +37,13 @@ from .diagnostics import (
     LocatorError,
     Severity,
     error,
+    show_number,
     warning,
 )
 from .document import LOCAL_PATH, RawDataSection, _load_json, _load_yaml, read_utf8
 from .locator import ObjectLocator, parse_locator
 from .resolver import ConcreteType, ResolvedSchema
-from .schema import ClassDomain, ClassRef, lookup_class
+from .schema import ClassDomain, ClassRef, index_path, lookup_class
 from .slotted import Frozen, Slotted, set_field
 
 _QUALIFIED_NAME = re.compile(r"(?P<dom>[A-Za-z_][A-Za-z0-9_]*)::(?P<path>.+)", re.DOTALL)
@@ -139,273 +140,119 @@ def _type_name(value) -> str:
     return type(value).__name__
 
 
-def _fail(diags: list[Diagnostic], code: str, path: str, message: str) -> None:
-    """Record an error; returns ``None``, the value of an unusable input."""
-    diags.append(error(code, path, message))
-
-
 def _path(parent, key) -> str:
     """The path of the value at ``key`` below ``parent``; ``key`` itself at the top."""
     return key if parent is None else f"{parent}/{key}"
 
 
-# Every checker is ``check(raw, ctype, path, diags)``: it appends its
-# findings to ``diags`` and returns the typed value, or None when the
-# input is unusable. The compiled closures below fall back to it for any
-# input that they do not accept themselves.
+def _fail(diags: list[Diagnostic], code: str, parent, key, message: str) -> None:
+    """Record an error at ``_path(parent, key)``; returns ``None``, the value of an unusable input."""
+    diags.append(error(code, _path(parent, key), message))
+
+
+# Every value shape is one closure ``check(raw, parent, key, diags)`` that
+# appends its findings to ``diags`` and returns the typed value, or None when
+# the input is unusable. It builds its path ``_path(parent, key)`` only to
+# report, and may accept its common exact-typed input first. A factory
+# ``make(ctype)`` reads the type's arguments once and returns the closure.
+
+_INF = math.inf
+_NUMBER = (int, float)
 
 # -- scalars ------------------------------------------------------------------
 
 
-def _check_bool(raw, ctype, path, diags):
+def _bool(raw, parent, key, diags):
     if isinstance(raw, bool):
         return raw
-    return _fail(diags, "TYPE_MISMATCH", path, f"expected a boolean, got {_type_name(raw)}")
+    return _fail(diags, "TYPE_MISMATCH", parent, key, f"expected a boolean, got {_type_name(raw)}")
 
 
-def _check_int(raw, ctype, path, diags):
-    if isinstance(raw, float) and raw.is_integer():
-        return int(raw)
+def _int(raw, parent, key, diags):
     if isinstance(raw, float):
-        return _fail(diags, "TYPE_MISMATCH", path, f"expected an integer, got non-integral {raw}")
+        if raw.is_integer():
+            return int(raw)
+        return _fail(diags, "TYPE_MISMATCH", parent, key, f"expected an integer, got non-integral {show_number(raw)}")
     if _is_number(raw):
         return raw
-    return _fail(diags, "TYPE_MISMATCH", path, f"expected an integer, got {_type_name(raw)}")
+    return _fail(diags, "TYPE_MISMATCH", parent, key, f"expected an integer, got {_type_name(raw)}")
 
 
-def _check_num(raw, ctype, path, diags):
+def _num(raw, parent, key, diags):
+    # comparing with an infinity never converts an int, so 10**400 is safe
+    if type(raw) in _NUMBER and -_INF < raw < _INF:
+        return raw
     if not _is_number(raw):
-        return _fail(diags, "TYPE_MISMATCH", path, f"expected a number, got {_type_name(raw)}")
+        return _fail(diags, "TYPE_MISMATCH", parent, key, f"expected a number, got {_type_name(raw)}")
     if isinstance(raw, float) and not math.isfinite(raw):
-        return _fail(diags, "RANGE", path, f"number must be finite, got {raw}")
+        return _fail(diags, "RANGE", parent, key, f"number must be finite, got {show_number(raw)}")
     return raw
 
 
-def _check_str(raw, ctype, path, diags):
+def _str(raw, parent, key, diags):
     if isinstance(raw, str):
         return raw
-    return _fail(diags, "TYPE_MISMATCH", path, f"expected a string, got {_type_name(raw)}")
+    return _fail(diags, "TYPE_MISMATCH", parent, key, f"expected a string, got {_type_name(raw)}")
 
 
-def _check_id(raw, ctype, path, diags):
+def _make_id(ctype):
     """InstanceID and UniqueID: an integer or a string, kept as a string."""
-    if isinstance(raw, str):
-        return raw
-    if isinstance(raw, int) and not isinstance(raw, bool):
-        return str(raw)
-    return _fail(diags, "TYPE_MISMATCH", path, f"{ctype.head} must be an integer or string, got {_type_name(raw)}")
+    head = ctype.head
+
+    def check(raw, parent, key, diags):
+        if isinstance(raw, str):
+            return raw
+        if isinstance(raw, int) and not isinstance(raw, bool):
+            try:
+                return str(raw)
+            except ValueError:  # past Python's int-to-string digit limit
+                return _fail(diags, "RANGE", parent, key, f"{head} integer has too many digits")
+        return _fail(diags, "TYPE_MISMATCH", parent, key, f"{head} must be an integer or string, got {_type_name(raw)}")
+
+    return check
 
 
 # -- fixed-arity numeric shapes -------------------------------------------------
 
 
-def _numbers(raw, arity: int, path: str, diags: list[Diagnostic], what: str) -> tuple | None:
+def _numbers(raw, arity: int, parent, key, diags: list[Diagnostic], what: str) -> tuple | None:
     """``raw`` as a tuple of ``arity`` finite numbers, or None after an error."""
     if not isinstance(raw, list):
-        return _fail(diags, "TYPE_MISMATCH", path, f"{what} must be a list, got {_type_name(raw)}")
+        return _fail(diags, "TYPE_MISMATCH", parent, key, f"{what} must be a list, got {_type_name(raw)}")
     if len(raw) != arity:
-        return _fail(diags, "ARITY", path, f"{what} requires exactly {arity} values, got {len(raw)}")
+        return _fail(diags, "ARITY", parent, key, f"{what} requires exactly {arity} values, got {len(raw)}")
     for i, item in enumerate(raw):
+        if type(item) in _NUMBER and -_INF < item < _INF:
+            continue
         if not _is_number(item):
-            return _fail(diags, "TYPE_MISMATCH", f"{path}/{i}", f"{what} component must be a number")
+            return _fail(diags, "TYPE_MISMATCH", _path(parent, key), i, f"{what} component must be a number")
         if isinstance(item, float) and not math.isfinite(item):
-            return _fail(diags, "RANGE", f"{path}/{i}", f"{what} component must be finite, got {item}")
+            message = f"{what} component must be finite, got {show_number(item)}"
+            return _fail(diags, "RANGE", _path(parent, key), i, message)
     return tuple(raw)
 
 
-def _check_coord(raw, ctype, path, diags):
-    return _numbers(raw, 3 if ctype.shape == "coord3d" else 2, path, diags, ctype.head)
+def _make_coord(ctype):
+    arity, what = 3 if ctype.shape == "coord3d" else 2, ctype.head
+
+    def check(raw, parent, key, diags):
+        return _numbers(raw, arity, parent, key, diags, what)
+
+    return check
 
 
-def _check_interval(raw, ctype, path, diags):
-    values = _numbers(raw, 2, path, diags, "Interval")
+def _interval(raw, parent, key, diags):
+    values = _numbers(raw, 2, parent, key, diags, "Interval")
     if values is None:
         return None
     begin, end = values
     if begin > end:
-        return _fail(diags, "RANGE", path, f"interval begin {begin} exceeds end {end}")
+        message = f"interval begin {show_number(begin)} exceeds end {show_number(end)}"
+        return _fail(diags, "RANGE", parent, key, message)
     return IntervalValue(begin, end)
 
 
-def _check_bbox(raw, ctype, path, diags):
-    values = _numbers(raw, 4, path, diags, "BBox")
-    if values is None:
-        return None
-    x, y, w, h = values
-    if w < 0 or h < 0:
-        return _fail(diags, "RANGE", path, f"BBox width/height must be non-negative, got {w}x{h}")
-    return Box(x, y, w, h)
-
-
-def _check_image_shape(raw, ctype, path, diags):
-    values = _numbers(raw, 2, path, diags, "ImageShape")
-    if values is None:
-        return None
-    if any(isinstance(v, float) and not v.is_integer() for v in values):
-        return _fail(diags, "TYPE_MISMATCH", path, "ImageShape values must be integers")
-    width, height = (int(v) for v in values)
-    if width <= 0 or height <= 0:
-        return _fail(diags, "RANGE", path, f"ImageShape values must be positive, got {[width, height]}")
-    return ImageShapeValue(width, height)
-
-
-def _check_rotated_bbox(raw, ctype, path, diags):
-    mode = ctype.arg("mode")
-    measure = ctype.args.get("measure", "radian")
-    values = _numbers(raw, 8 if mode == "xyxy" else 5, path, diags, f"RotatedBBox[mode={mode}]")
-    if values is None:
-        return None
-    if mode == "xywht":
-        angle = values[4]
-        bound, unit = (180.0, "degrees") if measure == "degree" else (math.pi, "radians")
-        if not (-bound < angle < bound):
-            return _fail(diags, "RANGE", path, f"rotation angle {angle} outside (-{bound}, {bound}) {unit}")
-    return RotatedBox(mode, measure, values)
-
-
-def _check_keypoint(raw, ctype, path, diags):
-    dom: ClassDomain = ctype.arg("dom")
-    if not isinstance(raw, list):
-        return _fail(diags, "TYPE_MISMATCH", path, f"Keypoint value must be a flat list, got {_type_name(raw)}")
-    expected = 3 * len(dom.classes)
-    if len(raw) != expected:
-        message = f"keypoint list for {dom.name} ({len(dom.classes)} classes) requires {expected} values, got {len(raw)}"
-        return _fail(diags, "ARITY", path, message)
-    values = _numbers(raw, expected, path, diags, "keypoint")
-    if values is None:
-        return None
-    return KeypointSet(dom.name, tuple(values[i:i + 3] for i in range(0, expected, 3)))
-
-
-def _check_polygon(raw, ctype, path, diags):
-    if not isinstance(raw, list):
-        return _fail(diags, "TYPE_MISMATCH", path, f"Polygon must be a list, got {_type_name(raw)}")
-    if not raw:
-        return _fail(diags, "ARITY", path, "Polygon requires at least one ring")
-
-    def is_point(item) -> bool:
-        return isinstance(item, list) and len(item) == 2 and all(_is_number(v) for v in item)
-
-    wrapped = all(is_point(item) for item in raw)
-    rings = []
-    for ri, ring in enumerate([raw] if wrapped else raw):
-        ring_path = path if wrapped else f"{path}/{ri}"
-        if not isinstance(ring, list):
-            return _fail(diags, "TYPE_MISMATCH", ring_path, "polygon ring must be a list of points")
-        if len(ring) < 3:
-            return _fail(diags, "ARITY", ring_path, f"polygon ring requires at least 3 points, got {len(ring)}")
-        for pi, point in enumerate(ring):
-            if not isinstance(point, list) or len(point) != 2:
-                return _fail(diags, "ARITY", f"{ring_path}/{pi}", "polygon point must be an [x, y] pair")
-            if not all(_is_number(v) for v in point):
-                return _fail(diags, "TYPE_MISMATCH", f"{ring_path}/{pi}", "polygon point must be numeric")
-            for ci, v in enumerate(point):
-                if isinstance(v, float) and not math.isfinite(v):
-                    message = f"polygon coordinate must be finite, got {v}"
-                    return _fail(diags, "RANGE", f"{ring_path}/{pi}/{ci}", message)
-        rings.append(tuple((x, y) for x, y in ring))
-    return tuple(rings)
-
-
-# -- dates, labels, media -------------------------------------------------------
-
-
-def _check_datetime(raw, ctype, path, diags):
-    """Date and Time: ISO 8601, or the type's ``fmt`` when it has one."""
-    kind = ctype.shape
-    if not isinstance(raw, str):
-        return _fail(diags, "TYPE_MISMATCH", path, f"{kind} value must be a string, got {_type_name(raw)}")
-    fmt = ctype.arg("fmt")
-    try:
-        if fmt is None:
-            return (datetime.date if kind == "date" else datetime.time).fromisoformat(raw)
-        parsed = datetime.datetime.strptime(raw, fmt)
-        return parsed.date() if kind == "date" else parsed.time()
-    except ValueError as exc:
-        expected = fmt if fmt is not None else "ISO 8601"
-        return _fail(diags, "DATE_FORMAT", path, f"{raw!r} does not match {expected}: {exc}")
-
-
-def _check_media(raw, ctype, path, diags):
-    """A locator string or a ``{$loc, $descr}`` mapping; Text may also be inline."""
-    text = ctype.shape == "text"
-    if isinstance(raw, str) and text:
-        # inline string content is the text itself; loading through a
-        # locator requires the explicit {$loc: ...} form
-        return raw
-    descr = None
-    if isinstance(raw, dict):
-        if "$loc" not in raw:
-            return _fail(diags, "LOC_SYNTAX", path, f"{ctype.head} mapping lacks required key $loc")
-        if not isinstance(raw["$loc"], str):
-            return _fail(diags, "LOC_SYNTAX", f"{path}/$loc", "$loc must be a string")
-        descr = raw.get("$descr")
-        if descr is not None and not isinstance(descr, dict):
-            return _fail(diags, "TYPE_MISMATCH", f"{path}/$descr", "$descr must be a mapping")
-        for key in raw:
-            if key not in ("$loc", "$descr"):
-                message = f"unexpected key {key!r} in {ctype.head} mapping"
-                diags.append(warning("FIELD_UNKNOWN", f"{path}/{key}", message))
-        raw = raw["$loc"]
-    elif not isinstance(raw, str):
-        if text:
-            what = "Text value must be a string or $loc mapping"
-        else:
-            what = f"{ctype.head} value must be an object locator string or a $loc mapping"
-        return _fail(diags, "TYPE_MISMATCH", path, f"{what}, got {_type_name(raw)}")
-    try:
-        locator = parse_locator(raw)
-    except LocatorError as exc:
-        return _fail(diags, "LOC_SYNTAX", path, exc.diagnostic.message)
-    return MediaRef(ctype.head, locator, tuple(descr.items()) if descr is not None else None)
-
-
-# -- compiled closures -----------------------------------------------------------
-#
-# ``_CHECKS`` maps each value shape to a factory ``make(ctype)`` that
-# returns the shape's closure ``check(raw, parent, key, diags)``;
-# ``_checker(etype)`` gives that of a nested type. The value's
-# path is ``_path(parent, key)``: a struct or list builds its own, a leaf
-# builds it only to report. A leaf accepts its common exact-typed input in
-# one pass and hands any other input to its checker above.
-
-_INF = math.inf
-_NUMBER = (int, float)
-
-
-def _leaf(checker, fast=None):
-    """The factory of a leaf shape.
-
-    ``fast(raw)``, when given, types common input in one pass and gives
-    None for anything else. ``checker`` then runs with an empty path and,
-    only when it reported, again with the real one, so a value that
-    passes costs no path.
-    """
-
-    def make(ctype):
-        def check(raw, parent, key, diags):
-            if fast is not None:
-                value = fast(raw)
-                if value is not None:
-                    return value
-            mark = len(diags)
-            value = checker(raw, ctype, "", diags)
-            if len(diags) > mark:
-                del diags[mark:]
-                value = checker(raw, ctype, _path(parent, key), diags)
-            return value
-
-        return check
-
-    return make
-
-
-def _fast_num(raw):
-    # comparing with an infinity never converts an int, so 10**400 is safe
-    return raw if type(raw) is int or type(raw) is float and -_INF < raw < _INF else None
-
-
-def _fast_bbox(raw):
+def _bbox(raw, parent, key, diags):
     if type(raw) is list and len(raw) == 4:
         x, y, w, h = raw
         if (
@@ -413,15 +260,163 @@ def _fast_bbox(raw):
             and -_INF < x < _INF and -_INF < y < _INF and 0 <= w < _INF and 0 <= h < _INF
         ):
             return Box(x, y, w, h)
-    return None
+    values = _numbers(raw, 4, parent, key, diags, "BBox")
+    if values is None:
+        return None
+    x, y, w, h = values
+    if w < 0 or h < 0:
+        message = f"BBox width/height must be non-negative, got {show_number(w)}x{show_number(h)}"
+        return _fail(diags, "RANGE", parent, key, message)
+    return Box(x, y, w, h)
 
 
-def _fast_image_shape(raw):
+def _image_shape(raw, parent, key, diags):
     if type(raw) is list and len(raw) == 2:
         width, height = raw
         if type(width) is int and type(height) is int and width > 0 and height > 0:
             return ImageShapeValue(width, height)
-    return None
+    values = _numbers(raw, 2, parent, key, diags, "ImageShape")
+    if values is None:
+        return None
+    width, height = values
+    if width % 1 or height % 1:
+        return _fail(diags, "TYPE_MISMATCH", parent, key, "ImageShape values must be integers")
+    width, height = int(width), int(height)
+    if width <= 0 or height <= 0:
+        message = f"ImageShape values must be positive, got [{show_number(width)}, {show_number(height)}]"
+        return _fail(diags, "RANGE", parent, key, message)
+    return ImageShapeValue(width, height)
+
+
+def _make_rotated_bbox(ctype):
+    mode = ctype.arg("mode")
+    measure = ctype.args.get("measure", "radian")
+    arity, what = 8 if mode == "xyxy" else 5, f"RotatedBBox[mode={mode}]"
+    bound, unit = (180.0, "degrees") if measure == "degree" else (math.pi, "radians")
+
+    def check(raw, parent, key, diags):
+        values = _numbers(raw, arity, parent, key, diags, what)
+        if values is None:
+            return None
+        if mode == "xywht" and not -bound < values[4] < bound:
+            message = f"rotation angle {show_number(values[4])} outside (-{bound}, {bound}) {unit}"
+            return _fail(diags, "RANGE", parent, key, message)
+        return RotatedBox(mode, measure, values)
+
+    return check
+
+
+def _make_keypoint(ctype):
+    dom: ClassDomain = ctype.arg("dom")
+    name, expected = dom.name, 3 * len(dom.classes)
+    arity_message = f"keypoint list for {name} ({len(dom.classes)} classes) requires {expected} values, got"
+
+    def check(raw, parent, key, diags):
+        if not isinstance(raw, list):
+            return _fail(diags, "TYPE_MISMATCH", parent, key, f"Keypoint value must be a flat list, got {_type_name(raw)}")
+        if len(raw) != expected:
+            return _fail(diags, "ARITY", parent, key, f"{arity_message} {len(raw)}")
+        values = _numbers(raw, expected, parent, key, diags, "keypoint")
+        if values is None:
+            return None
+        return KeypointSet(name, tuple([values[i:i + 3] for i in range(0, expected, 3)]))
+
+    return check
+
+
+def _is_point(item) -> bool:
+    return isinstance(item, list) and len(item) == 2 and _is_number(item[0]) and _is_number(item[1])
+
+
+def _polygon(raw, parent, key, diags):
+    """One ring of ``[x, y]`` points, or a list of rings."""
+    if not isinstance(raw, list):
+        return _fail(diags, "TYPE_MISMATCH", parent, key, f"Polygon must be a list, got {_type_name(raw)}")
+    if not raw:
+        return _fail(diags, "ARITY", parent, key, "Polygon requires at least one ring")
+
+    def ring_path():
+        return _path(parent, key) if wrapped else _path(_path(parent, key), ri)
+
+    wrapped = all(_is_point(item) for item in raw)
+    rings = []
+    for ri, ring in enumerate([raw] if wrapped else raw):
+        if not isinstance(ring, list):
+            return _fail(diags, "TYPE_MISMATCH", None, ring_path(), "polygon ring must be a list of points")
+        if len(ring) < 3:
+            return _fail(diags, "ARITY", None, ring_path(), f"polygon ring requires at least 3 points, got {len(ring)}")
+        for pi, point in enumerate(ring):
+            if not isinstance(point, list) or len(point) != 2:
+                return _fail(diags, "ARITY", ring_path(), pi, "polygon point must be an [x, y] pair")
+            if not (_is_number(point[0]) and _is_number(point[1])):
+                return _fail(diags, "TYPE_MISMATCH", ring_path(), pi, "polygon point must be numeric")
+            for ci, v in enumerate(point):
+                if isinstance(v, float) and not math.isfinite(v):
+                    message = f"polygon coordinate must be finite, got {show_number(v)}"
+                    return _fail(diags, "RANGE", _path(ring_path(), pi), ci, message)
+        rings.append(tuple([(x, y) for x, y in ring]))
+    return tuple(rings)
+
+
+# -- dates, labels, media -------------------------------------------------------
+
+
+def _make_datetime(ctype):
+    """Date and Time: ISO 8601, or the type's ``fmt`` when it has one."""
+    kind, fmt = ctype.shape, ctype.arg("fmt")
+    from_iso = (datetime.date if kind == "date" else datetime.time).fromisoformat
+    expected = fmt if fmt is not None else "ISO 8601"
+
+    def check(raw, parent, key, diags):
+        if not isinstance(raw, str):
+            return _fail(diags, "TYPE_MISMATCH", parent, key, f"{kind} value must be a string, got {_type_name(raw)}")
+        try:
+            if fmt is None:
+                return from_iso(raw)
+            parsed = datetime.datetime.strptime(raw, fmt)
+            return parsed.date() if kind == "date" else parsed.time()
+        except ValueError as exc:
+            return _fail(diags, "DATE_FORMAT", parent, key, f"{raw!r} does not match {expected}: {exc}")
+
+    return check
+
+
+def _make_media(ctype):
+    """A locator string or a ``{$loc, $descr}`` mapping; Text may also be inline."""
+    head, text = ctype.head, ctype.shape == "text"
+    if text:
+        what = "Text value must be a string or $loc mapping"
+    else:
+        what = f"{head} value must be an object locator string or a $loc mapping"
+
+    def check(raw, parent, key, diags):
+        if isinstance(raw, str) and text:
+            # inline string content is the text itself; loading through a
+            # locator requires the explicit {$loc: ...} form
+            return raw
+        descr = None
+        if isinstance(raw, dict):
+            if "$loc" not in raw:
+                return _fail(diags, "LOC_SYNTAX", parent, key, f"{head} mapping lacks required key $loc")
+            if not isinstance(raw["$loc"], str):
+                return _fail(diags, "LOC_SYNTAX", _path(parent, key), "$loc", "$loc must be a string")
+            descr = raw.get("$descr")
+            if descr is not None and not isinstance(descr, dict):
+                return _fail(diags, "TYPE_MISMATCH", _path(parent, key), "$descr", "$descr must be a mapping")
+            for name in raw:
+                if name not in ("$loc", "$descr"):
+                    message = f"unexpected key {name!r} in {head} mapping"
+                    diags.append(warning("FIELD_UNKNOWN", _path(_path(parent, key), name), message))
+            raw = raw["$loc"]
+        elif not isinstance(raw, str):
+            return _fail(diags, "TYPE_MISMATCH", parent, key, f"{what}, got {_type_name(raw)}")
+        try:
+            locator = parse_locator(raw)
+        except LocatorError as exc:
+            return _fail(diags, "LOC_SYNTAX", parent, key, exc.diagnostic.message)
+        return MediaRef(head, locator, tuple(descr.items()) if descr is not None else None)
+
+    return check
 
 
 def _make_label(ctype):
@@ -450,7 +445,7 @@ def _make_list(ctype):
     def check(raw, parent, key, diags):
         path = _path(parent, key)
         if not isinstance(raw, list):
-            return _fail(diags, "TYPE_MISMATCH", path, f"expected a list, got {_type_name(raw)}")
+            return _fail(diags, "TYPE_MISMATCH", parent, key, f"expected a list, got {_type_name(raw)}")
         return [check_item(item, path, i, diags) for i, item in enumerate(raw)]
 
     return check
@@ -464,7 +459,7 @@ def _make_struct(ctype):
     def check(raw, parent, key, diags):
         path = _path(parent, key)
         if not isinstance(raw, dict):
-            return _fail(diags, "TYPE_MISMATCH", path, f"expected a {head} record, got {_type_name(raw)}")
+            return _fail(diags, "TYPE_MISMATCH", parent, key, f"expected a {head} record, got {_type_name(raw)}")
         inner = path or None
         values: dict[str, object] = {}
         for name, optional, check_field in fields:
@@ -485,28 +480,33 @@ def _make_struct(ctype):
     return check
 
 
+# each shape's closure, or the factory that makes it from the type's arguments
 _CHECKS = {
-    "bool": _leaf(_check_bool),
-    "int": _leaf(_check_int),
-    "num": _leaf(_check_num, _fast_num),
-    "str": _leaf(_check_str),
-    "coord": _leaf(_check_coord),
-    "coord3d": _leaf(_check_coord),
-    "interval": _leaf(_check_interval),
-    "bbox": _leaf(_check_bbox, _fast_bbox),
-    "polygon": _leaf(_check_polygon),
-    "date": _leaf(_check_datetime),
-    "time": _leaf(_check_datetime),
+    "bool": _bool,
+    "int": _int,
+    "num": _num,
+    "str": _str,
+    "coord": _make_coord,
+    "coord3d": _make_coord,
+    "interval": _interval,
+    "bbox": _bbox,
+    "polygon": _polygon,
+    "date": _make_datetime,
+    "time": _make_datetime,
     "label": _make_label,
     "list": _make_list,
-    "media": _leaf(_check_media),
-    "text": _leaf(_check_media),
-    "keypoint": _leaf(_check_keypoint),
-    "rotated_bbox": _leaf(_check_rotated_bbox),
-    "instance_id": _leaf(_check_id),
-    "unique_id": _leaf(_check_id),
-    "image_shape": _leaf(_check_image_shape, _fast_image_shape),
+    "media": _make_media,
+    "text": _make_media,
+    "keypoint": _make_keypoint,
+    "rotated_bbox": _make_rotated_bbox,
+    "instance_id": _make_id,
+    "unique_id": _make_id,
+    "image_shape": _image_shape,
     "struct": _make_struct,
+}
+_FACTORIES = {
+    _make_coord, _make_datetime, _make_id, _make_keypoint, _make_label, _make_list, _make_media,
+    _make_rotated_bbox, _make_struct,
 }
 
 
@@ -522,7 +522,8 @@ def _checker(ctype: ConcreteType):
 
 
 def _compile(ctype: ConcreteType):
-    return _CHECKS[ctype.shape](ctype)
+    shape = _CHECKS[ctype.shape]
+    return shape(ctype) if shape in _FACTORIES else shape
 
 
 def _run(check, raw, parent, key, strict: bool) -> tuple[object, list[Diagnostic]]:
@@ -564,18 +565,18 @@ def validate_label(
         dom_name = qualified.group("dom")
         by_name = qualified.re is _QUALIFIED_NAME
         selector = qualified.group("path" if by_name else "idx")
-        if dom is None:
-            # unbound: record the reference without range validation
-            if by_name:
-                return ClassRef(dom_name, (), selector), []
-            return ClassRef(dom_name, tuple(int(p) for p in selector.split(".")), ""), []
-        if dom.name != dom_name:
+        if dom is None and by_name:
+            # unbound: the reference is recorded without range validation
+            return ClassRef(dom_name, (), selector), []
+        if dom is not None and dom.name != dom_name:
             message = f"label names domain {dom_name!r} but the field is bound to {dom.name!r}"
             return None, [error("LABEL_DOMAIN_MISMATCH", path, message)]
     elif dom is None:
         what = "index" if isinstance(raw, int) else repr(raw)
         return None, [error("LABEL_SYNTAX", path, f"bare label {what} requires a bound class domain")]
     try:
+        if dom is None:  # an unbound ``Dom[idx]``, recorded likewise
+            return ClassRef(dom_name, index_path(selector), ""), []
         return lookup_class(dom, selector), []
     except ClassLookupError as exc:
         return None, [error(exc.code, path, exc.diagnostic.message)]
@@ -630,17 +631,12 @@ class ValidationReport(Slotted):
     def sample_count(self) -> int:
         return len(self.samples)
 
-    @property
-    def errors(self) -> int:
-        return sum(1 for d in self.diagnostics if d.severity is Severity.ERROR)
+    def _count(self, severity: Severity) -> int:
+        return sum(1 for d in self.diagnostics if d.severity is severity)
 
-    @property
-    def warnings(self) -> int:
-        return sum(1 for d in self.diagnostics if d.severity is Severity.WARNING)
-
-    @property
-    def notes(self) -> int:
-        return sum(1 for d in self.diagnostics if d.severity is Severity.NOTE)
+    errors = property(lambda self: self._count(Severity.ERROR))
+    warnings = property(lambda self: self._count(Severity.WARNING))
+    notes = property(lambda self: self._count(Severity.NOTE))
 
     def counts_by_code(self) -> dict[str, int]:
         counts: dict[str, int] = {}

@@ -2,6 +2,7 @@
 
 import datetime
 import math
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,7 +18,7 @@ from dsdl import (
 from dsdl.diagnostics import DsdlError, Severity
 from dsdl.locator import RelativePath
 from dsdl.resolver import ConcreteType
-from dsdl.schema import ClassRef, build_definitions
+from dsdl.schema import ClassRef, build_definitions, lookup_class
 from dsdl.validation import (
     Box,
     ImageShapeValue,
@@ -634,6 +635,60 @@ def test_a_type_compiles_once_over_many_calls(registry, monkeypatch):
     assert sample == ctype(registry, "Sample") and repr(sample) == repr(ctype(registry, "Sample"))
 
 
+def test_a_failing_value_builds_one_diagnostic(registry, monkeypatch):
+    from dsdl import validation
+
+    built = []
+    make = validation.error
+
+    def counting(*args):
+        built.append(args)
+        return make(*args)
+
+    monkeypatch.setattr(validation, "error", counting)
+    for spec, raw in (("Bool", 1), ("BBox", [0, 0, -1, 1])):
+        built.clear()
+        _, diags = validate_value(raw, ctype(registry, spec), "v")
+        assert len(built) == len(diags) == 1, spec
+
+
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_BIG = 10**_DIGIT_LIMIT  # one digit past the limit, which ``str`` refuses
+_DIGITS = "1" * (_DIGIT_LIMIT + 1)
+
+
+@pytest.mark.skipif(not _DIGIT_LIMIT, reason="this Python has no int-to-string digit limit")
+@pytest.mark.parametrize(
+    "spec, raw, code",
+    [
+        ("InstanceID", _BIG, "RANGE"),
+        ("UniqueID", -_BIG, "RANGE"),
+        ("Interval", [_BIG, 1], "RANGE"),
+        ("BBox", [0, 0, -_BIG, 1], "RANGE"),
+        ("ImageShape", [1, -_BIG], "RANGE"),
+        ('RotatedBBox[mode="xywht"]', [0, 0, 1, 1, _BIG], "RANGE"),
+        ("Label[dom=MyClassDom]", _BIG, "CLASS_INDEX_RANGE"),
+        ("Label[dom=MyClassDom]", _DIGITS, "CLASS_INDEX_RANGE"),
+        ("Label[dom=MyClassDom]", f"1.{_DIGITS}", "CLASS_INDEX_RANGE"),
+        ("Label[dom=MyClassDom]", f"MyClassDom[{_DIGITS}]", "CLASS_INDEX_RANGE"),
+    ],
+    ids=["id", "unique-id", "interval", "bbox", "image-shape", "rotated-bbox", "index", "digits", "index-path", "dom-index"],
+)
+def test_an_integer_past_the_digit_limit_is_a_coded_finding(registry, spec, raw, code):
+    value, diags = validate_value(raw, ctype(registry, spec), "v")
+    assert value is None
+    assert [(d.severity, d.code, d.path) for d in diags] == [(Severity.ERROR, code, "v")]
+    assert "too many digits" in diags[0].message
+
+
+@pytest.mark.skipif(not _DIGIT_LIMIT, reason="this Python has no int-to-string digit limit")
+def test_a_class_index_past_the_digit_limit_is_a_lookup_error(registry):
+    assert validate_label(f"D[{_DIGITS}]", None, "v")[1][0].code == "CLASS_INDEX_RANGE"
+    with pytest.raises(DsdlError, match="too many digits") as raised:
+        lookup_class(registry.get("MyClassDom"), _BIG)
+    assert raised.value.code == "CLASS_INDEX_RANGE"
+
+
 # -- compiled closures against the per-component checkers -------------------------------------
 
 
@@ -654,7 +709,7 @@ def _label_checker(raw, ctype, path, diags):
 def _differential_types():
     """Each builtin type, with the per-component checker that its compiled
     closure must agree with."""
-    from dsdl import validation as v
+    import _shape_oracle as v
 
     registry, _ = build_definitions(
         {
