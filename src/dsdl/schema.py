@@ -29,7 +29,7 @@ from .typeexpr import (
 _SEGMENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _SEGMENT_ANNOT_RE = re.compile(r"(?P<name>[^\[\]]+)(\[(?P<parent>[^\]]+)\])?")
 # a whole dotted path of plain identifiers: no annotation, no warning
-_PLAIN_PATH_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*")
+_PLAIN_PATH_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*")
 
 
 class ClassSegment(Frozen):
@@ -69,34 +69,68 @@ class ClassRef(Frozen):
 class ClassDomain(Frozen):
     """An ordered, possibly hierarchical list of class paths.
 
-    Only :func:`build_definitions` creates domains. It fills the lookup
-    tables in the same pass that parses ``classes``, so the cost of
-    :func:`lookup_class` does not depend on the domain's size: ``refs``
-    holds every class in declared order (the flat 1-based index),
-    ``by_name`` maps each dotted name to its ref, ``by_leaf`` maps the
-    last segment of each multi-segment class to its ref, or to ``None``
-    when several classes share it, and ``children`` lists the distinct
-    names below each name prefix in first-appearance order.
+    Only :func:`build_definitions` creates domains, and it does only the
+    per-class work that its checks need. A domain keeps the declared
+    ``items``, the canonical dotted text of each class in ``names`` (the
+    declared list itself when every item is a plain dotted identifier)
+    and ``index``, each text's 1-based position. ``positions`` gives each
+    child's 1-based position below a dotted prefix (``""`` is the top),
+    and ``children`` lists those children in first-appearance order;
+    ``leaves`` maps the last segment of each multi-segment class to its
+    index, or to 0 when several classes share it. A flat domain's top
+    level is ``index`` and ``names`` themselves.
+
+    The :class:`ClassRef` of a class is made by :meth:`ref` on its first
+    lookup and then shared; ``classes``, the classes as segments, is made
+    from ``items`` on first access. Equality, hash and repr mean name,
+    classes, skeleton and parents.
     """
 
-    __slots__ = ("name", "classes", "skeleton", "parents", "refs", "by_name", "by_leaf", "children")
-    _fields = __slots__[:4]  # equality, hash and repr leave out the lookup tables
+    __slots__ = (
+        "name", "items", "skeleton", "parents", "names", "index", "positions", "children", "leaves",
+        "_refs", "_classes",
+    )
+    _fields = ("name", "classes", "skeleton", "parents")
 
-    def __init__(self, name: str, classes: list[ClassPath], skeleton, parents, refs, by_name, by_leaf, children):
-        set_field(self, "name", name)
-        set_field(self, "classes", classes)
-        set_field(self, "skeleton", skeleton)
-        set_field(self, "parents", parents)
-        set_field(self, "refs", refs)
-        set_field(self, "by_name", by_name)
-        set_field(self, "by_leaf", by_leaf)
-        set_field(self, "children", children)
+    def __init__(self, name: str, items: list[str], skeleton, parents, names, index, positions, children, leaves):
+        self.__setstate__([name, items, skeleton, parents, names, index, positions, children, leaves])
+
+    def __setstate__(self, state: list) -> None:
+        super().__setstate__(state)
+        set_field(self, "_refs", {})  # class index and class text -> its ClassRef
+        set_field(self, "_classes", None)
+
+    @property
+    def classes(self) -> list[ClassPath]:
+        classes = self._classes
+        if classes is None:
+            classes = [
+                tuple([ClassSegment(*_SEGMENT_ANNOT_RE.fullmatch(seg).group("name", "parent")) for seg in item.split(".")])
+                for item in self.items
+            ]
+            set_field(self, "_classes", classes)
+        return classes
+
+    def ref(self, index: int) -> ClassRef:
+        """The ref of the ``index``-th class (1-based), made on first use and then
+        shared; an index outside the domain is a ``CLASS_INDEX_RANGE`` lookup error."""
+        ref = self._refs.get(index)
+        if ref is None:
+            if not 1 <= index <= len(self.names):
+                message = f"class index {show_number(index)} out of range 1..{len(self.names)} in {self.name}"
+                raise ClassLookupError(error("CLASS_INDEX_RANGE", "", message))
+            text, prefix, index_path = self.names[index - 1], "", []
+            for seg in text.split("."):
+                index_path.append(self.positions[prefix][seg])
+                prefix = f"{prefix}.{seg}" if prefix else seg
+            ref = self._refs[index] = self._refs[text] = ClassRef(self.name, tuple(index_path), text)
+        return ref
 
     def __len__(self) -> int:
-        return len(self.refs)
+        return len(self.names)
 
     def class_names(self) -> list[str]:
-        return [ref.path for ref in self.refs]
+        return list(self.names)
 
 
 class StructClass(Frozen):
@@ -257,58 +291,18 @@ def _build_class_domain(
         if key not in ("$def", "classes", "skeleton"):
             diags.append(warning("DEF_UNKNOWN_KEY", f"{path}/{key}", f"unrecognized class_domain key {key!r}", source))
 
-    classes: list[ClassPath] = []
-    refs: list[ClassRef] = []
-    by_name: dict[str, ClassRef] = {}
-    by_leaf: dict[str, ClassRef | None] = {}
-    positions: dict[tuple[str, ...], dict[str, int]] = {}  # prefix -> {child: 1-based position}
-    plain: dict[str, ClassSegment] = {}  # equal plain segments are shared
-    for i, item in enumerate(classes_raw):
-        if not isinstance(item, str) or not item:
-            diags.append(error("MALFORMED_DEF", f"{path}/classes/{i}", "class name must be a non-empty string", source))
-            return None
-        if _PLAIN_PATH_RE.fullmatch(item):
-            text = item
-            names = tuple(item.split("."))
-            cls_path = tuple([plain.get(n) or plain.setdefault(n, ClassSegment(n)) for n in names])
-        else:
-            segments = []
-            for seg_text in item.split("."):
-                m = _SEGMENT_ANNOT_RE.fullmatch(seg_text)
-                if not m:
-                    diags.append(error("MALFORMED_DEF", f"{path}/classes/{i}", f"malformed class path {item!r}", source))
-                    return None
-                seg_name = m.group("name")
-                if not _SEGMENT_RE.fullmatch(seg_name):
-                    # taken verbatim, but flagged: the convention is to map
-                    # special characters to underscores in global-info
-                    diags.append(
-                        warning("CLASS_NAME_SYNTAX", f"{path}/classes/{i}", f"class name segment {seg_name!r} is not an identifier", source)
-                    )
-                segments.append(ClassSegment(seg_name, m.group("parent")))
-            cls_path = tuple(segments)
-            names = tuple(seg.name for seg in segments)
-            text = ".".join(names)
-        if text in by_name:
-            diags.append(error("MALFORMED_DEF", f"{path}/classes/{i}", f"duplicate class path {text!r}", source))
-            return None
-        index_path = []
-        for depth, seg_name in enumerate(names):
-            prefix = names[:depth]
-            siblings = positions.get(prefix)
-            if siblings is None:
-                siblings = positions[prefix] = {}
-            position = siblings.get(seg_name)
-            if position is None:
-                position = siblings[seg_name] = len(siblings) + 1
-            index_path.append(position)
-        ref = ClassRef(name, tuple(index_path), text)
-        refs.append(ref)
-        by_name[text] = ref
-        if len(names) > 1:
-            leaf = names[-1]
-            by_leaf[leaf] = None if leaf in by_leaf else ref
-        classes.append(cls_path)
+    items = list(classes_raw)
+    names = _class_texts(items, path, source, diags)
+    if names is None:
+        return None
+    index = dict(zip(names, range(1, len(names) + 1)))
+    if len(index) != len(names):  # reported at the first repeated item
+        seen: set[str] = set()
+        for i, text in enumerate(names):
+            if text in seen:
+                diags.append(error("MALFORMED_DEF", f"{path}/classes/{i}", f"duplicate class path {text!r}", source))
+                return None
+            seen.add(text)
 
     skeleton = None
     skeleton_raw = body.get("skeleton")
@@ -327,20 +321,91 @@ def _build_class_domain(
                 diags.append(error("MALFORMED_DEF", f"{path}/skeleton/{i}", f"skeleton entry {pair!r} is not a pair of integers", source))
                 return None
             a, b = pair
-            if not (1 <= a <= len(classes) and 1 <= b <= len(classes)) or a == b:
+            if not (1 <= a <= len(names) and 1 <= b <= len(names)) or a == b:
                 diags.append(
                     error(
                         "MALFORMED_DEF",
                         f"{path}/skeleton/{i}",
-                        f"skeleton pair [{a}, {b}] out of range for {len(classes)} classes",
+                        f"skeleton pair [{a}, {b}] out of range for {len(names)} classes",
                         source,
                     )
                 )
                 return None
             skeleton.append((a, b))
 
-    children = {prefix: list(siblings) for prefix, siblings in positions.items()}
-    return ClassDomain(name, classes, skeleton, parents, refs, by_name, by_leaf, children)
+    if any("." in text for text in names):
+        positions, leaves = _hierarchy(names)
+        children = {prefix: list(siblings) for prefix, siblings in positions.items()}
+    else:
+        positions, children, leaves = {"": index}, {"": names}, {}
+    return ClassDomain(name, items, skeleton, parents, names, index, positions, children, leaves)
+
+
+def _class_texts(items: list, path: str, source: str | None, diags: list[Diagnostic]) -> list[str] | None:
+    """The canonical dotted text of each declared class, or None after a malformed item.
+
+    A list of plain dotted identifiers is its own texts. Any other list is
+    read item by item, which reports ``name[parent]`` annotations and
+    non-identifier segments; it ends at the first repeated text, so that
+    no item after a duplicate is read.
+    """
+    try:
+        if all(map(_PLAIN_PATH_RE.fullmatch, items)):
+            return items
+    except TypeError:  # a non-str item is not plain
+        pass
+    names: list[str] = []
+    seen: set[str] = set()
+    for i, item in enumerate(items):
+        if not isinstance(item, str) or not item:
+            diags.append(error("MALFORMED_DEF", f"{path}/classes/{i}", "class name must be a non-empty string", source))
+            return None
+        text = item
+        if not _PLAIN_PATH_RE.fullmatch(item):
+            segments = []
+            for seg_text in item.split("."):
+                m = _SEGMENT_ANNOT_RE.fullmatch(seg_text)
+                if not m:
+                    diags.append(error("MALFORMED_DEF", f"{path}/classes/{i}", f"malformed class path {item!r}", source))
+                    return None
+                seg_name = m.group("name")
+                if not _SEGMENT_RE.fullmatch(seg_name):
+                    # taken verbatim, but flagged: the convention is to map
+                    # special characters to underscores in global-info
+                    diags.append(
+                        warning("CLASS_NAME_SYNTAX", f"{path}/classes/{i}", f"class name segment {seg_name!r} is not an identifier", source)
+                    )
+                segments.append(seg_name)
+            text = ".".join(segments)
+        names.append(text)
+        if text in seen:
+            break
+        seen.add(text)
+    return names
+
+
+def _hierarchy(names: list[str]) -> tuple[dict[str, dict[str, int]], dict[str, int]]:
+    """The 1-based position of each child below each dotted prefix (``""`` is
+    the top), in first-appearance order, and the leaf of each multi-segment
+    class -> its index, or 0 when several classes share the leaf."""
+    positions: dict[str, dict[str, int]] = {"": {}}
+    leaves: dict[str, int] = {}
+    for i, text in enumerate(names, 1):
+        prefix, dot, leaf = text.rpartition(".")
+        siblings = positions.get(prefix)
+        if siblings is None:  # a prefix seen for the first time: place it and its ancestors
+            above = ""
+            for seg in prefix.split("."):
+                level = positions.setdefault(above, {})
+                if seg not in level:
+                    level[seg] = len(level) + 1
+                above = f"{above}.{seg}" if above else seg
+            siblings = positions[prefix] = {}
+        if leaf not in siblings:
+            siblings[leaf] = len(siblings) + 1
+        if dot:
+            leaves[leaf] = 0 if leaf in leaves else i
+    return positions, leaves
 
 
 def _build_struct(
@@ -420,48 +485,44 @@ def lookup_class(domain: ClassDomain, selector: str | int) -> ClassRef:
     ``CLASS_INDEX_RANGE``; a selector that is neither ``str`` nor
     ``int`` (``bool`` included) is an invalid ``CLASS_NOT_FOUND``.
 
-    Every lookup reads the domain's tables, built once when the domain
-    was defined, so its cost does not depend on the domain's size: an
-    index path costs one step per level.
+    A lookup reads the tables built with the domain, so its cost does not
+    depend on the domain's size (an index path costs one step per level),
+    and returns the class's shared ref from :meth:`ClassDomain.ref`.
     """
     if isinstance(selector, bool) or not isinstance(selector, (str, int)):
         raise ClassLookupError(error("CLASS_NOT_FOUND", "", f"invalid class selector {selector!r}"))
     if isinstance(selector, int):
-        return _lookup_flat(domain, selector)
+        return domain.ref(selector)
     if _INDEX_PATH_RE.fullmatch(selector):
         parts = index_path(selector)
         if len(parts) == 1:
-            return _lookup_flat(domain, parts[0])
-        names: tuple[str, ...] = ()
-        for idx in parts:
-            siblings = domain.children.get(names, ())
+            return domain.ref(parts[0])
+        prefix = ""
+        for level, idx in enumerate(parts, 1):
+            siblings = domain.children.get(prefix, ())
             if not 1 <= idx <= len(siblings):
                 raise ClassLookupError(
-                    error(
-                        "CLASS_INDEX_RANGE",
-                        "",
-                        f"index {show_number(idx)} out of range 1..{len(siblings)} at level {len(names) + 1}",
-                    )
+                    error("CLASS_INDEX_RANGE", "", f"index {show_number(idx)} out of range 1..{len(siblings)} at level {level}")
                 )
-            names += (siblings[idx - 1],)
-        ref = domain.by_name.get(".".join(names))
-        if ref is None:
+            prefix = f"{prefix}.{siblings[idx - 1]}" if prefix else siblings[idx - 1]
+        index = domain.index.get(prefix)
+        if index is None:
             raise ClassLookupError(
                 error("CLASS_NOT_FOUND", "", f"index path {selector!r} addresses no declared class in {domain.name}")
             )
-        return ref
-    ref = domain.by_name.get(selector)
+        return domain.ref(index)
+    ref = domain._refs.get(selector)  # made by an earlier lookup of this class
     if ref is not None:
         return ref
-    if selector in domain.by_leaf:
+    index = domain.index.get(selector)
+    if index is None:
         # a bare leaf is accepted when it is unambiguous in the domain
-        ref = domain.by_leaf[selector]
-        if ref is None:
-            raise ClassLookupError(
-                error("CLASS_NOT_FOUND", "", f"class name {selector!r} is ambiguous in {domain.name}")
-            )
-        return ref
-    raise ClassLookupError(error("CLASS_NOT_FOUND", "", f"no class {selector!r} in {domain.name}"))
+        index = domain.leaves.get(selector)
+        if index is None:
+            raise ClassLookupError(error("CLASS_NOT_FOUND", "", f"no class {selector!r} in {domain.name}"))
+        if not index:
+            raise ClassLookupError(error("CLASS_NOT_FOUND", "", f"class name {selector!r} is ambiguous in {domain.name}"))
+    return domain.ref(index)
 
 
 def index_path(selector: str) -> tuple[int, ...]:
@@ -472,15 +533,3 @@ def index_path(selector: str) -> tuple[int, ...]:
     except ValueError:
         raise ClassLookupError(error("CLASS_INDEX_RANGE", "", "class index has too many digits")) from None
 
-
-def _lookup_flat(domain: ClassDomain, index: int) -> ClassRef:
-    refs = domain.refs
-    if not 1 <= index <= len(refs):
-        raise ClassLookupError(
-            error(
-                "CLASS_INDEX_RANGE",
-                "",
-                f"class index {show_number(index)} out of range 1..{len(refs)} in {domain.name}",
-            )
-        )
-    return refs[index - 1]

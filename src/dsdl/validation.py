@@ -145,6 +145,12 @@ def _path(parent, key) -> str:
     return key if parent is None else f"{parent}/{key}"
 
 
+def _show_key(name) -> str:
+    """A mapping key as a message echoes it: its repr, but an integer past
+    Python's int-to-string digit limit reads as ``show_number``'s placeholder."""
+    return show_number(name) if isinstance(name, int) else repr(name)
+
+
 def _fail(diags: list[Diagnostic], code: str, parent, key, message: str) -> None:
     """Record an error at ``_path(parent, key)``; returns ``None``, the value of an unusable input."""
     diags.append(error(code, _path(parent, key), message))
@@ -308,8 +314,8 @@ def _make_rotated_bbox(ctype):
 
 def _make_keypoint(ctype):
     dom: ClassDomain = ctype.arg("dom")
-    name, expected = dom.name, 3 * len(dom.classes)
-    arity_message = f"keypoint list for {name} ({len(dom.classes)} classes) requires {expected} values, got"
+    name, expected = dom.name, 3 * len(dom)
+    arity_message = f"keypoint list for {name} ({len(dom)} classes) requires {expected} values, got"
 
     def check(raw, parent, key, diags):
         if not isinstance(raw, list):
@@ -405,8 +411,8 @@ def _make_media(ctype):
                 return _fail(diags, "TYPE_MISMATCH", _path(parent, key), "$descr", "$descr must be a mapping")
             for name in raw:
                 if name not in ("$loc", "$descr"):
-                    message = f"unexpected key {name!r} in {head} mapping"
-                    diags.append(warning("FIELD_UNKNOWN", _path(_path(parent, key), name), message))
+                    message = f"unexpected key {_show_key(name)} in {head} mapping"
+                    diags.append(warning("FIELD_UNKNOWN", _path(_path(parent, key), show_number(name)), message))
             raw = raw["$loc"]
         elif not isinstance(raw, str):
             return _fail(diags, "TYPE_MISMATCH", parent, key, f"{what}, got {_type_name(raw)}")
@@ -421,17 +427,21 @@ def _make_media(ctype):
 
 def _make_label(ctype):
     dom: ClassDomain | None = ctype.arg("dom")
-    by_name, refs = (dom.by_name, dom.refs) if dom is not None else ({}, [])
+    # the domain's refs by class index and class text, each added on its first
+    # lookup, so a label seen before costs one dict get
+    refs = dom._refs if dom is not None else {}
 
     def check(raw, parent, key, diags):
         if type(raw) is str:
-            ref = by_name.get(raw)
+            ref = refs.get(raw)
             # a class name may also read as an index path or as ``Dom::path``
             # (never as ``Dom[idx]``: a class segment holds no bracket)
             if ref is not None and not raw[0].isdigit() and "::" not in raw:
                 return ref
-        elif type(raw) is int and 0 < raw <= len(refs):
-            return refs[raw - 1]
+        elif type(raw) is int:
+            ref = refs.get(raw)
+            if ref is not None:
+                return ref
         ref, found = validate_label(raw, dom, _path(parent, key))
         diags.extend(found)
         return ref
@@ -473,8 +483,8 @@ def _make_struct(ctype):
         if not raw.keys() <= names:
             for name in raw:
                 if name not in names:
-                    message = f"field {name!r} is not declared on {head}"
-                    diags.append(warning("FIELD_UNKNOWN", _path(inner, str(name)), message))
+                    message = f"field {_show_key(name)} is not declared on {head}"
+                    diags.append(warning("FIELD_UNKNOWN", _path(inner, show_number(name)), message))
         return Record(head, values)
 
     return check

@@ -7,8 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from dsdl import build_definitions, lookup_class, parse_document
 from dsdl.diagnostics import ClassLookupError
+from dsdl.resolver import ConcreteType
 from dsdl.schema import BUILTINS, ClassDomain, ClassRef, StructClass
+from dsdl.validation import validate_value
 
+import _domain_oracle as oracle
 from conftest import CORPUS
 
 
@@ -354,3 +357,133 @@ def test_lookup_class_matches_linear_scan_oracle(domain, data):
     selectors += data.draw(st.lists(st.lists(st.sampled_from(_SEGMENT_NAMES), min_size=1, max_size=3).map(".".join), max_size=8))
     for selector in selectors:
         assert _outcome(lookup_class, domain, selector) == _outcome(_oracle_lookup, domain, selector), selector
+
+
+# -- differential property: the domain layer against the eager oracle -------------
+
+_PLAIN_SEGMENTS = ("a", "b", "c", "x_1", "_")
+_ODD_SEGMENTS = ("1", "10", "a-b", "\u0663", "x::y", "a\nb", " a")
+_ODD_ITEMS = ("", 1, None, True, 1.5, ["a"], "a..b", "a.", ".a", "a[", "[p]", "a[p]]", "a[p].b[q", "a\n", "a.b\n")
+
+
+@st.composite
+def _domain_bodies(draw):
+    """``class_domain`` bodies: flat and dotted lists with shared prefixes and
+    leaves, ``name[parent]`` annotations, non-identifier segments, malformed
+    and non-``str`` items, repeats (also of a path against its annotated
+    form) and skeletons in and out of range."""
+    if draw(st.booleans()):  # plain dotted identifiers only: the unannotated fast path
+        item = st.lists(st.sampled_from(_PLAIN_SEGMENTS), min_size=1, max_size=3).map(".".join)
+    else:
+        segment = st.sampled_from(_PLAIN_SEGMENTS + _ODD_SEGMENTS)
+        parent = st.sampled_from((None, None, None, "p", "q"))
+        annotated = st.tuples(segment, parent).map(lambda sp: sp[0] if sp[1] is None else f"{sp[0]}[{sp[1]}]")
+        item = st.lists(annotated, min_size=1, max_size=3).map(".".join)
+    items = draw(st.lists(item, min_size=1, max_size=12, unique=True))
+    # each rarer case is drawn past the first, plainest choice
+    for _ in range(draw(st.sampled_from((0, 0, 1, 2)))):
+        copy = draw(st.sampled_from(items))
+        if draw(st.booleans()):
+            copy += "[x]"
+        items.insert(draw(st.integers(0, len(items))), copy)
+    if draw(st.sampled_from((False, False, False, True))):
+        items.insert(draw(st.integers(0, len(items))), draw(st.sampled_from(_ODD_ITEMS)))
+    body = {"$def": "class_domain", "classes": draw(st.sampled_from((items,) * 9 + ([], "a", None)))}
+    index = st.integers(1, len(items))
+    pair = st.one_of(
+        st.lists(index, min_size=2, max_size=2),
+        st.lists(st.integers(0, len(items) + 1), min_size=2, max_size=2),
+        st.sampled_from(([1], [True, 1], [1.0, 2], "ab")),
+    )
+    skeleton = draw(st.one_of(st.none(), st.lists(pair, max_size=3), st.just("x")))
+    if skeleton is not None:
+        body["skeleton"] = skeleton
+    return body
+
+
+def _both(body):
+    """The domain and findings of ``body`` from ``build_definitions`` and from the oracle."""
+    registry, diags = build_definitions({"Dom": body})
+    eager_diags = []
+    eager = oracle._build_class_domain("Dom", [], body, "defs/Dom", None, eager_diags)
+    return (registry.get("Dom"), diags), (eager, eager_diags)
+
+
+def _labels(dom, raws, lookup):
+    """Each raw label through ``validate_label``, with ``lookup`` as its class lookup."""
+    from unittest import mock
+
+    from dsdl import validation
+
+    with mock.patch.object(validation, "lookup_class", lookup):
+        return [validation.validate_label(raw, dom, "v") for raw in raws]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_domain_bodies(), _domain_bodies(), st.data())
+def test_class_domain_matches_eager_oracle(body, other_body, data):
+    (dom, diags), (eager, eager_diags) = _both(body)
+    assert diags == eager_diags
+    assert (dom is None) == (eager is None)
+    if dom is None:
+        return
+    assert len(dom) == len(eager) and dom.class_names() == eager.class_names()
+    assert dom.classes == eager.classes and repr(dom) == repr(eager)
+    assert dom == _both(body)[0][0]
+    (other, _), (other_eager, _) = _both(other_body)
+    if other is not None:
+        assert (dom == other) == (eager == other_eager) and (other == dom) == (other_eager == eager)
+
+    n = len(dom)
+    selectors = [True, None, 1.5, -1, 0, n + 1, str(n + 1), f"{n + 1}.1", "", "zz", "a.zz", "a", "b", "c"]
+    labels = [True, 1.5, None, -1, 0, n + 1, "", "zz", "Dom::zz", f"Dom[{n + 1}]", "Other::a", "Other[1]"]
+    for i, name in enumerate(dom.class_names(), start=1):
+        path = ".".join(map(str, eager.refs[i - 1].index_path))
+        leaf = name.split(".")[-1]
+        selectors += [name, i, str(i), path, leaf]
+        labels += [name, i, str(i), path, leaf, f"Dom::{name}", f"Dom[{path}]", f"Dom[{i}]", f"Dom::{leaf}"]
+    index_path = st.lists(st.integers(0, 4), min_size=1, max_size=4).map(lambda p: ".".join(map(str, p)))
+    drawn = data.draw(st.lists(index_path, max_size=6))
+    selectors += drawn
+    labels += drawn + [f"Dom[{p}]" for p in drawn]
+    for selector in selectors:
+        assert _outcome(lookup_class, dom, selector) == _outcome(oracle.lookup_class, eager, selector), selector
+    expected = _labels(eager, labels, oracle.lookup_class)
+    assert _labels(dom, labels, lookup_class) == expected
+    # the compiled label closure, whose fast path reads the refs made so far
+    ctype = ConcreteType("Label", "label", {"dom": _both(body)[0][0]})
+    for raw, want in zip(labels, expected):
+        got = validate_value(raw, ctype, "v")
+        assert got == want and validate_value(raw, ctype, "v")[0] is got[0], raw
+
+
+# -- work bound: a domain makes its refs and segments on first use --------------------
+
+
+def test_building_a_big_domain_makes_no_ref_or_segment(monkeypatch):
+    from dsdl import schema
+
+    made = {"ClassRef": 0, "ClassSegment": 0}
+
+    def counting(cls):
+        init = cls.__init__
+
+        def counted(self, *args):
+            made[cls.__name__] += 1
+            init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+
+    counting(schema.ClassRef)
+    counting(schema.ClassSegment)
+    classes = [f"top{a}.mid{b}.leaf{a}_{b}_{c}" for a in range(10) for b in range(20) for c in range(50)]
+    registry, diags = build_definitions({"Big": {"$def": "class_domain", "classes": classes}})
+    dom = registry.get("Big")
+    assert diags == [] and len(dom) == 10_000
+    assert made == {"ClassRef": 0, "ClassSegment": 0}
+    ref = lookup_class(dom, "top3.mid7.leaf3_7_9")
+    assert (ref.domain, ref.index_path, ref.path) == ("Big", (4, 8, 10), "top3.mid7.leaf3_7_9")
+    assert made == {"ClassRef": 1, "ClassSegment": 0}
+    for same in ("top3.mid7.leaf3_7_9", "leaf3_7_9", 3 * 1000 + 7 * 50 + 10, "4.8.10"):
+        assert lookup_class(dom, same) is ref
+    assert made == {"ClassRef": 1, "ClassSegment": 0}

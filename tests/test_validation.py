@@ -689,6 +689,23 @@ def test_a_class_index_past_the_digit_limit_is_a_lookup_error(registry):
     assert raised.value.code == "CLASS_INDEX_RANGE"
 
 
+@pytest.mark.skipif(not _DIGIT_LIMIT, reason="this Python has no int-to-string digit limit")
+@pytest.mark.parametrize(
+    "spec, raw, shown, message",
+    [
+        ("Sample", {"image": "a.png", "label": "cat", _BIG: 2}, "<integer with too many digits>", "field {} is not declared on Sample"),
+        ("Image", {"$loc": "a.png", -_BIG: 1}, "-<integer with too many digits>", "unexpected key {} in Image mapping"),
+    ],
+    ids=["struct", "media"],
+)
+def test_an_undeclared_key_past_the_digit_limit_is_a_warning(registry, spec, raw, shown, message):
+    value, diags = validate_value(raw, ctype(registry, spec), "v")
+    assert value is not None
+    assert [(d.severity, d.code, d.path, d.message) for d in diags] == [
+        (Severity.WARNING, "FIELD_UNKNOWN", f"v/{shown}", message.format(shown))
+    ]
+
+
 # -- compiled closures against the per-component checkers -------------------------------------
 
 

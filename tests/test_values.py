@@ -16,6 +16,8 @@ from dsdl.schema import (
     DefinitionRegistry,
     ParamSpec,
     StructClass,
+    build_definitions,
+    lookup_class,
 )
 from dsdl.typeexpr import Arg, NumberLit, ParamRef, TypeExpr
 from dsdl.validation import (
@@ -30,8 +32,9 @@ from dsdl.validation import (
 )
 
 
-def _domain(tables=([], {}, {}, {})):
-    return ClassDomain("D", [(ClassSegment("a"),)], None, [], *tables)
+def _domain():
+    registry, _ = build_definitions({"D": {"$def": "class_domain", "classes": ["a"]}})
+    return registry.get("D")
 
 
 # class name: (make an instance, its exact repr)
@@ -178,7 +181,10 @@ def test_defaults_are_fresh_per_instance():
 
 
 def test_class_domain_compares_and_shows_its_classes_only():
-    built = _domain(([ClassRef("D", (1,), "a")], {"a": ClassRef("D", (1,), "a")}, {}, {(): ["a"]}))
-    bare = _domain()
+    built = _domain()
+    ref = lookup_class(built, "a")  # fills the ref cache
+    bare = ClassDomain("D", ["a"], None, [], [], {}, {}, {}, {})
     assert built == bare and repr(built) == repr(bare)
     assert len(built) == 1 and len(bare) == 0
+    copy = pickle.loads(pickle.dumps(built))
+    assert copy == built and lookup_class(copy, 1) == ref and lookup_class(built, 1) is ref
