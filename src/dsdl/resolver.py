@@ -221,9 +221,12 @@ def _find_import(name: str, base: Path | None, env: LibraryEnvironment) -> Path 
     roots = ([base] if base is not None else []) + list(env.search_paths)
     for root in roots:
         for stem in stems:
-            candidate = (root / stem).resolve()
-            if candidate.is_file():
-                return candidate
+            try:
+                candidate = (root / stem).resolve()
+                if candidate.is_file():
+                    return candidate
+            except (OSError, ValueError):  # a path the OS refuses, such as one too long or with a NUL
+                continue
     return None
 
 
@@ -306,8 +309,8 @@ class _Instantiation(Slotted):
     fields included; a concrete type nests at most ``MAX_TYPE_DEPTH``
     levels, so building, compiling and validating it recurse boundedly.
     ``structs`` maps each closed struct expression already built at a
-    depth, without a diagnostic, to its concrete type, so a struct used
-    at many paths is built once per depth and the result shares that node.
+    depth to its concrete type: a struct used at many paths is built once
+    per depth, shares that node and reports its notes at the first path.
     """
 
     __slots__ = ("registry", "media_extensions", "diags", "structs", "depth")
@@ -503,13 +506,11 @@ def _materialize(head: str, spec, value, run: _Instantiation, path: str):
 def _instantiate_struct(expr: TypeExpr, struct: StructClass, run: _Instantiation, path: str) -> ConcreteType:
     key: tuple[TypeExpr, int] | None = (expr, run.depth)
     try:
-        hash(key)
+        shared = run.structs.get(key)
     except TypeError:  # a caller's binding that is no type-expression value
-        key = None
-    shared = run.structs.get(key)
+        shared = key = None
     if shared is not None:
         return shared
-    reported = len(run.diags)
     bound = _bind_args(struct.name, expr.args, struct.params, path)
     missing = [p for p in struct.params if p not in bound]
     if missing:
@@ -536,9 +537,7 @@ def _instantiate_struct(expr: TypeExpr, struct: StructClass, run: _Instantiation
         closed = substitute_params(fexpr, bound)
         fields[fname] = _instantiate_closed(closed, run, fpath)
     ctype = ConcreteType(struct.name, "struct", display, fields, struct.optional)
-    if key is not None and len(run.diags) == reported:
-        # a build that reported something is redone at each path, so
-        # every path gets its own diagnostics
+    if key is not None:
         run.structs[key] = ctype
     return ctype
 

@@ -603,9 +603,9 @@ _MISSING_KEY_CODES = {"samples": "MISSING_SAMPLES_KEY", "global-info": "MISSING_
 def _load_external(path: str, base: str | Path, key: str):
     """The top-level ``key`` (``samples`` or ``global-info``) of an external JSON or YAML file."""
     full = Path(base) / path
-    if not full.is_file():
-        raise DsdlError(error("FILE_NOT_FOUND", str(path), f"external data file {full} does not exist"))
     try:
+        if not full.is_file():
+            raise DsdlError(error("FILE_NOT_FOUND", str(path), f"external data file {full} does not exist"))
         text = read_utf8(full, str(path))
         if full.suffix in (".yaml", ".yml"):
             payload = _load_yaml(text, str(full))

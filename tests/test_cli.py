@@ -631,6 +631,45 @@ def test_unreadable_external_file_is_a_coded_finding(monkeypatch, tmp_path, chan
     )
 
 
+_TOO_LONG = "a" * 5000  # longer than any file name the OS accepts
+
+
+@pytest.mark.parametrize("name", ["a\0b", _TOO_LONG], ids=["nul", "too-long"])
+def test_import_name_the_os_refuses_is_not_found(tmp_path, name):
+    target = tmp_path / "d.json"
+    target.write_text(json.dumps({"$dsdl-version": "0.5.0", "$import": [name]}))
+    code, out, err = run_cli("validate", str(target))
+    assert (code, err) == (1, "")
+    assert out.splitlines()[0].startswith(f"error IMPORT_NOT_FOUND $import/{name} cannot resolve import {name!r}; searched: ")
+
+
+def test_library_path_entry_the_os_refuses_is_skipped(monkeypatch, tmp_path):
+    (tmp_path / "lib").mkdir()
+    (tmp_path / "lib" / "mylib.yaml").write_text('$dsdl-version: "0.5.0"\nS:\n  $def: struct\n  $fields: {x: Int}\n')
+    monkeypatch.setenv("DSDL_LIBRARY_PATH", os.pathsep.join(["/" + _TOO_LONG, str(tmp_path / "lib")]))
+    target = tmp_path / "d.yaml"
+    target.write_text('$dsdl-version: "0.5.0"\n$import: [mylib, nosuchlib]\ndata:\n  sample-type: S\n  samples: [{x: 1}]\n')
+    code, out, err = run_cli("validate", str(target))
+    assert (code, err) == (1, "")
+    assert [line.split()[:3] for line in out.splitlines()[:-1]] == [["error", "IMPORT_NOT_FOUND", "$import/nosuchlib"]]
+
+
+@pytest.mark.parametrize("channel", ["sample-path", "global-info-path"])
+def test_external_file_name_the_os_refuses_is_a_coded_finding(tmp_path, channel):
+    target = tmp_path / "d.yaml"
+    target.write_text(
+        '$dsdl-version: "0.5.0"\n'
+        "data:\n"
+        "  sample-type: Int\n"
+        "  global-info-type: Int\n"
+        f"  {channel}: {_TOO_LONG}\n"
+    )
+    for argv in (("validate",), ("validate", "--format", "json"), ("summary",)):
+        code, out, err = run_cli(*argv, str(target))
+        assert (code, err) == (1, ""), argv
+        assert f"cannot read external data file {tmp_path / _TOO_LONG}: " in out, argv
+
+
 _CLI_TOKENS = [
     b"$dsdl-version: 0.5.0\n",
     b'$dsdl-version: "0.5.0"\n',

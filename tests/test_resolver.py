@@ -1,8 +1,10 @@
 """Import resolution, cycle checking, and type instantiation."""
 
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dsdl import (
     LibraryEnvironment,
@@ -11,6 +13,7 @@ from dsdl import (
     parse_document,
     resolve_imports,
     resolve_schema,
+    resolver,
     validate_dataset,
 )
 from dsdl.diagnostics import ResolutionError, Severity
@@ -18,6 +21,7 @@ from dsdl.resolver import ConcreteType, substitute_params
 from dsdl.schema import ClassDomain, build_definitions
 from dsdl.typeexpr import parse_type_expression
 
+import _resolver_oracle as oracle
 from conftest import CORPUS, error_diags, load_corpus_doc
 
 
@@ -391,7 +395,7 @@ def test_unhashable_binding_in_a_struct_argument_is_a_coded_error():
     assert (exc.value.code, exc.value.diagnostic.path) == ("ARG_KIND", "l")
 
 
-def test_param_alias_note_at_every_path_of_a_shared_struct():
+def test_param_alias_note_once_for_a_shared_struct():
     registry = _registry_from(
         {
             "Dom": {"$def": "class_domain", "classes": ["x"]},
@@ -401,8 +405,120 @@ def test_param_alias_note_at_every_path_of_a_shared_struct():
     )
     notes = []
     ctype = instantiate_type(parse_type_expression("S"), {}, registry, diags=notes)
-    assert [(d.code, d.path) for d in notes] == [("PARAM_ALIAS", "a/m"), ("PARAM_ALIAS", "b/m")]
-    assert ctype.fields["a"] == ctype.fields["b"]
+    assert [(d.code, d.path) for d in notes] == [("PARAM_ALIAS", "a/m")]
+    assert ctype.fields["a"] is ctype.fields["b"]
+
+
+def test_shared_struct_with_a_note_is_built_once_per_level(monkeypatch):
+    built = []
+    init = ConcreteType.__init__
+
+    def counted(self, head, shape, *args):
+        if shape == "struct":
+            built.append(head)
+            assert len(built) <= 1000, "struct builds grow with the paths, not with the levels"
+        init(self, head, shape, *args)
+
+    monkeypatch.setattr(ConcreteType, "__init__", counted)
+    defs = _struct_chain(60)
+    defs["S60"] = {"$def": "struct", "$fields": {"m": "LabelMap[cdom=Dom]"}}
+    defs["Dom"] = {"$def": "class_domain", "classes": ["x"]}
+    doc = parse_document(
+        json.dumps({"$dsdl-version": "0.5.0", "defs": defs, "data": {"sample-type": "S0", "samples": [{}]}}),
+        format="json",
+    )
+    schema, diags = resolve_schema(doc, LibraryEnvironment())
+    assert built == [f"S{i}" for i in range(60, -1, -1)]  # the innermost build finishes first
+    assert [(d.code, d.path) for d in diags] == [("PARAM_ALIAS", "data/sample-type/" + "a/" * 60 + "m")]
+    assert schema.sample_type.fields["a"] is schema.sample_type.fields["b"]
+
+
+# -- differential property: memoised struct builds against the per-path oracle ------
+
+
+@st.composite
+def _struct_dags(draw):
+    """A registry of up to 7 structs ``S0`` .. over the class domains ``D`` and
+    ``E``, and an expression that uses ``S0``.
+
+    A field of ``S<i>`` is ``Int``, a label, a label map (``LabelMap[cdom=D]``
+    reports a ``PARAM_ALIAS`` note), a later struct or a ``List`` of one. A
+    struct argument is a domain or one of the struct's own ``$params``. Rarely
+    a field names an unknown type or domain, or a struct reference leaves a
+    parameter out.
+    """
+    n = draw(st.integers(1, 7))
+    params = [draw(st.sampled_from(((), (), ("p",), ("p", "q")))) for _ in range(n)]
+
+    def ref(j, own):
+        values = ("D", "E") + tuple("$" + p for p in own) * 2
+        args = [f"{name}={draw(st.sampled_from(values))}" for name in params[j]]
+        if args and draw(st.integers(0, 19)) == 0:
+            del args[draw(st.integers(0, len(args) - 1))]
+        return f"S{j}[{', '.join(args)}]" if args else f"S{j}"
+
+    defs = {dom: {"$def": "class_domain", "classes": ["x", "y"]} for dom in ("D", "E")}
+    for i, own in enumerate(params):
+        leaves = ("Int", "LabelMap[cdom=D]", "LabelMap[dom=D]", "Label[dom=E]", "List[etype=LabelMap[cdom=D]]")
+        leaves += tuple(f"Label[dom=${p}]" for p in own)
+        fields = {}
+        for k in range(draw(st.integers(1, 3))):
+            kind = draw(st.sampled_from(("leaf",) * 8 + ("struct",) * 8 + ("list",) * 3 + ("fault",)))
+            if kind == "fault":
+                fields[f"f{k}"] = draw(st.sampled_from(("Nope", "Label[dom=Nope]")))
+            elif kind == "leaf" or i == n - 1:
+                fields[f"f{k}"] = draw(st.sampled_from(leaves))
+            else:
+                fields[f"f{k}"] = ref(draw(st.sampled_from((i + 1, i + 1) + tuple(range(i + 1, n)))), own)
+                if kind == "list":
+                    fields[f"f{k}"] = f"List[etype={fields[f'f{k}']}]"
+        defs[f"S{i}"] = {"$def": "struct", "$fields": fields}
+        if own:
+            defs[f"S{i}"]["$params"] = list(own)
+    return _registry_from(defs), parse_type_expression(ref(0, ()))
+
+
+def _instantiated(instantiate, expr, registry):
+    """The type or the error of ``instantiate``, and the diagnostics it reported."""
+    diags = []
+    try:
+        return instantiate(expr, {}, registry, diags=diags), diags
+    except ResolutionError as exc:
+        return (exc.code, exc.diagnostic.path, exc.diagnostic.message), diags
+
+
+@settings(max_examples=300, deadline=None)
+@given(_struct_dags())
+def test_instantiation_matches_per_path_oracle(dag):
+    registry, expr = dag
+    builds = [0]
+    nodes = {}  # (closed struct expression, depth) -> every node returned for it
+    init, closed = ConcreteType.__init__, resolver._instantiate_closed
+
+    def counted(self, head, shape, *args):
+        builds[0] += shape == "struct"
+        init(self, head, shape, *args)
+
+    def recorded(expr, run, path):
+        ctype = closed(expr, run, path)
+        if ctype.shape == "struct":
+            nodes.setdefault((expr, run.depth), []).append(ctype)
+        return ctype
+
+    with mock.patch.object(ConcreteType, "__init__", counted), mock.patch.object(resolver, "_instantiate_closed", recorded):
+        got, diags = _instantiated(instantiate_type, expr, registry)
+    want, oracle_diags = _instantiated(oracle.instantiate_type, expr, registry)
+    assert got == want
+    notes = [d for d in diags if d.severity is Severity.NOTE]
+    oracle_notes = [d for d in oracle_diags if d.severity is Severity.NOTE]
+    assert [d for d in diags if d not in notes] == [d for d in oracle_diags if d not in oracle_notes]
+    remaining = iter(oracle_notes)
+    assert all(d in remaining for d in notes)  # an order-preserving subsequence
+    assert bool(notes) == bool(oracle_notes)
+    # one build per struct expression and depth: at most definitions x levels
+    # builds for each choice of domain arguments
+    assert all(len({id(node) for node in same}) == 1 for same in nodes.values())
+    assert builds[0] == len(nodes)
 
 
 # -- schema resolution -----------------------------------------------------------

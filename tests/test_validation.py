@@ -394,6 +394,14 @@ def test_external_file_not_found(tmp_path):
     assert exc.value.code == "FILE_NOT_FOUND"
 
 
+def test_external_file_name_too_long_for_the_os(tmp_path):
+    name = "a" * 5000
+    with pytest.raises(DsdlError) as exc:
+        load_external_samples(name, tmp_path)
+    assert (exc.value.code, exc.value.diagnostic.path) == ("FILE_NOT_FOUND", name)
+    assert exc.value.diagnostic.message.startswith(f"cannot read external data file {tmp_path / name}: ")
+
+
 def test_external_file_not_utf8(tmp_path):
     (tmp_path / "bad.json").write_bytes(b'{"samples": ["\xff"]}')
     with pytest.raises(DsdlError) as exc:
