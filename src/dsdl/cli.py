@@ -272,16 +272,6 @@ def cmd_resolve_loc(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _walk_values(value):
-    yield value
-    if isinstance(value, Record):
-        for item in value.values.values():
-            yield from _walk_values(item)
-    elif isinstance(value, list):
-        for item in value:
-            yield from _walk_values(item)
-
-
 def cmd_summary(args: argparse.Namespace) -> int:
     _, schema, report = _run(args, validate=True)
     if report.errors or schema is None:
@@ -291,21 +281,29 @@ def cmd_summary(args: argparse.Namespace) -> int:
     labels: dict[str, int] = {}
     fill: dict[tuple[str, str], list[int]] = {}
     locators: dict[str, int] = {}
+
+    def visit(value) -> None:
+        if isinstance(value, ClassRef):
+            key = str(value)
+            labels[key] = labels.get(key, 0) + 1
+        elif isinstance(value, MediaRef):
+            locators[value.locator.kind] = locators.get(value.locator.kind, 0) + 1
+        elif isinstance(value, Record):
+            struct = schema.registry.get(value.struct_name)
+            optional = struct.optional if isinstance(struct, StructClass) else frozenset()
+            for fname in optional:
+                counts = fill.setdefault((value.struct_name, fname), [0, 0])
+                counts[1] += 1
+                if value.values.get(fname) is not None:
+                    counts[0] += 1
+            for item in value.values.values():
+                visit(item)
+        elif isinstance(value, list):
+            for item in value:
+                visit(item)
+
     for sample in report.samples:
-        for value in _walk_values(sample):
-            if isinstance(value, ClassRef):
-                key = str(value)
-                labels[key] = labels.get(key, 0) + 1
-            elif isinstance(value, MediaRef):
-                locators[value.locator.kind] = locators.get(value.locator.kind, 0) + 1
-            elif isinstance(value, Record):
-                struct = schema.registry.get(value.struct_name)
-                optional = struct.optional if isinstance(struct, StructClass) else frozenset()
-                for fname in optional:
-                    counts = fill.setdefault((value.struct_name, fname), [0, 0])
-                    counts[1] += 1
-                    if value.values.get(fname) is not None:
-                        counts[0] += 1
+        visit(sample)
 
     payload = {
         "file": args.file,

@@ -22,6 +22,10 @@ class Severity(str, Enum):
         return self.value
 
 
+# each C0 control character and DEL -> its Python escape (``\n``, ``\x00``)
+_ESCAPES = {code: repr(chr(code))[1:-1] for code in (*range(0x20), 0x7F)}
+
+
 class Diagnostic(Frozen):
     """A single located finding."""
 
@@ -35,8 +39,11 @@ class Diagnostic(Frozen):
         set_field(self, "source", source)
 
     def format(self) -> str:
-        """One-line rendering: ``severity code path message``."""
-        return f"{self.severity.value} {self.code} {self.path} {self.message}"
+        """One-line rendering: ``severity code path message``. A control
+        character in the path or message reads as its Python escape, so
+        the finding stays on one line."""
+        line = f"{self.severity.value} {self.code} {self.path} {self.message}"
+        return line if line.isprintable() else line.translate(_ESCAPES)
 
     def to_jsonable(self) -> dict:
         out = {

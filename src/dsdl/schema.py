@@ -69,16 +69,20 @@ class ClassRef(Frozen):
 class ClassDomain(Frozen):
     """An ordered, possibly hierarchical list of class paths.
 
-    Only :func:`build_definitions` creates domains, and it does only the
-    per-class work that its checks need. A domain keeps the declared
-    ``items``, the canonical dotted text of each class in ``names`` (the
-    declared list itself when every item is a plain dotted identifier)
-    and ``index``, each text's 1-based position. ``positions`` gives each
-    child's 1-based position below a dotted prefix (``""`` is the top),
-    and ``children`` lists those children in first-appearance order;
-    ``leaves`` maps the last segment of each multi-segment class to its
-    index, or to 0 when several classes share it. A flat domain's top
-    level is ``index`` and ``names`` themselves.
+    Only :func:`build_definitions` creates domains, and at resolve time it
+    does only the per-class work that its checks need. A domain keeps the
+    declared ``items``, the canonical dotted text of each class in
+    ``names`` (the declared list itself when every item is a plain dotted
+    identifier) and ``index``, each text's 1-based position.
+
+    The hierarchy tables are built on the first lookup that reads them and
+    then kept: ``positions``, each child's 1-based position below a dotted
+    prefix (``""`` is the top), on the first :meth:`ref`; ``children``,
+    those children in first-appearance order, on the first multi-level
+    index path; ``leaves``, the last segment of each multi-segment class
+    -> its index (0 when several classes share it), on the first bare name
+    that is not a class text. A flat domain's ``positions`` is
+    ``{"": index}``.
 
     The :class:`ClassRef` of a class is made by :meth:`ref` on its first
     lookup and then shared; ``classes``, the classes as segments, is made
@@ -87,18 +91,19 @@ class ClassDomain(Frozen):
     """
 
     __slots__ = (
-        "name", "items", "skeleton", "parents", "names", "index", "positions", "children", "leaves",
-        "_refs", "_classes",
+        "name", "items", "skeleton", "parents", "names", "index",
+        "_refs", "_classes", "_positions", "_children", "_leaves",
     )
     _fields = ("name", "classes", "skeleton", "parents")
 
-    def __init__(self, name: str, items: list[str], skeleton, parents, names, index, positions, children, leaves):
-        self.__setstate__([name, items, skeleton, parents, names, index, positions, children, leaves])
+    def __init__(self, name: str, items: list[str], skeleton, parents, names, index):
+        self.__setstate__([name, items, skeleton, parents, names, index])
 
     def __setstate__(self, state: list) -> None:
         super().__setstate__(state)
         set_field(self, "_refs", {})  # class index and class text -> its ClassRef
-        set_field(self, "_classes", None)
+        for cache in ("_classes", "_positions", "_children", "_leaves"):
+            set_field(self, cache, None)
 
     @property
     def classes(self) -> list[ClassPath]:
@@ -111,6 +116,31 @@ class ClassDomain(Frozen):
             set_field(self, "_classes", classes)
         return classes
 
+    @property
+    def positions(self) -> dict[str, dict[str, int]]:
+        positions = self._positions
+        if positions is None:
+            names = self.names
+            positions = _positions(names) if any("." in text for text in names) else {"": self.index}
+            set_field(self, "_positions", positions)
+        return positions
+
+    @property
+    def children(self) -> dict[str, list[str]]:
+        children = self._children
+        if children is None:
+            children = {prefix: list(siblings) for prefix, siblings in self.positions.items()}
+            set_field(self, "_children", children)
+        return children
+
+    @property
+    def leaves(self) -> dict[str, int]:
+        leaves = self._leaves
+        if leaves is None:
+            leaves = _leaves(self.names)
+            set_field(self, "_leaves", leaves)
+        return leaves
+
     def ref(self, index: int) -> ClassRef:
         """The ref of the ``index``-th class (1-based), made on first use and then
         shared; an index outside the domain is a ``CLASS_INDEX_RANGE`` lookup error."""
@@ -119,9 +149,9 @@ class ClassDomain(Frozen):
             if not 1 <= index <= len(self.names):
                 message = f"class index {show_number(index)} out of range 1..{len(self.names)} in {self.name}"
                 raise ClassLookupError(error("CLASS_INDEX_RANGE", "", message))
-            text, prefix, index_path = self.names[index - 1], "", []
+            text, positions, prefix, index_path = self.names[index - 1], self.positions, "", []
             for seg in text.split("."):
-                index_path.append(self.positions[prefix][seg])
+                index_path.append(positions[prefix][seg])
                 prefix = f"{prefix}.{seg}" if prefix else seg
             ref = self._refs[index] = self._refs[text] = ClassRef(self.name, tuple(index_path), text)
         return ref
@@ -333,12 +363,7 @@ def _build_class_domain(
                 return None
             skeleton.append((a, b))
 
-    if any("." in text for text in names):
-        positions, leaves = _hierarchy(names)
-        children = {prefix: list(siblings) for prefix, siblings in positions.items()}
-    else:
-        positions, children, leaves = {"": index}, {"": names}, {}
-    return ClassDomain(name, items, skeleton, parents, names, index, positions, children, leaves)
+    return ClassDomain(name, items, skeleton, parents, names, index)
 
 
 def _class_texts(items: list, path: str, source: str | None, diags: list[Diagnostic]) -> list[str] | None:
@@ -384,28 +409,37 @@ def _class_texts(items: list, path: str, source: str | None, diags: list[Diagnos
     return names
 
 
-def _hierarchy(names: list[str]) -> tuple[dict[str, dict[str, int]], dict[str, int]]:
+def _positions(names: list[str]) -> dict[str, dict[str, int]]:
     """The 1-based position of each child below each dotted prefix (``""`` is
-    the top), in first-appearance order, and the leaf of each multi-segment
-    class -> its index, or 0 when several classes share the leaf."""
+    the top), in first-appearance order."""
     positions: dict[str, dict[str, int]] = {"": {}}
-    leaves: dict[str, int] = {}
-    for i, text in enumerate(names, 1):
-        prefix, dot, leaf = text.rpartition(".")
-        siblings = positions.get(prefix)
-        if siblings is None:  # a prefix seen for the first time: place it and its ancestors
-            above = ""
-            for seg in prefix.split("."):
-                level = positions.setdefault(above, {})
-                if seg not in level:
-                    level[seg] = len(level) + 1
-                above = f"{above}.{seg}" if above else seg
-            siblings = positions[prefix] = {}
+    last = siblings = None  # classes are mostly declared by prefix: look a prefix up once per run
+    for text in names:
+        prefix, _, leaf = text.rpartition(".")
+        if prefix != last:
+            last, siblings = prefix, positions.get(prefix)
+            if siblings is None:  # a prefix seen for the first time: place it and its ancestors
+                above = ""
+                for seg in prefix.split("."):
+                    level = positions.setdefault(above, {})
+                    if seg not in level:
+                        level[seg] = len(level) + 1
+                    above = f"{above}.{seg}" if above else seg
+                siblings = positions[prefix] = {}
         if leaf not in siblings:
             siblings[leaf] = len(siblings) + 1
+    return positions
+
+
+def _leaves(names: list[str]) -> dict[str, int]:
+    """The leaf of each multi-segment class -> its 1-based index, or 0 when
+    several classes share the leaf."""
+    leaves: dict[str, int] = {}
+    for i, text in enumerate(names, 1):
+        _, dot, leaf = text.rpartition(".")
         if dot:
             leaves[leaf] = 0 if leaf in leaves else i
-    return positions, leaves
+    return leaves
 
 
 def _build_struct(
@@ -485,9 +519,10 @@ def lookup_class(domain: ClassDomain, selector: str | int) -> ClassRef:
     ``CLASS_INDEX_RANGE``; a selector that is neither ``str`` nor
     ``int`` (``bool`` included) is an invalid ``CLASS_NOT_FOUND``.
 
-    A lookup reads the tables built with the domain, so its cost does not
-    depend on the domain's size (an index path costs one step per level),
-    and returns the class's shared ref from :meth:`ClassDomain.ref`.
+    A lookup reads the domain's tables, each built by the first lookup that
+    needs it, so after that its cost does not depend on the domain's size
+    (an index path costs one step per level); it returns the class's
+    shared ref from :meth:`ClassDomain.ref`.
     """
     if isinstance(selector, bool) or not isinstance(selector, (str, int)):
         raise ClassLookupError(error("CLASS_NOT_FOUND", "", f"invalid class selector {selector!r}"))
@@ -497,9 +532,9 @@ def lookup_class(domain: ClassDomain, selector: str | int) -> ClassRef:
         parts = index_path(selector)
         if len(parts) == 1:
             return domain.ref(parts[0])
-        prefix = ""
+        children, prefix = domain.children, ""
         for level, idx in enumerate(parts, 1):
-            siblings = domain.children.get(prefix, ())
+            siblings = children.get(prefix, ())
             if not 1 <= idx <= len(siblings):
                 raise ClassLookupError(
                     error("CLASS_INDEX_RANGE", "", f"index {show_number(idx)} out of range 1..{len(siblings)} at level {level}")

@@ -168,6 +168,26 @@ def test_deep_struct_chain_is_a_coded_finding(tmp_path):
     assert run_cli("validate", str(ok)) == (0, "1 samples validated, 0 errors, 0 warnings\n", "")
 
 
+def test_summary_of_the_deepest_struct_chain(tmp_path):
+    """A sample as deep as ``TYPE_TOO_DEEP`` allows, a label at the bottom, is summarised."""
+    from dsdl.typeexpr import MAX_TYPE_DEPTH
+
+    last = MAX_TYPE_DEPTH - 2
+    defs = {f"S{i}": {"$def": "struct", "$fields": {"x": f"S{i + 1}"}} for i in range(last)}
+    defs[f"S{last}"] = {"$def": "struct", "$fields": {"x": "Label[dom=D]", "y": "Image"}, "$optional": ["y"]}
+    defs["D"] = {"$def": "class_domain", "classes": ["a", "b"]}
+    value: object = "b"
+    for _ in range(MAX_TYPE_DEPTH - 1):
+        value = {"x": value}
+    ok = tmp_path / "ok.json"
+    ok.write_text(json.dumps({"$dsdl-version": "0.5.0", "defs": defs, "data": {"sample-type": "S0", "samples": [value]}}))
+    text = f"samples: 1\nlabels:\n  D::b: 1\noptional-fill:\n  S{last}.y: 0/1\n"
+    assert run_cli("summary", str(ok)) == (0, text, "")
+    code, out, err = run_cli("summary", "--format", "json", str(ok))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["labels"] == {"D::b": 1}
+
+
 def test_usage_error_exits_two():
     code, _, _ = run_cli("validate")
     assert code == 2
@@ -631,6 +651,24 @@ def test_unreadable_external_file_is_a_coded_finding(monkeypatch, tmp_path, chan
     )
 
 
+def test_control_characters_in_a_finding_read_as_escapes(tmp_path):
+    from dsdl.diagnostics import warning
+
+    target = tmp_path / "d.json"
+    defs = {"S": {"$def": "struct", "$fields": {"x": "Int"}}}
+    data = {"sample-type": "S", "samples": [{"x": 1, "a\nb\u0000c": 2}]}
+    target.write_text(json.dumps({"$dsdl-version": "0.5.0", "defs": defs, "data": data}))
+    assert run_cli("validate", str(target)) == (
+        0,
+        "warning FIELD_UNKNOWN samples/0/a\\nb\\x00c field 'a\\nb\\x00c' is not declared on S\n"
+        "1 samples validated, 0 errors, 1 warnings\n",
+        "",
+    )
+    code, out, _ = run_cli("validate", "--format", "json", str(target))
+    assert json.loads(out)["diagnostics"][0]["path"] == "samples/0/a\nb\x00c"
+    assert warning("C", "p\t\r\x1f\x7f", "\\ é \u2028").format() == "warning C p\\t\\r\\x1f\\x7f \\ é \u2028"
+
+
 _TOO_LONG = "a" * 5000  # longer than any file name the OS accepts
 
 
@@ -640,7 +678,8 @@ def test_import_name_the_os_refuses_is_not_found(tmp_path, name):
     target.write_text(json.dumps({"$dsdl-version": "0.5.0", "$import": [name]}))
     code, out, err = run_cli("validate", str(target))
     assert (code, err) == (1, "")
-    assert out.splitlines()[0].startswith(f"error IMPORT_NOT_FOUND $import/{name} cannot resolve import {name!r}; searched: ")
+    shown = repr(name)[1:-1]  # a control character in the path reads as its escape
+    assert out.splitlines()[0].startswith(f"error IMPORT_NOT_FOUND $import/{shown} cannot resolve import {name!r}; searched: ")
 
 
 def test_library_path_entry_the_os_refuses_is_skipped(monkeypatch, tmp_path):

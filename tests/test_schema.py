@@ -1,5 +1,6 @@
 """Schema model: definition building, builtin inventory, class lookup."""
 
+import pickle
 import re
 
 import pytest
@@ -457,7 +458,16 @@ def test_class_domain_matches_eager_oracle(body, other_body, data):
         assert got == want and validate_value(raw, ctype, "v")[0] is got[0], raw
 
 
-# -- work bound: a domain makes its refs and segments on first use --------------------
+# -- work bound: a domain makes its refs, segments and tables on first use ------------
+
+
+def _big_domain():
+    """A 10k-class, three-level dotted domain ``Big``; class ``top{a}.mid{b}.leaf{a}_{b}_{c}``
+    is the ``a * 1000 + b * 50 + c + 1``-th."""
+    classes = [f"top{a}.mid{b}.leaf{a}_{b}_{c}" for a in range(10) for b in range(20) for c in range(50)]
+    registry, diags = build_definitions({"Big": {"$def": "class_domain", "classes": classes}})
+    assert diags == []
+    return registry.get("Big")
 
 
 def test_building_a_big_domain_makes_no_ref_or_segment(monkeypatch):
@@ -476,10 +486,8 @@ def test_building_a_big_domain_makes_no_ref_or_segment(monkeypatch):
 
     counting(schema.ClassRef)
     counting(schema.ClassSegment)
-    classes = [f"top{a}.mid{b}.leaf{a}_{b}_{c}" for a in range(10) for b in range(20) for c in range(50)]
-    registry, diags = build_definitions({"Big": {"$def": "class_domain", "classes": classes}})
-    dom = registry.get("Big")
-    assert diags == [] and len(dom) == 10_000
+    dom = _big_domain()
+    assert len(dom) == 10_000
     assert made == {"ClassRef": 0, "ClassSegment": 0}
     ref = lookup_class(dom, "top3.mid7.leaf3_7_9")
     assert (ref.domain, ref.index_path, ref.path) == ("Big", (4, 8, 10), "top3.mid7.leaf3_7_9")
@@ -487,3 +495,63 @@ def test_building_a_big_domain_makes_no_ref_or_segment(monkeypatch):
     for same in ("top3.mid7.leaf3_7_9", "leaf3_7_9", 3 * 1000 + 7 * 50 + 10, "4.8.10"):
         assert lookup_class(dom, same) is ref
     assert made == {"ClassRef": 1, "ClassSegment": 0}
+
+
+# one class of the big domain in each label syntax: name, index, ``Dom::path``,
+# bare leaf, index path and ``Dom[i.j.k]``
+_BIG_LABELS = ("top3.mid7.leaf3_7_9", 3 * 1000 + 7 * 50 + 10, "Big::top3.mid7.leaf3_7_9", "leaf3_7_9", "4.8.10", "Big[4.8.10]")
+
+
+def _label(dom, raw):
+    from dsdl.validation import validate_label
+
+    ref, diags = validate_label(raw, dom, "v")
+    assert diags == [], raw
+    return ref
+
+
+def test_a_big_domain_builds_each_hierarchy_table_on_the_first_lookup_that_needs_it(monkeypatch):
+    from dsdl import schema
+
+    passes = {"positions": 0, "leaves": 0}
+
+    def counting(table):
+        build = getattr(schema, f"_{table}")
+
+        def counted(names):
+            passes[table] += 1
+            return build(names)
+
+        monkeypatch.setattr(schema, f"_{table}", counted)
+
+    counting("positions")
+    counting("leaves")
+    dom = _big_domain()
+    assert passes == {"positions": 0, "leaves": 0} and dom._children is None
+    ref = lookup_class(dom, "top3.mid7.leaf3_7_9")
+    assert ref.index_path == (4, 8, 10)
+    assert passes == {"positions": 1, "leaves": 0} and dom._children is None
+    name, index, qname, leaf, ipath, _ = _BIG_LABELS
+    for raw in (name, index, qname):
+        assert _label(dom, raw) is ref
+    assert passes == {"positions": 1, "leaves": 0} and dom._children is None
+    assert _label(dom, leaf) is ref  # builds the leaf map only
+    assert passes == {"positions": 1, "leaves": 1} and dom._children is None
+    assert _label(dom, ipath) is ref  # builds the children lists, from the positions
+    children = dom._children
+    assert passes == {"positions": 1, "leaves": 1} and children is not None
+    for raw in _BIG_LABELS * 2:
+        assert _label(dom, raw) is ref
+    assert passes == {"positions": 1, "leaves": 1} and dom._children is children
+
+
+def test_a_pickled_big_domain_gives_the_same_refs_before_and_after_its_tables_are_built():
+    dom = _big_domain()
+    before = pickle.loads(pickle.dumps(dom))
+    assert before == dom and repr(before) == repr(dom)
+    refs = [_label(dom, raw) for raw in _BIG_LABELS]  # builds every table of dom
+    assert [_label(before, raw) for raw in _BIG_LABELS] == refs
+    after = pickle.loads(pickle.dumps(dom))
+    assert after == dom and after == before
+    assert [_label(after, raw) for raw in reversed(_BIG_LABELS)] == refs[::-1]
+    assert all(ref == refs[0] for ref in refs)

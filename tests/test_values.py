@@ -183,7 +183,7 @@ def test_defaults_are_fresh_per_instance():
 def test_class_domain_compares_and_shows_its_classes_only():
     built = _domain()
     ref = lookup_class(built, "a")  # fills the ref cache
-    bare = ClassDomain("D", ["a"], None, [], [], {}, {}, {}, {})
+    bare = ClassDomain("D", ["a"], None, [], [], {})
     assert built == bare and repr(built) == repr(bare)
     assert len(built) == 1 and len(bare) == 0
     copy = pickle.loads(pickle.dumps(built))
