@@ -22,10 +22,6 @@ class Severity(str, Enum):
         return self.value
 
 
-# each C0 control character and DEL -> its Python escape (``\n``, ``\x00``)
-_ESCAPES = {code: repr(chr(code))[1:-1] for code in (*range(0x20), 0x7F)}
-
-
 class Diagnostic(Frozen):
     """A single located finding."""
 
@@ -39,11 +35,14 @@ class Diagnostic(Frozen):
         set_field(self, "source", source)
 
     def format(self) -> str:
-        """One-line rendering: ``severity code path message``. A control
-        character in the path or message reads as its Python escape, so
-        the finding stays on one line."""
+        """One-line rendering: ``severity code path message``. A character
+        that is not printable (a control character, a line or paragraph
+        separator) reads as its Python escape, so the finding stays on one
+        line and a terminal acts on none of it."""
         line = f"{self.severity.value} {self.code} {self.path} {self.message}"
-        return line if line.isprintable() else line.translate(_ESCAPES)
+        if line.isprintable():
+            return line
+        return "".join(c if c.isprintable() else repr(c)[1:-1] for c in line)
 
     def to_jsonable(self) -> dict:
         out = {

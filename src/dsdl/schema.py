@@ -413,19 +413,17 @@ def _positions(names: list[str]) -> dict[str, dict[str, int]]:
     """The 1-based position of each child below each dotted prefix (``""`` is
     the top), in first-appearance order."""
     positions: dict[str, dict[str, int]] = {"": {}}
-    last = siblings = None  # classes are mostly declared by prefix: look a prefix up once per run
     for text in names:
         prefix, _, leaf = text.rpartition(".")
-        if prefix != last:
-            last, siblings = prefix, positions.get(prefix)
-            if siblings is None:  # a prefix seen for the first time: place it and its ancestors
-                above = ""
-                for seg in prefix.split("."):
-                    level = positions.setdefault(above, {})
-                    if seg not in level:
-                        level[seg] = len(level) + 1
-                    above = f"{above}.{seg}" if above else seg
-                siblings = positions[prefix] = {}
+        siblings = positions.get(prefix)
+        if siblings is None:  # a prefix seen for the first time: place it and its ancestors
+            above = ""
+            for seg in prefix.split("."):
+                level = positions.setdefault(above, {})
+                if seg not in level:
+                    level[seg] = len(level) + 1
+                above = f"{above}.{seg}" if above else seg
+            siblings = positions[prefix] = {}
         if leaf not in siblings:
             siblings[leaf] = len(siblings) + 1
     return positions

@@ -666,7 +666,7 @@ def test_control_characters_in_a_finding_read_as_escapes(tmp_path):
     )
     code, out, _ = run_cli("validate", "--format", "json", str(target))
     assert json.loads(out)["diagnostics"][0]["path"] == "samples/0/a\nb\x00c"
-    assert warning("C", "p\t\r\x1f\x7f", "\\ é \u2028").format() == "warning C p\\t\\r\\x1f\\x7f \\ é \u2028"
+    assert warning("C", "p\t\r\x1f\x7f", "\\ é \u2028\x85\x9b").format() == "warning C p\\t\\r\\x1f\\x7f \\ é \\u2028\\x85\\x9b"
 
 
 _TOO_LONG = "a" * 5000  # longer than any file name the OS accepts
