@@ -15,7 +15,7 @@ import os
 import sys
 from pathlib import Path
 
-from .diagnostics import DocumentError, DsdlError, LocatorError
+from .diagnostics import DocumentError, DsdlError, LocatorError, printable
 from .document import RawDocument, parse_document, read_utf8
 from .locator import ResolutionEnvironment, default_media_registry, parse_locator, resolve_locator
 from .resolver import ConcreteType, LibraryEnvironment, ResolvedSchema, resolve_schema
@@ -135,13 +135,16 @@ def _exit_code(report: ValidationReport, args: argparse.Namespace) -> int:
 
 
 def _emit(args: argparse.Namespace, payload: dict, lines: list[str]) -> None:
-    """Write ``payload`` as JSON or ``lines`` as text, with the config block if asked for."""
+    """Write ``payload`` as JSON or ``lines`` as text, with the config block if
+    asked for; each text line is written through :func:`printable`."""
     if args.format == "json":
         if args.show_config:
             payload = {**payload, "config": _config_lines(args)[1:]}
         lines = [json.dumps(payload, indent=2)]
-    elif args.show_config:
-        lines = _config_lines(args) + lines
+    else:
+        if args.show_config:
+            lines = _config_lines(args) + lines
+        lines = [printable(line) for line in lines]
     sys.stdout.write("\n".join(lines) + "\n" if lines else "")
 
 

@@ -35,14 +35,8 @@ class Diagnostic(Frozen):
         set_field(self, "source", source)
 
     def format(self) -> str:
-        """One-line rendering: ``severity code path message``. A character
-        that is not printable (a control character, a line or paragraph
-        separator) reads as its Python escape, so the finding stays on one
-        line and a terminal acts on none of it."""
-        line = f"{self.severity.value} {self.code} {self.path} {self.message}"
-        if line.isprintable():
-            return line
-        return "".join(c if c.isprintable() else repr(c)[1:-1] for c in line)
+        """One-line rendering: ``severity code path message``, through :func:`printable`."""
+        return printable(f"{self.severity.value} {self.code} {self.path} {self.message}")
 
     def to_jsonable(self) -> dict:
         out = {
@@ -54,6 +48,16 @@ class Diagnostic(Frozen):
         if self.source is not None:
             out["source"] = self.source
         return out
+
+
+def printable(text: str) -> str:
+    """``text`` with each character that is not printable (a control
+    character, a line or paragraph separator) as its Python escape, so a
+    line of text output stays one line and a terminal acts on none of it.
+    A backslash is printed as itself."""
+    if text.isprintable():
+        return text
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in text)
 
 
 def error(code: str, path: str, message: str, source: str | None = None) -> Diagnostic:

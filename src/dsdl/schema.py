@@ -30,6 +30,11 @@ _SEGMENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _SEGMENT_ANNOT_RE = re.compile(r"(?P<name>[^\[\]]+)(\[(?P<parent>[^\]]+)\])?")
 # a whole dotted path of plain identifiers: no annotation, no warning
 _PLAIN_PATH_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*")
+# plain dotted paths joined by newlines; ``re`` keeps backtracking state for
+# every segment of one match, so a class list is matched in blocks of
+# ``_PLAIN_BLOCK`` classes to bound the memory of each match
+_PLAIN_BLOCK_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:[.\n][A-Za-z_][A-Za-z0-9_]*)*")
+_PLAIN_BLOCK = 256
 
 
 class ClassSegment(Frozen):
@@ -374,11 +379,8 @@ def _class_texts(items: list, path: str, source: str | None, diags: list[Diagnos
     non-identifier segments; it ends at the first repeated text, so that
     no item after a duplicate is read.
     """
-    try:
-        if all(map(_PLAIN_PATH_RE.fullmatch, items)):
-            return items
-    except TypeError:  # a non-str item is not plain
-        pass
+    if _all_plain(items):
+        return items
     names: list[str] = []
     seen: set[str] = set()
     for i, item in enumerate(items):
@@ -407,6 +409,21 @@ def _class_texts(items: list, path: str, source: str | None, diags: list[Diagnos
             break
         seen.add(text)
     return names
+
+
+def _all_plain(items: list) -> bool:
+    """Whether every item is a plain dotted identifier, tested with one match
+    per block of classes joined by newlines; a block holding more newlines
+    than it has joins has an item with a newline, which is not plain."""
+    try:
+        for start in range(0, len(items), _PLAIN_BLOCK):
+            block = items[start:start + _PLAIN_BLOCK]
+            text = "\n".join(block)
+            if text.count("\n") != len(block) - 1 or not _PLAIN_BLOCK_RE.fullmatch(text):
+                return False
+    except TypeError:  # a non-str item is not plain
+        return False
+    return True
 
 
 def _positions(names: list[str]) -> dict[str, dict[str, int]]:

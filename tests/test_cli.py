@@ -669,6 +669,20 @@ def test_control_characters_in_a_finding_read_as_escapes(tmp_path):
     assert warning("C", "p\t\r\x1f\x7f", "\\ é \u2028\x85\x9b").format() == "warning C p\\t\\r\\x1f\\x7f \\ é \\u2028\\x85\\x9b"
 
 
+def test_control_characters_in_a_class_name_read_as_escapes(tmp_path):
+    target = tmp_path / "d.json"
+    defs = {"D": {"$def": "class_domain", "classes": ["a\nb", "c"]}, "S": {"$def": "struct", "$fields": {"y": "Label[dom=D]"}}}
+    data = {"sample-type": "S", "samples": [{"y": "a\nb"}]}
+    target.write_text(json.dumps({"$dsdl-version": "0.5.0", "defs": defs, "data": data}))
+    code, out, _ = run_cli("summary", str(target))
+    assert code == 0 and out.splitlines()[:3] == ["samples: 1", "labels:", "  D::a\\nb: 1"]
+    code, out, _ = run_cli("inspect", str(target))
+    assert code == 0 and "    1. a\\nb\n    2. c\n" in out
+    assert all(line.isprintable() for line in out.splitlines())
+    code, out, _ = run_cli("summary", "--format", "json", str(target))
+    assert json.loads(out)["labels"] == {"D::a\nb": 1}
+
+
 _TOO_LONG = "a" * 5000  # longer than any file name the OS accepts
 
 

@@ -2,11 +2,12 @@
 
 import pickle
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dsdl import build_definitions, lookup_class, parse_document
+from dsdl import build_definitions, lookup_class, parse_document, schema
 from dsdl.diagnostics import ClassLookupError
 from dsdl.resolver import ConcreteType
 from dsdl.schema import BUILTINS, ClassDomain, ClassRef, StructClass
@@ -458,6 +459,35 @@ def test_class_domain_matches_eager_oracle(body, other_body, data):
         assert got == want and validate_value(raw, ctype, "v")[0] is got[0], raw
 
 
+def _with_bad_item(size, at, bad):
+    """A plain dotted list of ``size`` classes whose ``at``-th item is ``bad``."""
+    items = [f"c{i}.d{i % 7}" for i in range(size)]
+    items[at] = bad
+    return items
+
+
+_BLOCK = 256  # classes per block of the plain check, schema._PLAIN_BLOCK
+_BLOCK_EDGES = [
+    (size, at) for size in (_BLOCK + 1, 2 * _BLOCK + 1) for at in (0, _BLOCK - 1, _BLOCK, 2 * _BLOCK - 1, 2 * _BLOCK) if at < size
+]
+
+
+@pytest.mark.parametrize(
+    "items",
+    [["a\nb"], ["a", "b\nc"], ["a\n", "b"], ["a", ""], ["a", 1], ["x.y", "x.\ny"]]
+    + [_with_bad_item(size, at, bad) for size, at in _BLOCK_EDGES for bad in ("q\nr", "q-r", 7)],
+    ids=["newline", "newline-in-second", "trailing-newline", "empty", "int", "dot-newline"]
+    + [f"{size}-at-{at}-{kind}" for size, at in _BLOCK_EDGES for kind in ("newline", "dash", "int")],
+)
+def test_the_block_wise_plain_check_matches_eager_oracle(items):
+    (dom, diags), (eager, eager_diags) = _both({"$def": "class_domain", "classes": items})
+    assert diags == eager_diags
+    assert (dom is None) == (eager is None)
+    if dom is not None:
+        assert dom.class_names() == eager.class_names() and dom.classes == eager.classes
+        assert repr(dom) == repr(eager)
+
+
 # -- work bound: a domain makes its refs, segments and tables on first use ------------
 
 
@@ -471,8 +501,6 @@ def _big_domain():
 
 
 def test_building_a_big_domain_makes_no_ref_or_segment(monkeypatch):
-    from dsdl import schema
-
     made = {"ClassRef": 0, "ClassSegment": 0}
 
     def counting(cls):
@@ -497,6 +525,45 @@ def test_building_a_big_domain_makes_no_ref_or_segment(monkeypatch):
     assert made == {"ClassRef": 1, "ClassSegment": 0}
 
 
+def test_a_big_domain_is_checked_for_plain_names_in_blocks(monkeypatch):
+    calls = {"block": 0, "path": 0}
+
+    def counting(name, key):
+        pattern = getattr(schema, name)
+
+        class Counted:
+            def fullmatch(self, text):
+                calls[key] += 1
+                return pattern.fullmatch(text)
+
+        monkeypatch.setattr(schema, name, Counted())
+
+    counting("_PLAIN_BLOCK_RE", "block")
+    counting("_PLAIN_PATH_RE", "path")
+    assert len(_big_domain()) == 10_000
+    assert schema._PLAIN_BLOCK == _BLOCK
+    assert 0 < calls["block"] <= -(-10_000 // _BLOCK) and calls["path"] == 0
+
+
+def test_checking_a_long_class_list_for_plain_names_takes_bounded_memory():
+    # one match over the whole list would hold about 80 MB of backtracking state
+    classes = [f"top{i % 10}.mid{i % 200}.leaf{i}" for i in range(200_000)]
+    tracemalloc.start()
+    try:
+        assert schema._class_texts(classes, "defs/Big", None, []) is classes
+        check_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        registry, diags = build_definitions({"Big": {"$def": "class_domain", "classes": classes}})
+        kept, build_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert diags == [] and len(registry.get("Big")) == 200_000
+    assert check_peak < 1_000_000
+    # building also keeps a 200k-entry index, which holds both its old and
+    # its new table for a moment each time it grows (about 3 MB at the last)
+    assert build_peak - kept < 5_000_000
+
+
 # one class of the big domain in each label syntax: name, index, ``Dom::path``,
 # bare leaf, index path and ``Dom[i.j.k]``
 _BIG_LABELS = ("top3.mid7.leaf3_7_9", 3 * 1000 + 7 * 50 + 10, "Big::top3.mid7.leaf3_7_9", "leaf3_7_9", "4.8.10", "Big[4.8.10]")
@@ -511,8 +578,6 @@ def _label(dom, raw):
 
 
 def test_a_big_domain_builds_each_hierarchy_table_on_the_first_lookup_that_needs_it(monkeypatch):
-    from dsdl import schema
-
     passes = {"positions": 0, "leaves": 0}
 
     def counting(table):
