@@ -15,7 +15,7 @@ import os
 import sys
 from pathlib import Path
 
-from .diagnostics import DocumentError, DsdlError, LocatorError, printable
+from .diagnostics import DocumentError, DsdlError, LocatorError, echo, printable
 from .document import RawDocument, parse_document, read_utf8
 from .locator import ResolutionEnvironment, default_media_registry, parse_locator, resolve_locator
 from .resolver import ConcreteType, LibraryEnvironment, ResolvedSchema, resolve_schema
@@ -100,14 +100,17 @@ class _UsageFailure(Exception):
 
 
 def _run(
-    args: argparse.Namespace, validate: bool
+    args: argparse.Namespace, validate: bool, build: bool = False
 ) -> tuple[RawDocument | None, ResolvedSchema | None, ValidationReport]:
-    """parse -> resolve -> validate; the report holds every diagnostic in that order."""
+    """parse -> resolve -> validate; the report holds every diagnostic in that order.
+    Samples are validated only when ``validate`` is set, and their typed values
+    are kept only when ``build`` is."""
     path = Path(args.file)
+    shown = echo(str(path))
     try:
-        text = read_utf8(path, str(path))
+        text = read_utf8(path, shown)
     except OSError as exc:
-        raise _UsageFailure(f"dsdl: error: cannot read {path}: {exc}") from exc
+        raise _UsageFailure(f"dsdl: error: cannot read {shown}: {echo(str(exc))}") from exc
     except DocumentError as exc:
         raise _UsageFailure(exc.diagnostic.format()) from exc
     fmt = {".json": "json", ".yaml": "yaml", ".yml": "yaml"}.get(path.suffix, "auto")
@@ -124,7 +127,7 @@ def _run(
     report = ValidationReport()
     if validate and schema is not None:
         report = validate_dataset(
-            schema, doc.data, base=path.parent, strict=args.strict, max_errors=args.max_errors
+            schema, doc.data, base=path.parent, strict=args.strict, max_errors=args.max_errors, build=build
         )
     report.diagnostics[:0] = diags
     return doc, schema, report
@@ -276,7 +279,7 @@ def cmd_resolve_loc(args: argparse.Namespace) -> int:
 
 
 def cmd_summary(args: argparse.Namespace) -> int:
-    _, schema, report = _run(args, validate=True)
+    _, schema, report = _run(args, validate=True, build=True)
     if report.errors or schema is None:
         _emit_failure(args, report)
         return EXIT_FINDINGS
@@ -339,7 +342,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.run(args)
     except _UsageFailure as exc:
-        print(exc, file=sys.stderr)
+        print(printable(str(exc)), file=sys.stderr)
         return EXIT_USAGE
     except DsdlError as exc:
         print(exc.diagnostic.format())

@@ -60,6 +60,18 @@ def printable(text: str) -> str:
     return "".join(c if c.isprintable() else repr(c)[1:-1] for c in text)
 
 
+NAME_LIMIT = 200  # characters of a name, path or OS message that a finding echoes
+
+
+def echo(text: str, limit: int = NAME_LIMIT, show=str) -> str:
+    """``show(text)`` for a finding to echo, cut to the first ``limit``
+    characters of ``text`` and then marked ``...``, so a finding on an
+    over-long name stays one short line."""
+    if len(text) > limit:
+        return show(text[:limit]) + "..."
+    return show(text)
+
+
 def error(code: str, path: str, message: str, source: str | None = None) -> Diagnostic:
     return Diagnostic(code, Severity.ERROR, path, message, source)
 

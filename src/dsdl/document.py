@@ -17,7 +17,7 @@ import json
 import re
 from pathlib import Path
 
-from .diagnostics import DocumentError, error
+from .diagnostics import DocumentError, echo, error
 from .slotted import Slotted
 
 LOCAL_PATH = "$local"
@@ -123,7 +123,7 @@ class _CoreRules:
             tag = node.tag.replace("tag:yaml.org,2002:", "!!")
             shown = ""
             if isinstance(node.value, str):  # at most _ECHO_LIMIT characters of it
-                shown = f" {node.value[:_ECHO_LIMIT]!r}" + ("..." if len(node.value) > _ECHO_LIMIT else "")
+                shown = f" {echo(node.value, _ECHO_LIMIT, repr)}"
             raise yaml.constructor.ConstructorError(None, None, f"invalid {tag} value{shown}", node.start_mark) from exc
 
     def construct_mapping(self, node, deep=False):
@@ -326,9 +326,8 @@ def read_utf8(file: Path, path: str) -> str:
     try:
         return file.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise DocumentError(
-            error("ENCODING_ERROR", path, f"{file} is not valid UTF-8: {exc.reason} at byte {exc.start}", str(file))
-        ) from exc
+        message = f"{echo(str(file))} is not valid UTF-8: {exc.reason} at byte {exc.start}"
+        raise DocumentError(error("ENCODING_ERROR", path, message, str(file))) from exc
 
 
 def parse_document(
@@ -428,12 +427,29 @@ def _build_document(payload: dict, source: str | None, allow_version: bool) -> R
 def _build_data_section(value: object, source: str | None) -> RawDataSection:
     if not isinstance(value, dict):
         raise DocumentError(error("MALFORMED_DATA_SECTION", "data", "data must be a mapping", source))
+    section = RawDataSection(
+        sample_type=value.get("sample-type"),
+        sample_path=value.get("sample-path"),
+        samples=value.get("samples"),
+        global_info_type=value.get("global-info-type"),
+        global_info_path=value.get("global-info-path"),
+        global_info=value.get("global-info"),
+    )
+    return check_data_section(section, source)
 
-    samples = value.get("samples")
+
+def check_data_section(section: RawDataSection, source: str | None = None) -> RawDataSection:
+    """``section`` with each channel's path defaulted to ``$local`` when its
+    data is inline, after the rules of a data section's shape.
+
+    The first rule broken raises :class:`DocumentError`
+    (``MALFORMED_SAMPLES`` or ``MALFORMED_DATA_SECTION``), located at the
+    key of the ``data`` mapping, so a parsed section and a hand-built one
+    give the same finding.
+    """
+    samples, sample_path = section.samples, section.sample_path
     if samples is not None and not isinstance(samples, list):
         raise DocumentError(error("MALFORMED_SAMPLES", "data/samples", "samples must be a list", source))
-
-    sample_path = value.get("sample-path")
     if sample_path is not None and not isinstance(sample_path, str):
         message = "sample-path must be a string"
         raise DocumentError(error("MALFORMED_DATA_SECTION", "data/sample-path", message, source))
@@ -443,8 +459,7 @@ def _build_data_section(value: object, source: str | None) -> RawDataSection:
         message = "sample-path is $local but no samples are present"
         raise DocumentError(error("MALFORMED_DATA_SECTION", "data/samples", message, source))
 
-    global_info = value.get("global-info")
-    global_info_path = value.get("global-info-path")
+    global_info, global_info_path = section.global_info, section.global_info_path
     if global_info_path is not None and not isinstance(global_info_path, str):
         message = "global-info-path must be a string"
         raise DocumentError(error("MALFORMED_DATA_SECTION", "data/global-info-path", message, source))
@@ -455,12 +470,7 @@ def _build_data_section(value: object, source: str | None) -> RawDataSection:
         raise DocumentError(error("MALFORMED_DATA_SECTION", "data/global-info", message, source))
 
     return RawDataSection(
-        sample_type=value.get("sample-type"),
-        sample_path=sample_path,
-        samples=samples,
-        global_info_type=value.get("global-info-type"),
-        global_info_path=global_info_path,
-        global_info=global_info,
+        section.sample_type, sample_path, samples, section.global_info_type, global_info_path, global_info
     )
 
 

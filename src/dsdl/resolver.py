@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-from .diagnostics import Diagnostic, DocumentError, ResolutionError, error, note, warning
+from .diagnostics import Diagnostic, DocumentError, ResolutionError, echo, error, note, warning
 from .document import RawDocument, parse_document, read_utf8
 from .schema import (
     BUILTINS,
@@ -78,11 +78,12 @@ class ConcreteType(Frozen):
     ``args`` maps parameter names to materialized values: class-domain
     entries for domain refs, nested concrete types for type refs, and
     plain scalars otherwise. Struct heads additionally carry a concrete
-    field map and their optional-field set. ``_check`` keeps the
-    validation closure of the node once it is compiled.
+    field map and their optional-field set. ``_check`` and ``_check_only``
+    keep the node's building and check-only validation closures once
+    each is compiled.
     """
 
-    __slots__ = ("head", "shape", "args", "fields", "optional", "_check")
+    __slots__ = ("head", "shape", "args", "fields", "optional", "_check", "_check_only")
 
     def __init__(self, head: str, shape: str, args=None, fields: dict | None = None, optional=frozenset()):
         set_field(self, "head", head)
@@ -166,11 +167,12 @@ def resolve_imports(
             if resolved is None:
                 searched = [str(base)] if base is not None else []
                 searched += [str(p) for p in env.search_paths]
+                searched = ", ".join(map(echo, searched)) or "<none>"
                 diags.append(
                     error(
                         "IMPORT_NOT_FOUND",
-                        f"$import/{name}",
-                        f"cannot resolve import {name!r}; searched: {', '.join(searched) or '<none>'}",
+                        f"$import/{echo(name)}",
+                        f"cannot resolve import {echo(name, show=repr)}; searched: {searched}",
                         str(doc_source) if doc_source else None,
                     )
                 )
@@ -181,7 +183,7 @@ def resolve_imports(
                 diags.append(
                     error(
                         "IMPORT_CYCLE",
-                        f"$import/{name}",
+                        f"$import/{echo(name)}",
                         f"import cycle: {' -> '.join(cycle)}",
                         str(doc_source) if doc_source else None,
                     )
@@ -192,12 +194,13 @@ def resolve_imports(
             loaded.add(resolved)
             try:
                 imported = parse_document(
-                    read_utf8(resolved, f"$import/{name}"),
+                    read_utf8(resolved, f"$import/{echo(name)}"),
                     format="yaml" if resolved.suffix == ".yaml" else "json",
                     source=str(resolved),
                 )
             except OSError as exc:
-                diags.append(error("IMPORT_NOT_FOUND", f"$import/{name}", f"cannot read {resolved}: {exc}"))
+                message = f"cannot read {echo(str(resolved))}: {echo(str(exc))}"
+                diags.append(error("IMPORT_NOT_FOUND", f"$import/{echo(name)}", message))
                 continue
             except DocumentError as exc:
                 diags.append(exc.diagnostic)

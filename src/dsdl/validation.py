@@ -14,7 +14,9 @@ fields, or a type validated by many calls, compiles once. Values are
 then checked by calling closures, with no per-value dispatch, and each
 value is checked once. A value's path is built from its parent's path
 and its key only when a finding is reported, or by the struct or list
-that holds other values.
+that holds other values. A node also compiles, on demand, a check-only
+closure from the same shape: the same checks and findings, with no
+typed value built, for a caller that reads only the findings.
 
 Records are null-complete: a typed record carries every declared field
 exactly once, with omitted optionals explicitly ``None``. A missing
@@ -25,6 +27,7 @@ it an error in strict mode, and strict mode changes nothing else.
 from __future__ import annotations
 
 import datetime
+import json
 import math
 import re
 from pathlib import Path
@@ -36,11 +39,21 @@ from .diagnostics import (
     DsdlError,
     LocatorError,
     Severity,
+    echo,
     error,
     show_number,
     warning,
 )
-from .document import LOCAL_PATH, RawDataSection, _load_json, _load_yaml, read_utf8
+from .document import (
+    LOCAL_PATH,
+    RawDataSection,
+    _DuplicateKey,
+    _json_pairs_hook,
+    _load_json,
+    _load_yaml,
+    check_data_section,
+    read_utf8,
+)
 from .locator import ObjectLocator, parse_locator
 from .resolver import ConcreteType, ResolvedSchema
 from .schema import ClassDomain, ClassRef, index_path, lookup_class
@@ -160,10 +173,21 @@ def _fail(diags: list[Diagnostic], code: str, parent, key, message: str) -> None
 # appends its findings to ``diags`` and returns the typed value, or None when
 # the input is unusable. It builds its path ``_path(parent, key)`` only to
 # report, and may accept its common exact-typed input first. A factory
-# ``make(ctype)`` reads the type's arguments once and returns the closure.
+# ``make(ctype, build)`` reads the type's arguments once and returns the
+# closure. With ``build`` false it returns the check-only closure: the same
+# checks and findings, and None where the building closure gives None, but
+# no typed value is built. A value-building shape then calls ``_unbuilt`` in
+# place of its value class, and a struct or list returns ``raw``.
 
 _INF = math.inf
 _NUMBER = (int, float)
+
+
+def _unbuilt(*parts):
+    """Stands in for a value class in a check-only closure: the checked
+    parts, not built into a value."""
+    return parts
+
 
 # -- scalars ------------------------------------------------------------------
 
@@ -201,7 +225,7 @@ def _str(raw, parent, key, diags):
     return _fail(diags, "TYPE_MISMATCH", parent, key, f"expected a string, got {_type_name(raw)}")
 
 
-def _make_id(ctype):
+def _make_id(ctype, build):
     """InstanceID and UniqueID: an integer or a string, kept as a string."""
     head = ctype.head
 
@@ -238,7 +262,7 @@ def _numbers(raw, arity: int, parent, key, diags: list[Diagnostic], what: str) -
     return tuple(raw)
 
 
-def _make_coord(ctype):
+def _make_coord(ctype, build):
     arity, what = 3 if ctype.shape == "coord3d" else 2, ctype.head
 
     def check(raw, parent, key, diags):
@@ -247,58 +271,74 @@ def _make_coord(ctype):
     return check
 
 
-def _interval(raw, parent, key, diags):
-    values = _numbers(raw, 2, parent, key, diags, "Interval")
-    if values is None:
-        return None
-    begin, end = values
-    if begin > end:
-        message = f"interval begin {show_number(begin)} exceeds end {show_number(end)}"
-        return _fail(diags, "RANGE", parent, key, message)
-    return IntervalValue(begin, end)
+def _make_interval(ctype, build):
+    make = IntervalValue if build else _unbuilt
+
+    def check(raw, parent, key, diags):
+        values = _numbers(raw, 2, parent, key, diags, "Interval")
+        if values is None:
+            return None
+        begin, end = values
+        if begin > end:
+            message = f"interval begin {show_number(begin)} exceeds end {show_number(end)}"
+            return _fail(diags, "RANGE", parent, key, message)
+        return make(begin, end)
+
+    return check
 
 
-def _bbox(raw, parent, key, diags):
-    if type(raw) is list and len(raw) == 4:
-        x, y, w, h = raw
-        if (
-            type(x) in _NUMBER and type(y) in _NUMBER and type(w) in _NUMBER and type(h) in _NUMBER
-            and -_INF < x < _INF and -_INF < y < _INF and 0 <= w < _INF and 0 <= h < _INF
-        ):
-            return Box(x, y, w, h)
-    values = _numbers(raw, 4, parent, key, diags, "BBox")
-    if values is None:
-        return None
-    x, y, w, h = values
-    if w < 0 or h < 0:
-        message = f"BBox width/height must be non-negative, got {show_number(w)}x{show_number(h)}"
-        return _fail(diags, "RANGE", parent, key, message)
-    return Box(x, y, w, h)
+def _make_bbox(ctype, build):
+    make = Box if build else _unbuilt
+
+    def check(raw, parent, key, diags):
+        if type(raw) is list and len(raw) == 4:
+            x, y, w, h = raw
+            if (
+                type(x) in _NUMBER and type(y) in _NUMBER and type(w) in _NUMBER and type(h) in _NUMBER
+                and -_INF < x < _INF and -_INF < y < _INF and 0 <= w < _INF and 0 <= h < _INF
+            ):
+                return make(x, y, w, h)
+        values = _numbers(raw, 4, parent, key, diags, "BBox")
+        if values is None:
+            return None
+        x, y, w, h = values
+        if w < 0 or h < 0:
+            message = f"BBox width/height must be non-negative, got {show_number(w)}x{show_number(h)}"
+            return _fail(diags, "RANGE", parent, key, message)
+        return make(x, y, w, h)
+
+    return check
 
 
-def _image_shape(raw, parent, key, diags):
-    if type(raw) is list and len(raw) == 2:
-        width, height = raw
-        if type(width) is int and type(height) is int and width > 0 and height > 0:
-            return ImageShapeValue(width, height)
-    values = _numbers(raw, 2, parent, key, diags, "ImageShape")
-    if values is None:
-        return None
-    width, height = values
-    if width % 1 or height % 1:
-        return _fail(diags, "TYPE_MISMATCH", parent, key, "ImageShape values must be integers")
-    width, height = int(width), int(height)
-    if width <= 0 or height <= 0:
-        message = f"ImageShape values must be positive, got [{show_number(width)}, {show_number(height)}]"
-        return _fail(diags, "RANGE", parent, key, message)
-    return ImageShapeValue(width, height)
+def _make_image_shape(ctype, build):
+    make = ImageShapeValue if build else _unbuilt
+
+    def check(raw, parent, key, diags):
+        if type(raw) is list and len(raw) == 2:
+            width, height = raw
+            if type(width) is int and type(height) is int and width > 0 and height > 0:
+                return make(width, height)
+        values = _numbers(raw, 2, parent, key, diags, "ImageShape")
+        if values is None:
+            return None
+        width, height = values
+        if width % 1 or height % 1:
+            return _fail(diags, "TYPE_MISMATCH", parent, key, "ImageShape values must be integers")
+        width, height = int(width), int(height)
+        if width <= 0 or height <= 0:
+            message = f"ImageShape values must be positive, got [{show_number(width)}, {show_number(height)}]"
+            return _fail(diags, "RANGE", parent, key, message)
+        return make(width, height)
+
+    return check
 
 
-def _make_rotated_bbox(ctype):
+def _make_rotated_bbox(ctype, build):
     mode = ctype.arg("mode")
     measure = ctype.args.get("measure", "radian")
     arity, what = 8 if mode == "xyxy" else 5, f"RotatedBBox[mode={mode}]"
     bound, unit = (180.0, "degrees") if measure == "degree" else (math.pi, "radians")
+    make = RotatedBox if build else _unbuilt
 
     def check(raw, parent, key, diags):
         values = _numbers(raw, arity, parent, key, diags, what)
@@ -307,14 +347,15 @@ def _make_rotated_bbox(ctype):
         if mode == "xywht" and not -bound < values[4] < bound:
             message = f"rotation angle {show_number(values[4])} outside (-{bound}, {bound}) {unit}"
             return _fail(diags, "RANGE", parent, key, message)
-        return RotatedBox(mode, measure, values)
+        return make(mode, measure, values)
 
     return check
 
 
-def _make_keypoint(ctype):
+def _make_keypoint(ctype, build):
     dom: ClassDomain = ctype.arg("dom")
     name, expected = dom.name, 3 * len(dom)
+    make = KeypointSet if build else _unbuilt
     arity_message = f"keypoint list for {name} ({len(dom)} classes) requires {expected} values, got"
 
     def check(raw, parent, key, diags):
@@ -325,7 +366,7 @@ def _make_keypoint(ctype):
         values = _numbers(raw, expected, parent, key, diags, "keypoint")
         if values is None:
             return None
-        return KeypointSet(name, tuple([values[i:i + 3] for i in range(0, expected, 3)]))
+        return make(name, tuple([values[i:i + 3] for i in range(0, expected, 3)]))
 
     return check
 
@@ -367,7 +408,7 @@ def _polygon(raw, parent, key, diags):
 # -- dates, labels, media -------------------------------------------------------
 
 
-def _make_datetime(ctype):
+def _make_datetime(ctype, build):
     """Date and Time: ISO 8601, or the type's ``fmt`` when it has one."""
     kind, fmt = ctype.shape, ctype.arg("fmt")
     from_iso = (datetime.date if kind == "date" else datetime.time).fromisoformat
@@ -387,9 +428,10 @@ def _make_datetime(ctype):
     return check
 
 
-def _make_media(ctype):
+def _make_media(ctype, build):
     """A locator string or a ``{$loc, $descr}`` mapping; Text may also be inline."""
     head, text = ctype.head, ctype.shape == "text"
+    make = MediaRef if build else _unbuilt
     if text:
         what = "Text value must be a string or $loc mapping"
     else:
@@ -420,12 +462,12 @@ def _make_media(ctype):
             locator = parse_locator(raw)
         except LocatorError as exc:
             return _fail(diags, "LOC_SYNTAX", parent, key, exc.diagnostic.message)
-        return MediaRef(head, locator, tuple(descr.items()) if descr is not None else None)
+        return make(head, locator, tuple(descr.items()) if descr is not None else None)
 
     return check
 
 
-def _make_label(ctype):
+def _make_label(ctype, build):
     dom: ClassDomain | None = ctype.arg("dom")
     # the domain's refs by class index and class text, each added on its first
     # lookup, so a label seen before costs one dict get
@@ -449,8 +491,8 @@ def _make_label(ctype):
     return check
 
 
-def _make_list(ctype):
-    check_item = _checker(ctype.arg("etype"))
+def _make_list(ctype, build):
+    check_item = _checker(ctype.arg("etype"), build)
 
     def check(raw, parent, key, diags):
         path = _path(parent, key)
@@ -458,18 +500,36 @@ def _make_list(ctype):
             return _fail(diags, "TYPE_MISMATCH", parent, key, f"expected a list, got {_type_name(raw)}")
         return [check_item(item, path, i, diags) for i, item in enumerate(raw)]
 
-    return check
+    def check_only(raw, parent, key, diags):
+        path = _path(parent, key)
+        if not isinstance(raw, list):
+            return _fail(diags, "TYPE_MISMATCH", parent, key, f"expected a list, got {_type_name(raw)}")
+        for i, item in enumerate(raw):
+            check_item(item, path, i, diags)
+        return raw
+
+    return check if build else check_only
 
 
-def _make_struct(ctype):
+def _make_struct(ctype, build):
     """A null-complete record; a missing required field is a ``FIELD_MISSING`` warning."""
     head, names = ctype.head, ctype.fields.keys()
-    fields = tuple((name, name in ctype.optional, _checker(ftype)) for name, ftype in ctype.fields.items())
+    fields = tuple((name, name in ctype.optional, _checker(ftype, build)) for name, ftype in ctype.fields.items())
+    mismatch = f"expected a {head} record, got"
+
+    def missing(inner, name, diags):
+        diags.append(warning("FIELD_MISSING", _path(inner, name), f"required field {name!r} is missing"))
+
+    def undeclared(raw, inner, diags):
+        for name in raw:
+            if name not in names:
+                message = f"field {_show_key(name)} is not declared on {head}"
+                diags.append(warning("FIELD_UNKNOWN", _path(inner, show_number(name)), message))
 
     def check(raw, parent, key, diags):
         path = _path(parent, key)
         if not isinstance(raw, dict):
-            return _fail(diags, "TYPE_MISMATCH", parent, key, f"expected a {head} record, got {_type_name(raw)}")
+            return _fail(diags, "TYPE_MISMATCH", parent, key, f"{mismatch} {_type_name(raw)}")
         inner = path or None
         values: dict[str, object] = {}
         for name, optional, check_field in fields:
@@ -478,16 +538,28 @@ def _make_struct(ctype):
                 values[name] = check_field(item, inner, name, diags)
                 continue
             if not optional:
-                diags.append(warning("FIELD_MISSING", _path(inner, name), f"required field {name!r} is missing"))
+                missing(inner, name, diags)
             values[name] = None
         if not raw.keys() <= names:
-            for name in raw:
-                if name not in names:
-                    message = f"field {_show_key(name)} is not declared on {head}"
-                    diags.append(warning("FIELD_UNKNOWN", _path(inner, show_number(name)), message))
+            undeclared(raw, inner, diags)
         return Record(head, values)
 
-    return check
+    def check_only(raw, parent, key, diags):
+        path = _path(parent, key)
+        if not isinstance(raw, dict):
+            return _fail(diags, "TYPE_MISMATCH", parent, key, f"{mismatch} {_type_name(raw)}")
+        inner = path or None
+        for name, optional, check_field in fields:
+            item = raw.get(name)
+            if item is not None:
+                check_field(item, inner, name, diags)
+            elif not optional:
+                missing(inner, name, diags)
+        if not raw.keys() <= names:
+            undeclared(raw, inner, diags)
+        return raw
+
+    return check if build else check_only
 
 
 # each shape's closure, or the factory that makes it from the type's arguments
@@ -498,8 +570,8 @@ _CHECKS = {
     "str": _str,
     "coord": _make_coord,
     "coord3d": _make_coord,
-    "interval": _interval,
-    "bbox": _bbox,
+    "interval": _make_interval,
+    "bbox": _make_bbox,
     "polygon": _polygon,
     "date": _make_datetime,
     "time": _make_datetime,
@@ -511,29 +583,33 @@ _CHECKS = {
     "rotated_bbox": _make_rotated_bbox,
     "instance_id": _make_id,
     "unique_id": _make_id,
-    "image_shape": _image_shape,
+    "image_shape": _make_image_shape,
     "struct": _make_struct,
 }
 _FACTORIES = {
-    _make_coord, _make_datetime, _make_id, _make_keypoint, _make_label, _make_list, _make_media,
-    _make_rotated_bbox, _make_struct,
+    _make_bbox, _make_coord, _make_datetime, _make_id, _make_image_shape, _make_interval, _make_keypoint,
+    _make_label, _make_list, _make_media, _make_rotated_bbox, _make_struct,
 }
 
 
-def _checker(ctype: ConcreteType):
-    """The closure of ``ctype``, compiled on first use and kept in the node's
-    ``_check`` slot, so a node shared by many fields (see
-    ``resolver._Instantiation``) or validated by many calls compiles once."""
-    check = getattr(ctype, "_check", None)
+def _checker(ctype: ConcreteType, build: bool = True):
+    """The closure of ``ctype``: the building one, or with ``build`` false
+    the check-only one, which gives the same findings and builds no typed
+    value. Each is compiled on first use from the same ``_CHECKS`` entry
+    and kept in the node's ``_check`` or ``_check_only`` slot, so a node
+    shared by many fields (see ``resolver._Instantiation``) or validated by
+    many calls compiles once per kind."""
+    slot = "_check" if build else "_check_only"
+    check = getattr(ctype, slot, None)
     if check is None:
-        check = _compile(ctype)
-        set_field(ctype, "_check", check)
+        check = _compile(ctype, build)
+        set_field(ctype, slot, check)
     return check
 
 
-def _compile(ctype: ConcreteType):
+def _compile(ctype: ConcreteType, build: bool = True):
     shape = _CHECKS[ctype.shape]
-    return shape(ctype) if shape in _FACTORIES else shape
+    return shape(ctype, build) if shape in _FACTORIES else shape
 
 
 def _run(check, raw, parent, key, strict: bool) -> tuple[object, list[Diagnostic]]:
@@ -598,48 +674,111 @@ def load_external_samples(path: str, base: str | Path) -> list:
 
 
 _MISSING_KEY_CODES = {"samples": "MISSING_SAMPLES_KEY", "global-info": "MISSING_GLOBAL_INFO_KEY"}
+_YAML_SUFFIXES = (".yaml", ".yml")
 
 
 def _load_external(path: str, base: str | Path, key: str):
     """The top-level ``key`` (``samples`` or ``global-info``) of an external JSON or YAML file."""
+    full, text = _read_external(path, base)
+    return _decode_external(full, text, path, key)
+
+
+def _read_external(path: str, base: str | Path) -> tuple[Path, str]:
+    """The full path and the text of the external data file ``path``."""
     full = Path(base) / path
     try:
         if not full.is_file():
-            raise DsdlError(error("FILE_NOT_FOUND", str(path), f"external data file {full} does not exist"))
-        text = read_utf8(full, str(path))
-        if full.suffix in (".yaml", ".yml"):
-            payload = _load_yaml(text, str(full))
-        else:
-            payload = _load_json(text, str(full))
+            message = f"external data file {echo(str(full))} does not exist"
+            raise DsdlError(error("FILE_NOT_FOUND", echo(str(path)), message))
+        return full, read_utf8(full, echo(str(path)))
     except OSError as exc:
-        raise DsdlError(error("FILE_NOT_FOUND", str(path), f"cannot read external data file {full}: {exc}")) from exc
+        message = f"cannot read external data file {echo(str(full))}: {echo(str(exc))}"
+        raise DsdlError(error("FILE_NOT_FOUND", echo(str(path)), message)) from exc
     except DocumentError as exc:
         raise DsdlError(exc.diagnostic) from exc
+
+
+def _decode_external(full: Path, text: str, path: str, key: str):
+    """The top-level ``key`` of the external data file ``full``, decoded whole from its ``text``."""
+    try:
+        payload = _load_yaml(text, str(full)) if full.suffix in _YAML_SUFFIXES else _load_json(text, str(full))
+    except DocumentError as exc:
+        raise DsdlError(exc.diagnostic) from exc
+    shown = echo(str(path))
     if not isinstance(payload, dict):
-        raise DsdlError(
-            error("MALFORMED_SAMPLES", str(path), f"external data file {full} must hold a mapping")
-        )
+        raise DsdlError(error("MALFORMED_SAMPLES", shown, f"external data file {echo(str(full))} must hold a mapping"))
     if key not in payload:
-        raise DsdlError(error(_MISSING_KEY_CODES[key], key, f"{path} has no top-level {key!r} key"))
+        raise DsdlError(error(_MISSING_KEY_CODES[key], key, f"{shown} has no top-level {key!r} key"))
     if key == "samples" and not isinstance(payload[key], list):
-        raise DsdlError(error("MALFORMED_SAMPLES", "samples", f"'samples' in {path} is not a list"))
+        raise DsdlError(error("MALFORMED_SAMPLES", "samples", f"'samples' in {shown} is not a list"))
     return payload[key]
 
 
-class ValidationReport(Slotted):
-    """Everything one validation run produced, in document order."""
+_SPACE = json.decoder.WHITESPACE.match  # JSON's whitespace, as json itself skips it
+_UNDECODABLE = (StopIteration, ValueError, RecursionError, _DuplicateKey)  # what _load_json reports
 
-    __slots__ = ("samples", "global_info", "diagnostics", "truncated")
+
+class _Unstreamable(Exception):
+    """The text does not open with ``{"samples": [``, or does not decode."""
+
+
+def _stream_samples(text: str):
+    """Each element of the ``samples`` array of the JSON ``text``, decoded
+    one at a time over ``text`` itself, so that only the element being
+    checked is held; the rest of the text is decoded after the last one.
+
+    Only text that opens with ``{"samples": [`` streams. Other text, and
+    anything the stream cannot decode (a syntax error, a duplicate key, an
+    integer past the digit limit, too deep a nest), raises
+    :class:`_Unstreamable` when it is reached; ``_load_json`` over the whole
+    text then gives the finding, with its own line and column.
+    """
+    pos = 0
+    for token in ("{", '"samples"', ":", "["):
+        pos = _SPACE(text, pos).end()
+        if not text.startswith(token, pos):
+            raise _Unstreamable
+        pos += len(token)
+    scan = json.JSONDecoder(object_pairs_hook=_json_pairs_hook).scan_once
+    pos = _SPACE(text, pos).end()
+    if not text.startswith("]", pos):
+        while True:
+            try:
+                item, pos = scan(text, pos)
+            except _UNDECODABLE as exc:
+                raise _Unstreamable from exc
+            yield item
+            pos = _SPACE(text, pos).end()
+            if not text.startswith(",", pos):
+                break
+            pos = _SPACE(text, pos + 1).end()
+        if not text.startswith("]", pos):
+            raise _Unstreamable
+    try:  # the keys after the array, the closing brace and trailing whitespace; a second "samples" is a duplicate
+        json.loads('{"samples": 0' + text[pos + 1:], object_pairs_hook=_json_pairs_hook)
+    except _UNDECODABLE as exc:
+        raise _Unstreamable from exc
+
+
+class ValidationReport(Slotted):
+    """Everything one validation run produced, in document order.
+
+    ``_unkept`` counts the samples validated without keeping a value
+    (``validate_dataset(..., build=False)``).
+    """
+
+    __slots__ = ("samples", "global_info", "diagnostics", "truncated", "_unkept")
 
     def __init__(self, samples=None, global_info=None, diagnostics: list[Diagnostic] | None = None, truncated=False):
         self.samples = [] if samples is None else samples
         self.global_info = global_info
         self.diagnostics = [] if diagnostics is None else diagnostics
         self.truncated = truncated
+        self._unkept = 0
 
     @property
     def sample_count(self) -> int:
-        return len(self.samples)
+        return len(self.samples) + self._unkept
 
     def _count(self, severity: Severity) -> int:
         return sum(1 for d in self.diagnostics if d.severity is severity)
@@ -669,22 +808,48 @@ class ValidationReport(Slotted):
 _ABSENT = object()
 
 
-def _load_channel(where: str | None, inline, key: str, base: str | Path, report: ValidationReport):
-    """The raw value of one data channel, or ``_ABSENT``.
+def _check_samples(check, raws, strict: bool, max_errors: int | None, build: bool) -> ValidationReport:
+    """A report of the raw samples ``raws``, each checked by ``check``.
 
-    ``inline`` when ``where`` is ``$local``, else the top-level ``key``
-    of the external file ``where``. ``_ABSENT`` when the channel has no
-    source, or when its file failed to load, which ``report`` records.
+    ``max_errors`` stops the checking once that many errors, and at least
+    one, are counted; the rest of ``raws`` is still drawn, so a stream
+    decodes to its end before the report is used.
     """
-    if where is None:
-        return _ABSENT
-    if where == LOCAL_PATH:
-        return inline
-    try:
-        return _load_external(where, base, key)
-    except DsdlError as exc:
-        report.diagnostics.append(exc.diagnostic)
-        return _ABSENT
+    report = ValidationReport()
+    limit = None if max_errors is None else max(max_errors, 1)
+    items = iter(raws)
+    count = errors_seen = 0
+    for raw in items:
+        value, diags = _run(check, raw, "samples", count, strict)
+        count += 1
+        if build:
+            report.samples.append(value)
+        report.diagnostics.extend(diags)
+        if limit is not None:
+            errors_seen += sum(1 for d in diags if d.severity is Severity.ERROR)
+            if errors_seen >= limit:
+                report.truncated = next(items, _ABSENT) is not _ABSENT
+                break
+    for _ in items:
+        pass
+    if not build:
+        report._unkept = count
+    return report
+
+
+def _sample_report(check, data: RawDataSection, base, strict: bool, max_errors: int | None, build: bool):
+    """The report of the sample channel of ``data``: inline, or its external
+    file, which streams when it is JSON."""
+    if data.sample_path == LOCAL_PATH:
+        return _check_samples(check, data.samples, strict, max_errors, build)
+    full, text = _read_external(data.sample_path, base)
+    if full.suffix not in _YAML_SUFFIXES:
+        try:
+            return _check_samples(check, _stream_samples(text), strict, max_errors, build)
+        except _Unstreamable:
+            pass  # the whole-file load below gives the finding, or reads what the stream does not
+    raws = _decode_external(full, text, data.sample_path, "samples")
+    return _check_samples(check, raws, strict, max_errors, build)
 
 
 def validate_dataset(
@@ -694,38 +859,52 @@ def validate_dataset(
     *,
     strict: bool = False,
     max_errors: int | None = None,
+    build: bool = True,
 ) -> ValidationReport:
     """Validate every sample (inline or external) against the schema.
 
     Inline ``samples`` are used iff ``sample-path`` is ``$local``;
     otherwise the external file wins. The same rule applies to
-    global-info. Samples validate independently; ``max_errors`` stops a
-    channel once that many errors, and at least one, are counted, and
-    marks the report truncated.
+    global-info. A section that breaks a rule of a parsed ``data``
+    section (see ``document.check_data_section``) gives that finding and
+    nothing is validated. Samples validate independently; ``max_errors``
+    stops a channel once that many errors, and at least one, are counted,
+    and marks the report truncated.
+
+    With ``build`` false no typed value is built or kept: ``samples``
+    stays empty and ``global_info`` ``None``, while ``sample_count``, the
+    diagnostics and ``truncated`` are those of the building run. Either
+    way an external JSON sample file that opens with ``{"samples": [`` is
+    decoded one sample at a time, and its findings count once the whole
+    text has decoded; any other file is loaded whole.
     """
     report = ValidationReport()
     if data is None:
         return report
+    try:
+        data = check_data_section(data)
+    except DocumentError as exc:
+        report.diagnostics.append(exc.diagnostic)
+        return report
 
-    if schema.sample_type is not None:
-        raw_samples = _load_channel(data.sample_path, data.samples or [], "samples", base, report)
-        if raw_samples is not _ABSENT:
-            check = _checker(schema.sample_type)
-            errors_seen = 0
-            for i, raw in enumerate(raw_samples):
-                value, diags = _run(check, raw, "samples", i, strict)
-                report.samples.append(value)
-                report.diagnostics.extend(diags)
-                errors_seen += sum(1 for d in diags if d.severity is Severity.ERROR)
-                if max_errors is not None and errors_seen >= max(max_errors, 1) and i + 1 < len(raw_samples):
-                    report.truncated = True
-                    break
+    if schema.sample_type is not None and data.sample_path is not None:
+        try:
+            report = _sample_report(_checker(schema.sample_type, build), data, base, strict, max_errors, build)
+        except DsdlError as exc:
+            report.diagnostics.append(exc.diagnostic)
 
-    if schema.global_info_type is not None:
-        raw_info = _load_channel(data.global_info_path, data.global_info, "global-info", base, report)
-        if raw_info is not _ABSENT:
-            value, diags = _run(_checker(schema.global_info_type), raw_info, None, "global-info", strict)
-            report.global_info = value
+    if schema.global_info_type is not None and data.global_info_path is not None:
+        try:
+            if data.global_info_path == LOCAL_PATH:
+                raw_info = data.global_info
+            else:
+                raw_info = _load_external(data.global_info_path, base, "global-info")
+        except DsdlError as exc:
+            report.diagnostics.append(exc.diagnostic)
+        else:
+            value, diags = _run(_checker(schema.global_info_type, build), raw_info, None, "global-info", strict)
+            if build:
+                report.global_info = value
             report.diagnostics.extend(diags)
 
     return report

@@ -11,6 +11,8 @@ import pytest
 import yaml as pyyaml
 from hypothesis import given, settings, strategies as st
 
+from dsdl.diagnostics import NAME_LIMIT, echo
+
 from conftest import CORPUS, run_cli
 
 
@@ -692,8 +694,10 @@ def test_import_name_the_os_refuses_is_not_found(tmp_path, name):
     target.write_text(json.dumps({"$dsdl-version": "0.5.0", "$import": [name]}))
     code, out, err = run_cli("validate", str(target))
     assert (code, err) == (1, "")
-    shown = repr(name)[1:-1]  # a control character in the path reads as its escape
-    assert out.splitlines()[0].startswith(f"error IMPORT_NOT_FOUND $import/{shown} cannot resolve import {name!r}; searched: ")
+    # a control character in the path reads as its escape; a name is echoed up to NAME_LIMIT characters
+    clipped, cut = name[:NAME_LIMIT], "..." if len(name) > NAME_LIMIT else ""
+    shown = repr(clipped)[1:-1] + cut
+    assert out.splitlines()[0].startswith(f"error IMPORT_NOT_FOUND $import/{shown} cannot resolve import {clipped!r}{cut}; searched: ")
 
 
 def test_library_path_entry_the_os_refuses_is_skipped(monkeypatch, tmp_path):
@@ -720,7 +724,7 @@ def test_external_file_name_the_os_refuses_is_a_coded_finding(tmp_path, channel)
     for argv in (("validate",), ("validate", "--format", "json"), ("summary",)):
         code, out, err = run_cli(*argv, str(target))
         assert (code, err) == (1, ""), argv
-        assert f"cannot read external data file {tmp_path / _TOO_LONG}: " in out, argv
+        assert f"cannot read external data file {echo(str(tmp_path / _TOO_LONG))}: " in out, argv
 
 
 _CLI_TOKENS = [
@@ -774,5 +778,37 @@ def test_cli_is_total(content, suffix, command, flags):
     with tempfile.TemporaryDirectory() as tmp:
         target = Path(tmp) / f"input{suffix}"
         target.write_bytes(content)
-        code, _, _ = run_cli(command, *flags, str(target))
+        code, out, err = run_cli(command, *flags, str(target))
     assert code in (0, 1, 2)
+    assert all(line.isprintable() for line in out.splitlines() + err.splitlines())
+
+
+_LINE_BOUND = 1000  # characters; a finding echoes each name up to NAME_LIMIT
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        f"  sample-type: Int\n  sample-path: {_TOO_LONG}\n",
+        f"  sample-type: Int\n  sample-path: {'d/' * 2500}s.json\n",
+        f"  sample-type: Int\n  samples: []\n  global-info-type: Int\n  global-info-path: {_TOO_LONG}\n",
+        f"  sample-type: Int\n  samples: []\n$import: [{_TOO_LONG}]\n",
+        f"  sample-type: Int\n  samples: []\n$import: [{'d/' * 2500}lib]\n",
+    ],
+    ids=["sample-path", "deep-sample-path", "global-info-path", "import", "deep-import"],
+)
+def test_a_finding_on_an_over_long_name_is_a_short_line(tmp_path, data):
+    target = tmp_path / "d.yaml"
+    target.write_text(f'$dsdl-version: "0.5.0"\ndata:\n{data}')
+    for argv in (("validate",), ("validate", "--format", "json"), ("summary",)):
+        code, out, err = run_cli(*argv, str(target))
+        assert (code, err) == (1, ""), argv
+        assert 0 < max(map(len, out.splitlines())) < _LINE_BOUND, argv
+
+
+def test_a_usage_failure_is_one_short_printable_stderr_line(tmp_path):
+    for name in ("no\nsuch.yaml", "\x1b[2J" + _TOO_LONG):
+        code, out, err = run_cli("validate", str(tmp_path / name))
+        assert (code, out) == (2, "")
+        assert err.endswith("\n") and len(err.splitlines()) == 1
+        assert err.startswith("dsdl: error: cannot read ") and err[:-1].isprintable() and len(err) < _LINE_BOUND

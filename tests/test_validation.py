@@ -15,7 +15,7 @@ from dsdl import (
     validate_label,
     validate_value,
 )
-from dsdl.diagnostics import DsdlError, Severity
+from dsdl.diagnostics import DsdlError, Severity, echo
 from dsdl.locator import RelativePath
 from dsdl.resolver import ConcreteType
 from dsdl.schema import ClassRef, build_definitions, lookup_class
@@ -398,8 +398,8 @@ def test_external_file_name_too_long_for_the_os(tmp_path):
     name = "a" * 5000
     with pytest.raises(DsdlError) as exc:
         load_external_samples(name, tmp_path)
-    assert (exc.value.code, exc.value.diagnostic.path) == ("FILE_NOT_FOUND", name)
-    assert exc.value.diagnostic.message.startswith(f"cannot read external data file {tmp_path / name}: ")
+    assert (exc.value.code, exc.value.diagnostic.path) == ("FILE_NOT_FOUND", echo(name))
+    assert exc.value.diagnostic.message.startswith(f"cannot read external data file {echo(str(tmp_path / name))}: ")
 
 
 def test_external_file_not_utf8(tmp_path):
@@ -626,9 +626,9 @@ def test_a_type_compiles_once_over_many_calls(registry, monkeypatch):
 
     compiled = []
 
-    def counting(node):
+    def counting(node, build=True):
         compiled.append(node)
-        return compile_node(node)
+        return compile_node(node, build)
 
     compile_node = validation._compile
     monkeypatch.setattr(validation, "_compile", counting)
@@ -835,3 +835,91 @@ def test_compiled_closures_match_per_component_checkers(raw):
         listed = ConcreteType("List", "list", {"etype": ct})
         value, diags = validate_value(items, listed, "v")
         assert (value, findings(diags)) == (expected, findings(expected_diags)), ct.describe()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_VALUES | st.lists(_NUMBERS, max_size=9))
+@example([0, 0, 1, 1])
+@example([640, 480])
+@example([1, 2])
+@example([0, 0, 1, 1, 30])
+@example([0.0] * 6)
+@example({"$loc": "a.png", "$descr": {"k": 1}, "x": 2})
+@example("img/a.png")
+def test_check_only_closures_match_building_closures(raw):
+    """The check-only closure of each type gives the building closure's
+    findings, and None exactly where it gives None, at the top and at a
+    list item's path."""
+    from dsdl.validation import _checker
+
+    def run(ct, build):
+        diags = []
+        value = _checker(ct, build)(raw, None, "v", diags)
+        return value is None, [(d.severity, d.code, d.path, d.message) for d in diags]
+
+    for ct, _ in _DIFFERENTIAL_TYPES:
+        listed = ConcreteType("List", "list", {"etype": ct})
+        for node in (ct, listed):
+            assert run(node, False) == run(node, True), node.describe()
+        items = [raw, raw]
+        assert _checker(listed, False)(items, None, "v", []) is items
+
+
+def test_check_only_dataset_matches_building_dataset():
+    """Every corpus description, with each CLI flag set: ``build=False``
+    gives the building run's count, findings and truncation, and keeps no
+    value."""
+    from conftest import CORPUS_FILES, load_corpus_doc
+    from dsdl import LibraryEnvironment, resolve_schema
+
+    for rel in CORPUS_FILES:
+        doc, path = load_corpus_doc(rel)
+        schema, _ = resolve_schema(doc, LibraryEnvironment.from_environment(), source=path)
+        for flags in ({}, {"strict": True}, {"max_errors": 1}):
+            built = validate_dataset(schema, doc.data, base=path.parent, **flags)
+            checked = validate_dataset(schema, doc.data, base=path.parent, build=False, **flags)
+            assert checked.to_jsonable() == built.to_jsonable(), (rel, flags)
+            assert (checked.samples, checked.global_info) == ([], None)
+            assert built.sample_count == len(built.samples) > 0
+
+
+# -- hand-built data sections ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "section, yaml_data, code, path, message",
+    [
+        (
+            {"sample_type": "S", "sample_path": 5},
+            "  sample-type: S\n  sample-path: 5\n",
+            "MALFORMED_DATA_SECTION", "data/sample-path", "sample-path must be a string",
+        ),
+        (
+            {"sample_type": "S", "samples": [{"n": 1}], "global_info_path": 7},
+            "  sample-type: S\n  samples: [{n: 1}]\n  global-info-path: 7\n",
+            "MALFORMED_DATA_SECTION", "data/global-info-path", "global-info-path must be a string",
+        ),
+        (
+            {"sample_type": "S", "sample_path": "$local", "samples": "abc"},
+            "  sample-type: S\n  samples: abc\n",
+            "MALFORMED_SAMPLES", "data/samples", "samples must be a list",
+        ),
+    ],
+    ids=["sample-path", "global-info-path", "samples"],
+)
+def test_a_hand_built_data_section_gives_the_parsed_finding(library_env, section, yaml_data, code, path, message):
+    from dsdl import RawDataSection, parse_document, resolve_schema
+    from dsdl.diagnostics import DocumentError
+
+    head = '$dsdl-version: "0.5.0"\ndefs:\n  S:\n    $def: struct\n    $fields: {n: Int}\n'
+    with pytest.raises(DocumentError) as parsed:
+        parse_document(head + "data:\n" + yaml_data, format="yaml")
+    assert (parsed.value.code, parsed.value.diagnostic.path, parsed.value.diagnostic.message) == (code, path, message)
+    doc = parse_document(head + "data:\n  sample-type: S\n  samples: []\n", format="yaml")
+    schema, _ = resolve_schema(doc, library_env)
+    for build in (True, False):
+        report = validate_dataset(schema, RawDataSection(**section), build=build)
+        assert [(d.severity, d.code, d.path, d.message) for d in report.diagnostics] == [
+            (Severity.ERROR, code, path, message)
+        ]
+        assert report.sample_count == 0
