@@ -59,8 +59,10 @@ from .typeexpr import (
     render_type_expression,
 )
 from .validation import (
+    SampleCounts,
     ValidationReport,
     load_external_samples,
+    summarize_dataset,
     validate_dataset,
     validate_label,
     validate_value,
@@ -91,6 +93,7 @@ __all__ = [
     "ResolutionEnvironment",
     "ResolutionError",
     "ResolvedSchema",
+    "SampleCounts",
     "Severity",
     "StructClass",
     "TypeExpr",
@@ -111,6 +114,7 @@ __all__ = [
     "resolve_imports",
     "resolve_locator",
     "resolve_schema",
+    "summarize_dataset",
     "validate_dataset",
     "validate_label",
     "validate_value",

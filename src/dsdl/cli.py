@@ -19,9 +19,9 @@ from .diagnostics import DocumentError, DsdlError, LocatorError, echo, printable
 from .document import RawDocument, parse_document, read_utf8
 from .locator import ResolutionEnvironment, default_media_registry, parse_locator, resolve_locator
 from .resolver import ConcreteType, LibraryEnvironment, ResolvedSchema, resolve_schema
-from .schema import ClassDomain, StructClass
+from .schema import ClassDomain
 from .typeexpr import render_type_expression
-from .validation import ClassRef, MediaRef, Record, ValidationReport, validate_dataset
+from .validation import SampleCounts, ValidationReport, summarize_dataset, validate_dataset
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
@@ -100,11 +100,11 @@ class _UsageFailure(Exception):
 
 
 def _run(
-    args: argparse.Namespace, validate: bool, build: bool = False
-) -> tuple[RawDocument | None, ResolvedSchema | None, ValidationReport]:
+    args: argparse.Namespace, validate: bool, count: bool = False
+) -> tuple[RawDocument | None, ResolvedSchema | None, ValidationReport, SampleCounts]:
     """parse -> resolve -> validate; the report holds every diagnostic in that order.
-    Samples are validated only when ``validate`` is set, and their typed values
-    are kept only when ``build`` is."""
+    Samples are validated only when ``validate`` is set, and no typed value is
+    built; with ``count`` they are also counted (see ``summarize_dataset``)."""
     path = Path(args.file)
     shown = echo(str(path))
     try:
@@ -117,20 +117,22 @@ def _run(
     try:
         doc = parse_document(text, format=fmt, source=str(path), allow_version=args.allow_version)
     except DocumentError as exc:
-        return None, None, ValidationReport(diagnostics=[exc.diagnostic])
+        return None, None, ValidationReport(diagnostics=[exc.diagnostic]), SampleCounts()
     schema, diags = resolve_schema(
         doc,
         LibraryEnvironment.from_environment(args.library_path),
         source=path,
         media_extensions=default_media_registry().extension_names(),
     )
-    report = ValidationReport()
+    report, counts = ValidationReport(), SampleCounts()
     if validate and schema is not None:
-        report = validate_dataset(
-            schema, doc.data, base=path.parent, strict=args.strict, max_errors=args.max_errors, build=build
-        )
+        options = {"base": path.parent, "strict": args.strict, "max_errors": args.max_errors}
+        if count:
+            report, counts = summarize_dataset(schema, doc.data, **options)
+        else:
+            report = validate_dataset(schema, doc.data, build=False, **options)
     report.diagnostics[:0] = diags
-    return doc, schema, report
+    return doc, schema, report, counts
 
 
 def _exit_code(report: ValidationReport, args: argparse.Namespace) -> int:
@@ -157,7 +159,7 @@ def _emit_failure(args: argparse.Namespace, report: ValidationReport) -> None:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    _, _, report = _run(args, validate=True)
+    _, _, report, _ = _run(args, validate=True)
     summary = f"{report.sample_count} samples validated, {report.errors} errors, {report.warnings} warnings"
     if report.truncated:
         summary += " (truncated)"
@@ -199,7 +201,7 @@ def _concrete_jsonable(ctype: ConcreteType) -> dict:
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
-    doc, schema, report = _run(args, validate=False)
+    doc, schema, report, _ = _run(args, validate=False)
     if report.errors or schema is None:
         _emit_failure(args, report)
         return EXIT_FINDINGS if report.diagnostics else EXIT_OK
@@ -279,42 +281,16 @@ def cmd_resolve_loc(args: argparse.Namespace) -> int:
 
 
 def cmd_summary(args: argparse.Namespace) -> int:
-    _, schema, report = _run(args, validate=True, build=True)
+    _, schema, report, counts = _run(args, validate=True, count=True)
     if report.errors or schema is None:
         _emit_failure(args, report)
         return EXIT_FINDINGS
 
-    labels: dict[str, int] = {}
-    fill: dict[tuple[str, str], list[int]] = {}
-    locators: dict[str, int] = {}
-
-    def visit(value) -> None:
-        if isinstance(value, ClassRef):
-            key = str(value)
-            labels[key] = labels.get(key, 0) + 1
-        elif isinstance(value, MediaRef):
-            locators[value.locator.kind] = locators.get(value.locator.kind, 0) + 1
-        elif isinstance(value, Record):
-            struct = schema.registry.get(value.struct_name)
-            optional = struct.optional if isinstance(struct, StructClass) else frozenset()
-            for fname in optional:
-                counts = fill.setdefault((value.struct_name, fname), [0, 0])
-                counts[1] += 1
-                if value.values.get(fname) is not None:
-                    counts[0] += 1
-            for item in value.values.values():
-                visit(item)
-        elif isinstance(value, list):
-            for item in value:
-                visit(item)
-
-    for sample in report.samples:
-        visit(sample)
-
+    fill, locators = counts.optional_fill, counts.locators
     payload = {
         "file": args.file,
         "sample_count": report.sample_count,
-        "labels": dict(sorted(labels.items())),
+        "labels": dict(sorted(counts.labels.items())),
         "optional_fill": {
             f"{s}.{f}": {"present": c[0], "total": c[1]} for (s, f), c in sorted(fill.items())
         },

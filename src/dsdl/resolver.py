@@ -80,10 +80,11 @@ class ConcreteType(Frozen):
     plain scalars otherwise. Struct heads additionally carry a concrete
     field map and their optional-field set. ``_check`` and ``_check_only``
     keep the node's building and check-only validation closures once
-    each is compiled.
+    each is compiled, and ``_census`` the census that
+    ``summarize_dataset`` folds its counts with.
     """
 
-    __slots__ = ("head", "shape", "args", "fields", "optional", "_check", "_check_only")
+    __slots__ = ("head", "shape", "args", "fields", "optional", "_check", "_check_only", "_census")
 
     def __init__(self, head: str, shape: str, args=None, fields: dict | None = None, optional=frozenset()):
         set_field(self, "head", head)

@@ -612,6 +612,99 @@ def _compile(ctype: ConcreteType, build: bool = True):
     return shape(ctype, build) if shape in _FACTORIES else shape
 
 
+class SampleCounts(Slotted):
+    """What :func:`summarize_dataset` counts over the samples that hold no error.
+
+    ``labels`` maps each label, as ``str(ClassRef)``, to its frequency.
+    ``optional_fill`` maps ``(struct, field)`` to ``[present, total]`` for
+    each optional field of a struct that some value reached: ``total``
+    counts the values of that struct, ``present`` those giving the field
+    a non-null value. ``locators`` maps each locator kind to the number
+    of media values, and of Text values given as a ``$loc`` mapping,
+    that use it.
+    """
+
+    __slots__ = ("labels", "optional_fill", "locators")
+
+    def __init__(self, labels=None, optional_fill=None, locators=None):
+        self.labels: dict[str, int] = {} if labels is None else labels
+        self.optional_fill: dict[tuple[str, str], list[int]] = {} if optional_fill is None else optional_fill
+        self.locators: dict[str, int] = {} if locators is None else locators
+
+
+_ABSENT = object()
+
+
+# A census ``census(raw, counts)`` folds into ``counts`` what one raw value
+# that checked without error holds. Like a closure, it is compiled once per
+# type node; a label or media node reads the ref or locator from its own
+# check-only closure, so no shape's rules are stated twice. A node whose
+# subtree holds no label, media or text, and no struct with an optional
+# field, has no census and its values are never walked.
+
+
+def _census(ctype: ConcreteType):
+    """The census of ``ctype``, or None; compiled on first use and kept in
+    the node's ``_census`` slot."""
+    census = getattr(ctype, "_census", _ABSENT)
+    if census is _ABSENT:
+        census = _compile_census(ctype)
+        set_field(ctype, "_census", census)
+    return census
+
+
+def _compile_census(ctype: ConcreteType):
+    shape = ctype.shape
+    if shape == "label":
+        check = _checker(ctype, False)
+
+        def census(raw, counts):
+            labels, key = counts.labels, str(check(raw, None, None, []))
+            labels[key] = labels.get(key, 0) + 1
+
+    elif shape in ("media", "text"):
+        check = _checker(ctype, False)
+
+        def census(raw, counts):
+            parts = check(raw, None, None, [])
+            if type(parts) is tuple:  # not inline Text, which is its own string
+                locators, kind = counts.locators, parts[1].kind
+                locators[kind] = locators.get(kind, 0) + 1
+
+    elif shape == "list":
+        count_item = _census(ctype.arg("etype"))
+        if count_item is None:
+            return None
+
+        def census(raw, counts):
+            for item in raw:
+                count_item(item, counts)
+
+    elif shape == "struct":
+        fields = tuple((name, c) for name, ftype in ctype.fields.items() if (c := _census(ftype)) is not None)
+        optional = tuple(((ctype.head, name), name) for name in sorted(ctype.optional))
+        if not fields and not optional:
+            return None
+
+        def census(raw, counts):
+            fill = counts.optional_fill
+            for key, name in optional:
+                tally = fill.get(key)
+                if tally is None:
+                    tally = fill[key] = [0, 0]
+                tally[1] += 1
+                if raw.get(name) is not None:
+                    tally[0] += 1
+            for name, count_field in fields:
+                item = raw.get(name)
+                if item is not None:
+                    count_field(item, counts)
+
+    else:
+        return None
+    return census
+
+
 def _run(check, raw, parent, key, strict: bool) -> tuple[object, list[Diagnostic]]:
     diags: list[Diagnostic] = []
     value = check(raw, parent, key, diags)
@@ -805,17 +898,16 @@ class ValidationReport(Slotted):
         }
 
 
-_ABSENT = object()
-
-
-def _check_samples(check, raws, strict: bool, max_errors: int | None, build: bool) -> ValidationReport:
-    """A report of the raw samples ``raws``, each checked by ``check``.
+def _check_samples(check, census, raws, strict: bool, max_errors: int | None, build: bool):
+    """The report and the counts of the raw samples ``raws``, each checked
+    by ``check``; each sample whose findings hold no error is then folded
+    into the counts by ``census``, unless it is None.
 
     ``max_errors`` stops the checking once that many errors, and at least
     one, are counted; the rest of ``raws`` is still drawn, so a stream
     decodes to its end before the report is used.
     """
-    report = ValidationReport()
+    report, counts = ValidationReport(), SampleCounts()
     limit = None if max_errors is None else max(max_errors, 1)
     items = iter(raws)
     count = errors_seen = 0
@@ -825,8 +917,11 @@ def _check_samples(check, raws, strict: bool, max_errors: int | None, build: boo
         if build:
             report.samples.append(value)
         report.diagnostics.extend(diags)
+        errors = sum(1 for d in diags if d.severity is Severity.ERROR) if diags else 0
+        if census is not None and not errors:
+            census(raw, counts)
         if limit is not None:
-            errors_seen += sum(1 for d in diags if d.severity is Severity.ERROR)
+            errors_seen += errors
             if errors_seen >= limit:
                 report.truncated = next(items, _ABSENT) is not _ABSENT
                 break
@@ -834,22 +929,24 @@ def _check_samples(check, raws, strict: bool, max_errors: int | None, build: boo
         pass
     if not build:
         report._unkept = count
-    return report
+    return report, counts
 
 
-def _sample_report(check, data: RawDataSection, base, strict: bool, max_errors: int | None, build: bool):
-    """The report of the sample channel of ``data``: inline, or its external
-    file, which streams when it is JSON."""
+def _sample_report(check, census, data: RawDataSection, base, strict: bool, max_errors: int | None, build: bool):
+    """The report and the counts of the sample channel of ``data``: inline,
+    or its external file, which streams when it is JSON. A stream that
+    cannot go on is dropped, its counts with its findings, and the file is
+    read again whole."""
     if data.sample_path == LOCAL_PATH:
-        return _check_samples(check, data.samples, strict, max_errors, build)
+        return _check_samples(check, census, data.samples, strict, max_errors, build)
     full, text = _read_external(data.sample_path, base)
     if full.suffix not in _YAML_SUFFIXES:
         try:
-            return _check_samples(check, _stream_samples(text), strict, max_errors, build)
+            return _check_samples(check, census, _stream_samples(text), strict, max_errors, build)
         except _Unstreamable:
             pass  # the whole-file load below gives the finding, or reads what the stream does not
     raws = _decode_external(full, text, data.sample_path, "samples")
-    return _check_samples(check, raws, strict, max_errors, build)
+    return _check_samples(check, census, raws, strict, max_errors, build)
 
 
 def validate_dataset(
@@ -878,18 +975,44 @@ def validate_dataset(
     decoded one sample at a time, and its findings count once the whole
     text has decoded; any other file is loaded whole.
     """
-    report = ValidationReport()
+    return _validate(schema, data, base, strict, max_errors, build, False)[0]
+
+
+def summarize_dataset(
+    schema: ResolvedSchema,
+    data: RawDataSection | None,
+    base: str | Path = ".",
+    *,
+    strict: bool = False,
+    max_errors: int | None = None,
+) -> tuple[ValidationReport, SampleCounts]:
+    """``validate_dataset(..., build=False)``, and the :class:`SampleCounts`
+    of the samples: their labels, optional-field fill and locator kinds.
+
+    Each sample is counted as it is checked, and only when its findings,
+    with ``strict`` applied, hold no error; no sample is kept. Global
+    info is not counted.
+    """
+    return _validate(schema, data, base, strict, max_errors, False, True)
+
+
+def _validate(schema: ResolvedSchema, data, base, strict: bool, max_errors, build: bool, count: bool):
+    """The body of ``validate_dataset`` and ``summarize_dataset``: the report,
+    and the counts of the samples when ``count`` is set."""
+    report, counts = ValidationReport(), SampleCounts()
     if data is None:
-        return report
+        return report, counts
     try:
         data = check_data_section(data)
     except DocumentError as exc:
         report.diagnostics.append(exc.diagnostic)
-        return report
+        return report, counts
 
     if schema.sample_type is not None and data.sample_path is not None:
+        check = _checker(schema.sample_type, build)
+        census = _census(schema.sample_type) if count else None
         try:
-            report = _sample_report(_checker(schema.sample_type, build), data, base, strict, max_errors, build)
+            report, counts = _sample_report(check, census, data, base, strict, max_errors, build)
         except DsdlError as exc:
             report.diagnostics.append(exc.diagnostic)
 
@@ -907,4 +1030,4 @@ def validate_dataset(
                 report.global_info = value
             report.diagnostics.extend(diags)
 
-    return report
+    return report, counts
