@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from pathlib import Path
 
 from .diagnostics import DocumentError, echo, error
@@ -173,11 +174,34 @@ def _load_core(text: str) -> object:
     return _yaml().load(text, Loader=_CoreLoader)
 
 
-_MAX_DEPTH = 100  # open collections the event loop builds before it leaves the text to _CoreLoader
+_MAX_DEPTH = 100  # open collections the event loop builds before it only counts them
 
 
 class _NotTaken(Exception):
     """Input the event loop leaves to :class:`_CoreLoader`."""
+
+
+def _count_past_max_depth(get) -> None:
+    """Read on from the event that opens collection ``_MAX_DEPTH + 1``,
+    counting only the collections that open and close.
+
+    Once ``sys.getrecursionlimit()`` collections are open, raise
+    ``RecursionError``: the composer of :class:`_CoreLoader` takes at
+    least two frames a level, so it fails before half that depth. An
+    anchor or alias, which that composer may reject first, and the end
+    of the document leave the text to it.
+    """
+    opened, limit = _MAX_DEPTH + 1, sys.getrecursionlimit()
+    while opened < limit:
+        event = get()
+        kind = type(event)
+        if kind is yaml.MappingEndEvent or kind is yaml.SequenceEndEvent:
+            opened -= 1
+        elif kind is yaml.AliasEvent or kind is yaml.DocumentEndEvent or event.anchor is not None:
+            raise _NotTaken
+        elif kind is not yaml.ScalarEvent:
+            opened += 1
+    raise RecursionError("YAML nests deeper than the recursion limit")
 
 
 def _load_events(text: str) -> object:
@@ -188,7 +212,9 @@ def _load_events(text: str) -> object:
     through the core-schema table; quoted and block scalars are ``str``.
     Any tag (a bare ``!`` too), anchor or alias, a non-scalar or
     repeated key, a second document, nesting deeper than ``_MAX_DEPTH``
-    and any libyaml exception leave the whole text to :class:`_CoreLoader`.
+    and any libyaml exception leave the whole text to :class:`_CoreLoader`,
+    except nesting as deep as the recursion limit, which raises
+    ``RecursionError`` without a second parse.
     """
     yaml = _yaml()
     if not yaml.__with_libyaml__:
@@ -213,8 +239,10 @@ def _load_events(text: str) -> object:
                             value = _CORE_VALUES[tag](value)
                             break
             elif kind is yaml.MappingStartEvent or kind is yaml.SequenceStartEvent:
-                if event.tag is not None or event.anchor is not None or depth == _MAX_DEPTH:
+                if event.tag is not None or event.anchor is not None:
                     raise _NotTaken
+                if depth == _MAX_DEPTH:
+                    _count_past_max_depth(get)
                 stack.append({} if kind is yaml.MappingStartEvent else [])
                 depth += 1
                 continue
@@ -239,6 +267,8 @@ def _load_events(text: str) -> object:
         if type(get()) is not yaml.StreamEndEvent:
             raise _NotTaken  # a second document
         return value
+    except RecursionError:
+        raise  # too deep for the pure-Python loader as well
     except Exception:  # libyaml's errors too: the pure-Python loader parses the text again and reports
         return _load_core(text)
 

@@ -251,41 +251,29 @@ def check_acyclic(registry: DefinitionRegistry) -> list[Diagnostic]:
         graph[name] = edges
 
     diags: list[Diagnostic] = []
-    color: dict[str, int] = {}  # 0 unvisited, 1 on stack, 2 done
+    color: dict[str, int] = {}  # 1 on the path, 2 done; absent unvisited
 
     for start in graph:
-        if color.get(start, 0) != 0:
+        if start in color:
             continue
-        # iterative DFS; definition chains may be arbitrarily deep
-        stack: list[str] = []
-        work: list[tuple[str, int]] = [(start, 0)]
-        while work:
-            node, edge_index = work.pop()
-            if edge_index == 0:
-                color[node] = 1
-                stack.append(node)
-            edges = graph[node]
-            advanced = False
-            for i in range(edge_index, len(edges)):
-                succ = edges[i]
-                state = color.get(succ, 0)
+        # depth first with a stack of edge iterators, so a long definition
+        # chain costs no recursion; ``path`` holds the nodes whose edges are open
+        color[start] = 1
+        path, stack = [start], [iter(graph[start])]
+        while stack:
+            for succ in stack[-1]:
+                state = color.get(succ)
                 if state == 1:
-                    cycle = stack[stack.index(succ):] + [succ]
-                    diags.append(
-                        error(
-                            "CYCLE_DETECTED",
-                            f"defs/{succ}",
-                            f"circular reference: {' -> '.join(cycle)}",
-                        )
-                    )
-                elif state == 0:
-                    work.append((node, i + 1))
-                    work.append((succ, 0))
-                    advanced = True
+                    cycle = " -> ".join(path[path.index(succ):] + [succ])
+                    diags.append(error("CYCLE_DETECTED", f"defs/{succ}", f"circular reference: {cycle}"))
+                elif state is None:
+                    color[succ] = 1
+                    path.append(succ)
+                    stack.append(iter(graph[succ]))
                     break
-            if not advanced:
+            else:
+                color[path.pop()] = 2
                 stack.pop()
-                color[node] = 2
     return diags
 
 

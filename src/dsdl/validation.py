@@ -15,7 +15,7 @@ then checked by calling closures, with no per-value dispatch, and each
 value is checked once. A value's path is built from its parent's path
 and its key only when a finding is reported, or by the struct or list
 that holds other values. A node also compiles, on demand, a check-only
-closure from the same shape: the same checks and findings, with no
+instance of the same closure: the same checks and findings, with no
 typed value built, for a caller that reads only the findings.
 
 Records are null-complete: a typed record carries every declared field
@@ -174,10 +174,10 @@ def _fail(diags: list[Diagnostic], code: str, parent, key, message: str) -> None
 # the input is unusable. It builds its path ``_path(parent, key)`` only to
 # report, and may accept its common exact-typed input first. A factory
 # ``make(ctype, build)`` reads the type's arguments once and returns the
-# closure. With ``build`` false it returns the check-only closure: the same
-# checks and findings, and None where the building closure gives None, but
-# no typed value is built. A value-building shape then calls ``_unbuilt`` in
-# place of its value class, and a struct or list returns ``raw``.
+# closure, one for both modes. With ``build`` false the closure only checks:
+# the same checks and findings, and None where the building closure gives
+# None, but no typed value is built. A value-building shape then calls
+# ``_unbuilt`` in place of its value class, and a struct or list returns ``raw``.
 
 _INF = math.inf
 _NUMBER = (int, float)
@@ -498,17 +498,10 @@ def _make_list(ctype, build):
         path = _path(parent, key)
         if not isinstance(raw, list):
             return _fail(diags, "TYPE_MISMATCH", parent, key, f"expected a list, got {_type_name(raw)}")
-        return [check_item(item, path, i, diags) for i, item in enumerate(raw)]
+        items = [check_item(item, path, i, diags) for i, item in enumerate(raw)]
+        return items if build else raw
 
-    def check_only(raw, parent, key, diags):
-        path = _path(parent, key)
-        if not isinstance(raw, list):
-            return _fail(diags, "TYPE_MISMATCH", parent, key, f"expected a list, got {_type_name(raw)}")
-        for i, item in enumerate(raw):
-            check_item(item, path, i, diags)
-        return raw
-
-    return check if build else check_only
+    return check
 
 
 def _make_struct(ctype, build):
@@ -517,49 +510,28 @@ def _make_struct(ctype, build):
     fields = tuple((name, name in ctype.optional, _checker(ftype, build)) for name, ftype in ctype.fields.items())
     mismatch = f"expected a {head} record, got"
 
-    def missing(inner, name, diags):
-        diags.append(warning("FIELD_MISSING", _path(inner, name), f"required field {name!r} is missing"))
-
-    def undeclared(raw, inner, diags):
-        for name in raw:
-            if name not in names:
-                message = f"field {_show_key(name)} is not declared on {head}"
-                diags.append(warning("FIELD_UNKNOWN", _path(inner, show_number(name)), message))
-
     def check(raw, parent, key, diags):
         path = _path(parent, key)
         if not isinstance(raw, dict):
             return _fail(diags, "TYPE_MISMATCH", parent, key, f"{mismatch} {_type_name(raw)}")
         inner = path or None
-        values: dict[str, object] = {}
+        values: dict[str, object] | None = {} if build else None
         for name, optional, check_field in fields:
             item = raw.get(name)
             if item is not None:
-                values[name] = check_field(item, inner, name, diags)
-                continue
-            if not optional:
-                missing(inner, name, diags)
-            values[name] = None
-        if not raw.keys() <= names:
-            undeclared(raw, inner, diags)
-        return Record(head, values)
-
-    def check_only(raw, parent, key, diags):
-        path = _path(parent, key)
-        if not isinstance(raw, dict):
-            return _fail(diags, "TYPE_MISMATCH", parent, key, f"{mismatch} {_type_name(raw)}")
-        inner = path or None
-        for name, optional, check_field in fields:
-            item = raw.get(name)
-            if item is not None:
-                check_field(item, inner, name, diags)
+                item = check_field(item, inner, name, diags)
             elif not optional:
-                missing(inner, name, diags)
+                diags.append(warning("FIELD_MISSING", _path(inner, name), f"required field {name!r} is missing"))
+            if build:
+                values[name] = item
         if not raw.keys() <= names:
-            undeclared(raw, inner, diags)
-        return raw
+            for name in raw:
+                if name not in names:
+                    message = f"field {_show_key(name)} is not declared on {head}"
+                    diags.append(warning("FIELD_UNKNOWN", _path(inner, show_number(name)), message))
+        return Record(head, values) if build else raw
 
-    return check if build else check_only
+    return check
 
 
 # each shape's closure, or the factory that makes it from the type's arguments
@@ -763,17 +735,12 @@ def validate_label(
 
 def load_external_samples(path: str, base: str | Path) -> list:
     """Load the ``samples`` list from an external JSON or YAML file."""
-    return _load_external(path, base, "samples")
+    full, text = _read_external(path, base)
+    return _decode_external(full, text, path, "samples")
 
 
 _MISSING_KEY_CODES = {"samples": "MISSING_SAMPLES_KEY", "global-info": "MISSING_GLOBAL_INFO_KEY"}
 _YAML_SUFFIXES = (".yaml", ".yml")
-
-
-def _load_external(path: str, base: str | Path, key: str):
-    """The top-level ``key`` (``samples`` or ``global-info``) of an external JSON or YAML file."""
-    full, text = _read_external(path, base)
-    return _decode_external(full, text, path, key)
 
 
 def _read_external(path: str, base: str | Path) -> tuple[Path, str]:
@@ -1021,7 +988,8 @@ def _validate(schema: ResolvedSchema, data, base, strict: bool, max_errors, buil
             if data.global_info_path == LOCAL_PATH:
                 raw_info = data.global_info
             else:
-                raw_info = _load_external(data.global_info_path, base, "global-info")
+                full, text = _read_external(data.global_info_path, base)
+                raw_info = _decode_external(full, text, data.global_info_path, "global-info")
         except DsdlError as exc:
             report.diagnostics.append(exc.diagnostic)
         else:

@@ -1,4 +1,4 @@
-"""The struct instantiation that the memoised one must agree with.
+"""The resolver versions that the current ones must agree with.
 
 ``_Instantiation``, ``instantiate_type``, ``_instantiate_closed``,
 ``_instantiate_builtin``, ``_materialize`` and ``_instantiate_struct``
@@ -6,8 +6,11 @@ are the versions that shared a struct build only when it reported no
 diagnostic, kept here unchanged as the reference of
 ``test_instantiation_matches_per_path_oracle``: a build that reported a
 ``PARAM_ALIAS`` note is redone at every path, so each path gets its own
-note. Types, argument binding and diagnostics come from ``dsdl`` so that
-results compare equal.
+note. ``check_acyclic`` is the version that walked definitions with a
+work list of ``(node, edge_index)`` pairs, kept unchanged as the
+reference of ``test_check_acyclic_matches_work_list_oracle``. Types,
+argument binding and diagnostics come from ``dsdl`` so that results
+compare equal.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dsdl.diagnostics import Diagnostic, ResolutionError, error, note
 from dsdl.resolver import _ANGLE_MEASURES, _ROTATED_MODES, ConcreteType, _bind_args, _check_fmt, substitute_params
 from dsdl.schema import BUILTINS, BuiltinSignature, ClassDomain, DefinitionRegistry, StructClass
 from dsdl.slotted import Slotted
-from dsdl.typeexpr import MAX_TYPE_DEPTH, Arg, NumberLit, TypeExpr
+from dsdl.typeexpr import MAX_TYPE_DEPTH, Arg, NumberLit, TypeExpr, walk_heads
 
 
 class _Instantiation(Slotted):
@@ -206,3 +209,58 @@ def _instantiate_struct(expr: TypeExpr, struct: StructClass, run: _Instantiation
         # every path gets its own diagnostics
         run.structs[key] = ctype
     return ctype
+
+
+def check_acyclic(registry: DefinitionRegistry) -> list[Diagnostic]:
+    """Detect reference cycles among definitions (self-reference counts).
+
+    Returns ``CYCLE_DETECTED`` diagnostics naming the full cycle path,
+    or an empty list when the reference graph is a DAG.
+    """
+    graph: dict[str, list[str]] = {}
+    for name, entry in registry.items():
+        edges: list[str] = []
+        if isinstance(entry, StructClass):
+            for expr in entry.fields.values():
+                for head in walk_heads(expr):
+                    if head in registry and head not in edges:
+                        edges.append(head)
+        graph[name] = edges
+
+    diags: list[Diagnostic] = []
+    color: dict[str, int] = {}  # 0 unvisited, 1 on stack, 2 done
+
+    for start in graph:
+        if color.get(start, 0) != 0:
+            continue
+        # iterative DFS; definition chains may be arbitrarily deep
+        stack: list[str] = []
+        work: list[tuple[str, int]] = [(start, 0)]
+        while work:
+            node, edge_index = work.pop()
+            if edge_index == 0:
+                color[node] = 1
+                stack.append(node)
+            edges = graph[node]
+            advanced = False
+            for i in range(edge_index, len(edges)):
+                succ = edges[i]
+                state = color.get(succ, 0)
+                if state == 1:
+                    cycle = stack[stack.index(succ):] + [succ]
+                    diags.append(
+                        error(
+                            "CYCLE_DETECTED",
+                            f"defs/{succ}",
+                            f"circular reference: {' -> '.join(cycle)}",
+                        )
+                    )
+                elif state == 0:
+                    work.append((node, i + 1))
+                    work.append((succ, 0))
+                    advanced = True
+                    break
+            if not advanced:
+                stack.pop()
+                color[node] = 2
+    return diags

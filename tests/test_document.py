@@ -1,5 +1,7 @@
 """Description-file parsing: structure, headers, reserved keys."""
 
+import sys
+
 import pytest
 import yaml
 from hypothesis import example, given, settings, strategies as st
@@ -309,6 +311,56 @@ def test_event_loop_agrees_with_the_pure_python_loader(monkeypatch, text, leaves
     monkeypatch.setattr("dsdl.document._CoreLoader", _Recording)
     assert _outcome(text) == _reference_outcome(text)
     assert bool(parsed) == (leaves or not yaml.__with_libyaml__)
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+@pytest.mark.parametrize("opener, closer", [("[", "]"), ("{a: ", "}")])
+def test_nesting_past_the_recursion_limit_needs_no_pure_python_parse(monkeypatch, opener, closer):
+    class _Refuse(_CoreLoader):
+        def __init__(self, stream):
+            raise AssertionError("fell back to the pure-Python loader")
+
+    monkeypatch.setattr("dsdl.document._CoreLoader", _Refuse)
+    with pytest.raises(DocumentError) as exc:
+        _load_yaml(opener * DEEP + closer * DEEP, "deep")
+    assert exc.value.diagnostic.format() == "error SYNTAX_ERROR  malformed YAML: nesting is too deep"
+
+
+def _deep_reference_outcome(text: str) -> tuple:
+    try:
+        return _reference_outcome(text)
+    except RecursionError:
+        return ("SYNTAX_ERROR", "malformed YAML: nesting is too deep")
+
+
+# what may follow the innermost opener: nothing, the closers, and faults the
+# pure-Python loader finds while constructing or in its scanner
+_DEEP_TAILS = ["", "{closers}", "{closers}]", "!!int x{closers}", "- a", "'a"]
+# what may sit past ``_MAX_DEPTH`` with the nest going on below it: an alias
+# or a repeated anchor, which the pure-Python composer rejects before it
+# nests too deep, and a tag, which only its constructor would read
+_DEEP_FAULTS = ["*x, ", "&x 1, &x 2, ", "&x 1, *x, ", "!!int x, "]
+
+
+def test_deep_nesting_agrees_with_the_pure_python_loader():
+    """At and past ``_MAX_DEPTH``, and at and past the recursion limit. The
+    limit is lowered for the test: the pure-Python scanner is quadratic in
+    flow depth, and at 300 that loader still parses ``_MAX_DEPTH + 10``
+    levels."""
+    limit, texts = 300, []
+    for opener, closer in (("[", "]"), ("{a: ", "}")):
+        for depth in (_MAX_DEPTH - 1, _MAX_DEPTH, _MAX_DEPTH + 1, _MAX_DEPTH + 10, limit - 1, limit, limit + 1):
+            texts += [opener * depth + tail.format(closers=closer * depth) for tail in _DEEP_TAILS]
+        for fault in _DEEP_FAULTS:
+            depth = _MAX_DEPTH + 1 + limit
+            texts.append(opener * (_MAX_DEPTH + 1) + fault + opener * limit + closer * depth)
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        for text in texts:
+            assert _outcome(text) == _deep_reference_outcome(text), text
+    finally:
+        sys.setrecursionlimit(saved)
 
 
 @pytest.mark.parametrize("text, value", [("012", 12), ("019", 19), ("-007", -7), ("0o17", 15), ("0x1F", 31)])

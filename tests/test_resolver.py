@@ -193,6 +193,31 @@ def test_self_loop_through_container():
     assert "A -> A" in diags[0].message
 
 
+@st.composite
+def _reference_graphs(draw):
+    """A registry of 1 to 8 structs ``S0`` .., defined in any order, each
+    field naming ``Int`` or any of the structs, itself included, directly
+    or through ``List[etype=...]``."""
+    n = draw(st.integers(1, 8))
+    defs = {}
+    for i in draw(st.permutations(range(n))):
+        fields = {}
+        for k in range(draw(st.integers(1, 3))):
+            j = draw(st.integers(0, n - 1))
+            fields[f"f{k}"] = draw(st.sampled_from(("Int", f"S{j}", f"List[etype=S{j}]")))
+        defs[f"S{i}"] = {"$def": "struct", "$fields": fields}
+    return _registry_from(defs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_reference_graphs())
+def test_check_acyclic_matches_work_list_oracle(registry):
+    def findings(diags):
+        return [(d.code, d.path, d.message) for d in diags]
+
+    assert findings(check_acyclic(registry)) == findings(oracle.check_acyclic(registry))
+
+
 # -- instantiation --------------------------------------------------------------
 
 

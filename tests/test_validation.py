@@ -865,6 +865,17 @@ def test_check_only_closures_match_building_closures(raw):
         assert _checker(listed, False)(items, None, "v", []) is items
 
 
+def test_each_shape_is_one_closure_in_both_modes(registry):
+    """The building and the check-only closure of a node run the same code."""
+    from dsdl.validation import _checker
+
+    nodes = [ct for ct, _ in _DIFFERENTIAL_TYPES]
+    nodes += [ConcreteType("List", "list", {"etype": ct}) for ct in nodes]
+    nodes.append(ctype(registry, "Sample"))
+    for node in nodes:
+        assert _checker(node, True).__code__ is _checker(node, False).__code__, node.describe()
+
+
 def test_check_only_dataset_matches_building_dataset():
     """Every corpus description, with each CLI flag set: ``build=False``
     gives the building run's count, findings and truncation, and keeps no
