@@ -20,7 +20,7 @@ from .document import RawDocument, parse_document, read_utf8
 from .locator import ResolutionEnvironment, default_media_registry, parse_locator, resolve_locator
 from .resolver import ConcreteType, LibraryEnvironment, ResolvedSchema, resolve_schema
 from .schema import ClassDomain
-from .typeexpr import render_type_expression
+from .typeexpr import TypeExpr, render_type_expression
 from .validation import SampleCounts, ValidationReport, summarize_dataset, validate_dataset
 
 EXIT_OK = 0
@@ -168,33 +168,28 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return _exit_code(report, args)
 
 
-def _concrete_lines(ctype: ConcreteType, indent: str, out: list[str], seen: tuple[str, ...] = ()) -> None:
-    if ctype.fields is None:
-        return
-    for fname, ftype in ctype.fields.items():
-        suffix = " (optional)" if fname in ctype.optional else ""
-        out.append(f"{indent}{fname}: {ftype.describe()}{suffix}")
-        nested = ftype
-        if nested.shape == "list":
-            nested = nested.arg("etype")
-        if nested is not None and nested.shape == "struct" and nested.head not in seen:
-            _concrete_lines(nested, indent + "  ", out, seen + (ctype.head,))
-
-
-def _concrete_jsonable(ctype: ConcreteType) -> dict:
+def _concrete(ctype: ConcreteType, indent: str, lines: list[str]) -> dict:
+    """The JSON node of ``ctype``; on the way, each struct field's text line is
+    appended to ``lines``, with the fields of its type indented below it. A type
+    argument, such as a ``List``'s ``etype``, is walked at the same indent."""
     args = {}
     for key, value in ctype.args.items():
         if isinstance(value, ClassDomain):
             args[key] = {"class_domain": value.name}
         elif isinstance(value, ConcreteType):
-            args[key] = _concrete_jsonable(value)
+            args[key] = _concrete(value, indent, lines)
+        elif isinstance(value, TypeExpr):
+            args[key] = {"type_expression": render_type_expression(value)}
         else:
             args[key] = value
     out: dict = {"type": ctype.head}
     if args:
         out["args"] = args
     if ctype.fields is not None:
-        out["fields"] = {name: _concrete_jsonable(f) for name, f in ctype.fields.items()}
+        out["fields"] = fields = {}
+        for name, ftype in ctype.fields.items():
+            lines.append(f"{indent}{name}: {ftype.describe()}{' (optional)' if name in ctype.optional else ''}")
+            fields[name] = _concrete(ftype, indent + "  ", lines)
         if ctype.optional:
             out["optional"] = sorted(ctype.optional)
     return out
@@ -248,9 +243,8 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         ("global_info_type", "global-info-type", schema.global_info_type),
     ):
         if ctype is not None:
-            payload[key] = _concrete_jsonable(ctype)
             lines.append(f"{label}: {ctype.describe()}")
-            _concrete_lines(ctype, "  ", lines)
+            payload[key] = _concrete(ctype, "  ", lines)
     if report.diagnostics:
         payload["diagnostics"] = [d.to_jsonable() for d in report.diagnostics]
     _emit(args, payload, lines)

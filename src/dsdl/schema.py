@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 
-from .diagnostics import ClassLookupError, Diagnostic, error, show_number, warning
+from .diagnostics import ClassLookupError, Diagnostic, ResolutionError, error, show_number, warning
 from .document import split_definition_key
 from .slotted import Frozen, Slotted, set_field
 from .typeexpr import (
@@ -279,7 +279,9 @@ def build_definitions(
     """Classify raw ``defs`` entries into a :class:`DefinitionRegistry`.
 
     Malformed entries are reported and skipped; well-formed siblings
-    still register, so one bad definition does not hide the rest.
+    still register, so one bad definition does not hide the rest. A
+    builder raises :class:`ResolutionError` at an entry's first error,
+    which is recorded here; it appends its warnings as it finds them.
     """
     registry = DefinitionRegistry()
     diags: list[Diagnostic] = []
@@ -287,23 +289,21 @@ def build_definitions(
         source = (provenance or {}).get(key)
         name, parents = split_definition_key(key)
         path = f"defs/{name}"
-        if not isinstance(body, dict):
-            diags.append(error("MALFORMED_DEF", path, "definition body must be a mapping", source))
-            continue
-        kind = body.get("$def")
-        if kind == "class_domain":
-            entry = _build_class_domain(name, parents, body, path, source, diags)
-        elif kind == "struct":
-            entry = _build_struct(name, parents, body, path, source, diags)
-        elif kind is None:
-            diags.append(error("MALFORMED_DEF", path, "definition lacks a $def discriminator", source))
-            continue
-        else:
-            diags.append(
-                error("UNKNOWN_DEF_KIND", path, f"unknown $def value {kind!r} (expected struct or class_domain)", source)
-            )
-            continue
-        if entry is None:
+        try:
+            if not isinstance(body, dict):
+                raise ResolutionError(error("MALFORMED_DEF", path, "definition body must be a mapping", source))
+            kind = body.get("$def")
+            if kind == "class_domain":
+                entry = _build_class_domain(name, parents, body, path, source, diags)
+            elif kind == "struct":
+                entry = _build_struct(name, parents, body, path, source, diags)
+            elif kind is None:
+                raise ResolutionError(error("MALFORMED_DEF", path, "definition lacks a $def discriminator", source))
+            else:
+                message = f"unknown $def value {kind!r} (expected struct or class_domain)"
+                raise ResolutionError(error("UNKNOWN_DEF_KIND", path, message, source))
+        except ResolutionError as exc:
+            diags.append(exc.diagnostic)
             continue
         registry.entries[name] = entry
         registry.provenance[name] = source
@@ -317,34 +317,29 @@ def _build_class_domain(
     path: str,
     source: str | None,
     diags: list[Diagnostic],
-) -> ClassDomain | None:
+) -> ClassDomain:
     classes_raw = body.get("classes")
     if not isinstance(classes_raw, list) or not classes_raw:
-        diags.append(error("MALFORMED_DEF", path, "class_domain requires a non-empty classes list", source))
-        return None
+        raise ResolutionError(error("MALFORMED_DEF", path, "class_domain requires a non-empty classes list", source))
     for key in body:
         if key not in ("$def", "classes", "skeleton"):
             diags.append(warning("DEF_UNKNOWN_KEY", f"{path}/{key}", f"unrecognized class_domain key {key!r}", source))
 
     items = list(classes_raw)
     names = _class_texts(items, path, source, diags)
-    if names is None:
-        return None
     index = dict(zip(names, range(1, len(names) + 1)))
     if len(index) != len(names):  # reported at the first repeated item
         seen: set[str] = set()
         for i, text in enumerate(names):
             if text in seen:
-                diags.append(error("MALFORMED_DEF", f"{path}/classes/{i}", f"duplicate class path {text!r}", source))
-                return None
+                raise ResolutionError(error("MALFORMED_DEF", f"{path}/classes/{i}", f"duplicate class path {text!r}", source))
             seen.add(text)
 
     skeleton = None
     skeleton_raw = body.get("skeleton")
     if skeleton_raw is not None:
         if not isinstance(skeleton_raw, list):
-            diags.append(error("MALFORMED_DEF", f"{path}/skeleton", "skeleton must be a list of index pairs", source))
-            return None
+            raise ResolutionError(error("MALFORMED_DEF", f"{path}/skeleton", "skeleton must be a list of index pairs", source))
         skeleton = []
         for i, pair in enumerate(skeleton_raw):
             ok = (
@@ -353,26 +348,18 @@ def _build_class_domain(
                 and all(isinstance(x, int) and not isinstance(x, bool) for x in pair)
             )
             if not ok:
-                diags.append(error("MALFORMED_DEF", f"{path}/skeleton/{i}", f"skeleton entry {pair!r} is not a pair of integers", source))
-                return None
+                raise ResolutionError(error("MALFORMED_DEF", f"{path}/skeleton/{i}", f"skeleton entry {pair!r} is not a pair of integers", source))
             a, b = pair
             if not (1 <= a <= len(names) and 1 <= b <= len(names)) or a == b:
-                diags.append(
-                    error(
-                        "MALFORMED_DEF",
-                        f"{path}/skeleton/{i}",
-                        f"skeleton pair [{a}, {b}] out of range for {len(names)} classes",
-                        source,
-                    )
-                )
-                return None
+                message = f"skeleton pair [{a}, {b}] out of range for {len(names)} classes"
+                raise ResolutionError(error("MALFORMED_DEF", f"{path}/skeleton/{i}", message, source))
             skeleton.append((a, b))
 
     return ClassDomain(name, items, skeleton, parents, names, index)
 
 
-def _class_texts(items: list, path: str, source: str | None, diags: list[Diagnostic]) -> list[str] | None:
-    """The canonical dotted text of each declared class, or None after a malformed item.
+def _class_texts(items: list, path: str, source: str | None, diags: list[Diagnostic]) -> list[str]:
+    """The canonical dotted text of each declared class; a malformed item is a ``ResolutionError``.
 
     A list of plain dotted identifiers is its own texts. Any other list is
     read item by item, which reports ``name[parent]`` annotations and
@@ -385,16 +372,14 @@ def _class_texts(items: list, path: str, source: str | None, diags: list[Diagnos
     seen: set[str] = set()
     for i, item in enumerate(items):
         if not isinstance(item, str) or not item:
-            diags.append(error("MALFORMED_DEF", f"{path}/classes/{i}", "class name must be a non-empty string", source))
-            return None
+            raise ResolutionError(error("MALFORMED_DEF", f"{path}/classes/{i}", "class name must be a non-empty string", source))
         text = item
         if not _PLAIN_PATH_RE.fullmatch(item):
             segments = []
             for seg_text in item.split("."):
                 m = _SEGMENT_ANNOT_RE.fullmatch(seg_text)
                 if not m:
-                    diags.append(error("MALFORMED_DEF", f"{path}/classes/{i}", f"malformed class path {item!r}", source))
-                    return None
+                    raise ResolutionError(error("MALFORMED_DEF", f"{path}/classes/{i}", f"malformed class path {item!r}", source))
                 seg_name = m.group("name")
                 if not _SEGMENT_RE.fullmatch(seg_name):
                     # taken verbatim, but flagged: the convention is to map
@@ -464,19 +449,17 @@ def _build_struct(
     path: str,
     source: str | None,
     diags: list[Diagnostic],
-) -> StructClass | None:
+) -> StructClass:
     fields_raw = body.get("$fields")
     if not isinstance(fields_raw, dict) or not fields_raw:
-        diags.append(error("MALFORMED_DEF", path, "struct requires a non-empty $fields mapping", source))
-        return None
+        raise ResolutionError(error("MALFORMED_DEF", path, "struct requires a non-empty $fields mapping", source))
     for key in body:
         if key not in ("$def", "$fields", "$params", "$optional"):
             diags.append(warning("DEF_UNKNOWN_KEY", f"{path}/{key}", f"unrecognized struct key {key!r}", source))
 
     params_raw = body.get("$params", [])
     if not isinstance(params_raw, list) or not all(isinstance(p, str) for p in params_raw):
-        diags.append(error("MALFORMED_DEF", f"{path}/$params", "$params must be a list of names", source))
-        return None
+        raise ResolutionError(error("MALFORMED_DEF", f"{path}/$params", "$params must be a list of names", source))
 
     fields: dict[str, TypeExpr] = {}
     for fname, spec in fields_raw.items():
@@ -484,38 +467,22 @@ def _build_struct(
         try:
             fields[str(fname)] = parse_sample_type_spec(spec)
         except GrammarError as exc:
-            diags.append(error(exc.diagnostic.code, fpath, exc.diagnostic.message, source))
-            return None
+            raise ResolutionError(error(exc.diagnostic.code, fpath, exc.diagnostic.message, source)) from exc
 
     optional_raw = body.get("$optional", [])
     if not isinstance(optional_raw, list) or not all(isinstance(o, str) for o in optional_raw):
-        diags.append(error("MALFORMED_DEF", f"{path}/$optional", "$optional must be a list of field names", source))
-        return None
+        raise ResolutionError(error("MALFORMED_DEF", f"{path}/$optional", "$optional must be a list of field names", source))
     bad = [o for o in optional_raw if o not in fields]
     if bad:
-        diags.append(
-            error(
-                "OPTIONAL_UNKNOWN_FIELD",
-                f"{path}/$optional",
-                f"$optional names unknown fields: {', '.join(sorted(bad))}",
-                source,
-            )
-        )
-        return None
+        message = f"$optional names unknown fields: {', '.join(sorted(bad))}"
+        raise ResolutionError(error("OPTIONAL_UNKNOWN_FIELD", f"{path}/$optional", message, source))
 
     declared = set(params_raw)
     for fname, expr in fields.items():
         for ref in walk_param_refs(expr):
             if ref.name not in declared:
-                diags.append(
-                    error(
-                        "UNBOUND_PARAM",
-                        f"{path}/$fields/{fname}",
-                        f"${ref.name} is not declared in $params",
-                        source,
-                    )
-                )
-                return None
+                message = f"${ref.name} is not declared in $params"
+                raise ResolutionError(error("UNBOUND_PARAM", f"{path}/$fields/{fname}", message, source))
 
     return StructClass(name, list(params_raw), fields, frozenset(optional_raw), parents)
 

@@ -7,16 +7,16 @@ Validation never raises for bad data; it returns a typed value (or
 ``None``) plus located diagnostics, so one bad sample never hides the
 rest of the corpus.
 
-Each value shape is stated once, as one closure in the ``_CHECKS``
-table. A type is compiled on its first validation into one closure per
-type node, and each node keeps its closure: a struct node shared by many
-fields, or a type validated by many calls, compiles once. Values are
-then checked by calling closures, with no per-value dispatch, and each
-value is checked once. A value's path is built from its parent's path
-and its key only when a finding is reported, or by the struct or list
-that holds other values. A node also compiles, on demand, a check-only
-instance of the same closure: the same checks and findings, with no
-typed value built, for a caller that reads only the findings.
+Each value shape is stated once, as one closure that its factory in the
+``_CHECKS`` table makes. A type is compiled on its first validation into
+one closure per type node, and each node keeps its closure: a struct node
+shared by many fields, or a type validated by many calls, compiles once.
+Values are then checked by calling closures, with no per-value dispatch,
+and each value is checked once. A value's path is built from its
+parent's path and its key only when a finding is reported, or by the
+struct or list that holds other values. A node also compiles, on demand,
+a check-only instance of the same closure: the same checks and findings,
+with no typed value built, for a caller that reads only the findings.
 
 Records are null-complete: a typed record carries every declared field
 exactly once, with omitted optionals explicitly ``None``. A missing
@@ -534,17 +534,17 @@ def _make_struct(ctype, build):
     return check
 
 
-# each shape's closure, or the factory that makes it from the type's arguments
+# each shape's factory: the closure of a type node, made from its arguments
 _CHECKS = {
-    "bool": _bool,
-    "int": _int,
-    "num": _num,
-    "str": _str,
+    "bool": lambda ctype, build: _bool,
+    "int": lambda ctype, build: _int,
+    "num": lambda ctype, build: _num,
+    "str": lambda ctype, build: _str,
     "coord": _make_coord,
     "coord3d": _make_coord,
     "interval": _make_interval,
     "bbox": _make_bbox,
-    "polygon": _polygon,
+    "polygon": lambda ctype, build: _polygon,
     "date": _make_datetime,
     "time": _make_datetime,
     "label": _make_label,
@@ -557,10 +557,6 @@ _CHECKS = {
     "unique_id": _make_id,
     "image_shape": _make_image_shape,
     "struct": _make_struct,
-}
-_FACTORIES = {
-    _make_bbox, _make_coord, _make_datetime, _make_id, _make_image_shape, _make_interval, _make_keypoint,
-    _make_label, _make_list, _make_media, _make_rotated_bbox, _make_struct,
 }
 
 
@@ -580,8 +576,7 @@ def _checker(ctype: ConcreteType, build: bool = True):
 
 
 def _compile(ctype: ConcreteType, build: bool = True):
-    shape = _CHECKS[ctype.shape]
-    return shape(ctype, build) if shape in _FACTORIES else shape
+    return _CHECKS[ctype.shape](ctype, build)
 
 
 class SampleCounts(Slotted):

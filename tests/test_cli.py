@@ -294,6 +294,86 @@ def test_inspect_cycle_exits_one(tmp_path):
     assert "CYCLE_DETECTED" in out
 
 
+_BOX_DEFS = (
+    '$dsdl-version: "0.5.0"\n'
+    "defs:\n"
+    "  P: {$def: struct, $fields: {x: Int, y: Str}}\n"
+    '  Box: {$def: struct, $params: [t], $fields: {v: "List[etype=$t]", w: Int}, $optional: [w]}\n'
+    '  Holder: {$def: struct, $fields: {ps: "List[etype=List[etype=P]]"}}\n'
+    "data:\n  samples: []\n  sample-type: "
+)
+_BOX_TYPES = {
+    "Box[t=Int]": "Int",
+    "Box[t=List[etype=Int]]": "List[etype=Int]",
+    "{$type: Box, t: {$type: Int}}": "Int",
+    "Box[t=Box[t=Box[t=P]]]": "Box[t=Box[t=P]]",
+}
+
+
+def _text_fields(out: str) -> list[tuple[int, str]]:
+    """(depth, name) of each field line below the sample-type and
+    global-info-type lines of text inspect."""
+    pairs, inside = [], False
+    for line in out.splitlines():
+        if line.startswith(("sample-type: ", "global-info-type: ")):
+            inside = True
+        elif inside:
+            body = line.lstrip(" ")
+            pairs.append(((len(line) - len(body)) // 2 - 1, body.split(": ", 1)[0]))
+    return pairs
+
+
+def _json_fields(node: dict, depth: int = 0) -> list[tuple[int, str]]:
+    """(depth, name) of each field of a JSON inspect node, walked through ``args.etype``."""
+    pairs = []
+    etype = node.get("args", {}).get("etype")
+    if etype is not None:
+        pairs += _json_fields(etype, depth)
+    for name, child in node.get("fields", {}).items():
+        pairs.append((depth, name))
+        pairs += _json_fields(child, depth + 1)
+    return pairs
+
+
+def _assert_inspect_formats_agree(path: str) -> tuple[int, dict]:
+    """Inspect ``path`` in both formats, assert that they list the same fields,
+    and return the exit code and the JSON payload."""
+    code, text, _ = run_cli("inspect", path)
+    json_code, out, _ = run_cli("inspect", "--format", "json", path)
+    assert json_code == code
+    payload = json.loads(out)
+    walked = [pair for key in ("sample_type", "global_info_type") if key in payload for pair in _json_fields(payload[key])]
+    assert _text_fields(text) == walked, path
+    return code, payload
+
+
+@pytest.mark.parametrize("spec", list(_BOX_TYPES))
+def test_inspect_shows_a_struct_parameter_bound_to_a_type(tmp_path, spec):
+    target = tmp_path / "box.yaml"
+    target.write_text(_BOX_DEFS + spec + "\n")
+    code, payload = _assert_inspect_formats_agree(str(target))
+    assert code == 0
+    assert payload["sample_type"]["args"] == {"t": {"type_expression": _BOX_TYPES[spec]}}
+
+
+def test_inspect_lists_the_fields_below_nested_lists(tmp_path):
+    target = tmp_path / "holder.yaml"
+    target.write_text(_BOX_DEFS + "Holder\n")
+    _assert_inspect_formats_agree(str(target))
+    _, out, _ = run_cli("inspect", str(target))
+    assert out.splitlines()[-3:] == [
+        "  ps: List[etype=List[etype=P, ordered=false], ordered=false]",
+        "    x: Int",
+        "    y: Str",
+    ]
+
+
+def test_inspect_formats_agree_on_the_corpus():
+    files = sorted(p for p in CORPUS.rglob("*") if p.suffix in (".yaml", ".json"))
+    typed = [p for p in files if "sample_type" in _assert_inspect_formats_agree(str(p))[1]]
+    assert len(typed) >= 20
+
+
 def test_inspect_shows_provenance_of_winning_definition(tmp_path):
     (tmp_path / "liba.yaml").write_text(
         '$dsdl-version: "0.5.0"\nS:\n  $def: struct\n  $fields:\n    a: Int\n'

@@ -368,6 +368,40 @@ def test_unsupported_fmt_directive_fails_at_schema_time(detection_registry):
     instantiate_type(parse_type_expression('Time[fmt="%H:%M"]'), {}, detection_registry)
 
 
+@pytest.mark.parametrize(
+    "text, code, message",
+    [
+        ("Label[D, E]", "EXTRA_PARAM", "Label takes at most 1 arguments"),
+        ("Label[D, dom=D]", "EXTRA_PARAM", "Label: parameter 'dom' bound twice"),
+        ("List[etype=D]", "UNKNOWN_TYPE", "'D' is a class domain, not a type"),
+        ('Date[fmt="%"]', "DATE_FORMAT", "dangling % in fmt"),
+        (
+            'RotatedBBox[mode="xywht", measure="grad"]',
+            "ARG_KIND",
+            "RotatedBBox measure must be one of ('radian', 'degree'), got 'grad'",
+        ),
+        ("List[etype=Int, ordered=1]", "ARG_KIND", "List.ordered must be a boolean"),
+        ("Date[fmt=1]", "ARG_KIND", "Date.fmt must be a string"),
+    ],
+    ids=["positional-extra", "bound-twice", "domain-as-type", "dangling-percent", "measure", "ordered", "fmt"],
+)
+def test_instantiation_finding(text, code, message):
+    registry = _registry_from(
+        {
+            "D": {"$def": "class_domain", "classes": ["a", "b"]},
+            "E": {"$def": "class_domain", "classes": ["c"]},
+        }
+    )
+    with pytest.raises(ResolutionError) as exc:
+        instantiate_type(parse_type_expression(text), {}, registry)
+    assert (exc.value.code, exc.value.diagnostic.message) == (code, message)
+
+
+def test_a_bare_fmt_word_is_a_string():
+    ctype = instantiate_type(parse_type_expression("Date[fmt=abc]"), {}, _registry_from({}))
+    assert ctype.describe() == 'Date[fmt="abc"]'
+
+
 def test_instantiation_is_pure(detection_registry):
     expr = parse_type_expression("ObjectDetectionSample[cdom=MyClassDom]")
     before = dict(detection_registry.entries)

@@ -171,6 +171,26 @@ def test_summary_text_matches_the_counts(tmp_path):
     ]
 
 
+def test_summary_does_not_count_the_global_info(tmp_path):
+    """An inline global-info is validated, but its labels, optional fields and
+    locators are not counted."""
+    text = _DESCRIPTION + (
+        "  global-info-type: Part\n"
+        "  global-info: {tag: a, note: {$loc: g.txt}}\n"
+    )
+    doc, schema = _resolve(text, tmp_path / "d.yaml", "yaml")
+    report, counts = summarize_dataset(schema, doc.data, base=tmp_path)
+    assert counts == _COUNTS[False]
+    assert report == validate_dataset(schema, doc.data, base=tmp_path, build=False)
+    bad = text.replace("{tag: a,", "{tag: zzz,")
+    doc, schema = _resolve(bad, tmp_path / "d.yaml", "yaml")
+    report, counts = summarize_dataset(schema, doc.data, base=tmp_path)
+    assert [(d.code, d.path) for d in report.diagnostics if d.code != "FIELD_MISSING"] == [
+        ("CLASS_NOT_FOUND", "global-info/tag")
+    ]
+    assert counts == _COUNTS[False]
+
+
 _STREAMED = {
     "samples": [
         {"image": "a.jpg", "label": "a", "note": {"$loc": "n.txt"}},

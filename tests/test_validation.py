@@ -106,6 +106,20 @@ def test_non_mapping_record(registry):
     assert [d.code for d in diags] == ["TYPE_MISMATCH"]
 
 
+@pytest.mark.parametrize(
+    "spec, raw, path, message",
+    [
+        ("Polygon", [[["a", 1], [2, 3], [4, 5]]], "v/0/0", "polygon point must be numeric"),
+        ("Image", {"$loc": "a.jpg", "$descr": 5}, "v/$descr", "$descr must be a mapping"),
+    ],
+    ids=["polygon-point", "media-descriptor"],
+)
+def test_a_mistyped_component_is_a_type_mismatch(registry, spec, raw, path, message):
+    value, diags = check(registry, spec, raw)
+    assert value is None
+    assert [(d.code, d.path, d.message) for d in diags] == [("TYPE_MISMATCH", path, message)]
+
+
 # -- scalars ---------------------------------------------------------------------
 
 
@@ -488,6 +502,50 @@ def test_external_null_global_info_is_validated(tmp_path, library_env):
         schema, _ = resolve_schema(doc, library_env)
         report = validate_dataset(schema, doc.data, base=tmp_path)
         assert [(d.code, d.path, d.message) for d in report.diagnostics] == expected
+
+
+_INLINE_INFO = (
+    '$dsdl-version: "0.5.0"\n'
+    "defs:\n"
+    "  D: {$def: class_domain, classes: [a, b]}\n"
+    '  Info: {$def: struct, $fields: {count: Int, label: "Label[dom=D]"}}\n'
+    "data:\n  sample-type: Label[dom=D]\n  samples: [a]\n"
+)
+
+
+@pytest.mark.parametrize(
+    "info, expected",
+    [
+        ("{count: 2, label: b}", []),
+        ("{count: two, label: b}", [("TYPE_MISMATCH", "global-info/count", "expected an integer, got string")]),
+    ],
+    ids=["valid", "mismatch"],
+)
+def test_inline_global_info_is_validated(library_env, info, expected):
+    from dsdl import parse_document, resolve_schema
+
+    doc = parse_document(_INLINE_INFO + f"  global-info-type: Info\n  global-info: {info}\n", format="yaml")
+    schema, diags = resolve_schema(doc, library_env)
+    assert diags == []
+    built = validate_dataset(schema, doc.data)
+    assert [(d.code, d.path, d.message) for d in built.diagnostics] == expected
+    assert isinstance(built.global_info, Record)
+    assert built.global_info.values["label"] == ClassRef("D", (2,), "b")
+    checked = validate_dataset(schema, doc.data, build=False)
+    assert checked.to_jsonable() == built.to_jsonable()
+    assert checked.global_info is None
+
+
+@pytest.mark.parametrize("channel", ["global-info: {count: 2}", "global-info-path: info.json"])
+def test_global_info_without_its_type_stops_resolution(library_env, channel):
+    from dsdl import parse_document, resolve_schema
+
+    doc = parse_document(_INLINE_INFO + f"  {channel}\n", format="yaml")
+    schema, diags = resolve_schema(doc, library_env)
+    assert schema is None
+    assert [(d.severity, d.code, d.path, d.message) for d in diags] == [
+        (Severity.ERROR, "MALFORMED_DATA_SECTION", "data/global-info-type", "global-info is present but global-info-type is not")
+    ]
 
 
 def test_determinism_identical_reports():
@@ -911,12 +969,17 @@ def test_check_only_dataset_matches_building_dataset():
             "MALFORMED_DATA_SECTION", "data/global-info-path", "global-info-path must be a string",
         ),
         (
+            {"sample_type": "S", "samples": [{"n": 1}], "global_info_path": "$local"},
+            "  sample-type: S\n  samples: [{n: 1}]\n  global-info-path: $local\n",
+            "MALFORMED_DATA_SECTION", "data/global-info", "global-info-path is $local but no global-info is present",
+        ),
+        (
             {"sample_type": "S", "sample_path": "$local", "samples": "abc"},
             "  sample-type: S\n  samples: abc\n",
             "MALFORMED_SAMPLES", "data/samples", "samples must be a list",
         ),
     ],
-    ids=["sample-path", "global-info-path", "samples"],
+    ids=["sample-path", "global-info-path", "global-info-local", "samples"],
 )
 def test_a_hand_built_data_section_gives_the_parsed_finding(library_env, section, yaml_data, code, path, message):
     from dsdl import RawDataSection, parse_document, resolve_schema
