@@ -335,23 +335,23 @@ def _json_fields(node: dict, depth: int = 0) -> list[tuple[int, str]]:
     return pairs
 
 
-def _assert_inspect_formats_agree(path: str) -> tuple[int, dict]:
+def _assert_inspect_formats_agree(path: str) -> tuple[int, str, dict]:
     """Inspect ``path`` in both formats, assert that they list the same fields,
-    and return the exit code and the JSON payload."""
+    and return the exit code, the text and the JSON payload."""
     code, text, _ = run_cli("inspect", path)
     json_code, out, _ = run_cli("inspect", "--format", "json", path)
     assert json_code == code
     payload = json.loads(out)
     walked = [pair for key in ("sample_type", "global_info_type") if key in payload for pair in _json_fields(payload[key])]
     assert _text_fields(text) == walked, path
-    return code, payload
+    return code, text, payload
 
 
 @pytest.mark.parametrize("spec", list(_BOX_TYPES))
 def test_inspect_shows_a_struct_parameter_bound_to_a_type(tmp_path, spec):
     target = tmp_path / "box.yaml"
     target.write_text(_BOX_DEFS + spec + "\n")
-    code, payload = _assert_inspect_formats_agree(str(target))
+    code, _, payload = _assert_inspect_formats_agree(str(target))
     assert code == 0
     assert payload["sample_type"]["args"] == {"t": {"type_expression": _BOX_TYPES[spec]}}
 
@@ -359,9 +359,8 @@ def test_inspect_shows_a_struct_parameter_bound_to_a_type(tmp_path, spec):
 def test_inspect_lists_the_fields_below_nested_lists(tmp_path):
     target = tmp_path / "holder.yaml"
     target.write_text(_BOX_DEFS + "Holder\n")
-    _assert_inspect_formats_agree(str(target))
-    _, out, _ = run_cli("inspect", str(target))
-    assert out.splitlines()[-3:] == [
+    _, text, _ = _assert_inspect_formats_agree(str(target))
+    assert text.splitlines()[-3:] == [
         "  ps: List[etype=List[etype=P, ordered=false], ordered=false]",
         "    x: Int",
         "    y: Str",
@@ -370,7 +369,7 @@ def test_inspect_lists_the_fields_below_nested_lists(tmp_path):
 
 def test_inspect_formats_agree_on_the_corpus():
     files = sorted(p for p in CORPUS.rglob("*") if p.suffix in (".yaml", ".json"))
-    typed = [p for p in files if "sample_type" in _assert_inspect_formats_agree(str(p))[1]]
+    typed = [p for p in files if "sample_type" in _assert_inspect_formats_agree(str(p))[2]]
     assert len(typed) >= 20
 
 
