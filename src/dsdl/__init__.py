@@ -8,7 +8,12 @@ Typical use::
     doc = parse_document(text, format="auto", source=path)
     schema, diags = resolve_schema(doc, LibraryEnvironment.from_environment(), source=path)
     report = validate_dataset(schema, doc.data, base=path.parent)
+
+``import dsdl`` loads parsing and resolution only; the locator and
+validation layers load on the first use of one of their names.
 """
+
+from types import ModuleType as _Module
 
 from .diagnostics import (
     ClassLookupError,
@@ -21,19 +26,6 @@ from .diagnostics import (
     Severity,
 )
 from .document import RawDataSection, RawDocument, parse_document
-from .locator import (
-    AliasPath,
-    MediaClassRegistry,
-    ObjectId,
-    ObjectLocator,
-    RelativePath,
-    ResolutionEnvironment,
-    default_media_registry,
-    load_object,
-    parse_locator,
-    register_media_class,
-    resolve_locator,
-)
 from .resolver import (
     ConcreteType,
     LibraryEnvironment,
@@ -58,64 +50,37 @@ from .typeexpr import (
     parse_type_expression,
     render_type_expression,
 )
-from .validation import (
-    SampleCounts,
-    ValidationReport,
-    load_external_samples,
-    summarize_dataset,
-    validate_dataset,
-    validate_label,
-    validate_value,
-)
+
+# Names whose home module loads on the first access to one of them (PEP 562):
+# parsing and resolving use neither module.
+_LAZY = {
+    name: home
+    for home, names in {
+        "locator": "AliasPath MediaClassRegistry ObjectId ObjectLocator RelativePath ResolutionEnvironment "
+        "default_media_registry load_object parse_locator register_media_class resolve_locator",
+        "validation": "SampleCounts ValidationReport load_external_samples summarize_dataset validate_dataset "
+        "validate_label validate_value",
+    }.items()
+    for name in names.split()
+}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AliasPath",
-    "BUILTINS",
-    "ClassDomain",
-    "ClassLookupError",
-    "ClassRef",
-    "ConcreteType",
-    "DefinitionRegistry",
-    "Diagnostic",
-    "DocumentError",
-    "DsdlError",
-    "GrammarError",
-    "LibraryEnvironment",
-    "LocatorError",
-    "MediaClassRegistry",
-    "ObjectId",
-    "ObjectLocator",
-    "RawDataSection",
-    "RawDocument",
-    "RelativePath",
-    "ResolutionEnvironment",
-    "ResolutionError",
-    "ResolvedSchema",
-    "SampleCounts",
-    "Severity",
-    "StructClass",
-    "TypeExpr",
-    "ValidationReport",
-    "build_definitions",
-    "check_acyclic",
-    "default_media_registry",
-    "instantiate_type",
-    "load_external_samples",
-    "load_object",
-    "lookup_class",
-    "parse_document",
-    "parse_locator",
-    "parse_sample_type_spec",
-    "parse_type_expression",
-    "register_media_class",
-    "render_type_expression",
-    "resolve_imports",
-    "resolve_locator",
-    "resolve_schema",
-    "summarize_dataset",
-    "validate_dataset",
-    "validate_label",
-    "validate_value",
-]
+# every name imported above, and the lazy ones
+__all__ = sorted(
+    [name for name, value in globals().items() if name[0] != "_" and not isinstance(value, _Module)] + [*_LAZY]
+)
+
+
+def __getattr__(name: str):
+    home = _LAZY.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f"{__name__}.{home}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})

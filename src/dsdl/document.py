@@ -96,10 +96,8 @@ _CORE_SCALARS = [
     # float() reads ".inf" and ".nan" without their dot
     ("float", _CORE_FLOAT, "-+0123456789.", lambda t: float(t.replace(".", "", 1) if t[-1] in "fFnN" else t)),
 ]
-_CORE_RESOLVERS: dict[str, list] = {}  # PyYAML's resolver table: first character -> [(tag, pattern)]
-for _name, _regexp, _first, _ in _CORE_SCALARS:
-    for _ch in _first:
-        _CORE_RESOLVERS.setdefault(_ch, []).append((f"tag:yaml.org,2002:{_name}", re.compile(f"^(?:{_regexp})$")))
+# PyYAML's resolver table: first character -> [(tag, pattern)], filled by _yaml()
+_CORE_RESOLVERS: dict[str, list] = {}
 _CORE_VALUES = {f"tag:yaml.org,2002:{name}": value for name, _, _, value in _CORE_SCALARS}
 
 
@@ -149,10 +147,15 @@ yaml = None  # PyYAML, once _yaml() has imported it
 
 
 def _yaml():
-    """PyYAML, imported on the first call, which also builds ``_CoreLoader``."""
+    """PyYAML, imported on the first call, which also builds ``_CoreLoader``
+    and its resolver table."""
     global yaml, _CoreLoader
     if yaml is None:
         import yaml as module
+
+        for name, regexp, first, _ in _CORE_SCALARS:
+            for ch in first:
+                _CORE_RESOLVERS.setdefault(ch, []).append((f"tag:yaml.org,2002:{name}", re.compile(f"^(?:{regexp})$")))
 
         _CoreLoader = type("_CoreLoader", (_CoreRules, module.SafeLoader), {})
         _CoreLoader.add_constructor(
@@ -372,8 +375,11 @@ def parse_document(
     ``format`` is ``yaml``, ``json``, or ``auto`` (JSON first, then
     YAML). The JSON and YAML renderings of the same content produce
     structurally identical documents. Raises :class:`DocumentError`
-    with a coded diagnostic on any fatal problem.
+    with a coded diagnostic on any fatal problem, and :class:`TypeError`
+    when ``text`` is not a ``str``.
     """
+    if not isinstance(text, str):
+        raise TypeError(f"parse_document() text must be str, not {type(text).__name__}")
     if format == "json":
         payload = _load_json(text, source)
     elif format == "yaml":

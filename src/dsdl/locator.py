@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from collections.abc import Callable, Mapping
 
-from .diagnostics import Diagnostic, DsdlError, LocatorError, error, warning
+from .diagnostics import Diagnostic, DsdlError, LocatorError, echo, error, warning
 from .schema import BUILTINS, MEDIA_BUILTINS
 from .slotted import Frozen, set_field
 
@@ -75,14 +75,14 @@ def parse_locator(text: str) -> ObjectLocator:
         domain, sep, object_id = body.partition("::")
         if not sep or not domain or not object_id:
             raise LocatorError(
-                error("LOC_SYNTAX", "", f"object-id locator must be ::<domain>::<id>, got {text!r}")
+                error("LOC_SYNTAX", "", f"object-id locator must be ::<domain>::<id>, got {echo(text, show=repr)}")
             )
         return ObjectId(domain, object_id, text)
     if text.startswith("$"):
         m = _ALIAS_RE.fullmatch(text)
         if not m:
             raise LocatorError(
-                error("LOC_SYNTAX", "", f"alias locator must be $<alias>/<path>, got {text!r}")
+                error("LOC_SYNTAX", "", f"alias locator must be $<alias>/<path>, got {echo(text, show=repr)}")
             )
         return AliasPath(m.group("name"), m.group("rest"), text)
     return RelativePath(text, text)
@@ -126,7 +126,7 @@ def _join(root: str, relative: str) -> str:
     segments = [seg for seg in relative.split("/") if seg not in ("", ".")]
     if ".." in segments:
         raise LocatorError(
-            error("PATH_ESCAPE", "", f"locator {relative!r} traverses above the root")
+            error("PATH_ESCAPE", "", f"locator {echo(relative, show=repr)} traverses above the root")
         )
     base = root[:-1] if root.endswith("/") and len(root) > 1 else root
     return base + "/" + "/".join(segments)
@@ -149,7 +149,7 @@ def resolve_locator(loc: ObjectLocator, env: ResolutionEnvironment) -> str:
         target = env.aliases.get(loc.alias)
         if target is None:
             raise LocatorError(
-                error("ALIAS_UNDEFINED", "", f"alias {loc.alias!r} has no binding")
+                error("ALIAS_UNDEFINED", "", f"alias {echo(loc.alias, show=repr)} has no binding")
             )
         return _join(target, loc.remainder)
     if isinstance(loc, ObjectId):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 
-from .diagnostics import ClassLookupError, Diagnostic, ResolutionError, error, show_number, warning
+from .diagnostics import ClassLookupError, Diagnostic, ResolutionError, echo, error, show_number, warning
 from .document import split_definition_key
 from .slotted import Frozen, Slotted, set_field
 from .typeexpr import (
@@ -507,7 +507,7 @@ def lookup_class(domain: ClassDomain, selector: str | int) -> ClassRef:
     shared ref from :meth:`ClassDomain.ref`.
     """
     if isinstance(selector, bool) or not isinstance(selector, (str, int)):
-        raise ClassLookupError(error("CLASS_NOT_FOUND", "", f"invalid class selector {selector!r}"))
+        raise ClassLookupError(error("CLASS_NOT_FOUND", "", f"invalid class selector {echo(repr(selector))}"))
     if isinstance(selector, int):
         return domain.ref(selector)
     if _INDEX_PATH_RE.fullmatch(selector):
@@ -524,9 +524,8 @@ def lookup_class(domain: ClassDomain, selector: str | int) -> ClassRef:
             prefix = f"{prefix}.{siblings[idx - 1]}" if prefix else siblings[idx - 1]
         index = domain.index.get(prefix)
         if index is None:
-            raise ClassLookupError(
-                error("CLASS_NOT_FOUND", "", f"index path {selector!r} addresses no declared class in {domain.name}")
-            )
+            message = f"index path {echo(selector, show=repr)} addresses no declared class in {domain.name}"
+            raise ClassLookupError(error("CLASS_NOT_FOUND", "", message))
         return domain.ref(index)
     ref = domain._refs.get(selector)  # made by an earlier lookup of this class
     if ref is not None:
@@ -535,10 +534,10 @@ def lookup_class(domain: ClassDomain, selector: str | int) -> ClassRef:
     if index is None:
         # a bare leaf is accepted when it is unambiguous in the domain
         index = domain.leaves.get(selector)
-        if index is None:
-            raise ClassLookupError(error("CLASS_NOT_FOUND", "", f"no class {selector!r} in {domain.name}"))
-        if not index:
-            raise ClassLookupError(error("CLASS_NOT_FOUND", "", f"class name {selector!r} is ambiguous in {domain.name}"))
+        if not index:  # None, or 0 for a leaf that several classes share
+            shown = echo(selector, show=repr)
+            what = f"no class {shown}" if index is None else f"class name {shown} is ambiguous"
+            raise ClassLookupError(error("CLASS_NOT_FOUND", "", f"{what} in {domain.name}"))
     return domain.ref(index)
 
 

@@ -227,6 +227,8 @@ def _parse_value(sc: _Scanner) -> ArgValue:
 
 def render_type_expression(expr: TypeExpr) -> str:
     """Canonical text for ``expr``; ``parse(render(t)) == t``."""
+    if not isinstance(expr, TypeExpr):
+        raise TypeError(f"render_type_expression() takes a TypeExpr, not {type(expr).__name__}")
     if not expr.args:
         return expr.head
     parts = []

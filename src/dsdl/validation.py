@@ -26,7 +26,6 @@ it an error in strict mode, and strict mode changes nothing else.
 
 from __future__ import annotations
 
-import datetime
 import json
 import math
 import re
@@ -159,9 +158,11 @@ def _path(parent, key) -> str:
 
 
 def _show_key(name) -> str:
-    """A mapping key as a message echoes it: its repr, but an integer past
-    Python's int-to-string digit limit reads as ``show_number``'s placeholder."""
-    return show_number(name) if isinstance(name, int) else repr(name)
+    """A mapping key as a message echoes it: its repr, clipped by ``echo``, but an
+    integer past Python's int-to-string digit limit reads as ``show_number``'s placeholder."""
+    if isinstance(name, int):
+        return show_number(name)
+    return echo(name, show=repr) if isinstance(name, str) else echo(repr(name))
 
 
 def _fail(diags: list[Diagnostic], code: str, parent, key, message: str) -> None:
@@ -410,6 +411,8 @@ def _polygon(raw, parent, key, diags):
 
 def _make_datetime(ctype, build):
     """Date and Time: ISO 8601, or the type's ``fmt`` when it has one."""
+    import datetime  # here, so that a run with no Date or Time field never loads it
+
     kind, fmt = ctype.shape, ctype.arg("fmt")
     from_iso = (datetime.date if kind == "date" else datetime.time).fromisoformat
     expected = fmt if fmt is not None else "ISO 8601"
@@ -423,7 +426,8 @@ def _make_datetime(ctype, build):
             parsed = datetime.datetime.strptime(raw, fmt)
             return parsed.date() if kind == "date" else parsed.time()
         except ValueError as exc:
-            return _fail(diags, "DATE_FORMAT", parent, key, f"{raw!r} does not match {expected}: {exc}")
+            message = f"{echo(raw, show=repr)} does not match {expected}: {echo(str(exc))}"
+            return _fail(diags, "DATE_FORMAT", parent, key, message)
 
     return check
 
@@ -715,10 +719,10 @@ def validate_label(
             # unbound: the reference is recorded without range validation
             return ClassRef(dom_name, (), selector), []
         if dom is not None and dom.name != dom_name:
-            message = f"label names domain {dom_name!r} but the field is bound to {dom.name!r}"
+            message = f"label names domain {echo(dom_name, show=repr)} but the field is bound to {dom.name!r}"
             return None, [error("LABEL_DOMAIN_MISMATCH", path, message)]
     elif dom is None:
-        what = "index" if isinstance(raw, int) else repr(raw)
+        what = "index" if isinstance(raw, int) else echo(raw, show=repr)
         return None, [error("LABEL_SYNTAX", path, f"bare label {what} requires a bound class domain")]
     try:
         if dom is None:  # an unbound ``Dom[idx]``, recorded likewise

@@ -1,5 +1,6 @@
 """CLI contract: exit codes, output formats, determinism."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -660,6 +661,73 @@ def test_validating_yaml_in_a_fresh_interpreter_imports_yaml():
     assert "yaml" in added and added & {"dataclasses", "inspect"} == set()
 
 
+def test_importing_dsdl_loads_no_validation_locator_datetime_or_yaml():
+    assert _fresh_modules("import dsdl") & {"dsdl.validation", "dsdl.locator", "datetime", "yaml"} == set()
+
+
+def test_parsing_and_resolving_json_loads_no_validation_or_datetime():
+    run = (
+        "import dsdl; from pathlib import Path; "
+        f"path = Path({corpus('get-started.json')!r}); "
+        "doc = dsdl.parse_document(path.read_text(), source=str(path)); "
+        "schema, _ = dsdl.resolve_schema(doc, dsdl.LibraryEnvironment.from_environment(environ={}), source=path); "
+        "assert schema is not None"
+    )
+    assert _fresh_modules(run) & {"dsdl.validation", "datetime", "yaml"} == set()
+
+
+def test_validate_loads_datetime_only_for_a_date_field(tmp_path):
+    dated = tmp_path / "dated.json"
+    dated.write_text(
+        json.dumps({"$dsdl-version": "0.5.0", "data": {"sample-type": "Date", "samples": ["2024-01-02"]}})
+    )
+    validate = "from dsdl.cli import main; assert main(['validate', {!r}]) == 0"
+    assert "datetime" not in _fresh_modules(validate.format(corpus("get-started.json")))
+    assert "datetime" in _fresh_modules(validate.format(str(dated)))
+
+
+# every public name of the facade, by the module that defines it
+_HOMES = {
+    "diagnostics": "ClassLookupError Diagnostic DocumentError DsdlError GrammarError LocatorError ResolutionError Severity",
+    "document": "RawDataSection RawDocument parse_document",
+    "locator": "AliasPath MediaClassRegistry ObjectId ObjectLocator RelativePath ResolutionEnvironment "
+    "default_media_registry load_object parse_locator register_media_class resolve_locator",
+    "resolver": "ConcreteType LibraryEnvironment ResolvedSchema check_acyclic instantiate_type resolve_imports resolve_schema",
+    "schema": "BUILTINS ClassDomain ClassRef DefinitionRegistry StructClass build_definitions lookup_class",
+    "typeexpr": "TypeExpr parse_sample_type_spec parse_type_expression render_type_expression",
+    "validation": "SampleCounts ValidationReport load_external_samples summarize_dataset validate_dataset "
+    "validate_label validate_value",
+}
+
+
+def test_every_public_name_is_its_home_modules_object():
+    import dsdl
+
+    homes = {name: home for home, names in _HOMES.items() for name in names.split()}
+    assert sorted(dsdl.__all__) == sorted(homes)
+    for name, home in homes.items():
+        assert getattr(dsdl, name) is getattr(importlib.import_module(f"dsdl.{home}"), name), name
+
+
+def test_dir_and_a_star_import_give_every_public_name_in_a_fresh_interpreter():
+    run = (
+        "import dsdl; names = set(dsdl.__all__); assert names <= set(dir(dsdl)); "
+        "bound = {}; exec('from dsdl import *', bound); del bound['__builtins__']; "
+        "assert set(bound) == names and all(bound[n] is getattr(dsdl, n) for n in names)"
+    )
+    assert {"dsdl.validation", "dsdl.locator"} <= _fresh_modules(run)
+
+
+def test_an_unknown_name_is_the_standard_attribute_error():
+    import dsdl
+
+    with pytest.raises(AttributeError, match=r"^module 'dsdl' has no attribute 'nope'$"):
+        dsdl.nope
+    assert not hasattr(dsdl, "nope") and "nope" not in dir(dsdl)
+    with pytest.raises(ImportError, match="cannot import name 'nope' from 'dsdl'"):
+        from dsdl import nope  # noqa: F401
+
+
 _TWO_BAD_SAMPLES = (
     '$dsdl-version: "0.5.0"\n'
     "defs:\n"
@@ -883,6 +951,40 @@ def test_a_finding_on_an_over_long_name_is_a_short_line(tmp_path, data):
         code, out, err = run_cli(*argv, str(target))
         assert (code, err) == (1, ""), argv
         assert 0 < max(map(len, out.splitlines())) < _LINE_BOUND, argv
+
+
+def test_a_finding_on_an_over_long_sample_value_echoes_it_cut_short(tmp_path):
+    target = tmp_path / "d.json"
+    sample = {"day": _TOO_LONG, "label": _TOO_LONG, "image": "::" + _TOO_LONG, _TOO_LONG: 1}
+    target.write_text(
+        json.dumps(
+            {
+                "$dsdl-version": "0.5.0",
+                "defs": {
+                    "D": {"$def": "class_domain", "classes": ["a", "b"]},
+                    "S": {"$def": "struct", "$fields": {"day": "Date", "label": "Label[dom=D]", "image": "Image"}},
+                },
+                "data": {"sample-type": "S", "samples": [sample]},
+            }
+        )
+    )
+    code, out, err = run_cli("validate", "--format", "json", str(target))
+    assert (code, err) == (1, "")
+    found = {d["code"]: (d["path"], d["message"]) for d in json.loads(out)["diagnostics"]}
+    shown = echo(_TOO_LONG, show=repr)
+    assert found["CLASS_NOT_FOUND"] == ("samples/0/label", f"no class {shown} in D")
+    assert found["LOC_SYNTAX"] == (
+        "samples/0/image",
+        f"object-id locator must be ::<domain>::<id>, got {echo('::' + _TOO_LONG, show=repr)}",
+    )
+    # a path is an address, so it is never cut
+    assert found["FIELD_UNKNOWN"] == (f"samples/0/{_TOO_LONG}", f"field {shown} is not declared on S")
+    path, message = found.pop("DATE_FORMAT")
+    assert path == "samples/0/day" and message.startswith(f"{shown} does not match ISO 8601: ")
+    assert len(found) == 3 and len(message) < _LINE_BOUND
+    code, out, err = run_cli("validate", str(target))
+    assert (code, err) == (1, "")
+    assert max(len(line) for line in out.splitlines() if " FIELD_UNKNOWN " not in line) < _LINE_BOUND
 
 
 def test_a_usage_failure_is_one_short_printable_stderr_line(tmp_path):

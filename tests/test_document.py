@@ -27,6 +27,12 @@ def test_get_started_json():
     assert doc.data.sample_path == "$local"
 
 
+@pytest.mark.parametrize("fmt", ["auto", "json", "yaml"])
+def test_bytes_text_is_a_type_error(fmt):
+    with pytest.raises(TypeError, match="text must be str, not bytes"):
+        parse_document(GET_STARTED_JSON.encode(), format=fmt)
+
+
 def test_json_and_yaml_yield_identical_documents():
     assert parse_document(GET_STARTED_JSON, format="json") == parse_document(
         GET_STARTED_YAML, format="yaml"

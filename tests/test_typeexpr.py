@@ -77,6 +77,11 @@ def test_render_no_args():
     assert render_type_expression(TypeExpr("Int")) == "Int"
 
 
+def test_rendering_a_str_is_a_type_error():
+    with pytest.raises(TypeError, match="takes a TypeExpr, not str"):
+        render_type_expression("Int")
+
+
 def test_render_emits_what_the_ast_holds():
     assert render_type_expression(parse_type_expression("List[ Int ]")) == "List[Int]"
     assert render_type_expression(parse_type_expression("Label[dom=$cdom]")) == "Label[dom=$cdom]"
