@@ -13,8 +13,6 @@ Typical use::
 validation layers load on the first use of one of their names.
 """
 
-from types import ModuleType as _Module
-
 from .diagnostics import (
     ClassLookupError,
     Diagnostic,
@@ -51,8 +49,9 @@ from .typeexpr import (
     render_type_expression,
 )
 
-# Names whose home module loads on the first access to one of them (PEP 562):
-# parsing and resolving use neither module.
+# Names whose home module loads on the first access to one of them (PEP 562).
+# Parsing and resolving use neither module, so ``dsdl inspect`` never loads
+# validation.
 _LAZY = {
     name: home
     for home, names in {
@@ -66,9 +65,39 @@ _LAZY = {
 
 __version__ = "0.1.0"
 
-# every name imported above, and the lazy ones
 __all__ = sorted(
-    [name for name, value in globals().items() if name[0] != "_" and not isinstance(value, _Module)] + [*_LAZY]
+    [
+        "BUILTINS",
+        "ClassDomain",
+        "ClassLookupError",
+        "ClassRef",
+        "ConcreteType",
+        "DefinitionRegistry",
+        "Diagnostic",
+        "DocumentError",
+        "DsdlError",
+        "GrammarError",
+        "LibraryEnvironment",
+        "LocatorError",
+        "RawDataSection",
+        "RawDocument",
+        "ResolutionError",
+        "ResolvedSchema",
+        "Severity",
+        "StructClass",
+        "TypeExpr",
+        "build_definitions",
+        "check_acyclic",
+        "instantiate_type",
+        "lookup_class",
+        "parse_document",
+        "parse_sample_type_spec",
+        "parse_type_expression",
+        "render_type_expression",
+        "resolve_imports",
+        "resolve_schema",
+        *_LAZY,
+    ]
 )
 
 

@@ -15,13 +15,12 @@ import os
 import sys
 from pathlib import Path
 
-from .diagnostics import DocumentError, DsdlError, LocatorError, echo, printable
+from .diagnostics import Diagnostic, DocumentError, DsdlError, LocatorError, Severity, echo, printable
 from .document import RawDocument, parse_document, read_utf8
 from .locator import ResolutionEnvironment, default_media_registry, parse_locator, resolve_locator
 from .resolver import ConcreteType, LibraryEnvironment, ResolvedSchema, resolve_schema
 from .schema import ClassDomain
 from .typeexpr import TypeExpr, render_type_expression
-from .validation import SampleCounts, ValidationReport, summarize_dataset, validate_dataset
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
@@ -99,12 +98,9 @@ class _UsageFailure(Exception):
     """Exit 2: the input cannot be read. The message is the stderr line."""
 
 
-def _run(
-    args: argparse.Namespace, validate: bool, count: bool = False
-) -> tuple[RawDocument | None, ResolvedSchema | None, ValidationReport, SampleCounts]:
-    """parse -> resolve -> validate; the report holds every diagnostic in that order.
-    Samples are validated only when ``validate`` is set, and no typed value is
-    built; with ``count`` they are also counted (see ``summarize_dataset``)."""
+def _resolve(args: argparse.Namespace) -> tuple[RawDocument | None, ResolvedSchema | None, list[Diagnostic]]:
+    """parse -> resolve, with the diagnostics in that order; a document that
+    does not parse gives no schema and its one diagnostic."""
     path = Path(args.file)
     shown = echo(str(path))
     try:
@@ -117,22 +113,35 @@ def _run(
     try:
         doc = parse_document(text, format=fmt, source=str(path), allow_version=args.allow_version)
     except DocumentError as exc:
-        return None, None, ValidationReport(diagnostics=[exc.diagnostic]), SampleCounts()
+        return None, None, [exc.diagnostic]
     schema, diags = resolve_schema(
         doc,
         LibraryEnvironment.from_environment(args.library_path),
         source=path,
         media_extensions=default_media_registry().extension_names(),
     )
+    return doc, schema, diags
+
+
+def _validate(
+    args: argparse.Namespace, count: bool = False
+) -> tuple[ResolvedSchema | None, ValidationReport, SampleCounts]:
+    """:func:`_resolve`, then the samples are validated if the schema resolved,
+    and no typed value is built; with ``count`` they are also counted (see
+    ``summarize_dataset``). The report holds every diagnostic, in that order.
+    The validation layer loads here, so ``inspect`` never loads it."""
+    from .validation import SampleCounts, ValidationReport, summarize_dataset, validate_dataset
+
+    doc, schema, diags = _resolve(args)
     report, counts = ValidationReport(), SampleCounts()
-    if validate and schema is not None:
-        options = {"base": path.parent, "strict": args.strict, "max_errors": args.max_errors}
+    if schema is not None:
+        options = {"base": Path(args.file).parent, "strict": args.strict, "max_errors": args.max_errors}
         if count:
             report, counts = summarize_dataset(schema, doc.data, **options)
         else:
             report = validate_dataset(schema, doc.data, build=False, **options)
     report.diagnostics[:0] = diags
-    return doc, schema, report, counts
+    return schema, report, counts
 
 
 def _exit_code(report: ValidationReport, args: argparse.Namespace) -> int:
@@ -153,13 +162,13 @@ def _emit(args: argparse.Namespace, payload: dict, lines: list[str]) -> None:
     sys.stdout.write("\n".join(lines) + "\n" if lines else "")
 
 
-def _emit_failure(args: argparse.Namespace, report: ValidationReport) -> None:
-    payload = {"file": args.file, "diagnostics": [d.to_jsonable() for d in report.diagnostics]}
-    _emit(args, payload, [d.format() for d in report.diagnostics])
+def _emit_failure(args: argparse.Namespace, diagnostics: list[Diagnostic]) -> None:
+    payload = {"file": args.file, "diagnostics": [d.to_jsonable() for d in diagnostics]}
+    _emit(args, payload, [d.format() for d in diagnostics])
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    _, _, report, _ = _run(args, validate=True)
+    _, report, _ = _validate(args)
     summary = f"{report.sample_count} samples validated, {report.errors} errors, {report.warnings} warnings"
     if report.truncated:
         summary += " (truncated)"
@@ -196,14 +205,14 @@ def _concrete(ctype: ConcreteType, indent: str, lines: list[str]) -> dict:
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
-    doc, schema, report, _ = _run(args, validate=False)
-    if report.errors or schema is None:
-        _emit_failure(args, report)
-        return EXIT_FINDINGS if report.diagnostics else EXIT_OK
+    doc, schema, diags = _resolve(args)
+    if schema is None or any(d.severity is Severity.ERROR for d in diags):
+        _emit_failure(args, diags)
+        return EXIT_FINDINGS if diags else EXIT_OK
 
     defs: dict = {}
     lines = [f"file: {args.file}", f"dsdl-version: {doc.dsdl_version}"]
-    lines.extend(d.format() for d in report.diagnostics)
+    lines.extend(d.format() for d in diags)
     lines.append("definitions:")
     for name, entry in schema.registry.items():
         source = schema.registry.provenance[name]
@@ -245,8 +254,8 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         if ctype is not None:
             lines.append(f"{label}: {ctype.describe()}")
             payload[key] = _concrete(ctype, "  ", lines)
-    if report.diagnostics:
-        payload["diagnostics"] = [d.to_jsonable() for d in report.diagnostics]
+    if diags:
+        payload["diagnostics"] = [d.to_jsonable() for d in diags]
     _emit(args, payload, lines)
     return EXIT_OK
 
@@ -275,9 +284,9 @@ def cmd_resolve_loc(args: argparse.Namespace) -> int:
 
 
 def cmd_summary(args: argparse.Namespace) -> int:
-    _, schema, report, counts = _run(args, validate=True, count=True)
+    schema, report, counts = _validate(args, count=True)
     if report.errors or schema is None:
-        _emit_failure(args, report)
+        _emit_failure(args, report.diagnostics)
         return EXIT_FINDINGS
 
     fill, locators = counts.optional_fill, counts.locators

@@ -37,6 +37,7 @@ from .diagnostics import (
     DocumentError,
     DsdlError,
     LocatorError,
+    NAME_LIMIT,
     Severity,
     echo,
     error,
@@ -426,7 +427,9 @@ def _make_datetime(ctype, build):
             parsed = datetime.datetime.strptime(raw, fmt)
             return parsed.date() if kind == "date" else parsed.time()
         except ValueError as exc:
-            message = f"{echo(raw, show=repr)} does not match {expected}: {echo(str(exc))}"
+            # the parser's reason repeats the value, so it is cut only when the value is
+            reason = echo(str(exc)) if len(raw) > NAME_LIMIT else exc
+            message = f"{echo(raw, show=repr)} does not match {expected}: {reason}"
             return _fail(diags, "DATE_FORMAT", parent, key, message)
 
     return check

@@ -686,27 +686,22 @@ def test_validate_loads_datetime_only_for_a_date_field(tmp_path):
     assert "datetime" in _fresh_modules(validate.format(str(dated)))
 
 
-# every public name of the facade, by the module that defines it
-_HOMES = {
-    "diagnostics": "ClassLookupError Diagnostic DocumentError DsdlError GrammarError LocatorError ResolutionError Severity",
-    "document": "RawDataSection RawDocument parse_document",
-    "locator": "AliasPath MediaClassRegistry ObjectId ObjectLocator RelativePath ResolutionEnvironment "
-    "default_media_registry load_object parse_locator register_media_class resolve_locator",
-    "resolver": "ConcreteType LibraryEnvironment ResolvedSchema check_acyclic instantiate_type resolve_imports resolve_schema",
-    "schema": "BUILTINS ClassDomain ClassRef DefinitionRegistry StructClass build_definitions lookup_class",
-    "typeexpr": "TypeExpr parse_sample_type_spec parse_type_expression render_type_expression",
-    "validation": "SampleCounts ValidationReport load_external_samples summarize_dataset validate_dataset "
-    "validate_label validate_value",
-}
+def test_inspect_loads_no_validation_or_datetime():
+    inspect = f"from dsdl.cli import main; assert main(['inspect', {corpus('get-started.json')!r}]) == 0"
+    assert _fresh_modules(inspect) & {"dsdl.validation", "datetime"} == set()
 
 
-def test_every_public_name_is_its_home_modules_object():
+def test_every_public_name_is_the_object_its_home_module_defines():
     import dsdl
 
-    homes = {name: home for home, names in _HOMES.items() for name in names.split()}
-    assert sorted(dsdl.__all__) == sorted(homes)
-    for name, home in homes.items():
-        assert getattr(dsdl, name) is getattr(importlib.import_module(f"dsdl.{home}"), name), name
+    assert len(set(dsdl.__all__)) == len(dsdl.__all__)
+    for name in dsdl.__all__:
+        value = getattr(dsdl, name)
+        # a dict and a union of classes carry no module of their own
+        home = {"BUILTINS": "dsdl.schema", "ObjectLocator": "dsdl.locator"}.get(name) or value.__module__
+        assert vars(importlib.import_module(home))[name] is value, name
+        if name in dsdl._LAZY:
+            assert home == f"dsdl.{dsdl._LAZY[name]}", name
 
 
 def test_dir_and_a_star_import_give_every_public_name_in_a_fresh_interpreter():
@@ -982,6 +977,12 @@ def test_a_finding_on_an_over_long_sample_value_echoes_it_cut_short(tmp_path):
     path, message = found.pop("DATE_FORMAT")
     assert path == "samples/0/day" and message.startswith(f"{shown} does not match ISO 8601: ")
     assert len(found) == 3 and len(message) < _LINE_BOUND
+    # a value within the bound prints whole, and so does the parser's reason, which repeats it
+    target.write_text(json.dumps({"$dsdl-version": "0.5.0", "data": {"sample-type": "Date", "samples": ["a" * 200]}}))
+    code, out, err = run_cli("validate", "--format", "json", str(target))
+    shown = repr("a" * 200)
+    [found] = json.loads(out)["diagnostics"]
+    assert found["message"] == f"{shown} does not match ISO 8601: Invalid isoformat string: {shown}"
     code, out, err = run_cli("validate", str(target))
     assert (code, err) == (1, "")
     assert max(len(line) for line in out.splitlines() if " FIELD_UNKNOWN " not in line) < _LINE_BOUND
