@@ -93,6 +93,15 @@ def show_number(number) -> str:
         return f"{'-' if number < 0 else ''}<integer with too many digits>"
 
 
+def show_key(name) -> str:
+    """A mapping key, or another value read from the input, as a message echoes it: its
+    repr, clipped by ``echo``, but an integer past Python's int-to-string digit limit
+    reads as ``show_number``'s placeholder."""
+    if isinstance(name, int):
+        return show_number(name)
+    return echo(name, show=repr) if isinstance(name, str) else echo(repr(name))
+
+
 class DsdlError(Exception):
     """Base error; carries the diagnostic it would report."""
 

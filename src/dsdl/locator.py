@@ -22,7 +22,7 @@ from collections.abc import Callable, Mapping
 
 from .diagnostics import Diagnostic, DsdlError, LocatorError, echo, error, warning
 from .schema import BUILTINS, MEDIA_BUILTINS
-from .slotted import Frozen, set_field
+from .slotted import Frozen, field_setters, set_field
 
 ALIAS_ENV_PREFIX = "DSDL_ALIAS_"
 
@@ -34,8 +34,8 @@ class RelativePath(Frozen):
     kind = "relative"
 
     def __init__(self, path: str, text: str):
-        set_field(self, "path", path)
-        set_field(self, "text", text)
+        _relative_path(self, path)
+        _relative_text(self, text)
 
 
 class AliasPath(Frozen):
@@ -43,9 +43,9 @@ class AliasPath(Frozen):
     kind = "alias"
 
     def __init__(self, alias: str, remainder: str, text: str):
-        set_field(self, "alias", alias)
-        set_field(self, "remainder", remainder)
-        set_field(self, "text", text)
+        _alias_alias(self, alias)
+        _alias_remainder(self, remainder)
+        _alias_text(self, text)
 
 
 class ObjectId(Frozen):
@@ -53,10 +53,14 @@ class ObjectId(Frozen):
     kind = "object-id"
 
     def __init__(self, domain: str, object_id: str, text: str):
-        set_field(self, "domain", domain)
-        set_field(self, "object_id", object_id)
-        set_field(self, "text", text)
+        _id_domain(self, domain)
+        _id_object_id(self, object_id)
+        _id_text(self, text)
 
+
+_relative_path, _relative_text = field_setters(RelativePath)
+_alias_alias, _alias_remainder, _alias_text = field_setters(AliasPath)
+_id_domain, _id_object_id, _id_text = field_setters(ObjectId)
 
 ObjectLocator = RelativePath | AliasPath | ObjectId
 

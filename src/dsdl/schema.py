@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 
-from .diagnostics import ClassLookupError, Diagnostic, ResolutionError, echo, error, show_number, warning
+from .diagnostics import ClassLookupError, Diagnostic, ResolutionError, echo, error, show_key, show_number, warning
 from .document import split_definition_key
 from .slotted import Frozen, Slotted, set_field
 from .typeexpr import (
@@ -300,7 +300,7 @@ def build_definitions(
             elif kind is None:
                 raise ResolutionError(error("MALFORMED_DEF", path, "definition lacks a $def discriminator", source))
             else:
-                message = f"unknown $def value {kind!r} (expected struct or class_domain)"
+                message = f"unknown $def value {show_key(kind)} (expected struct or class_domain)"
                 raise ResolutionError(error("UNKNOWN_DEF_KIND", path, message, source))
         except ResolutionError as exc:
             diags.append(exc.diagnostic)
@@ -323,7 +323,7 @@ def _build_class_domain(
         raise ResolutionError(error("MALFORMED_DEF", path, "class_domain requires a non-empty classes list", source))
     for key in body:
         if key not in ("$def", "classes", "skeleton"):
-            diags.append(warning("DEF_UNKNOWN_KEY", f"{path}/{key}", f"unrecognized class_domain key {key!r}", source))
+            diags.append(warning("DEF_UNKNOWN_KEY", f"{path}/{key}", f"unrecognized class_domain key {show_key(key)}", source))
 
     items = list(classes_raw)
     names = _class_texts(items, path, source, diags)
@@ -332,7 +332,8 @@ def _build_class_domain(
         seen: set[str] = set()
         for i, text in enumerate(names):
             if text in seen:
-                raise ResolutionError(error("MALFORMED_DEF", f"{path}/classes/{i}", f"duplicate class path {text!r}", source))
+                message = f"duplicate class path {echo(text, show=repr)}"
+                raise ResolutionError(error("MALFORMED_DEF", f"{path}/classes/{i}", message, source))
             seen.add(text)
 
     skeleton = None
@@ -348,7 +349,7 @@ def _build_class_domain(
                 and all(isinstance(x, int) and not isinstance(x, bool) for x in pair)
             )
             if not ok:
-                raise ResolutionError(error("MALFORMED_DEF", f"{path}/skeleton/{i}", f"skeleton entry {pair!r} is not a pair of integers", source))
+                raise ResolutionError(error("MALFORMED_DEF", f"{path}/skeleton/{i}", f"skeleton entry {echo(repr(pair))} is not a pair of integers", source))
             a, b = pair
             if not (1 <= a <= len(names) and 1 <= b <= len(names)) or a == b:
                 message = f"skeleton pair [{a}, {b}] out of range for {len(names)} classes"
@@ -379,13 +380,13 @@ def _class_texts(items: list, path: str, source: str | None, diags: list[Diagnos
             for seg_text in item.split("."):
                 m = _SEGMENT_ANNOT_RE.fullmatch(seg_text)
                 if not m:
-                    raise ResolutionError(error("MALFORMED_DEF", f"{path}/classes/{i}", f"malformed class path {item!r}", source))
+                    raise ResolutionError(error("MALFORMED_DEF", f"{path}/classes/{i}", f"malformed class path {echo(item, show=repr)}", source))
                 seg_name = m.group("name")
                 if not _SEGMENT_RE.fullmatch(seg_name):
                     # taken verbatim, but flagged: the convention is to map
                     # special characters to underscores in global-info
                     diags.append(
-                        warning("CLASS_NAME_SYNTAX", f"{path}/classes/{i}", f"class name segment {seg_name!r} is not an identifier", source)
+                        warning("CLASS_NAME_SYNTAX", f"{path}/classes/{i}", f"class name segment {echo(seg_name, show=repr)} is not an identifier", source)
                     )
                 segments.append(seg_name)
             text = ".".join(segments)
@@ -455,7 +456,7 @@ def _build_struct(
         raise ResolutionError(error("MALFORMED_DEF", path, "struct requires a non-empty $fields mapping", source))
     for key in body:
         if key not in ("$def", "$fields", "$params", "$optional"):
-            diags.append(warning("DEF_UNKNOWN_KEY", f"{path}/{key}", f"unrecognized struct key {key!r}", source))
+            diags.append(warning("DEF_UNKNOWN_KEY", f"{path}/{key}", f"unrecognized struct key {show_key(key)}", source))
 
     params_raw = body.get("$params", [])
     if not isinstance(params_raw, list) or not all(isinstance(p, str) for p in params_raw):

@@ -8,6 +8,13 @@ naming them in ``_fields``.
 set_field = object.__setattr__  # how a frozen class's __init__ sets a field
 
 
+def field_setters(cls) -> tuple:
+    """The ``__set__`` of each field's slot descriptor, in ``__init__`` order.
+    A frozen value class built once per sample value sets its fields with
+    these, which skip the by-name lookup that ``set_field`` makes."""
+    return tuple([cls.__dict__[name].__set__ for name in cls.__match_args__])
+
+
 class Slotted:
     """A mutable value: compared and shown by its fields, unhashable."""
 

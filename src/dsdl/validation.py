@@ -12,11 +12,8 @@ Each value shape is stated once, as one closure that its factory in the
 one closure per type node, and each node keeps its closure: a struct node
 shared by many fields, or a type validated by many calls, compiles once.
 Values are then checked by calling closures, with no per-value dispatch,
-and each value is checked once. A value's path is built from its
-parent's path and its key only when a finding is reported, or by the
-struct or list that holds other values. A node also compiles, on demand,
-a check-only instance of the same closure: the same checks and findings,
-with no typed value built, for a caller that reads only the findings.
+and each value is checked once. A value's path is joined only when a
+finding is reported, so clean data formats no path.
 
 Records are null-complete: a typed record carries every declared field
 exactly once, with omitted optionals explicitly ``None``. A missing
@@ -29,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections import Counter
 from pathlib import Path
 
 from .diagnostics import (
@@ -41,6 +39,7 @@ from .diagnostics import (
     Severity,
     echo,
     error,
+    show_key,
     show_number,
     warning,
 )
@@ -57,7 +56,7 @@ from .document import (
 from .locator import ObjectLocator, parse_locator
 from .resolver import ConcreteType, ResolvedSchema
 from .schema import ClassDomain, ClassRef, index_path, lookup_class
-from .slotted import Frozen, Slotted, set_field
+from .slotted import Frozen, Slotted, field_setters, set_field
 
 _QUALIFIED_NAME = re.compile(r"(?P<dom>[A-Za-z_][A-Za-z0-9_]*)::(?P<path>.+)", re.DOTALL)
 _QUALIFIED_INDEX = re.compile(r"(?P<dom>[A-Za-z_][A-Za-z0-9_]*)\[(?P<idx>\d+(\.\d+)*)\]")
@@ -67,18 +66,18 @@ class Box(Frozen):
     __slots__ = ("x", "y", "w", "h")
 
     def __init__(self, x: float, y: float, w: float, h: float):
-        set_field(self, "x", x)
-        set_field(self, "y", y)
-        set_field(self, "w", w)
-        set_field(self, "h", h)
+        _box_x(self, x)
+        _box_y(self, y)
+        _box_w(self, w)
+        _box_h(self, h)
 
 
 class IntervalValue(Frozen):
     __slots__ = ("begin", "end")
 
     def __init__(self, begin: float, end: float):
-        set_field(self, "begin", begin)
-        set_field(self, "end", end)
+        _interval_begin(self, begin)
+        _interval_end(self, end)
 
 
 class ImageShapeValue(Frozen):
@@ -87,17 +86,17 @@ class ImageShapeValue(Frozen):
     __slots__ = ("width", "height")
 
     def __init__(self, width: int, height: int):
-        set_field(self, "width", width)
-        set_field(self, "height", height)
+        _shape_width(self, width)
+        _shape_height(self, height)
 
 
 class RotatedBox(Frozen):
     __slots__ = ("mode", "measure", "values")
 
     def __init__(self, mode: str, measure: str, values: tuple[float, ...]):
-        set_field(self, "mode", mode)
-        set_field(self, "measure", measure)
-        set_field(self, "values", values)
+        _rotated_mode(self, mode)
+        _rotated_measure(self, measure)
+        _rotated_values(self, values)
 
 
 class KeypointSet(Frozen):
@@ -106,20 +105,28 @@ class KeypointSet(Frozen):
     __slots__ = ("domain", "points")
 
     def __init__(self, domain: str, points: tuple[tuple[float, float, float], ...]):
-        set_field(self, "domain", domain)
-        set_field(self, "points", points)
+        _keypoint_domain(self, domain)
+        _keypoint_points(self, points)
 
 
 class MediaRef(Frozen):
     __slots__ = ("class_name", "locator", "descr")
 
     def __init__(self, class_name: str, locator: ObjectLocator, descr: tuple | None = None):
-        set_field(self, "class_name", class_name)
-        set_field(self, "locator", locator)
-        set_field(self, "descr", descr)
+        _media_class_name(self, class_name)
+        _media_locator(self, locator)
+        _media_descr(self, descr)
 
     def descriptor(self) -> dict | None:
         return dict(self.descr) if self.descr is not None else None
+
+
+_box_x, _box_y, _box_w, _box_h = field_setters(Box)
+_interval_begin, _interval_end = field_setters(IntervalValue)
+_shape_width, _shape_height = field_setters(ImageShapeValue)
+_rotated_mode, _rotated_measure, _rotated_values = field_setters(RotatedBox)
+_keypoint_domain, _keypoint_points = field_setters(KeypointSet)
+_media_class_name, _media_locator, _media_descr = field_setters(MediaRef)
 
 
 class Record(Slotted):
@@ -137,33 +144,28 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+_TYPE_NAMES = (
+    (type(None), "null"), (bool, "boolean"), ((int, float), "number"), (str, "string"), (list, "list"), (dict, "mapping")
+)
+
+
 def _type_name(value) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "boolean"
-    if isinstance(value, (int, float)):
-        return "number"
-    if isinstance(value, str):
-        return "string"
-    if isinstance(value, list):
-        return "list"
-    if isinstance(value, dict):
-        return "mapping"
+    for kinds, name in _TYPE_NAMES:  # bool before int, which it subclasses
+        if isinstance(value, kinds):
+            return name
     return type(value).__name__
 
 
 def _path(parent, key) -> str:
-    """The path of the value at ``key`` below ``parent``; ``key`` itself at the top."""
-    return key if parent is None else f"{parent}/{key}"
-
-
-def _show_key(name) -> str:
-    """A mapping key as a message echoes it: its repr, clipped by ``echo``, but an
-    integer past Python's int-to-string digit limit reads as ``show_number``'s placeholder."""
-    if isinstance(name, int):
-        return show_number(name)
-    return echo(name, show=repr) if isinstance(name, str) else echo(repr(name))
+    """The path of the value at ``key`` below the chain ``parent``, joined in a
+    loop at any depth; ``key`` itself at the top, where ``parent`` is None."""
+    if parent is None:
+        return key
+    keys = [key]
+    while parent is not None:
+        parent, key = parent
+        keys.append(key)
+    return "/".join([str(key) for key in reversed(keys)])
 
 
 def _fail(diags: list[Diagnostic], code: str, parent, key, message: str) -> None:
@@ -173,8 +175,10 @@ def _fail(diags: list[Diagnostic], code: str, parent, key, message: str) -> None
 
 # Every value shape is one closure ``check(raw, parent, key, diags)`` that
 # appends its findings to ``diags`` and returns the typed value, or None when
-# the input is unusable. It builds its path ``_path(parent, key)`` only to
-# report, and may accept its common exact-typed input first. A factory
+# the input is unusable. ``parent`` is None at the top, else the chain
+# ``(parent, key)`` of the struct or list holding the value; only ``_path``
+# unpacks it, so a tuple key stays one key, and only to report. The closure
+# may accept its common exact-typed input first. A factory
 # ``make(ctype, build)`` reads the type's arguments once and returns the
 # closure, one for both modes. With ``build`` false the closure only checks:
 # the same checks and findings, and None where the building closure gives
@@ -186,8 +190,7 @@ _NUMBER = (int, float)
 
 
 def _unbuilt(*parts):
-    """Stands in for a value class in a check-only closure: the checked
-    parts, not built into a value."""
+    """Stands in for a value class in a check-only closure: the checked parts, not built into a value."""
     return parts
 
 
@@ -257,10 +260,10 @@ def _numbers(raw, arity: int, parent, key, diags: list[Diagnostic], what: str) -
         if type(item) in _NUMBER and -_INF < item < _INF:
             continue
         if not _is_number(item):
-            return _fail(diags, "TYPE_MISMATCH", _path(parent, key), i, f"{what} component must be a number")
+            return _fail(diags, "TYPE_MISMATCH", (parent, key), i, f"{what} component must be a number")
         if isinstance(item, float) and not math.isfinite(item):
             message = f"{what} component must be finite, got {show_number(item)}"
-            return _fail(diags, "RANGE", _path(parent, key), i, message)
+            return _fail(diags, "RANGE", (parent, key), i, message)
     return tuple(raw)
 
 
@@ -384,25 +387,23 @@ def _polygon(raw, parent, key, diags):
     if not raw:
         return _fail(diags, "ARITY", parent, key, "Polygon requires at least one ring")
 
-    def ring_path():
-        return _path(parent, key) if wrapped else _path(_path(parent, key), ri)
-
     wrapped = all(_is_point(item) for item in raw)
     rings = []
     for ri, ring in enumerate([raw] if wrapped else raw):
+        ring_at = (parent, key) if wrapped else ((parent, key), ri)  # the ring's own (parent, key)
         if not isinstance(ring, list):
-            return _fail(diags, "TYPE_MISMATCH", None, ring_path(), "polygon ring must be a list of points")
+            return _fail(diags, "TYPE_MISMATCH", *ring_at, "polygon ring must be a list of points")
         if len(ring) < 3:
-            return _fail(diags, "ARITY", None, ring_path(), f"polygon ring requires at least 3 points, got {len(ring)}")
+            return _fail(diags, "ARITY", *ring_at, f"polygon ring requires at least 3 points, got {len(ring)}")
         for pi, point in enumerate(ring):
             if not isinstance(point, list) or len(point) != 2:
-                return _fail(diags, "ARITY", ring_path(), pi, "polygon point must be an [x, y] pair")
+                return _fail(diags, "ARITY", ring_at, pi, "polygon point must be an [x, y] pair")
             if not (_is_number(point[0]) and _is_number(point[1])):
-                return _fail(diags, "TYPE_MISMATCH", ring_path(), pi, "polygon point must be numeric")
+                return _fail(diags, "TYPE_MISMATCH", ring_at, pi, "polygon point must be numeric")
             for ci, v in enumerate(point):
                 if isinstance(v, float) and not math.isfinite(v):
                     message = f"polygon coordinate must be finite, got {show_number(v)}"
-                    return _fail(diags, "RANGE", _path(ring_path(), pi), ci, message)
+                    return _fail(diags, "RANGE", (ring_at, pi), ci, message)
         rings.append(tuple([(x, y) for x, y in ring]))
     return tuple(rings)
 
@@ -446,22 +447,21 @@ def _make_media(ctype, build):
 
     def check(raw, parent, key, diags):
         if isinstance(raw, str) and text:
-            # inline string content is the text itself; loading through a
-            # locator requires the explicit {$loc: ...} form
+            # inline string content is the text itself; a locator needs the explicit {$loc: ...} form
             return raw
         descr = None
         if isinstance(raw, dict):
             if "$loc" not in raw:
                 return _fail(diags, "LOC_SYNTAX", parent, key, f"{head} mapping lacks required key $loc")
             if not isinstance(raw["$loc"], str):
-                return _fail(diags, "LOC_SYNTAX", _path(parent, key), "$loc", "$loc must be a string")
+                return _fail(diags, "LOC_SYNTAX", (parent, key), "$loc", "$loc must be a string")
             descr = raw.get("$descr")
             if descr is not None and not isinstance(descr, dict):
-                return _fail(diags, "TYPE_MISMATCH", _path(parent, key), "$descr", "$descr must be a mapping")
+                return _fail(diags, "TYPE_MISMATCH", (parent, key), "$descr", "$descr must be a mapping")
             for name in raw:
                 if name not in ("$loc", "$descr"):
-                    message = f"unexpected key {_show_key(name)} in {head} mapping"
-                    diags.append(warning("FIELD_UNKNOWN", _path(_path(parent, key), show_number(name)), message))
+                    message = f"unexpected key {show_key(name)} in {head} mapping"
+                    diags.append(warning("FIELD_UNKNOWN", _path((parent, key), show_number(name)), message))
             raw = raw["$loc"]
         elif not isinstance(raw, str):
             return _fail(diags, "TYPE_MISMATCH", parent, key, f"{what}, got {_type_name(raw)}")
@@ -491,8 +491,8 @@ def _make_label(ctype, build):
             ref = refs.get(raw)
             if ref is not None:
                 return ref
-        ref, found = validate_label(raw, dom, _path(parent, key))
-        diags.extend(found)
+        ref, found = validate_label(raw, dom)  # a path is joined only for a finding it returns
+        diags.extend([error(d.code, _path(parent, key), d.message) for d in found])
         return ref
 
     return check
@@ -502,10 +502,10 @@ def _make_list(ctype, build):
     check_item = _checker(ctype.arg("etype"), build)
 
     def check(raw, parent, key, diags):
-        path = _path(parent, key)
         if not isinstance(raw, list):
             return _fail(diags, "TYPE_MISMATCH", parent, key, f"expected a list, got {_type_name(raw)}")
-        items = [check_item(item, path, i, diags) for i, item in enumerate(raw)]
+        at = (parent, key)
+        items = [check_item(item, at, i, diags) for i, item in enumerate(raw)]
         return items if build else raw
 
     return check
@@ -513,28 +513,30 @@ def _make_list(ctype, build):
 
 def _make_struct(ctype, build):
     """A null-complete record; a missing required field is a ``FIELD_MISSING`` warning."""
-    head, names = ctype.head, ctype.fields.keys()
+    head, names = ctype.head, ctype.fields
     fields = tuple((name, name in ctype.optional, _checker(ftype, build)) for name, ftype in ctype.fields.items())
     mismatch = f"expected a {head} record, got"
 
     def check(raw, parent, key, diags):
-        path = _path(parent, key)
         if not isinstance(raw, dict):
             return _fail(diags, "TYPE_MISMATCH", parent, key, f"{mismatch} {_type_name(raw)}")
-        inner = path or None
+        # the fields of a record at the top with an empty path are at their bare names
+        inner = (parent, key) if parent is not None or key else None
         values: dict[str, object] | None = {} if build else None
+        present = 0  # declared fields with a value; fewer than len(raw) means some key is undeclared
         for name, optional, check_field in fields:
             item = raw.get(name)
             if item is not None:
+                present += 1
                 item = check_field(item, inner, name, diags)
             elif not optional:
                 diags.append(warning("FIELD_MISSING", _path(inner, name), f"required field {name!r} is missing"))
             if build:
                 values[name] = item
-        if not raw.keys() <= names:
+        if present != len(raw):
             for name in raw:
                 if name not in names:
-                    message = f"field {_show_key(name)} is not declared on {head}"
+                    message = f"field {show_key(name)} is not declared on {head}"
                     diags.append(warning("FIELD_UNKNOWN", _path(inner, show_number(name)), message))
         return Record(head, values) if build else raw
 
@@ -568,12 +570,10 @@ _CHECKS = {
 
 
 def _checker(ctype: ConcreteType, build: bool = True):
-    """The closure of ``ctype``: the building one, or with ``build`` false
-    the check-only one, which gives the same findings and builds no typed
-    value. Each is compiled on first use from the same ``_CHECKS`` entry
-    and kept in the node's ``_check`` or ``_check_only`` slot, so a node
-    shared by many fields (see ``resolver._Instantiation``) or validated by
-    many calls compiles once per kind."""
+    """The closure of ``ctype``, building or, with ``build`` false, check-only.
+    Each is compiled on first use from the same ``_CHECKS`` entry and kept in
+    the node's ``_check`` or ``_check_only`` slot, so a node shared by many
+    fields (see ``resolver._Instantiation``) or calls compiles once per kind."""
     slot = "_check" if build else "_check_only"
     check = getattr(ctype, slot, None)
     if check is None:
@@ -618,8 +618,7 @@ _ABSENT = object()
 
 
 def _census(ctype: ConcreteType):
-    """The census of ``ctype``, or None; compiled on first use and kept in
-    the node's ``_census`` slot."""
+    """The census of ``ctype``, or None; compiled on first use and kept in the node's ``_census`` slot."""
     census = getattr(ctype, "_census", _ABSENT)
     if census is _ABSENT:
         census = _compile_census(ctype)
@@ -679,17 +678,20 @@ def _compile_census(ctype: ConcreteType):
     return census
 
 
+def _strictly(diags: list[Diagnostic], start: int = 0) -> None:
+    """Make each ``FIELD_MISSING`` in ``diags[start:]`` an error, in place: all that ``strict`` changes."""
+    diags[start:] = [error(d.code, d.path, d.message, d.source) if d.code == "FIELD_MISSING" else d for d in diags[start:]]
+
+
 def _run(check, raw, parent, key, strict: bool) -> tuple[object, list[Diagnostic]]:
     diags: list[Diagnostic] = []
     value = check(raw, parent, key, diags)
     if strict:
-        diags = [error(d.code, d.path, d.message, d.source) if d.code == "FIELD_MISSING" else d for d in diags]
+        _strictly(diags)
     return value, diags
 
 
-def validate_value(
-    raw, ctype: ConcreteType, path: str = "", *, strict: bool = False
-) -> tuple[object, list[Diagnostic]]:
+def validate_value(raw, ctype: ConcreteType, path: str = "", *, strict: bool = False) -> tuple[object, list[Diagnostic]]:
     """Validate ``raw`` against the concrete type ``ctype``.
 
     Returns the typed value (``None`` when unusable) and the located
@@ -699,9 +701,7 @@ def validate_value(
     return _run(_checker(ctype), raw, None, path, strict)
 
 
-def validate_label(
-    raw, dom: ClassDomain | None, path: str = ""
-) -> tuple[ClassRef | None, list[Diagnostic]]:
+def validate_label(raw, dom: ClassDomain | None, path: str = "") -> tuple[ClassRef | None, list[Diagnostic]]:
     """Resolve a label in any of its four syntaxes.
 
     Bare names and bare 1-based integers require a bound domain;
@@ -850,10 +850,7 @@ class ValidationReport(Slotted):
     notes = property(lambda self: self._count(Severity.NOTE))
 
     def counts_by_code(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for d in self.diagnostics:
-            counts[d.code] = counts.get(d.code, 0) + 1
-        return dict(sorted(counts.items()))
+        return dict(sorted(Counter([d.code for d in self.diagnostics]).items()))
 
     def to_jsonable(self) -> dict:
         return {
@@ -877,16 +874,19 @@ def _check_samples(check, census, raws, strict: bool, max_errors: int | None, bu
     decodes to its end before the report is used.
     """
     report, counts = ValidationReport(), SampleCounts()
+    diags, samples, top = report.diagnostics, report.samples, (None, "samples")
     limit = None if max_errors is None else max(max_errors, 1)
     items = iter(raws)
     count = errors_seen = 0
     for raw in items:
-        value, diags = _run(check, raw, "samples", count, strict)
+        start = len(diags)  # each sample appends its findings straight to the report's
+        value = check(raw, top, count, diags)
         count += 1
         if build:
-            report.samples.append(value)
-        report.diagnostics.extend(diags)
-        errors = sum(1 for d in diags if d.severity is Severity.ERROR) if diags else 0
+            samples.append(value)
+        if strict:
+            _strictly(diags, start)
+        errors = sum(1 for d in diags[start:] if d.severity is Severity.ERROR) if len(diags) != start else 0
         if census is not None and not errors:
             census(raw, counts)
         if limit is not None:

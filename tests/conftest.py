@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import importlib.util
 import io
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ from dsdl.cli import main as cli_main
 from dsdl.diagnostics import Severity
 
 CORPUS = Path(__file__).parent / "corpus"
+PERFBENCH = Path(__file__).parent.parent / "perfbench"
 
 # every conformance description file, with its expected inline/external sample count
 CORPUS_FILES = {
@@ -55,6 +57,15 @@ def _isolate_dsdl_env(monkeypatch):
 @pytest.fixture
 def library_env():
     return LibraryEnvironment.from_environment()
+
+
+def load_perfbench(name: str):
+    """A module of the benchmark, loaded from its file without adding
+    ``perfbench`` to ``sys.path``."""
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_corpus_doc(rel: str):

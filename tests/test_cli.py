@@ -988,6 +988,48 @@ def test_a_finding_on_an_over_long_sample_value_echoes_it_cut_short(tmp_path):
     assert max(len(line) for line in out.splitlines() if " FIELD_UNKNOWN " not in line) < _LINE_BOUND
 
 
+@pytest.mark.parametrize(
+    "defs, code, path, message",
+    [
+        (
+            {"D": {"$def": "class_domain", "classes": [_TOO_LONG, "b", _TOO_LONG]}},
+            "MALFORMED_DEF", "defs/D/classes/2", f"duplicate class path {echo(_TOO_LONG, show=repr)}",
+        ),
+        (
+            {"S": {"$def": "struct", "$fields": {"n": "Int"}, _TOO_LONG: 1}},
+            "DEF_UNKNOWN_KEY", f"defs/S/{_TOO_LONG}", f"unrecognized struct key {echo(_TOO_LONG, show=repr)}",
+        ),
+        (
+            {"D": {"$def": "class_domain", "classes": ["a"], _TOO_LONG: 1}},
+            "DEF_UNKNOWN_KEY", f"defs/D/{_TOO_LONG}", f"unrecognized class_domain key {echo(_TOO_LONG, show=repr)}",
+        ),
+        (
+            {"D": {"$def": "class_domain", "classes": ["a", f"{_TOO_LONG}..b"]}},
+            "MALFORMED_DEF", "defs/D/classes/1", f"malformed class path {echo(f'{_TOO_LONG}..b', show=repr)}",
+        ),
+        (
+            {"D": {"$def": "class_domain", "classes": ["a", f"b.{_TOO_LONG}!"]}},
+            "CLASS_NAME_SYNTAX", "defs/D/classes/1", f"class name segment {echo(f'{_TOO_LONG}!', show=repr)} is not an identifier",
+        ),
+        (
+            {"T": {"$def": _TOO_LONG}},
+            "UNKNOWN_DEF_KIND", "defs/T", f"unknown $def value {echo(_TOO_LONG, show=repr)} (expected struct or class_domain)",
+        ),
+    ],
+    ids=["duplicate-class", "struct-key", "class-domain-key", "malformed-class", "class-segment", "def-kind"],
+)
+def test_a_finding_on_over_long_description_text_echoes_it_cut_short(tmp_path, defs, code, path, message):
+    target = tmp_path / "d.json"
+    data = {"sample-type": "Int", "samples": [1]}
+    target.write_text(json.dumps({"$dsdl-version": "0.5.0", "defs": defs, "data": data}))
+    _, out, err = run_cli("validate", "--format", "json", str(target))
+    assert err == ""
+    found = {d["code"]: (d["path"], d["message"]) for d in json.loads(out)["diagnostics"]}
+    # the path is an address, so it stays whole; the message is one short line
+    assert found[code] == (path, message)
+    assert len(message) < _LINE_BOUND
+
+
 def test_a_usage_failure_is_one_short_printable_stderr_line(tmp_path):
     for name in ("no\nsuch.yaml", "\x1b[2J" + _TOO_LONG):
         code, out, err = run_cli("validate", str(tmp_path / name))

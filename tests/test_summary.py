@@ -10,7 +10,6 @@ check-only validation.
 from __future__ import annotations
 
 import contextlib
-import importlib.util
 import io
 import json
 import tempfile
@@ -22,6 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from _summary_oracle import counts as oracle_counts
+from conftest import load_perfbench
 from dsdl import (
     DocumentError,
     LibraryEnvironment,
@@ -35,20 +35,8 @@ from dsdl import (
 from dsdl import cli, validation
 
 CORPUS = Path(__file__).parent / "corpus"
-PERFBENCH = Path(__file__).parent.parent / "perfbench"
-
-
-def _load_perfbench(name: str):
-    """A module of the benchmark, loaded from its file without adding
-    ``perfbench`` to ``sys.path``."""
-    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-gen = _load_perfbench("gen")
-pipeline = _load_perfbench("pipeline")
+gen = load_perfbench("gen")
+pipeline = load_perfbench("pipeline")
 
 
 def _resolve(text: str, path: Path, fmt: str = "auto"):

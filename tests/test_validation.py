@@ -997,3 +997,117 @@ def test_a_hand_built_data_section_gives_the_parsed_finding(library_env, section
             (Severity.ERROR, code, path, message)
         ]
         assert report.sample_count == 0
+
+
+# -- paths ---------------------------------------------------------------------------------------
+
+
+def test_clean_data_formats_no_path(monkeypatch, tmp_path):
+    """A run with no finding joins no path, building or not: the benchmark's
+    json-detect and labels-scale workloads at their tiny size, and every
+    corpus file whose validation has no findings."""
+    from conftest import CORPUS_FILES, load_corpus_doc, load_perfbench
+    from dsdl import LibraryEnvironment, parse_document, resolve_schema, validation
+
+    gen, runs = load_perfbench("gen"), []
+    for workload in ("json-detect", "labels-scale"):
+        manifest = gen.generate(workload, 1, tmp_path / workload, size="tiny")
+        desc = tmp_path / workload / manifest["description"]
+        doc = parse_document(desc.read_text(encoding="utf-8"), format=manifest["format"], source=str(desc))
+        runs.append((workload, doc, desc))
+    runs += [(rel, *load_corpus_doc(rel)) for rel in CORPUS_FILES]
+    joined, join = [], validation._path
+    monkeypatch.setattr(validation, "_path", lambda parent, key: joined.append(key) or join(parent, key))
+    clean = []
+    for name, doc, path in runs:
+        schema, _ = resolve_schema(doc, LibraryEnvironment.from_environment(), source=path)
+        for build in (True, False):
+            joined.clear()
+            report = validate_dataset(schema, doc.data, base=path.parent, build=build)
+            if not report.diagnostics:
+                assert (joined, report.sample_count > 0) == ([], True), (name, build)
+                clean.append(name)
+    assert clean[:4] == ["json-detect", "json-detect", "labels-scale", "labels-scale"]
+    assert len(clean) >= len(CORPUS_FILES)  # at least half the corpus, in both modes
+
+
+def test_a_deep_chain_joins_without_recursion():
+    from dsdl.validation import _path
+
+    chain = None
+    for i in range(10_000):
+        chain = (chain, i)
+    assert _path(chain, "x") == "/".join(map(str, range(10_000))) + "/x"
+    assert _path(None, "top") == "top" and _path((None, ""), 0) == "/0"
+
+
+_STEP = st.one_of(
+    st.tuples(st.just("list"), st.integers(0, 2)),
+    st.tuples(st.just("struct"), st.text(alphabet="ab_$. /0", min_size=1, max_size=4)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    steps=st.lists(_STEP, max_size=100 - 1),
+    leaf=st.sampled_from(["Int", "BBox"]),
+    top=st.text(alphabet="ab/ 0", max_size=4),
+)
+def test_a_bad_leaf_is_found_at_the_path_of_its_keys(steps, leaf, top):
+    """Nested List and struct types, up to MAX_TYPE_DEPTH nodes deep, with one
+    bad leaf: the one finding is at the path that the keys walked down to the
+    leaf give, through ``validate_value`` and through ``validate_dataset``."""
+    from dsdl import RawDataSection
+    from dsdl.resolver import ResolvedSchema
+    from dsdl.schema import DefinitionRegistry
+    from dsdl.typeexpr import MAX_TYPE_DEPTH
+
+    assert len(steps) < MAX_TYPE_DEPTH
+    if leaf == "Int":
+        node, good, bad, below = ConcreteType("Int", "int"), 1, "x", []
+    else:  # a bad component is one key further down
+        node, good, bad, below = ConcreteType("BBox", "bbox"), [0, 0, 1, 1], [0, 0, "w", 1], ["2"]
+    keys = []
+    for depth, (kind, key) in enumerate(reversed(steps)):
+        if kind == "list":  # a good list is empty, so no value is checked twice over
+            node = ConcreteType("List", "list", {"etype": node})
+            good, bad = [], [good] * key + [bad] + [good]
+        else:
+            node = ConcreteType(f"S{depth}", "struct", {}, {key: node})
+            good, bad = {key: good}, {key: bad}
+        keys.insert(0, str(key))
+    expected = "/".join([top, *keys, *below])
+    if not top and steps and steps[0][0] == "struct":  # a record at the empty path holds its fields at their bare names
+        expected = expected[1:]
+    _, diags = validate_value(bad, node, top)
+    assert [(d.code, d.path) for d in diags] == [("TYPE_MISMATCH", expected)]
+    schema = ResolvedSchema(node, None, DefinitionRegistry(), {})
+    data = RawDataSection(sample_type=node.head, sample_path="$local", samples=[good, bad])
+    for build in (True, False):
+        report = validate_dataset(schema, data, build=build)
+        assert [(d.code, d.path) for d in report.diagnostics] == [
+            ("TYPE_MISMATCH", "/".join(["samples", "1", *keys, *below]))
+        ]
+
+
+@pytest.mark.parametrize("key", [("a", "b"), (None, "x"), ((None, "v"), 0)], ids=["pair", "top-pair", "nested-pair"])
+def test_an_undeclared_tuple_key_is_one_key_of_its_path(registry, key):
+    """A mapping key that is a tuple, as a YAML complex key reads, prints as
+    it always has: a chain node is a pair too, but a key is never unpacked."""
+    from dsdl import RawDataSection
+    from dsdl.resolver import ResolvedSchema
+    from dsdl.schema import DefinitionRegistry
+
+    listed = ctype(registry, "List[etype=Sample]")
+    raw = {"image": {"$loc": "a.jpg", key: 2}, "label": "cat", key: 1}
+    expected = [
+        ("FIELD_UNKNOWN", f"v/0/image/{key}", f"unexpected key {key!r} in Image mapping"),
+        ("FIELD_UNKNOWN", f"v/0/{key}", f"field {key!r} is not declared on Sample"),
+    ]
+    _, diags = validate_value([raw], listed, "v")
+    assert [(d.code, d.path, d.message) for d in diags] == expected
+    schema = ResolvedSchema(listed.arg("etype"), None, DefinitionRegistry(), {})
+    report = validate_dataset(schema, RawDataSection(sample_type="Sample", sample_path="$local", samples=[raw]))
+    assert [(d.code, d.path, d.message) for d in report.diagnostics] == [
+        (code, path.replace("v/0", "samples/0"), message) for code, path, message in expected
+    ]

@@ -130,14 +130,15 @@ def test_frozen_value_class(make, text):
     except TypeError:  # a frozen value holding a list or dict is unhashable, as a tuple holding one is
         pass
     else:
-        assert hashed == hash(b)
-    field = text[text.index("(") + 1:text.index("=")]
-    with pytest.raises(AttributeError):
-        setattr(a, field, None)
-    with pytest.raises(AttributeError):
-        delattr(a, field)
-    assert a == b
-    assert pickle.loads(pickle.dumps(a)) == a
+        assert hashed == hash(b) == hash(a._values())
+    for field in type(a).__match_args__:
+        with pytest.raises(AttributeError):
+            setattr(a, field, None)
+        with pytest.raises(AttributeError):
+            delattr(a, field)
+    assert a == b and repr(a) == text
+    copy = pickle.loads(pickle.dumps(a))
+    assert type(copy) is type(a) and copy == a and repr(copy) == text
 
 
 @pytest.mark.parametrize("make, text", _MUTABLE.values(), ids=list(_MUTABLE))
@@ -188,3 +189,4 @@ def test_class_domain_compares_and_shows_its_classes_only():
     assert len(built) == 1 and len(bare) == 0
     copy = pickle.loads(pickle.dumps(built))
     assert copy == built and lookup_class(copy, 1) == ref and lookup_class(built, 1) is ref
+
