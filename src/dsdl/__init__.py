@@ -57,8 +57,8 @@ _LAZY = {
     for home, names in {
         "locator": "AliasPath MediaClassRegistry ObjectId ObjectLocator RelativePath ResolutionEnvironment "
         "default_media_registry load_object parse_locator register_media_class resolve_locator",
-        "validation": "SampleCounts ValidationReport load_external_samples summarize_dataset validate_dataset "
-        "validate_label validate_value",
+        "validation": "SampleCounts ValidationReport iter_samples load_external_samples summarize_dataset "
+        "validate_dataset validate_label validate_value",
     }.items()
     for name in names.split()
 }

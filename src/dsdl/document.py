@@ -18,7 +18,7 @@ import re
 import sys
 from pathlib import Path
 
-from .diagnostics import DocumentError, echo, error
+from .diagnostics import DocumentError, echo, error, show_key
 from .slotted import Slotted
 
 LOCAL_PATH = "$local"
@@ -311,7 +311,7 @@ def _load_yaml(text: str, source: str | None) -> object:
     except RecursionError as exc:
         raise DocumentError(error("SYNTAX_ERROR", "", "malformed YAML: nesting is too deep", source)) from exc
     except _DuplicateKey as exc:
-        message = f"duplicate mapping key {exc.key!r} at line {exc.line}, column {exc.column}"
+        message = f"duplicate mapping key {show_key(exc.key)} at line {exc.line}, column {exc.column}"
         raise DocumentError(error("DUPLICATE_KEY", "", message, source)) from exc
     except yaml.MarkedYAMLError as exc:
         mark = exc.problem_mark
@@ -341,7 +341,7 @@ def _load_json(text: str, source: str | None) -> object:
     except RecursionError as exc:
         raise DocumentError(error("SYNTAX_ERROR", "", "malformed JSON: nesting is too deep", source)) from exc
     except _DuplicateKey as exc:
-        raise DocumentError(error("DUPLICATE_KEY", "", f"duplicate mapping key {exc.key!r}", source)) from exc
+        raise DocumentError(error("DUPLICATE_KEY", "", f"duplicate mapping key {show_key(exc.key)}", source)) from exc
     except json.JSONDecodeError as exc:
         message = f"malformed JSON: {exc.msg} at line {exc.lineno}, column {exc.colno}"
         raise DocumentError(error("SYNTAX_ERROR", "", message, source)) from exc
@@ -406,7 +406,7 @@ def _build_document(payload: dict, source: str | None, allow_version: bool) -> R
         raise DocumentError(error("VERSION_MISSING", "$dsdl-version", "missing required header $dsdl-version", source))
     version = str(version)
     if not _VERSION_RE.fullmatch(version) and not allow_version:
-        message = f"unsupported DSDL version {version!r} (accepted: 0.5.x)"
+        message = f"unsupported DSDL version {show_key(version)} (accepted: 0.5.x)"
         raise DocumentError(error("VERSION_UNSUPPORTED", "$dsdl-version", message, source))
 
     imports_raw = payload.get("$import", [])
@@ -425,7 +425,7 @@ def _build_document(payload: dict, source: str | None, allow_version: bool) -> R
         if not isinstance(key, str):
             raise DocumentError(error("MALFORMED_DEF", path, f"definition name must be a string, got {key!r}", source))
         if key in defs:
-            message = f"definition {key!r} appears twice in this file"
+            message = f"definition {show_key(key)} appears twice in this file"
             raise DocumentError(error("DUPLICATE_DEF", f"{path}/{key}", message, source))
         defs[key] = body
 
@@ -434,7 +434,7 @@ def _build_document(payload: dict, source: str | None, allow_version: bool) -> R
         if key in _KNOWN_DIRECTIVES:
             continue
         if isinstance(key, str) and key.startswith("$"):
-            message = f"reserved key {key!r} is not a DSDL directive"
+            message = f"reserved key {show_key(key)} is not a DSDL directive"
             raise DocumentError(error("UNKNOWN_DIRECTIVE", key, message, source))
         if key == "meta":
             continue

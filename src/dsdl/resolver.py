@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-from .diagnostics import Diagnostic, DocumentError, ResolutionError, echo, error, note, warning
+from .diagnostics import Diagnostic, DocumentError, ResolutionError, echo, error, note, show_key, warning
 from .document import RawDocument, parse_document, read_utf8
 from .schema import (
     BUILTINS,
@@ -149,7 +149,7 @@ def resolve_imports(
                     warning(
                         "IMPORT_OVERWRITE",
                         f"defs/{key}",
-                        f"definition {key!r} from {origins[key] or '<input>'} is overwritten by {origin or '<input>'}",
+                        f"definition {show_key(key)} from {origins[key] or '<input>'} is overwritten by {origin or '<input>'}",
                     )
                 )
                 del merged[key]  # re-insert to record the later position
@@ -362,7 +362,7 @@ def _bind_args(
             name = arg.key
             if name not in ordered_names:
                 raise ResolutionError(
-                    error("EXTRA_PARAM", path, f"{head} has no parameter {name!r}")
+                    error("EXTRA_PARAM", path, f"{head} has no parameter {show_key(name)}")
                 )
         if name in bound:
             raise ResolutionError(error("EXTRA_PARAM", path, f"{head}: parameter {name!r} bound twice"))
@@ -405,13 +405,13 @@ def _instantiate_closed(expr: TypeExpr, run: _Instantiation, path: str) -> Concr
             return _instantiate_struct(expr, entry, run, path)
         if isinstance(entry, ClassDomain):
             raise ResolutionError(
-                error("UNKNOWN_TYPE", path, f"{head!r} is a class domain, not a type")
+                error("UNKNOWN_TYPE", path, f"{show_key(head)} is a class domain, not a type")
             )
         if head in run.media_extensions:
             if expr.args:
                 raise ResolutionError(error("EXTRA_PARAM", path, f"{head} takes no arguments"))
             return ConcreteType(head, "media")
-        raise ResolutionError(error("UNKNOWN_TYPE", path, f"unknown type {head!r}"))
+        raise ResolutionError(error("UNKNOWN_TYPE", path, f"unknown type {show_key(head)}"))
     finally:
         run.depth -= 1
 
@@ -471,11 +471,11 @@ def _materialize(head: str, spec, value, run: _Instantiation, path: str):
         entry = run.registry.get(name)
         if entry is None:
             raise ResolutionError(
-                error("UNKNOWN_TYPE", path, f"{head}.{spec.name}: unknown class domain {name!r}")
+                error("UNKNOWN_TYPE", path, f"{head}.{spec.name}: unknown class domain {show_key(name)}")
             )
         if not isinstance(entry, ClassDomain):
             raise ResolutionError(
-                error("ARG_KIND", path, f"{head}.{spec.name}: {name!r} is not a class domain")
+                error("ARG_KIND", path, f"{head}.{spec.name}: {show_key(name)} is not a class domain")
             )
         return entry
     if spec.kind == "type-ref":

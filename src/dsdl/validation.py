@@ -27,6 +27,7 @@ import json
 import math
 import re
 from collections import Counter
+from itertools import islice
 from pathlib import Path
 
 from .diagnostics import (
@@ -864,58 +865,39 @@ class ValidationReport(Slotted):
         }
 
 
-def _check_samples(check, census, raws, strict: bool, max_errors: int | None, build: bool):
-    """The report and the counts of the raw samples ``raws``, each checked
-    by ``check``; each sample whose findings hold no error is then folded
-    into the counts by ``census``, unless it is None.
-
-    ``max_errors`` stops the checking once that many errors, and at least
-    one, are counted; the rest of ``raws`` is still drawn, so a stream
-    decodes to its end before the report is used.
-    """
-    report, counts = ValidationReport(), SampleCounts()
-    diags, samples, top = report.diagnostics, report.samples, (None, "samples")
-    limit = None if max_errors is None else max(max_errors, 1)
-    items = iter(raws)
-    count = errors_seen = 0
-    for raw in items:
-        start = len(diags)  # each sample appends its findings straight to the report's
-        value = check(raw, top, count, diags)
-        count += 1
-        if build:
-            samples.append(value)
-        if strict:
-            _strictly(diags, start)
-        errors = sum(1 for d in diags[start:] if d.severity is Severity.ERROR) if len(diags) != start else 0
-        if census is not None and not errors:
-            census(raw, counts)
-        if limit is not None:
-            errors_seen += errors
-            if errors_seen >= limit:
-                report.truncated = next(items, _ABSENT) is not _ABSENT
-                break
-    for _ in items:
-        pass
-    if not build:
-        report._unkept = count
-    return report, counts
-
-
-def _sample_report(check, census, data: RawDataSection, base, strict: bool, max_errors: int | None, build: bool):
-    """The report and the counts of the sample channel of ``data``: inline,
-    or its external file, which streams when it is JSON. A stream that
-    cannot go on is dropped, its counts with its findings, and the file is
-    read again whole."""
+def _raw_samples(data: RawDataSection, base):
+    """Each raw sample of ``data``, once and in order: inline, or from its
+    external file, which streams when it is JSON. A stream that cannot go on
+    hands over to the whole-file load at the sample it stopped at, which both
+    decode alike. A file that does not load raises its :class:`DsdlError`."""
     if data.sample_path == LOCAL_PATH:
-        return _check_samples(check, census, data.samples, strict, max_errors, build)
+        yield from data.samples
+        return
     full, text = _read_external(data.sample_path, base)
+    done = 0
     if full.suffix not in _YAML_SUFFIXES:
         try:
-            return _check_samples(check, census, _stream_samples(text), strict, max_errors, build)
+            for done, raw in enumerate(_stream_samples(text), 1):
+                yield raw
+            return
         except _Unstreamable:
-            pass  # the whole-file load below gives the finding, or reads what the stream does not
-    raws = _decode_external(full, text, data.sample_path, "samples")
-    return _check_samples(check, census, raws, strict, max_errors, build)
+            pass  # the whole-file load gives the finding, or reads what the stream does not
+    yield from islice(_decode_external(full, text, data.sample_path, "samples"), done, None)
+
+
+def iter_samples(schema: ResolvedSchema, data: RawDataSection | None, base: str | Path = ".", *, strict: bool = False):
+    """Each sample of ``data`` as ``(index, value, diagnostics)``, checked as
+    :func:`validate_dataset` checks it; ``value`` is ``None`` when the sample is
+    unusable. No sample is kept and global info is not read. A section that
+    breaks a rule of a ``data`` section raises :class:`DocumentError` before any
+    sample; a sample file that does not load raises the :class:`DsdlError` of
+    ``validate_dataset``'s finding, a streamed one after the samples before its fault.
+    """
+    data = check_data_section(data or RawDataSection())
+    if schema.sample_type is not None and data.sample_path is not None:
+        check, top = _checker(schema.sample_type), (None, "samples")
+        for index, raw in enumerate(_raw_samples(data, base)):
+            yield (index, *_run(check, raw, top, index, strict))
 
 
 def validate_dataset(
@@ -942,9 +924,10 @@ def validate_dataset(
     diagnostics and ``truncated`` are those of the building run. Either
     way an external JSON sample file that opens with ``{"samples": [`` is
     decoded one sample at a time, and its findings count once the whole
-    text has decoded; any other file is loaded whole.
+    text has decoded; any other file, or the rest of a stream that cannot
+    go on, is loaded whole.
     """
-    return _validate(schema, data, base, strict, max_errors, build, False)[0]
+    return _fold(schema, data, base, strict, max_errors, build, False)[0]
 
 
 def summarize_dataset(
@@ -962,28 +945,45 @@ def summarize_dataset(
     with ``strict`` applied, hold no error; no sample is kept. Global
     info is not counted.
     """
-    return _validate(schema, data, base, strict, max_errors, False, True)
+    return _fold(schema, data, base, strict, max_errors, False, True)
 
 
-def _validate(schema: ResolvedSchema, data, base, strict: bool, max_errors, build: bool, count: bool):
-    """The body of ``validate_dataset`` and ``summarize_dataset``: the report,
-    and the counts of the samples when ``count`` is set."""
+def _fold(schema: ResolvedSchema, data, base, strict: bool, max_errors, build: bool, count: bool):
+    """The report of ``validate_dataset``, and the counts of ``summarize_dataset``
+    when ``count`` is set, from one loop over ``_raw_samples`` that appends each
+    sample's findings straight to the report's and counts each sample with no
+    error. A stream decodes to its end, after ``max_errors`` too, before the report is used."""
     report, counts = ValidationReport(), SampleCounts()
-    if data is None:
-        return report, counts
     try:
-        data = check_data_section(data)
+        data = check_data_section(data or RawDataSection())
     except DocumentError as exc:
-        report.diagnostics.append(exc.diagnostic)
-        return report, counts
+        return ValidationReport(diagnostics=[exc.diagnostic]), counts
 
     if schema.sample_type is not None and data.sample_path is not None:
         check = _checker(schema.sample_type, build)
         census = _census(schema.sample_type) if count else None
+        diags, samples, top = report.diagnostics, report.samples, (None, "samples")
+        limit = _INF if max_errors is None else max(max_errors, 1)
+        items, index, errors_seen = _raw_samples(data, base), 0, 0
         try:
-            report, counts = _sample_report(check, census, data, base, strict, max_errors, build)
-        except DsdlError as exc:
-            report.diagnostics.append(exc.diagnostic)
+            for raw in items:
+                start = len(diags)
+                value = check(raw, top, index, diags)
+                index += 1
+                if build:
+                    samples.append(value)
+                if strict:
+                    _strictly(diags, start)
+                errors = sum(1 for d in diags[start:] if d.severity is Severity.ERROR) if len(diags) != start else 0
+                if census is not None and not errors:
+                    census(raw, counts)
+                errors_seen += errors
+                if errors_seen >= limit:
+                    report.truncated = sum(1 for _ in items) > 0  # draws the rest, so a stream decodes to its end
+                    break
+            report._unkept = 0 if build else index
+        except DsdlError as exc:  # the file does not load: the channel's report is that one finding
+            report, counts = ValidationReport(diagnostics=[exc.diagnostic]), SampleCounts()
 
     if schema.global_info_type is not None and data.global_info_path is not None:
         try:

@@ -988,46 +988,111 @@ def test_a_finding_on_an_over_long_sample_value_echoes_it_cut_short(tmp_path):
     assert max(len(line) for line in out.splitlines() if " FIELD_UNKNOWN " not in line) < _LINE_BOUND
 
 
+def _described(defs=None, sample_type="Int", **keys) -> dict:
+    """A JSON description with ``defs``, the top-level ``keys`` and one sample of ``sample_type``."""
+    return {"$dsdl-version": "0.5.0", **keys, "defs": defs or {}, "data": {"sample-type": sample_type, "samples": [1]}}
+
+
+_LONG_SHOWN = echo(_TOO_LONG, show=repr)
+_DOMAIN = {"$def": "class_domain", "classes": ["a"]}
+
+
 @pytest.mark.parametrize(
-    "defs, code, path, message",
+    "document, code, path, message",
     [
         (
-            {"D": {"$def": "class_domain", "classes": [_TOO_LONG, "b", _TOO_LONG]}},
-            "MALFORMED_DEF", "defs/D/classes/2", f"duplicate class path {echo(_TOO_LONG, show=repr)}",
+            _described({"D": {"$def": "class_domain", "classes": [_TOO_LONG, "b", _TOO_LONG]}}),
+            "MALFORMED_DEF", "defs/D/classes/2", f"duplicate class path {_LONG_SHOWN}",
         ),
         (
-            {"S": {"$def": "struct", "$fields": {"n": "Int"}, _TOO_LONG: 1}},
-            "DEF_UNKNOWN_KEY", f"defs/S/{_TOO_LONG}", f"unrecognized struct key {echo(_TOO_LONG, show=repr)}",
+            _described({"S": {"$def": "struct", "$fields": {"n": "Int"}, _TOO_LONG: 1}}),
+            "DEF_UNKNOWN_KEY", f"defs/S/{_TOO_LONG}", f"unrecognized struct key {_LONG_SHOWN}",
         ),
         (
-            {"D": {"$def": "class_domain", "classes": ["a"], _TOO_LONG: 1}},
-            "DEF_UNKNOWN_KEY", f"defs/D/{_TOO_LONG}", f"unrecognized class_domain key {echo(_TOO_LONG, show=repr)}",
+            _described({"D": {"$def": "class_domain", "classes": ["a"], _TOO_LONG: 1}}),
+            "DEF_UNKNOWN_KEY", f"defs/D/{_TOO_LONG}", f"unrecognized class_domain key {_LONG_SHOWN}",
         ),
         (
-            {"D": {"$def": "class_domain", "classes": ["a", f"{_TOO_LONG}..b"]}},
+            _described({"D": {"$def": "class_domain", "classes": ["a", f"{_TOO_LONG}..b"]}}),
             "MALFORMED_DEF", "defs/D/classes/1", f"malformed class path {echo(f'{_TOO_LONG}..b', show=repr)}",
         ),
         (
-            {"D": {"$def": "class_domain", "classes": ["a", f"b.{_TOO_LONG}!"]}},
+            _described({"D": {"$def": "class_domain", "classes": ["a", f"b.{_TOO_LONG}!"]}}),
             "CLASS_NAME_SYNTAX", "defs/D/classes/1", f"class name segment {echo(f'{_TOO_LONG}!', show=repr)} is not an identifier",
         ),
         (
-            {"T": {"$def": _TOO_LONG}},
-            "UNKNOWN_DEF_KIND", "defs/T", f"unknown $def value {echo(_TOO_LONG, show=repr)} (expected struct or class_domain)",
+            _described({"T": {"$def": _TOO_LONG}}),
+            "UNKNOWN_DEF_KIND", "defs/T", f"unknown $def value {_LONG_SHOWN} (expected struct or class_domain)",
+        ),
+        (_described(sample_type=_TOO_LONG), "UNKNOWN_TYPE", "data/sample-type", f"unknown type {_LONG_SHOWN}"),
+        (
+            _described({_TOO_LONG: _DOMAIN}, _TOO_LONG),
+            "UNKNOWN_TYPE", "data/sample-type", f"{_LONG_SHOWN} is a class domain, not a type",
+        ),
+        (
+            _described(sample_type=f"Label[dom={_TOO_LONG}]"),
+            "UNKNOWN_TYPE", "data/sample-type", f"Label.dom: unknown class domain {_LONG_SHOWN}",
+        ),
+        (
+            _described({_TOO_LONG: {"$def": "struct", "$fields": {"n": "Int"}}}, f"Label[dom={_TOO_LONG}]"),
+            "ARG_KIND", "data/sample-type", f"Label.dom: {_LONG_SHOWN} is not a class domain",
+        ),
+        (
+            _described({"D": _DOMAIN}, f"Label[{_TOO_LONG}=D]"),
+            "EXTRA_PARAM", "data/sample-type", f"Label has no parameter {_LONG_SHOWN}",
+        ),
+        (
+            _described(**{"$" + _TOO_LONG: 1}),
+            "UNKNOWN_DIRECTIVE", "$" + _TOO_LONG, f"reserved key {echo('$' + _TOO_LONG, show=repr)} is not a DSDL directive",
+        ),
+        (
+            _described({_TOO_LONG: _DOMAIN}, **{_TOO_LONG: _DOMAIN}),
+            "DUPLICATE_DEF", f"defs/{_TOO_LONG}", f"definition {_LONG_SHOWN} appears twice in this file",
+        ),
+        (
+            _described(**{"$dsdl-version": _TOO_LONG}),
+            "VERSION_UNSUPPORTED", "$dsdl-version", f"unsupported DSDL version {_LONG_SHOWN} (accepted: 0.5.x)",
+        ),
+        (
+            '{"$dsdl-version": "0.5.0", "%s": 1, "%s": 2}' % (_TOO_LONG, _TOO_LONG),
+            "DUPLICATE_KEY", "", f"duplicate mapping key {_LONG_SHOWN}",
+        ),
+        (
+            # a YAML implicit key holds at most 1024 characters, so these keys are explicit
+            '$dsdl-version: "0.5.0"\n? %s\n: 1\n? %s\n: 2\n' % (_TOO_LONG, _TOO_LONG),
+            "DUPLICATE_KEY", "", f"duplicate mapping key {_LONG_SHOWN} at line 4, column 3",
         ),
     ],
-    ids=["duplicate-class", "struct-key", "class-domain-key", "malformed-class", "class-segment", "def-kind"],
+    ids=[
+        "duplicate-class", "struct-key", "class-domain-key", "malformed-class", "class-segment", "def-kind",
+        "unknown-type", "domain-as-type", "unknown-domain", "not-a-domain", "type-parameter", "directive",
+        "duplicate-def", "version", "json-duplicate-key", "yaml-duplicate-key",
+    ],
 )
-def test_a_finding_on_over_long_description_text_echoes_it_cut_short(tmp_path, defs, code, path, message):
-    target = tmp_path / "d.json"
-    data = {"sample-type": "Int", "samples": [1]}
-    target.write_text(json.dumps({"$dsdl-version": "0.5.0", "defs": defs, "data": data}))
+def test_a_finding_on_over_long_description_text_echoes_it_cut_short(tmp_path, document, code, path, message):
+    """``document`` is a description, or the text of one: JSON when it opens with a brace, else YAML."""
+    if isinstance(document, dict):
+        document = json.dumps(document)
+    target = tmp_path / ("d.json" if document.startswith("{") else "d.yaml")
+    target.write_text(document)
     _, out, err = run_cli("validate", "--format", "json", str(target))
     assert err == ""
     found = {d["code"]: (d["path"], d["message"]) for d in json.loads(out)["diagnostics"]}
     # the path is an address, so it stays whole; the message is one short line
     assert found[code] == (path, message)
     assert len(message) < _LINE_BOUND
+
+
+def test_an_imported_definition_overwritten_under_an_over_long_name_echoes_it_cut_short(tmp_path):
+    struct = {"$def": "struct", "$fields": {"n": "Int"}}
+    (tmp_path / "lib.json").write_text(json.dumps({"$dsdl-version": "0.5.0", "defs": {_TOO_LONG: struct}}))
+    target = tmp_path / "d.json"
+    target.write_text(json.dumps(_described({_TOO_LONG: struct}, **{"$import": ["lib"]})))
+    code, out, err = run_cli("validate", "--format", "json", str(target))
+    assert (code, err) == (0, "")
+    [found] = json.loads(out)["diagnostics"]
+    assert (found["code"], found["path"]) == ("IMPORT_OVERWRITE", f"defs/{_TOO_LONG}")
+    assert found["message"].startswith(f"definition {_LONG_SHOWN} from ") and len(found["message"]) < _LINE_BOUND
 
 
 def test_a_usage_failure_is_one_short_printable_stderr_line(tmp_path):

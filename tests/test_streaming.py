@@ -12,8 +12,9 @@ import tracemalloc
 
 import pytest
 
-from dsdl import parse_document, resolve_schema, validate_dataset
+from dsdl import DsdlError, iter_samples, parse_document, resolve_schema, validate_dataset
 from dsdl import validation
+from dsdl.validation import Record
 
 
 def _whole_file_only(text):
@@ -88,6 +89,23 @@ def test_streaming_equals_the_whole_file_load(tmp_path, library_env, monkeypatch
     monkeypatch.setattr(validation, "_stream_samples", _whole_file_only)
     expected = [_outcome(validate_dataset(schema, data, base=tmp_path, **run)) for run in runs]
     assert got == expected
+
+
+def test_iter_samples_yields_the_samples_before_a_fault_then_raises_its_finding(tmp_path, library_env):
+    """A stream that stops at a malformed element has yielded the samples
+    before it; the iterator then raises the finding ``validate_dataset``
+    reports for the file."""
+    (tmp_path / "s.json").write_text(_CASES["stop, then a malformed element"][0], encoding="utf-8")
+    schema, data = _schema(library_env, "S")
+    [finding] = validate_dataset(schema, data, base=tmp_path).diagnostics
+    assert finding.code == "SYNTAX_ERROR"
+    samples = iter_samples(schema, data, base=tmp_path)
+    (first, value, found), second = next(samples), next(samples)
+    assert (first, value, [(d.code, d.path) for d in found]) == (0, Record("S", {"n": None}), [("TYPE_MISMATCH", "samples/0/n")])
+    assert second == (1, Record("S", {"n": 1}), [])
+    with pytest.raises(DsdlError) as raised:
+        next(samples)
+    assert raised.value.diagnostic == finding
 
 
 def test_a_stream_stopped_by_max_errors_is_truncated_only_when_samples_remain(tmp_path, library_env):

@@ -27,6 +27,7 @@ from dsdl import (
     LibraryEnvironment,
     SampleCounts,
     default_media_registry,
+    iter_samples,
     parse_document,
     resolve_schema,
     summarize_dataset,
@@ -191,8 +192,10 @@ _STREAMED = {
 
 @pytest.mark.parametrize("max_errors", [None, 1])
 def test_a_stream_that_falls_back_counts_each_sample_once(tmp_path, monkeypatch, max_errors):
-    """A stream that stops part-way drops its counts with its findings; the
-    whole-file load then counts every sample once."""
+    """A stream that stops part-way hands over to the whole-file load at the
+    sample it stopped at, so every sample is checked and counted once: the
+    summary, both modes of ``validate_dataset`` and ``iter_samples`` read as
+    when the stream runs to its end."""
     text = (
         '$dsdl-version: "0.5.0"\n'
         "defs:\n"
@@ -222,6 +225,36 @@ def test_a_stream_that_falls_back_counts_each_sample_once(tmp_path, monkeypatch,
         monkeypatch.setattr(validation, "_stream_samples", stops_after(k))
         assert summarize_dataset(schema, doc.data, base=tmp_path, max_errors=max_errors) == expected
     assert fell_back == list(range(len(_STREAMED["samples"])))
+
+    def runs():
+        """The sample keys that each call checks, and what the calls return."""
+        checker, checked = validation._checker, []
+
+        def counting(ctype, build=True):
+            check = checker(ctype, build)
+            if ctype is not schema.sample_type:
+                return check
+            keys = []
+            checked.append(keys)
+
+            def counted(raw, parent, key, diags):
+                keys.append(key)
+                return check(raw, parent, key, diags)
+
+            return counted
+
+        monkeypatch.setattr(validation, "_checker", counting)
+        reports = [validate_dataset(schema, doc.data, base=tmp_path, max_errors=max_errors, build=b) for b in (True, False)]
+        return checked, reports, list(iter_samples(schema, doc.data, base=tmp_path))
+
+    monkeypatch.setattr(validation, "_stream_samples", stream)
+    _, reports, samples = runs()
+    assert [index for index, _, _ in samples] == list(range(len(_STREAMED["samples"])))
+    for k in range(len(_STREAMED["samples"])):
+        monkeypatch.setattr(validation, "_stream_samples", stops_after(k))
+        checked, *got = runs()
+        assert got == [reports, samples]
+        assert len(checked) == 3 and all(keys == list(range(len(keys))) for keys in checked), (k, checked)
 
 
 def _cli(*argv: str) -> tuple[int, str]:

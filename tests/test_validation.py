@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dsdl import (
     instantiate_type,
+    iter_samples,
     load_external_samples,
     parse_type_expression,
     validate_dataset,
@@ -937,9 +938,10 @@ def test_each_shape_is_one_closure_in_both_modes(registry):
 def test_check_only_dataset_matches_building_dataset():
     """Every corpus description, with each CLI flag set: ``build=False``
     gives the building run's count, findings and truncation, and keeps no
-    value."""
+    value. Without ``max_errors``, ``iter_samples`` yields the building
+    run's values and, in order, the findings of its sample channel."""
     from conftest import CORPUS_FILES, load_corpus_doc
-    from dsdl import LibraryEnvironment, resolve_schema
+    from dsdl import LibraryEnvironment, RawDataSection, resolve_schema
 
     for rel in CORPUS_FILES:
         doc, path = load_corpus_doc(rel)
@@ -950,6 +952,15 @@ def test_check_only_dataset_matches_building_dataset():
             assert checked.to_jsonable() == built.to_jsonable(), (rel, flags)
             assert (checked.samples, checked.global_info) == ([], None)
             assert built.sample_count == len(built.samples) > 0
+            if "max_errors" in flags:
+                continue
+            # the same section without its global-info channel
+            samples_only = RawDataSection(doc.data.sample_type, doc.data.sample_path, doc.data.samples)
+            channel = validate_dataset(schema, samples_only, base=path.parent, **flags).diagnostics
+            yielded = list(iter_samples(schema, doc.data, base=path.parent, **flags))
+            assert [index for index, _, _ in yielded] == list(range(built.sample_count)), (rel, flags)
+            assert [value for _, value, _ in yielded] == built.samples, (rel, flags)
+            assert [d for _, _, found in yielded for d in found] == channel, (rel, flags)
 
 
 # -- hand-built data sections ----------------------------------------------------------------------
@@ -997,6 +1008,12 @@ def test_a_hand_built_data_section_gives_the_parsed_finding(library_env, section
             (Severity.ERROR, code, path, message)
         ]
         assert report.sample_count == 0
+    # iter_samples raises that finding before it yields anything
+    samples = iter_samples(schema, RawDataSection(**section))
+    with pytest.raises(DocumentError) as raised:
+        next(samples)
+    assert raised.value.diagnostic == report.diagnostics[0]
+    assert list(samples) == []
 
 
 # -- paths ---------------------------------------------------------------------------------------
