@@ -85,20 +85,23 @@ def _core_int(text: str) -> int:
     return value
 
 
-_CORE_FLOAT = r"[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)([eE][-+]?[0-9]+)?|[-+]?\.(inf|Inf|INF)|\.(nan|NaN|NAN)"
-
-# YAML 1.2 core-schema plain scalars: tag, pattern, possible first characters, value.
-# No yes/no/on/off booleans, sexagesimal numbers or leading-zero octals.
+# YAML 1.2 core-schema plain scalars, tried in order: name, tag, pattern, first characters (the number rows share
+# theirs, so they share their patterns), value. No yes/no/on/off booleans, sexagesimal numbers or leading-zero octals.
+_NUMERIC = "-+.0123456789"
 _CORE_SCALARS = [
-    ("null", r"~|null|Null|NULL|", [*"~nN", ""], lambda text: None),
-    ("bool", r"true|True|TRUE|false|False|FALSE", "tTfF", lambda text: text[0] in "tT"),
-    ("int", _CORE_INT_RE.pattern, "-+0123456789", _core_int),
+    ("null", "null", r"~|null|Null|NULL|", [*"~nN", ""], lambda text: None),
+    ("bool", "bool", r"true|True|TRUE|false|False|FALSE", "tTfF", lambda text: text[0] in "tT"),
+    ("decimal", "int", r"[-+]?[0-9]+", _NUMERIC, int),
+    ("octal_hex", "int", r"0o[0-7]+|0x[0-9a-fA-F]+", _NUMERIC, _core_int),
+    ("float", "float", r"[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)([eE][-+]?[0-9]+)?", _NUMERIC, float),
     # float() reads ".inf" and ".nan" without their dot
-    ("float", _CORE_FLOAT, "-+0123456789.", lambda t: float(t.replace(".", "", 1) if t[-1] in "fFnN" else t)),
+    ("inf_nan", "float", r"[-+]?\.(inf|Inf|INF)|\.(nan|NaN|NAN)", _NUMERIC, lambda text: float(text.replace(".", "", 1))),
 ]
 # PyYAML's resolver table: first character -> [(tag, pattern)], filled by _yaml()
 _CORE_RESOLVERS: dict[str, list] = {}
-_CORE_VALUES = {f"tag:yaml.org,2002:{name}": value for name, _, _, value in _CORE_SCALARS}
+# first character -> match() of its rows as named alternatives, filled by _yaml()
+_CORE_MATCH: dict[str, object] = {}
+_CORE_VALUES = {name: value for name, _, _, _, value in _CORE_SCALARS}
 
 
 class _CoreRules:
@@ -147,15 +150,21 @@ yaml = None  # PyYAML, once _yaml() has imported it
 
 
 def _yaml():
-    """PyYAML, imported on the first call, which also builds ``_CoreLoader``
-    and its resolver table."""
+    """PyYAML, imported on the first call, which also builds ``_CoreLoader``,
+    its resolver table and the event loop's ``_CORE_MATCH``."""
     global yaml, _CoreLoader
     if yaml is None:
         import yaml as module
 
-        for name, regexp, first, _ in _CORE_SCALARS:
+        by_first: dict[str, dict] = {}  # first character -> tag -> name -> pattern, in row order
+        for name, tag, regexp, first, _ in _CORE_SCALARS:
             for ch in first:
-                _CORE_RESOLVERS.setdefault(ch, []).append((f"tag:yaml.org,2002:{name}", re.compile(f"^(?:{regexp})$")))
+                by_first.setdefault(ch, {}).setdefault(tag, {})[name] = regexp
+        for ch, tags in by_first.items():  # re's cache compiles each distinct pattern once
+            named = "|".join(f"(?P<{name}>{regexp})" for rows in tags.values() for name, regexp in rows.items())
+            _CORE_MATCH[ch] = re.compile(f"(?:{named})$").match
+            resolvers = [(f"tag:yaml.org,2002:{tag}", "|".join(rows.values())) for tag, rows in tags.items()]
+            _CORE_RESOLVERS[ch] = [(tag, re.compile(f"^(?:{regexp})$")) for tag, regexp in resolvers]
 
         _CoreLoader = type("_CoreLoader", (_CoreRules, module.SafeLoader), {})
         _CoreLoader.add_constructor(
@@ -178,6 +187,7 @@ def _load_core(text: str) -> object:
 
 
 _MAX_DEPTH = 100  # open collections the event loop builds before it only counts them
+_NO_KEY = object()  # the pending key of a mapping that waits for its next key
 
 
 class _NotTaken(Exception):
@@ -210,9 +220,10 @@ def _count_past_max_depth(get) -> None:
 def _load_events(text: str) -> object:
     """Build the value of ``text`` in one loop over libyaml's parser events.
 
-    Open lists and dicts, and a dict's pending key, sit on the loop's
-    own stack: nesting costs no Python recursion. Plain scalars resolve
-    through the core-schema table; quoted and block scalars are ``str``.
+    The open list or dict and its pending key are two locals, pushed on the
+    loop's own stack as a collection opens: nesting costs no recursion. A plain
+    scalar resolves with one match, from the core-schema rows that also make
+    :class:`_CoreLoader`'s resolvers, and no memo; quoted and block scalars are ``str``.
     Any tag (a bare ``!`` too), anchor or alias, a non-scalar or
     repeated key, a second document, nesting deeper than ``_MAX_DEPTH``
     and any libyaml exception leave the whole text to :class:`_CoreLoader`,
@@ -222,13 +233,14 @@ def _load_events(text: str) -> object:
     yaml = _yaml()
     if not yaml.__with_libyaml__:
         return _load_core(text)
+    match_plain, convert, no_key = _CORE_MATCH.get, _CORE_VALUES, _NO_KEY
     try:
         get = yaml.cyaml.CParser(text).get_event
         get()  # stream start
         if type(get()) is yaml.StreamEndEvent:
             return None
-        stack: list = []
-        depth = 0
+        stack: list = []  # (node, key) of each enclosing collection
+        node, key = None, no_key
         while True:
             event = get()
             kind = type(event)
@@ -237,35 +249,32 @@ def _load_events(text: str) -> object:
                     raise _NotTaken
                 value = event.value
                 if event.implicit[0]:
-                    for tag, regexp in _CORE_RESOLVERS.get(value[:1], ()):
-                        if regexp.match(value):
-                            value = _CORE_VALUES[tag](value)
-                            break
+                    match = match_plain(value[:1])
+                    if match is not None and (found := match(value)) is not None:
+                        value = convert[found.lastgroup](value)
             elif kind is yaml.MappingStartEvent or kind is yaml.SequenceStartEvent:
                 if event.tag is not None or event.anchor is not None:
                     raise _NotTaken
-                if depth == _MAX_DEPTH:
+                if len(stack) == _MAX_DEPTH:
                     _count_past_max_depth(get)
-                stack.append({} if kind is yaml.MappingStartEvent else [])
-                depth += 1
+                stack.append((node, key))
+                node, key = {} if kind is yaml.MappingStartEvent else [], no_key
                 continue
             elif kind is yaml.MappingEndEvent or kind is yaml.SequenceEndEvent:
-                value = stack.pop()
-                depth -= 1
+                value = node
+                node, key = stack.pop()
             else:
                 raise _NotTaken  # an alias
-            if not stack:
-                break
-            top = stack[-1]
-            if type(top) is list:
-                top.append(value)
-            elif type(top) is dict:
-                if value in top:  # a list or dict key raises TypeError: unhashable
-                    raise _NotTaken  # the key rule of _CoreLoader.construct_mapping
-                stack.append(value)
+            if type(node) is list:
+                node.append(value)
+            elif key is not no_key:
+                node[key], key = value, no_key
+            elif node is None:
+                break  # the document's value
+            elif value in node:  # a list or dict key raises TypeError: unhashable
+                raise _NotTaken  # the key rule of _CoreLoader.construct_mapping
             else:
-                stack.pop()
-                stack[-1][top] = value
+                key = value
         get()  # document end
         if type(get()) is not yaml.StreamEndEvent:
             raise _NotTaken  # a second document

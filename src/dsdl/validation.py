@@ -383,6 +383,15 @@ def _is_point(item) -> bool:
 
 def _polygon(raw, parent, key, diags):
     """One ring of ``[x, y]`` points, or a list of rings."""
+    if type(raw) is list and len(raw) >= 3:
+        ring = []
+        for point in raw:
+            x, y = point if type(point) is list and len(point) == 2 else (None, None)
+            if not (type(x) in _NUMBER and type(y) in _NUMBER and -_INF < x < _INF and -_INF < y < _INF):
+                break
+            ring.append((x, y))
+        else:
+            return (tuple(ring),)
     if not isinstance(raw, list):
         return _fail(diags, "TYPE_MISMATCH", parent, key, f"Polygon must be a list, got {_type_name(raw)}")
     if not raw:

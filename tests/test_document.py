@@ -1,6 +1,7 @@
 """Description-file parsing: structure, headers, reserved keys."""
 
 import sys
+from unittest import mock
 
 import pytest
 import yaml
@@ -11,7 +12,7 @@ from dsdl.diagnostics import DocumentError, DsdlError
 from dsdl.document import _MAX_DEPTH, _CoreLoader, _DuplicateKey, _load_events, _load_yaml
 from dsdl.validation import load_external_samples
 
-from conftest import CORPUS
+from conftest import CORPUS, load_perfbench
 
 GET_STARTED_JSON = (CORPUS / "get-started.json").read_text()
 GET_STARTED_YAML = (CORPUS / "get-started.yaml").read_text()
@@ -220,13 +221,22 @@ def test_fast_loader_matches_pure_python_loader_on_shipped_yaml(path):
 
 
 @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
-def test_shipped_yaml_never_needs_the_pure_python_loader(monkeypatch):
+def test_shipped_yaml_never_needs_the_pure_python_loader(monkeypatch, tmp_path):
+    """The corpus, the library and the benchmark's yaml-inline files, whose
+    full description the pure-Python loader parses over ten times slower."""
+    gen, generated = load_perfbench("gen"), []
+    for seed in (1, 2, 3):
+        for size in ("tiny", "full"):
+            out = tmp_path / f"{size}-{seed}"
+            gen.generate("yaml-inline", seed, out, size=size)
+            generated += sorted(out.glob("*.yaml"))
+
     class _Refuse(_CoreLoader):
         def __init__(self, stream):
             raise AssertionError("fell back to the pure-Python loader")
 
     monkeypatch.setattr("dsdl.document._CoreLoader", _Refuse)
-    for path in _YAML_FILES:
+    for path in _YAML_FILES + generated:
         _load_yaml(path.read_text(encoding="utf-8"), str(path))
 
 
@@ -317,6 +327,67 @@ def test_event_loop_agrees_with_the_pure_python_loader(monkeypatch, text, leaves
     monkeypatch.setattr("dsdl.document._CoreLoader", _Recording)
     assert _outcome(text) == _reference_outcome(text)
     assert bool(parsed) == (leaves or not yaml.__with_libyaml__)
+
+
+# plain scalars in each core-schema form, and words that begin like one
+_FORMS = [
+    "~", "null", "NULL", "true", "False", "012", "-0", "+7", "0o17", "0x1F", "1.", ".5", "1e3", "-.inf", ".NaN",
+    "no", "nan", "nulls", "t", "tRUE", "f", "falsy", "0x", "0xG", "0o8",
+]
+_FORM_VALUES = {form: yaml.load(form, Loader=_CoreLoader) for form in _FORMS}
+
+
+def _pairs(values, min_size: int):
+    # keys unique as a dict counts them: 1, 1. and true are one key
+    keys = st.sampled_from(_FORMS)
+    return st.lists(st.tuples(keys, values), min_size=min_size, max_size=3, unique_by=lambda kv: _FORM_VALUES[kv[0]])
+
+
+def _flow(depth: int):
+    """A flow list or mapping, ``depth`` levels deep at most, on one line."""
+    inner = st.sampled_from(_FORMS)
+    if depth > 1:
+        inner = inner | _flow(depth - 1)
+    return st.one_of(
+        st.lists(inner, max_size=3).map(lambda items: f"[{', '.join(items)}]"),
+        _pairs(inner | st.just(""), 0).map(lambda pairs: "{" + ", ".join(f"{k}: {v}" for k, v in pairs) + "}"),
+    )
+
+
+def _block(depth: int):
+    """The lines of a block list or mapping, ``depth`` levels deep at most."""
+    child = st.sampled_from(["", *_FORMS]).map(lambda text: (text, []))
+    if depth > 1:
+        child |= _flow(depth - 1).map(lambda text: (text, [])) | _block(depth - 1).map(lambda lines: ("", lines))
+
+    def lines(head: str, text: str, nested: list) -> list:
+        return [f"{head} {text}".rstrip(), *(f"  {line}" for line in nested)]
+
+    return st.one_of(
+        st.lists(child, min_size=1, max_size=3).map(lambda items: [line for c in items for line in lines("-", *c)]),
+        _pairs(child, 1).map(lambda pairs: [line for k, c in pairs for line in lines(f"{k}:", *c)]),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_block(4).map("\n".join) | _flow(4))
+@example("[-0, 012, +7, 0o17, 0x1F, 0xG, 1., .5, 1e3, -.inf, .NaN, nan, ~, null, NULL, true, False, no]")
+@example("-0: 012\n1.:\n~: [0x1F, {.NaN: -.inf, 0o17: }]\n")
+def test_event_loop_resolves_plain_scalars_as_the_pure_python_loader(text):
+    """Valid documents of every core-schema form in block and flow
+    collections: the event loop builds them alone, and each value and its
+    type match the pure-Python loader's."""
+    parsed = []
+
+    class _Recording(_CoreLoader):
+        def __init__(self, stream):
+            parsed.append(stream)
+            super().__init__(stream)
+
+    with mock.patch("dsdl.document._CoreLoader", _Recording):
+        value = _load_events(text)
+    assert bool(parsed) == (not yaml.__with_libyaml__)
+    assert repr(value) == repr(yaml.load(text, Loader=_CoreLoader))
 
 
 @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")

@@ -848,6 +848,8 @@ _VALUES = st.recursive(
     ),
     max_leaves=12,
 )
+# lists of short number lists: polygon rings and near misses
+_POINTS = st.lists(st.lists(_NUMBERS, min_size=1, max_size=3), max_size=5)
 
 
 def test_differential_types_cover_every_builtin_shape():
@@ -858,7 +860,7 @@ def test_differential_types_cover_every_builtin_shape():
 
 
 @settings(max_examples=300, deadline=None)
-@given(_VALUES | st.lists(_NUMBERS, max_size=9))
+@given(_VALUES | st.lists(_NUMBERS, max_size=9) | _POINTS | st.lists(_POINTS, max_size=3))
 @example([0, math.inf, 1, 1])
 @example([0, 0, -0.0, 10**400])
 @example([0, 0, math.nan, 1])
@@ -869,6 +871,15 @@ def test_differential_types_cover_every_builtin_shape():
 @example([640.0, 480])
 @example([10**400, 1])
 @example([[0, 0], [1, 0], [1, math.inf]])
+# each way out of the Polygon fast path, and an int it accepts
+@example([[0, 0], [True, 0], [1, 1]])
+@example([[0, 0], [1, 0], [1, _Float(1.0)]])
+@example([[0, 0], [math.nan, 0], [1, 1]])
+@example([[0, 0], [1, 0], [-math.inf, 1]])
+@example([[0, 0], [1, 0]])
+@example([[0, 0], [1, 0, 2], [1, 1]])
+@example([[[0, 0], [1, 0], [1, 1]], [[0, 0], [2, 0], [2, 2]]])
+@example([[0, 0], [1, 0], [10**400, 1]])
 @example(_Float("inf"))
 @example(10**400)
 @example(True)
