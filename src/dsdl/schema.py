@@ -30,10 +30,11 @@ _SEGMENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _SEGMENT_ANNOT_RE = re.compile(r"(?P<name>[^\[\]]+)(\[(?P<parent>[^\]]+)\])?")
 # a whole dotted path of plain identifiers: no annotation, no warning
 _PLAIN_PATH_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*")
-# plain dotted paths joined by newlines; ``re`` keeps backtracking state for
-# every segment of one match, so a class list is matched in blocks of
-# ``_PLAIN_BLOCK`` classes to bound the memory of each match
-_PLAIN_BLOCK_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:[.\n][A-Za-z_][A-Za-z0-9_]*)*")
+# the bytes of plain dotted paths, and a segment after a dot that is empty or
+# begins with a digit; a class list is checked in blocks of ``_PLAIN_BLOCK``
+# classes to bound the joined text and its byte copy
+_PLAIN_BYTES = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_."
+_PLAIN_GAP_RE = re.compile(r"\.[0-9.]")
 _PLAIN_BLOCK = 256
 
 
@@ -398,14 +399,15 @@ def _class_texts(items: list, path: str, source: str | None, diags: list[Diagnos
 
 
 def _all_plain(items: list) -> bool:
-    """Whether every item is a plain dotted identifier, tested with one match
-    per block of classes joined by newlines; a block holding more newlines
-    than it has joins has an item with a newline, which is not plain."""
+    """Whether every item is a plain dotted identifier: each block of classes,
+    joined by dots, is ASCII of identifier bytes and dots, begins with no
+    digit or dot, ends with no dot and has no dot before a digit or dot."""
     try:
         for start in range(0, len(items), _PLAIN_BLOCK):
-            block = items[start:start + _PLAIN_BLOCK]
-            text = "\n".join(block)
-            if text.count("\n") != len(block) - 1 or not _PLAIN_BLOCK_RE.fullmatch(text):
+            text = ".".join(items[start:start + _PLAIN_BLOCK])
+            if not text.isascii() or text.encode().translate(None, _PLAIN_BYTES) or text[:1] in "0123456789.":
+                return False
+            if text[-1] == "." or _PLAIN_GAP_RE.search(text):
                 return False
     except TypeError:  # a non-str item is not plain
         return False
@@ -414,21 +416,23 @@ def _all_plain(items: list) -> bool:
 
 def _positions(names: list[str]) -> dict[str, dict[str, int]]:
     """The 1-based position of each child below each dotted prefix (``""`` is
-    the top), in first-appearance order."""
+    the top), in first-appearance order, placed in one sweep that keeps the
+    last prefix and its children at hand."""
     positions: dict[str, dict[str, int]] = {"": {}}
+    last, siblings = "", positions[""]
     for text in names:
         prefix, _, leaf = text.rpartition(".")
-        siblings = positions.get(prefix)
-        if siblings is None:  # a prefix seen for the first time: place it and its ancestors
-            above = ""
-            for seg in prefix.split("."):
-                level = positions.setdefault(above, {})
-                if seg not in level:
-                    level[seg] = len(level) + 1
-                above = f"{above}.{seg}" if above else seg
-            siblings = positions[prefix] = {}
-        if leaf not in siblings:
-            siblings[leaf] = len(siblings) + 1
+        if prefix != last:
+            last, siblings = prefix, positions.get(prefix)
+            if siblings is None:  # a prefix seen for the first time: place it and its ancestors
+                above = ""
+                for seg in prefix.split("."):
+                    level = positions.setdefault(above, {})
+                    if seg not in level:
+                        level[seg] = len(level) + 1
+                    above = f"{above}.{seg}" if above else seg
+                siblings = positions[prefix] = {}
+        siblings.setdefault(leaf, len(siblings) + 1)
     return positions
 
 

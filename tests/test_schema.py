@@ -3,6 +3,7 @@
 import pickle
 import re
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -470,14 +471,19 @@ _BLOCK = 256  # classes per block of the plain check, schema._PLAIN_BLOCK
 _BLOCK_EDGES = [
     (size, at) for size in (_BLOCK + 1, 2 * _BLOCK + 1) for at in (0, _BLOCK - 1, _BLOCK, 2 * _BLOCK - 1, 2 * _BLOCK) if at < size
 ]
+# items that are not plain, each failing a different step of the per-block check
+_BAD_ITEMS = [
+    ("q\nr", "newline"), ("q-r", "dash"), (7, "int"), ("1q", "digit-first"), ("", "empty"), (".q", "dot-first"),
+    ("q.", "dot-last"), ("q..r", "empty-segment"), ("é", "non-ascii"), ("٣", "non-ascii-digit"), ("\ud800", "surrogate"),
+]
 
 
 @pytest.mark.parametrize(
     "items",
     [["a\nb"], ["a", "b\nc"], ["a\n", "b"], ["a", ""], ["a", 1], ["x.y", "x.\ny"]]
-    + [_with_bad_item(size, at, bad) for size, at in _BLOCK_EDGES for bad in ("q\nr", "q-r", 7)],
+    + [_with_bad_item(size, at, bad) for size, at in _BLOCK_EDGES for bad, _ in _BAD_ITEMS],
     ids=["newline", "newline-in-second", "trailing-newline", "empty", "int", "dot-newline"]
-    + [f"{size}-at-{at}-{kind}" for size, at in _BLOCK_EDGES for kind in ("newline", "dash", "int")],
+    + [f"{size}-at-{at}-{kind}" for size, at in _BLOCK_EDGES for _, kind in _BAD_ITEMS],
 )
 def test_the_block_wise_plain_check_matches_eager_oracle(items):
     (dom, diags), (eager, eager_diags) = _both({"$def": "class_domain", "classes": items})
@@ -528,18 +534,18 @@ def test_building_a_big_domain_makes_no_ref_or_segment(monkeypatch):
 def test_a_big_domain_is_checked_for_plain_names_in_blocks(monkeypatch):
     calls = {"block": 0, "path": 0}
 
-    def counting(name, key):
-        pattern = getattr(schema, name)
+    def counting(name, method, key):
+        call = getattr(getattr(schema, name), method)
 
-        class Counted:
-            def fullmatch(self, text):
-                calls[key] += 1
-                return pattern.fullmatch(text)
+        def counted(text):
+            calls[key] += 1
+            return call(text)
 
-        monkeypatch.setattr(schema, name, Counted())
+        monkeypatch.setattr(schema, name, SimpleNamespace(**{method: counted}))
 
-    counting("_PLAIN_BLOCK_RE", "block")
-    counting("_PLAIN_PATH_RE", "path")
+    # a plain block reaches the last step of its check, one search for a bad segment
+    counting("_PLAIN_GAP_RE", "search", "block")
+    counting("_PLAIN_PATH_RE", "fullmatch", "path")
     assert len(_big_domain()) == 10_000
     assert schema._PLAIN_BLOCK == _BLOCK
     assert 0 < calls["block"] <= -(-10_000 // _BLOCK) and calls["path"] == 0
