@@ -78,13 +78,12 @@ class ConcreteType(Frozen):
     ``args`` maps parameter names to materialized values: class-domain
     entries for domain refs, nested concrete types for type refs, and
     plain scalars otherwise. Struct heads additionally carry a concrete
-    field map and their optional-field set. ``_check`` and ``_check_only``
-    keep the node's building and check-only validation closures once
-    each is compiled, and ``_census`` the census that
-    ``summarize_dataset`` folds its counts with.
+    field map and their optional-field set. ``_check``, ``_check_only`` and
+    ``_count`` keep the node's building, check-only and counting validation
+    closures, each once it is compiled (see ``validation._checker``).
     """
 
-    __slots__ = ("head", "shape", "args", "fields", "optional", "_check", "_check_only", "_census")
+    __slots__ = ("head", "shape", "args", "fields", "optional", "_check", "_check_only", "_count")
 
     def __init__(self, head: str, shape: str, args=None, fields: dict | None = None, optional=frozenset()):
         set_field(self, "head", head)
@@ -97,23 +96,20 @@ class ConcreteType(Frozen):
         return self.args.get(name)
 
     def describe(self) -> str:
-        if not self.args:
-            return self.head
-        parts = []
-        for key, value in self.args.items():
-            if isinstance(value, ClassDomain):
-                parts.append(f"{key}={value.name}")
-            elif isinstance(value, ConcreteType):
-                parts.append(f"{key}={value.describe()}")
-            elif isinstance(value, TypeExpr):
-                parts.append(f"{key}={render_type_expression(value)}")
-            elif isinstance(value, bool):
-                parts.append(f"{key}={'true' if value else 'false'}")
-            elif isinstance(value, str):
-                parts.append(f'{key}="{value}"')
-            else:
-                parts.append(f"{key}={value}")
-        return f"{self.head}[{', '.join(parts)}]"
+        """This type as type-expression text, which parses back."""
+        return render_type_expression(_expression(self))
+
+
+def _expression(value):
+    """A concrete type, or one of its argument values, as a type-expression
+    value: a domain as its name and a number as its text."""
+    if isinstance(value, ConcreteType):
+        return TypeExpr(value.head, tuple([Arg(key, _expression(arg)) for key, arg in value.args.items()]))
+    if isinstance(value, ClassDomain):
+        return TypeExpr(value.name)
+    if isinstance(value, (TypeExpr, ParamRef, str, bool)):
+        return value
+    return NumberLit(str(value))  # a number, or a caller's binding of another kind, as its text
 
 
 class ResolvedSchema(Slotted):

@@ -185,6 +185,9 @@ def _fail(diags: list[Diagnostic], code: str, parent, key, message: str) -> None
 # the same checks and findings, and None where the building closure gives
 # None, but no typed value is built. A value-building shape then calls
 # ``_unbuilt`` in place of its value class, and a struct or list returns ``raw``.
+# With ``build`` None the closure checks only and counts: ``diags`` is then a
+# ``_Tally``, and a label, a media or Text value, and a struct with an optional
+# field wrap their check-only closure to note what it found there.
 
 _INF = math.inf
 _NUMBER = (int, float)
@@ -481,6 +484,15 @@ def _make_media(ctype, build):
             return _fail(diags, "LOC_SYNTAX", parent, key, exc.diagnostic.message)
         return make(head, locator, tuple(descr.items()) if descr is not None else None)
 
+    if build is None:
+
+        def count(raw, parent, key, diags):
+            parts = check(raw, parent, key, diags)
+            if type(parts) is tuple:  # not inline Text, which is its own string
+                diags.locators.append(parts[1].kind)
+            return parts
+
+        return count
     return check
 
 
@@ -505,6 +517,14 @@ def _make_label(ctype, build):
         diags.extend([error(d.code, _path(parent, key), d.message) for d in found])
         return ref
 
+    if build is None:
+
+        def count(raw, parent, key, diags):
+            ref = check(raw, parent, key, diags)
+            diags.labels.append(ref)
+            return ref
+
+        return count
     return check
 
 
@@ -550,6 +570,15 @@ def _make_struct(ctype, build):
                     diags.append(warning("FIELD_UNKNOWN", _path(inner, show_number(name)), message))
         return Record(head, values) if build else raw
 
+    if build is None and ctype.optional:
+        optional = tuple(((head, name), name) for name in sorted(ctype.optional))
+
+        def count(raw, parent, key, diags):
+            if isinstance(raw, dict):
+                diags.fill.extend([(at, raw.get(name) is not None) for at, name in optional])
+            return check(raw, parent, key, diags)
+
+        return count
     return check
 
 
@@ -579,12 +608,13 @@ _CHECKS = {
 }
 
 
-def _checker(ctype: ConcreteType, build: bool = True):
-    """The closure of ``ctype``, building or, with ``build`` false, check-only.
-    Each is compiled on first use from the same ``_CHECKS`` entry and kept in
-    the node's ``_check`` or ``_check_only`` slot, so a node shared by many
-    fields (see ``resolver._Instantiation``) or calls compiles once per kind."""
-    slot = "_check" if build else "_check_only"
+def _checker(ctype: ConcreteType, build: bool | None = True):
+    """The closure of ``ctype``: building, check-only with ``build`` false, or
+    check-only and counting into a ``_Tally`` with ``build`` None. Each is
+    compiled on first use from the same ``_CHECKS`` entry and kept in the
+    node's ``_check``, ``_check_only`` or ``_count`` slot, so a node shared by
+    many fields (see ``resolver._Instantiation``) or calls compiles once per mode."""
+    slot = "_count" if build is None else "_check" if build else "_check_only"
     check = getattr(ctype, slot, None)
     if check is None:
         check = _compile(ctype, build)
@@ -592,7 +622,7 @@ def _checker(ctype: ConcreteType, build: bool = True):
     return check
 
 
-def _compile(ctype: ConcreteType, build: bool = True):
+def _compile(ctype: ConcreteType, build: bool | None = True):
     return _CHECKS[ctype.shape](ctype, build)
 
 
@@ -615,77 +645,30 @@ class SampleCounts(Slotted):
         self.optional_fill: dict[tuple[str, str], list[int]] = {} if optional_fill is None else optional_fill
         self.locators: dict[str, int] = {} if locators is None else locators
 
-
-_ABSENT = object()
-
-
-# A census ``census(raw, counts)`` folds into ``counts`` what one raw value
-# that checked without error holds. Like a closure, it is compiled once per
-# type node; a label or media node reads the ref or locator from its own
-# check-only closure, so no shape's rules are stated twice. A node whose
-# subtree holds no label, media or text, and no struct with an optional
-# field, has no census and its values are never walked.
-
-
-def _census(ctype: ConcreteType):
-    """The census of ``ctype``, or None; compiled on first use and kept in the node's ``_census`` slot."""
-    census = getattr(ctype, "_census", _ABSENT)
-    if census is _ABSENT:
-        census = _compile_census(ctype)
-        set_field(ctype, "_census", census)
-    return census
+    def _add(self, tally: _Tally) -> None:
+        """Count what the closures of one sample noted in ``tally``."""
+        labels, locators, fill = self.labels, self.locators, self.optional_fill
+        for label in map(str, tally.labels):
+            labels[label] = labels.get(label, 0) + 1
+        for kind in tally.locators:
+            locators[kind] = locators.get(kind, 0) + 1
+        for at, present in tally.fill:
+            counted = fill.get(at)
+            if counted is None:
+                counted = fill[at] = [0, 0]
+            counted[0] += present
+            counted[1] += 1
 
 
-def _compile_census(ctype: ConcreteType):
-    shape = ctype.shape
-    if shape == "label":
-        check = _checker(ctype, False)
+class _Tally(list):
+    """One sample's findings in counting mode, and what its closures noted
+    in walk order: each label's ref, each locator's kind, and for each
+    optional field of each struct reached ``((struct, field), present)``."""
 
-        def census(raw, counts):
-            labels, key = counts.labels, str(check(raw, None, None, []))
-            labels[key] = labels.get(key, 0) + 1
+    __slots__ = ("labels", "locators", "fill")
 
-    elif shape in ("media", "text"):
-        check = _checker(ctype, False)
-
-        def census(raw, counts):
-            parts = check(raw, None, None, [])
-            if type(parts) is tuple:  # not inline Text, which is its own string
-                locators, kind = counts.locators, parts[1].kind
-                locators[kind] = locators.get(kind, 0) + 1
-
-    elif shape == "list":
-        count_item = _census(ctype.arg("etype"))
-        if count_item is None:
-            return None
-
-        def census(raw, counts):
-            for item in raw:
-                count_item(item, counts)
-
-    elif shape == "struct":
-        fields = tuple((name, c) for name, ftype in ctype.fields.items() if (c := _census(ftype)) is not None)
-        optional = tuple(((ctype.head, name), name) for name in sorted(ctype.optional))
-        if not fields and not optional:
-            return None
-
-        def census(raw, counts):
-            fill = counts.optional_fill
-            for key, name in optional:
-                tally = fill.get(key)
-                if tally is None:
-                    tally = fill[key] = [0, 0]
-                tally[1] += 1
-                if raw.get(name) is not None:
-                    tally[0] += 1
-            for name, count_field in fields:
-                item = raw.get(name)
-                if item is not None:
-                    count_field(item, counts)
-
-    else:
-        return None
-    return census
+    def __init__(self):
+        self.labels, self.locators, self.fill = [], [], []
 
 
 def _strictly(diags: list[Diagnostic], start: int = 0) -> None:
@@ -936,7 +919,7 @@ def validate_dataset(
     text has decoded; any other file, or the rest of a stream that cannot
     go on, is loaded whole.
     """
-    return _fold(schema, data, base, strict, max_errors, build, False)[0]
+    return _fold(schema, data, base, strict, max_errors, bool(build))[0]
 
 
 def summarize_dataset(
@@ -950,18 +933,20 @@ def summarize_dataset(
     """``validate_dataset(..., build=False)``, and the :class:`SampleCounts`
     of the samples: their labels, optional-field fill and locator kinds.
 
-    Each sample is counted as it is checked, and only when its findings,
-    with ``strict`` applied, hold no error; no sample is kept. Global
-    info is not counted.
+    Each sample is counted in the one walk that checks it, each label and
+    locator checked once, and only when its findings, with ``strict``
+    applied, hold no error; no sample is kept. Global info is not counted.
     """
-    return _fold(schema, data, base, strict, max_errors, False, True)
+    return _fold(schema, data, base, strict, max_errors, None)
 
 
-def _fold(schema: ResolvedSchema, data, base, strict: bool, max_errors, build: bool, count: bool):
-    """The report of ``validate_dataset``, and the counts of ``summarize_dataset``
-    when ``count`` is set, from one loop over ``_raw_samples`` that appends each
-    sample's findings straight to the report's and counts each sample with no
-    error. A stream decodes to its end, after ``max_errors`` too, before the report is used."""
+def _fold(schema: ResolvedSchema, data, base, strict: bool, max_errors, build: bool | None):
+    """The report of ``validate_dataset`` and the counts of ``summarize_dataset``,
+    from one loop over ``_raw_samples``. ``build`` picks the sample closures as
+    ``_checker`` does; with ``build`` None each sample's findings go to its own
+    ``_Tally``, which is counted when it holds no error and then appended to the
+    report's findings, while the other two modes append straight to the report's.
+    A stream decodes to its end, after ``max_errors`` too, before the report is used."""
     report, counts = ValidationReport(), SampleCounts()
     try:
         data = check_data_section(data or RawDataSection())
@@ -969,23 +954,25 @@ def _fold(schema: ResolvedSchema, data, base, strict: bool, max_errors, build: b
         return ValidationReport(diagnostics=[exc.diagnostic]), counts
 
     if schema.sample_type is not None and data.sample_path is not None:
-        check = _checker(schema.sample_type, build)
-        census = _census(schema.sample_type) if count else None
+        check, count = _checker(schema.sample_type, build), build is None
         diags, samples, top = report.diagnostics, report.samples, (None, "samples")
         limit = _INF if max_errors is None else max(max_errors, 1)
         items, index, errors_seen = _raw_samples(data, base), 0, 0
         try:
             for raw in items:
-                start = len(diags)
-                value = check(raw, top, index, diags)
+                found = _Tally() if count else diags
+                start = len(found)
+                value = check(raw, top, index, found)
                 index += 1
                 if build:
                     samples.append(value)
                 if strict:
-                    _strictly(diags, start)
-                errors = sum(1 for d in diags[start:] if d.severity is Severity.ERROR) if len(diags) != start else 0
-                if census is not None and not errors:
-                    census(raw, counts)
+                    _strictly(found, start)
+                errors = sum(1 for d in found[start:] if d.severity is Severity.ERROR) if len(found) != start else 0
+                if count:
+                    if not errors:
+                        counts._add(found)
+                    diags += found
                 errors_seen += errors
                 if errors_seen >= limit:
                     report.truncated = sum(1 for _ in items) > 0  # draws the rest, so a stream decodes to its end
@@ -1004,7 +991,7 @@ def _fold(schema: ResolvedSchema, data, base, strict: bool, max_errors, build: b
         except DsdlError as exc:
             report.diagnostics.append(exc.diagnostic)
         else:
-            value, diags = _run(_checker(schema.global_info_type, build), raw_info, None, "global-info", strict)
+            value, diags = _run(_checker(schema.global_info_type, bool(build)), raw_info, None, "global-info", strict)
             if build:
                 report.global_info = value
             report.diagnostics.extend(diags)

@@ -12,7 +12,9 @@ import pytest
 import yaml as pyyaml
 from hypothesis import given, settings, strategies as st
 
+from dsdl import LibraryEnvironment, parse_document, resolve_schema
 from dsdl.diagnostics import NAME_LIMIT, echo
+from dsdl.typeexpr import parse_type_expression, render_type_expression
 
 from conftest import CORPUS, run_cli
 
@@ -391,6 +393,81 @@ def test_inspect_shows_provenance_of_winning_definition(tmp_path):
     assert "libb.yaml" in struct_line
     assert "b: Str" in out
     assert "a: Int" not in out
+
+
+def test_inspect_type_text_parses_back(tmp_path):
+    """A string argument reads the same under ``definitions:`` and under
+    ``sample-type:``, escaped, and each field's type text parses."""
+    target = tmp_path / "when.yaml"
+    target.write_text(
+        '$dsdl-version: "0.5.0"\n'
+        "defs:\n"
+        "  S: {$def: struct, $fields: {when: 'Date[fmt=\"%Y\\\"%m\"]', whens: 'List[etype=Date[fmt=\"%Y\\\"%m\"]]'}}\n"
+        "data:\n  sample-type: S\n  samples: []\n"
+    )
+    code, out, _ = run_cli("inspect", str(target))
+    assert code == 0
+    lines = out.splitlines()
+    assert [line.strip() for line in lines if "when:" in line] == ['when: Date[fmt="%Y\\"%m"]'] * 2
+    doc = parse_document(target.read_text(), source=str(target))
+    schema, _ = resolve_schema(doc, LibraryEnvironment.from_environment(), source=target)
+    for ftype in schema.sample_type.fields.values():
+        assert render_type_expression(parse_type_expression(ftype.describe())) == ftype.describe()
+    assert schema.sample_type.fields["whens"].arg("etype").arg("fmt") == '%Y"%m'
+
+
+_H = '$dsdl-version: "0.5.0"\n'
+_FINDINGS = {
+    "$import: 5\n": ("MALFORMED_IMPORT", "$import"),
+    "$import: nosuchlib\n": ("IMPORT_NOT_FOUND", "$import/nosuchlib"),
+    "meta: [1]\n": ("MALFORMED_META", "meta"),
+    "data: [1]\n": ("MALFORMED_DATA_SECTION", "data"),
+    "1: x\n": ("MALFORMED_DEF", "defs"),
+    "defs: [1]\n": ("MALFORMED_DEF", "defs"),
+    "defs: null\n": None,
+    "defs: {S: 5}\n": ("MALFORMED_DEF", "defs/S"),
+    "defs:\n  S: {$fields: {a: Int}}\n": ("MALFORMED_DEF", "defs/S"),
+    "defs:\n  S: {$def: struct, $params: [1], $fields: {a: Int}}\n": ("MALFORMED_DEF", "defs/S/$params"),
+    "defs:\n  S: {$def: struct, $fields: {a: Int}, $optional: 5}\n": ("MALFORMED_DEF", "defs/S/$optional"),
+    "defs:\n  S: {$def: struct, $fields: {a: {$type: 5}}}\n": ("GRAMMAR_ERROR", "defs/S/$fields/a"),
+    "defs:\n  S: {$def: struct, $fields: {a: 5}}\n": ("GRAMMAR_ERROR", "defs/S/$fields/a"),
+    "defs:\n  S: {$def: struct, $fields: {a: {$type: List, etype: [1]}}}\n": ("GRAMMAR_ERROR", "defs/S/$fields/a"),
+    "defs:\n  S: {$def: struct, $fields: {a: 'true'}}\n": ("GRAMMAR_ERROR", "defs/S/$fields/a"),
+    (
+        "defs:\n  D: {$def: class_domain, classes: [x]}\n  S: {$def: struct, $fields: {a: 'Label[D, D]'}}\n"
+        "data:\n  sample-type: S\n  samples: [{a: x}]\n"
+    ): ("EXTRA_PARAM", "data/sample-type/a"),
+    # mapping-form arguments: a bool, a number and a $param
+    (
+        "defs:\n  S: {$def: struct, $fields: {a: {$type: List, etype: Int, ordered: true}}}\n"
+        "data:\n  sample-type: S\n  samples: [{a: [1]}]\n"
+    ): None,
+    (
+        "defs:\n  T: {$def: struct, $params: [n], $fields: {x: Int}}\n  S: {$def: struct, $fields: {a: {$type: T, n: 3}}}\n"
+        "data:\n  sample-type: S\n  samples: [{a: {x: 1}}]\n"
+    ): None,
+    (
+        "defs:\n  S: {$def: struct, $params: [t], $fields: {a: {$type: List, etype: $t}}}\n"
+        "data:\n  sample-type: 'S[t=Int]'\n  samples: [{a: [1]}]\n"
+    ): None,
+}
+
+
+@pytest.mark.parametrize("body", list(_FINDINGS))
+def test_a_malformed_description_gives_one_located_finding(tmp_path, body):
+    target = tmp_path / "d.yaml"
+    target.write_text(_H + body)
+    code, out, err = run_cli("validate", "--format", "json", str(target))
+    expected = _FINDINGS[body]
+    found = [(d["code"], d["path"]) for d in json.loads(out)["diagnostics"]]
+    assert (code, found, err) == ((1, [expected], "") if expected else (0, [], ""))
+
+
+@pytest.mark.parametrize("flag", [("--alias", "bad"), ("--max-errors", "x")])
+def test_a_bad_option_value_exits_two_and_names_the_flag(flag):
+    code, out, err = run_cli("validate", *flag, corpus("get-started.yaml"))
+    assert (code, out) == (2, "")
+    assert f"argument {flag[0]}:" in err
 
 
 # -- resolve-loc ----------------------------------------------------------------

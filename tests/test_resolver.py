@@ -19,7 +19,7 @@ from dsdl import (
 from dsdl.diagnostics import ResolutionError, Severity
 from dsdl.resolver import ConcreteType, substitute_params
 from dsdl.schema import ClassDomain, build_definitions
-from dsdl.typeexpr import parse_type_expression
+from dsdl.typeexpr import Arg, TypeExpr, parse_type_expression
 
 import _resolver_oracle as oracle
 from conftest import CORPUS, error_diags, load_corpus_doc
@@ -327,6 +327,14 @@ def test_extra_param(detection_registry):
             detection_registry,
         )
     assert exc.value.code == "EXTRA_PARAM"
+
+
+def test_positional_argument_after_keyed_one_in_a_hand_built_expression(detection_registry):
+    """The grammar rejects this order first, so only a library caller reaches it."""
+    expr = TypeExpr("List", (Arg("etype", TypeExpr("Int")), Arg(None, TypeExpr("Int"))))
+    with pytest.raises(ResolutionError) as exc:
+        instantiate_type(expr, {}, detection_registry)
+    assert (exc.value.code, exc.value.diagnostic.message) == ("EXTRA_PARAM", "List: positional argument after keyed argument")
 
 
 def test_arg_kind_mismatch(detection_registry):

@@ -180,6 +180,50 @@ def test_summary_does_not_count_the_global_info(tmp_path):
     assert counts == _COUNTS[False]
 
 
+def test_summary_checks_each_label_and_locator_once(tmp_path, monkeypatch):
+    """The summary parses each locator and resolves each qualified label as
+    often as check-only validation does: one walk both checks and counts."""
+    text = (
+        '$dsdl-version: "0.5.0"\n'
+        "defs:\n"
+        "  D:\n    $def: class_domain\n    classes: [x, y]\n"
+        "  S:\n    $def: struct\n    $fields: {image: Image, mask: Image, note: Text, label: 'Label[dom=D]'}\n"
+        "    $optional: [note]\n"
+        "data:\n  sample-type: S\n  samples:\n"
+        "    - {image: img/a.jpg, mask: $masks/a.png, note: {$loc: notes/a.txt}, label: 'D::x'}\n"
+        "    - {image: img/b.jpg, mask: $masks/b.png, note: inline words, label: 'D::y'}\n"
+    )
+    doc, schema = _resolve(text, tmp_path / "d.yaml", "yaml")
+    calls: dict[str, int] = {}
+    for name in ("parse_locator", "validate_label"):
+
+        def counted(*args, _name=name, _call=getattr(validation, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _call(*args)
+
+        monkeypatch.setattr(validation, name, counted)
+    report = validate_dataset(schema, doc.data, base=tmp_path, build=False)
+    checked = dict(calls)
+    calls.clear()
+    assert summarize_dataset(schema, doc.data, base=tmp_path) == (
+        report,
+        SampleCounts({"D::x": 1, "D::y": 1}, {("S", "note"): [2, 2]}, {"relative": 3, "alias": 2}),
+    )
+    assert calls == checked == {"parse_locator": 5, "validate_label": 2}
+
+
+def test_validate_dataset_reads_build_as_a_plain_flag():
+    """Any false ``build``, None included, gives the check-only report."""
+    from conftest import CORPUS_FILES, load_corpus_doc
+
+    for rel in CORPUS_FILES:
+        doc, path = load_corpus_doc(rel)
+        schema, _ = resolve_schema(doc, LibraryEnvironment.from_environment(), source=path)
+        report = validate_dataset(schema, doc.data, base=path.parent, build=False)
+        for build in (None, 0):
+            assert validate_dataset(schema, doc.data, base=path.parent, build=build) == report, (rel, build)
+
+
 _STREAMED = {
     "samples": [
         {"image": "a.jpg", "label": "a", "note": {"$loc": "n.txt"}},
