@@ -17,6 +17,7 @@ a deeper one is a ``TYPE_TOO_DEEP`` error.
 from __future__ import annotations
 
 import os
+import re
 from pathlib import Path
 
 from .diagnostics import Diagnostic, DocumentError, ResolutionError, echo, error, note, show_key, warning
@@ -372,19 +373,12 @@ _FMT_DIRECTIVES = set("YmdHMSfzjab")
 
 
 def _check_fmt(fmt: str, path: str) -> None:
-    i = 0
-    while i < len(fmt):
-        if fmt[i] == "%":
-            if i + 1 >= len(fmt):
-                raise ResolutionError(error("DATE_FORMAT", path, "dangling % in fmt"))
-            directive = fmt[i + 1]
-            if directive != "%" and directive not in _FMT_DIRECTIVES:
-                raise ResolutionError(
-                    error("DATE_FORMAT", path, f"unsupported fmt directive %{directive}")
-                )
-            i += 2
-        else:
-            i += 1
+    for m in re.finditer(r"%(.?)", fmt, re.DOTALL):
+        directive = m[1]
+        if not directive:
+            raise ResolutionError(error("DATE_FORMAT", path, "dangling % in fmt"))
+        if directive != "%" and directive not in _FMT_DIRECTIVES:
+            raise ResolutionError(error("DATE_FORMAT", path, f"unsupported fmt directive %{directive}"))
 
 
 def _instantiate_closed(expr: TypeExpr, run: _Instantiation, path: str) -> ConcreteType:

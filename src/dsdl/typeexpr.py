@@ -6,7 +6,7 @@ Grammar::
     Arg      := (Ident '=')? Value
     Value    := TypeExpr | '$' Ident | string | number | bool
 
-Whitespace between tokens is ignored. Strings are double-quoted with
+Unicode whitespace between tokens is ignored. Strings are double-quoted with
 backslash escapes. Numbers keep their exact decimal text so a later
 consumer decides int-versus-float. Positional arguments may only
 precede keyed ones. A type expression nests at most ``MAX_TYPE_DEPTH``
@@ -22,7 +22,15 @@ from .diagnostics import GrammarError
 from .slotted import Frozen, set_field
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NUMBER_RE = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+# optional whitespace, then an identifier, a number, a whole quoted
+# string, or one character ("" at the end of the text)
+_TOKEN_RE = re.compile(
+    rf'\s*(?:({_IDENT_RE.pattern})|([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)|("(?:[^"\\]|\\.)*")|(.?))',
+    re.DOTALL,
+)
+_IDENT, _NUMBER, _STRING = 1, 2, 3
+_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
+_ESCAPES = {"n": "\n", "t": "\t"}
 
 MAX_TYPE_DEPTH = 100
 
@@ -77,66 +85,11 @@ class _TooDeep(GrammarError):
         super().__init__("type expression nested too deeply", offset)
 
 
-class _Scanner:
-    def __init__(self, text: str, depth: int):
-        self.text = text
-        self.pos = 0
-        self.depth = depth  # type-expression levels enclosing the text
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str) -> None:
-        if self.peek() != ch:
-            raise GrammarError(f"expected {ch!r}", self.pos)
-        self.pos += 1
-
-    def ident(self) -> str:
-        self.skip_ws()
-        m = _IDENT_RE.match(self.text, self.pos)
-        if not m:
-            raise GrammarError("expected identifier", self.pos)
-        self.pos = m.end()
-        return m.group()
-
-    def string(self) -> str:
-        # opening quote already peeked
-        self.skip_ws()
-        start = self.pos
-        self.pos += 1
-        out: list[str] = []
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch == "\\":
-                if self.pos + 1 >= len(self.text):
-                    raise GrammarError("unterminated escape", self.pos)
-                nxt = self.text[self.pos + 1]
-                out.append({"n": "\n", "t": "\t"}.get(nxt, nxt))
-                self.pos += 2
-            elif ch == '"':
-                self.pos += 1
-                return "".join(out)
-            else:
-                out.append(ch)
-                self.pos += 1
-        raise GrammarError("unterminated string", start)
-
-    def number(self) -> NumberLit:
-        self.skip_ws()
-        m = _NUMBER_RE.match(self.text, self.pos)
-        if not m:
-            raise GrammarError("expected number", self.pos)
-        self.pos = m.end()
-        return NumberLit(m.group())
+def _token(text: str, pos: int) -> tuple[int, str, int, int]:
+    """The token after ``pos`` as ``(kind, token, start, end)``; ``""`` at the end."""
+    m = _TOKEN_RE.match(text, pos)
+    kind = m.lastindex
+    return kind, m.group(kind), m.start(kind), m.end()
 
 
 def parse_type_expression(text: str) -> TypeExpr:
@@ -146,83 +99,79 @@ def parse_type_expression(text: str) -> TypeExpr:
     malformed input: unbalanced brackets, ``T[]``, trailing commas,
     a positional argument after a keyed one, or stray trailing text.
     """
+    if not isinstance(text, str):
+        raise TypeError(f"parse_type_expression() text must be str, not {type(text).__name__}")
     return _parse_text(text, 0)
 
 
 def _parse_text(text: str, depth: int) -> TypeExpr:
-    sc = _Scanner(text, depth)
-    expr = _parse_expr(sc)
-    if not sc.at_end():
-        raise GrammarError("unexpected trailing input", sc.pos)
+    expr, pos = _parse_expr(text, 0, depth)
+    _, token, start, _ = _token(text, pos)
+    if token:
+        raise GrammarError("unexpected trailing input", start)
     return expr
 
 
-def _parse_expr(sc: _Scanner) -> TypeExpr:
-    head = sc.ident()
+def _parse_expr(text: str, pos: int, depth: int) -> tuple[TypeExpr, int]:
+    kind, head, start, pos = _token(text, pos)
+    if kind != _IDENT:
+        raise GrammarError("expected identifier", start)
     if head in ("true", "false"):
-        raise GrammarError("boolean literal cannot head a type expression", sc.pos)
-    if sc.depth >= MAX_TYPE_DEPTH:
-        raise _TooDeep(sc.pos)
-    if sc.peek() != "[":
-        return TypeExpr(head)
-    sc.expect("[")
-    if sc.peek() == "]":
-        raise GrammarError("empty argument list", sc.pos)
+        raise GrammarError("boolean literal cannot head a type expression", pos)
+    if depth >= MAX_TYPE_DEPTH:
+        raise _TooDeep(pos)
+    _, token, start, pos = _token(text, pos)
+    if token != "[":
+        return TypeExpr(head), start
     args: list[Arg] = []
-    seen_keyed = False
-    sc.depth += 1
     while True:
-        arg = _parse_arg(sc)
-        if arg.key is None and seen_keyed:
-            raise GrammarError("positional argument after keyed argument", sc.pos)
-        seen_keyed = seen_keyed or arg.key is not None
+        _, token, start, _ = _token(text, pos)
+        if token == "]":
+            raise GrammarError("trailing comma" if args else "empty argument list", start)
+        arg, pos = _parse_arg(text, pos, depth + 1)
+        if arg.key is None and args and args[-1].key is not None:
+            raise GrammarError("positional argument after keyed argument", pos)
         args.append(arg)
-        ch = sc.peek()
-        if ch == ",":
-            sc.expect(",")
-            if sc.peek() == "]":
-                raise GrammarError("trailing comma", sc.pos)
-            continue
-        if ch == "]":
-            sc.expect("]")
-            sc.depth -= 1
-            return TypeExpr(head, tuple(args))
-        raise GrammarError("expected ',' or ']'", sc.pos)
+        _, token, start, pos = _token(text, pos)
+        if token == "]":
+            return TypeExpr(head, tuple(args)), pos
+        if token != ",":
+            raise GrammarError("expected ',' or ']'", start)
 
 
-def _parse_arg(sc: _Scanner) -> Arg:
-    key: str | None = None
-    save = sc.pos
-    ch = sc.peek()
-    if _IDENT_RE.match(ch or ""):
-        ident = sc.ident()
-        if sc.peek() == "=":
-            sc.expect("=")
-            key = ident
-        else:
-            sc.pos = save
-    return Arg(key, _parse_value(sc))
+def _parse_arg(text: str, pos: int, depth: int) -> tuple[Arg, int]:
+    kind, key, _, end = _token(text, pos)
+    if kind == _IDENT:
+        _, token, _, after = _token(text, end)
+        if token == "=":
+            value, pos = _parse_value(text, after, depth)
+            return Arg(key, value), pos
+    value, pos = _parse_value(text, pos, depth)
+    return Arg(None, value), pos
 
 
-def _parse_value(sc: _Scanner) -> ArgValue:
-    ch = sc.peek()
-    if ch == "$":
-        sc.expect("$")
-        return ParamRef(sc.ident())
-    if ch == '"':
-        return sc.string()
-    if ch and (ch.isdigit() or ch in "+-."):
-        return sc.number()
-    if _IDENT_RE.match(ch or ""):
-        save = sc.pos
-        ident = sc.ident()
-        if ident == "true":
-            return True
-        if ident == "false":
-            return False
-        sc.pos = save
-        return _parse_expr(sc)
-    raise GrammarError("expected a value", sc.pos)
+def _parse_value(text: str, pos: int, depth: int) -> tuple[ArgValue, int]:
+    kind, token, start, end = _token(text, pos)
+    if kind == _IDENT:
+        if token in ("true", "false"):
+            return token == "true", end
+        return _parse_expr(text, pos, depth)
+    if kind == _NUMBER:
+        return NumberLit(token), end
+    if kind == _STRING:
+        return _ESCAPE_RE.sub(lambda m: _ESCAPES.get(m[1], m[1]), token[1:-1]), end
+    if token == "$":
+        kind, name, start, end = _token(text, end)
+        if kind != _IDENT:
+            raise GrammarError("expected identifier", start)
+        return ParamRef(name), end
+    if token == '"':
+        if (len(text) - len(text.rstrip("\\"))) % 2:
+            raise GrammarError("unterminated escape", len(text) - 1)
+        raise GrammarError("unterminated string", start)
+    if token and (token.isdigit() or token in "+-."):
+        raise GrammarError("expected number", start)
+    raise GrammarError("expected a value", start)
 
 
 def render_type_expression(expr: TypeExpr) -> str:
@@ -286,7 +235,13 @@ def _spec_value(value: object, depth: int) -> ArgValue:
     if isinstance(value, bool):
         return value
     if isinstance(value, (int, float)):
-        return NumberLit(repr(value))
+        try:
+            text = repr(value)
+        except ValueError:  # an int past the interpreter's digit limit
+            raise GrammarError("integer argument has too many digits", 0) from None
+        if _token(text, 0)[0] != _NUMBER:  # nan, inf, -inf
+            raise GrammarError(f"number {text} has no type-expression literal", 0)
+        return NumberLit(text)
     if isinstance(value, str):
         if value.startswith("$") and _IDENT_RE.fullmatch(value[1:] or "-"):
             return ParamRef(value[1:])

@@ -416,6 +416,19 @@ def test_inspect_type_text_parses_back(tmp_path):
     assert schema.sample_type.fields["whens"].arg("etype").arg("fmt") == '%Y"%m'
 
 
+def test_a_non_finite_mapping_argument_is_a_grammar_error(tmp_path):
+    """``NaN`` has no type-expression literal: ``S[x=nan]`` would read back
+    as a type named ``nan``."""
+    target = tmp_path / "nan.json"
+    target.write_text(
+        '{"$dsdl-version": "0.5.0", "defs": {"S": {"$def": "struct", "$params": ["x"], "$fields": {"n": "Int"}}},'
+        ' "data": {"sample-type": {"$type": "S", "x": NaN}, "samples": []}}'
+    )
+    code, out, _ = run_cli("inspect", str(target))
+    assert code == 1
+    assert "error GRAMMAR_ERROR data/sample-type number nan has no type-expression literal" in out
+
+
 _H = '$dsdl-version: "0.5.0"\n'
 _FINDINGS = {
     "$import: 5\n": ("MALFORMED_IMPORT", "$import"),

@@ -17,7 +17,8 @@ from dsdl import (
     validate_dataset,
 )
 from dsdl.diagnostics import ResolutionError, Severity
-from dsdl.resolver import ConcreteType, substitute_params
+from dsdl.document import RawDataSection, RawDocument
+from dsdl.resolver import ConcreteType, _check_fmt, substitute_params
 from dsdl.schema import ClassDomain, build_definitions
 from dsdl.typeexpr import Arg, TypeExpr, parse_type_expression
 
@@ -403,6 +404,44 @@ def test_instantiation_finding(text, code, message):
     with pytest.raises(ResolutionError) as exc:
         instantiate_type(parse_type_expression(text), {}, registry)
     assert (exc.value.code, exc.value.diagnostic.message) == (code, message)
+
+
+@pytest.mark.parametrize(
+    "fmt, message",
+    [
+        ("%", "dangling % in fmt"),
+        ("a%", "dangling % in fmt"),
+        ("%%", None),
+        ("%%%", "dangling % in fmt"),
+        ("%Q", "unsupported fmt directive %Q"),
+        ("%Y-%m-%d", None),
+        ("%\n", "unsupported fmt directive %\n"),
+    ],
+)
+def test_check_fmt_findings(fmt, message):
+    if message is None:
+        _check_fmt(fmt, "p")
+        return
+    with pytest.raises(ResolutionError) as exc:
+        _check_fmt(fmt, "p")
+    assert (exc.value.code, exc.value.diagnostic.message) == ("DATE_FORMAT", message)
+
+
+def test_a_mapping_integer_past_the_digit_limit_is_a_grammar_error():
+    struct = {"$def": "struct", "$params": ["x"], "$fields": {"n": {"$type": "List", "etype": "Int", "x": 10**5000}}}
+    _, diags = build_definitions({"S": struct})
+    assert [(d.code, d.path) for d in diags] == [("GRAMMAR_ERROR", "defs/S/$fields/n")]
+    struct["$fields"]["n"] = "Int"
+    doc = RawDocument(
+        "0.5.0",
+        defs={"S": struct},
+        data=RawDataSection(sample_type={"$type": "S", "x": 10**5000}, sample_path="$local", samples=[]),
+    )
+    schema, diags = resolve_schema(doc, LibraryEnvironment())
+    assert schema is None
+    assert [(d.code, d.path, d.message) for d in diags] == [
+        ("GRAMMAR_ERROR", "data/sample-type", "integer argument has too many digits (at offset 0)")
+    ]
 
 
 def test_a_bare_fmt_word_is_a_string():

@@ -55,22 +55,61 @@ def test_unbalanced_bracket_reports_offset():
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text, message, offset",
     [
-        "",
-        "T[]",
-        "List[Int,]",
-        "T[a=1, 2]",
-        "T[,Int]",
-        "List[Int]]",
-        "3Head",
-        'T[fmt="unterminated]',
-        "$param",
+        ("", "expected identifier", 0),
+        ("T[]", "empty argument list", 2),
+        ("T[ ]", "empty argument list", 3),
+        ("List[Int,]", "trailing comma", 9),
+        ("List[Int, ]", "trailing comma", 10),
+        ("T[a=1, 2]", "positional argument after keyed argument", 8),
+        ("T[a=1 , Int ]", "positional argument after keyed argument", 12),
+        ("T[,Int]", "expected a value", 2),
+        ("T[a=@]", "expected a value", 4),
+        ("List[Int]]", "unexpected trailing input", 9),
+        ("List[Int", "expected ',' or ']'", 8),
+        ("3Head", "expected identifier", 0),
+        ("$param", "expected identifier", 0),
+        ("T[$1]", "expected identifier", 3),
+        ("true", "boolean literal cannot head a type expression", 4),
+        ('T[fmt="unterminated]', "unterminated string", 6),
+        ('T[a="x]', "unterminated string", 4),
+        ('T[a="x\\', "unterminated escape", 6),
+        ("T[a=\u00b2]", "expected number", 4),
+        ("L[" * (MAX_TYPE_DEPTH + 1), "type expression nested too deeply", 201),
     ],
 )
-def test_malformed_inputs_raise_grammar_errors(text):
-    with pytest.raises(GrammarError):
+def test_malformed_inputs_raise_grammar_errors(text, message, offset):
+    with pytest.raises(GrammarError) as exc:
         parse_type_expression(text)
+    assert exc.value.diagnostic.message == f"{message} (at offset {offset})"
+    assert exc.value.offset == offset
+
+
+def test_a_unicode_decimal_digit_is_a_number():
+    assert parse_type_expression("T[a=\u0663]").args[0] == Arg("a", NumberLit("\u0663"))
+
+
+def test_parsing_bytes_is_a_type_error():
+    with pytest.raises(TypeError, match="text must be str, not bytes"):
+        parse_type_expression(b"Int")
+
+
+@pytest.mark.parametrize(
+    "number, message",
+    [
+        (10**5000, "integer argument has too many digits"),
+        (float("nan"), "number nan has no type-expression literal"),
+        (float("inf"), "number inf has no type-expression literal"),
+        (float("-inf"), "number -inf has no type-expression literal"),
+    ],
+    ids=["past-digit-limit", "nan", "inf", "-inf"],
+)
+def test_a_mapping_number_the_text_form_cannot_write_is_a_grammar_error(number, message):
+    with pytest.raises(GrammarError) as exc:
+        parse_sample_type_spec({"$type": "T", "x": number})
+    assert exc.value.code == "GRAMMAR_ERROR"
+    assert exc.value.diagnostic.message == f"{message} (at offset 0)"
 
 
 def test_render_no_args():
@@ -189,4 +228,22 @@ def _exprs(depth: int):
 
 @given(_exprs(3))
 def test_parse_render_round_trip(expr):
+    assert parse_type_expression(render_type_expression(expr)) == expr
+
+
+_grammar_text = st.lists(
+    st.one_of(
+        st.sampled_from(["T", "a", "[", "]", ",", "=", "$", '"', "\\", " ", "\n", "1", "-.5e3", "true"]),
+        st.characters(blacklist_categories=("Cs",)),
+    ),
+    max_size=24,
+).map("".join)
+
+
+@given(_grammar_text)
+def test_any_text_parses_and_round_trips_or_is_a_grammar_error(text):
+    try:
+        expr = parse_type_expression(text)
+    except GrammarError:
+        return
     assert parse_type_expression(render_type_expression(expr)) == expr
