@@ -429,13 +429,16 @@ def _build_document(payload: dict, source: str | None, allow_version: bool) -> R
         raise DocumentError(error("MALFORMED_META", "meta", "meta must be a mapping", source))
 
     defs: dict[str, object] = {}
+    names: set[str] = set()  # a key may add parents to its name: "Dom[Base]" defines Dom
 
     def _add_def(key: object, body: object, path: str) -> None:
         if not isinstance(key, str):
             raise DocumentError(error("MALFORMED_DEF", path, f"definition name must be a string, got {key!r}", source))
-        if key in defs:
-            message = f"definition {show_key(key)} appears twice in this file"
+        name = split_definition_key(key)[0]
+        if name in names:
+            message = f"definition {show_key(name)} appears twice in this file"
             raise DocumentError(error("DUPLICATE_DEF", f"{path}/{key}", message, source))
+        names.add(name)
         defs[key] = body
 
     data_section = None
@@ -483,15 +486,21 @@ def _build_data_section(value: object, source: str | None) -> RawDataSection:
     return check_data_section(section, source)
 
 
-def check_data_section(section: RawDataSection, source: str | None = None) -> RawDataSection:
+def check_data_section(section: RawDataSection | None, source: str | None = None) -> RawDataSection:
     """``section`` with each channel's path defaulted to ``$local`` when its
-    data is inline, after the rules of a data section's shape.
+    data is inline, after the rules of a data section's shape; ``None`` is
+    an empty section.
 
     The first rule broken raises :class:`DocumentError`
     (``MALFORMED_SAMPLES`` or ``MALFORMED_DATA_SECTION``), located at the
     key of the ``data`` mapping, so a parsed section and a hand-built one
-    give the same finding.
+    give the same finding. A ``section`` that is neither ``None`` nor a
+    :class:`RawDataSection` raises :class:`TypeError`.
     """
+    if section is None:
+        section = RawDataSection()
+    elif not isinstance(section, RawDataSection):
+        raise TypeError(f"data must be a RawDataSection or None, not {type(section).__name__}")
     samples, sample_path = section.samples, section.sample_path
     if samples is not None and not isinstance(samples, list):
         raise DocumentError(error("MALFORMED_SAMPLES", "data/samples", "samples must be a list", source))

@@ -141,8 +141,11 @@ def resolve_locator(loc: ObjectLocator, env: ResolutionEnvironment) -> str:
 
     Raises :class:`LocatorError`: ``DATA_ROOT_UNSET``,
     ``ALIAS_UNDEFINED``, ``ID_MAPPER_MISSING``, ``ID_NOT_FOUND``, or
-    ``PATH_ESCAPE`` for ``..`` traversal.
+    ``PATH_ESCAPE`` for ``..`` traversal; :class:`TypeError` when ``env``
+    is not a :class:`ResolutionEnvironment` or ``loc`` not a locator.
     """
+    if not isinstance(env, ResolutionEnvironment):
+        raise TypeError(f"resolve_locator() env must be a ResolutionEnvironment, not {type(env).__name__}")
     if isinstance(loc, RelativePath):
         if env.data_root is None:
             raise LocatorError(

@@ -21,7 +21,7 @@ import re
 from pathlib import Path
 
 from .diagnostics import Diagnostic, DocumentError, ResolutionError, echo, error, note, show_key, warning
-from .document import RawDocument, parse_document, read_utf8
+from .document import RawDocument, parse_document, read_utf8, split_definition_key
 from .schema import (
     BUILTINS,
     BuiltinSignature,
@@ -137,21 +137,25 @@ def resolve_imports(
     diags: list[Diagnostic] = []
     merged: dict[str, object] = {}
     origins: dict[str, str | None] = {}
+    keys: dict[str, str] = {}  # each definition name's key in merged, which may add parents: "Dom[Base]"
     loaded: set[Path] = set()
 
     def merge_defs(defs: dict, origin: str | None) -> None:
         for key, body in defs.items():
-            if key in merged:
+            name = split_definition_key(key)[0]
+            shadowed = keys.get(name)
+            if shadowed is not None:
                 diags.append(
                     warning(
                         "IMPORT_OVERWRITE",
                         f"defs/{key}",
-                        f"definition {show_key(key)} from {origins[key] or '<input>'} is overwritten by {origin or '<input>'}",
+                        f"definition {show_key(shadowed)} from {origins[shadowed] or '<input>'} is overwritten by {origin or '<input>'}",
                     )
                 )
-                del merged[key]  # re-insert to record the later position
+                del merged[shadowed]  # re-insert to record the later position
             merged[key] = body
             origins[key] = origin
+            keys[name] = key
 
     root = Path(source) if source is not None else None
     # Depth first with an explicit stack, so a long import chain costs no

@@ -509,8 +509,11 @@ def lookup_class(domain: ClassDomain, selector: str | int) -> ClassRef:
     A lookup reads the domain's tables, each built by the first lookup that
     needs it, so after that its cost does not depend on the domain's size
     (an index path costs one step per level); it returns the class's
-    shared ref from :meth:`ClassDomain.ref`.
+    shared ref from :meth:`ClassDomain.ref`. A ``domain`` that is not a
+    :class:`ClassDomain` raises :class:`TypeError`.
     """
+    if not isinstance(domain, ClassDomain):
+        raise TypeError(f"lookup_class() domain must be a ClassDomain, not {type(domain).__name__}")
     if isinstance(selector, bool) or not isinstance(selector, (str, int)):
         raise ClassLookupError(error("CLASS_NOT_FOUND", "", f"invalid class selector {echo(repr(selector))}"))
     if isinstance(selector, int):

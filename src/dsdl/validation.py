@@ -769,12 +769,11 @@ def _decode_external(full: Path, text: str, path: str, key: str):
     return payload[key]
 
 
-_SPACE = json.decoder.WHITESPACE.match  # JSON's whitespace, as json itself skips it
+# JSON's whitespace, as json itself skips it, around ``{"samples": [``, and
+# after an element: a comma, or the array's closing bracket
+_HEAD = re.compile(r'[ \t\n\r]*\{[ \t\n\r]*"samples"[ \t\n\r]*:[ \t\n\r]*\[[ \t\n\r]*(\]?)')
+_NEXT = re.compile(r"[ \t\n\r]*(?:,[ \t\n\r]*|(\]))")
 _UNDECODABLE = (StopIteration, ValueError, RecursionError, _DuplicateKey)  # what _load_json reports
-
-
-class _Unstreamable(Exception):
-    """The text does not open with ``{"samples": [``, or does not decode."""
 
 
 def _stream_samples(text: str):
@@ -782,37 +781,32 @@ def _stream_samples(text: str):
     one at a time over ``text`` itself, so that only the element being
     checked is held; the rest of the text is decoded after the last one.
 
-    Only text that opens with ``{"samples": [`` streams. Other text, and
-    anything the stream cannot decode (a syntax error, a duplicate key, an
-    integer past the digit limit, too deep a nest), raises
-    :class:`_Unstreamable` when it is reached; ``_load_json`` over the whole
-    text then gives the finding, with its own line and column.
+    Returns ``None`` once the whole text has decoded, else the number of
+    elements yielded: 0 for text that does not open with ``{"samples": [``,
+    or as many as came before what the stream cannot decode (a syntax
+    error, a duplicate key, an integer past the digit limit, too deep a
+    nest). ``_load_json`` over the whole text then gives the finding, with
+    its own line and column.
     """
-    pos = 0
-    for token in ("{", '"samples"', ":", "["):
-        pos = _SPACE(text, pos).end()
-        if not text.startswith(token, pos):
-            raise _Unstreamable
-        pos += len(token)
-    scan = json.JSONDecoder(object_pairs_hook=_json_pairs_hook).scan_once
-    pos = _SPACE(text, pos).end()
-    if not text.startswith("]", pos):
-        while True:
-            try:
-                item, pos = scan(text, pos)
-            except _UNDECODABLE as exc:
-                raise _Unstreamable from exc
-            yield item
-            pos = _SPACE(text, pos).end()
-            if not text.startswith(",", pos):
-                break
-            pos = _SPACE(text, pos + 1).end()
-        if not text.startswith("]", pos):
-            raise _Unstreamable
+    at = _HEAD.match(text)
+    if at is None:
+        return 0
+    scan, done = json.JSONDecoder(object_pairs_hook=_json_pairs_hook).scan_once, 0
+    while not at.group(1):  # until the closing bracket
+        try:
+            item, pos = scan(text, at.end())
+        except _UNDECODABLE:
+            return done
+        yield item
+        done += 1
+        at = _NEXT.match(text, pos)
+        if at is None:
+            return done
     try:  # the keys after the array, the closing brace and trailing whitespace; a second "samples" is a duplicate
-        json.loads('{"samples": 0' + text[pos + 1:], object_pairs_hook=_json_pairs_hook)
-    except _UNDECODABLE as exc:
-        raise _Unstreamable from exc
+        json.loads('{"samples": 0' + text[at.end():], object_pairs_hook=_json_pairs_hook)
+    except _UNDECODABLE:
+        return done
+    return None
 
 
 class ValidationReport(Slotted):
@@ -859,22 +853,18 @@ class ValidationReport(Slotted):
 
 def _raw_samples(data: RawDataSection, base):
     """Each raw sample of ``data``, once and in order: inline, or from its
-    external file, which streams when it is JSON. A stream that cannot go on
-    hands over to the whole-file load at the sample it stopped at, which both
-    decode alike. A file that does not load raises its :class:`DsdlError`."""
+    external file, which streams when it is JSON. A stream stops after a
+    sample only at a fault; the whole-file load then raises its finding as a
+    :class:`DsdlError`, as it does for any file that does not load."""
     if data.sample_path == LOCAL_PATH:
         yield from data.samples
         return
     full, text = _read_external(data.sample_path, base)
     done = 0
     if full.suffix not in _YAML_SUFFIXES:
-        try:
-            for done, raw in enumerate(_stream_samples(text), 1):
-                yield raw
-            return
-        except _Unstreamable:
-            pass  # the whole-file load gives the finding, or reads what the stream does not
-    yield from islice(_decode_external(full, text, data.sample_path, "samples"), done, None)
+        done = yield from _stream_samples(text)
+    if done is not None:  # the whole-file load gives the finding, or reads what the stream did not
+        yield from islice(_decode_external(full, text, data.sample_path, "samples"), done, None)
 
 
 def iter_samples(schema: ResolvedSchema, data: RawDataSection | None, base: str | Path = ".", *, strict: bool = False):
@@ -885,7 +875,7 @@ def iter_samples(schema: ResolvedSchema, data: RawDataSection | None, base: str 
     sample; a sample file that does not load raises the :class:`DsdlError` of
     ``validate_dataset``'s finding, a streamed one after the samples before its fault.
     """
-    data = check_data_section(data or RawDataSection())
+    data = check_data_section(data)
     if schema.sample_type is not None and data.sample_path is not None:
         check, top = _checker(schema.sample_type), (None, "samples")
         for index, raw in enumerate(_raw_samples(data, base)):
@@ -916,8 +906,8 @@ def validate_dataset(
     diagnostics and ``truncated`` are those of the building run. Either
     way an external JSON sample file that opens with ``{"samples": [`` is
     decoded one sample at a time, and its findings count once the whole
-    text has decoded; any other file, or the rest of a stream that cannot
-    go on, is loaded whole.
+    text has decoded; any other file is loaded whole, as is one whose
+    stream stops at a fault, which gives that fault's finding.
     """
     return _fold(schema, data, base, strict, max_errors, bool(build))[0]
 
@@ -949,7 +939,7 @@ def _fold(schema: ResolvedSchema, data, base, strict: bool, max_errors, build: b
     A stream decodes to its end, after ``max_errors`` too, before the report is used."""
     report, counts = ValidationReport(), SampleCounts()
     try:
-        data = check_data_section(data or RawDataSection())
+        data = check_data_section(data)
     except DocumentError as exc:
         return ValidationReport(diagnostics=[exc.diagnostic]), counts
 

@@ -105,6 +105,22 @@ def test_duplicate_definition_names_are_rejected():
     assert exc.value.code == "DUPLICATE_DEF"
 
 
+def test_a_name_defined_with_and_without_parents_is_a_duplicate():
+    """``Dom[Base]`` defines ``Dom``, so one file may not define both."""
+    for first, second in (("Dom", "Dom[Base]"), ("Dom[Base]", "Dom"), ("Dom[Base]", "Dom[Other]")):
+        text = (
+            '$dsdl-version: "0.5.0"\n'
+            f"defs:\n  {first}:\n    $def: class_domain\n    classes: [x]\n"
+            f"{second}:\n  $def: class_domain\n  classes: [y]\n"
+        )
+        with pytest.raises(DocumentError) as exc:
+            parse_document(text, format="yaml")
+        diagnostic = exc.value.diagnostic
+        assert (diagnostic.code, diagnostic.path, diagnostic.message) == (
+            "DUPLICATE_DEF", f"defs/{second}", "definition 'Dom' appears twice in this file"
+        )
+
+
 def test_duplicate_yaml_keys_are_rejected():
     text = '$dsdl-version: "0.5.0"\nmeta:\n  a: 1\n  a: 2\n'
     with pytest.raises(DocumentError) as exc:

@@ -100,6 +100,12 @@ def test_parent_traversal_is_rejected():
     assert exc.value.code == "PATH_ESCAPE"
 
 
+def test_resolution_against_what_is_not_an_environment_is_a_type_error():
+    for env in (None, {"data_root": "/data"}):
+        with pytest.raises(TypeError, match="env must be a ResolutionEnvironment, not "):
+            resolve_locator(parse_locator("x.jpg"), env)
+
+
 def test_windows_separators_normalize_in_locator_only():
     env = ResolutionEnvironment(data_root="/data")
     assert resolve_locator(parse_locator("a\\b\\c.jpg"), env) == "/data/a/b/c.jpg"

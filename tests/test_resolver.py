@@ -116,6 +116,26 @@ def test_relative_import_resolves_against_importing_file(library_env):
     assert "Cifar10ImageClassificationClassDom" in registry
 
 
+def test_a_definition_overwrites_an_import_of_its_name_whatever_parents_either_key_adds(tmp_path):
+    """``Dom[Base]`` defines ``Dom``, so it overwrites an imported ``Dom``,
+    and ``Dom`` an imported ``Dom[Base]``, each with one warning."""
+    base = "Base:\n  $def: class_domain\n  classes: [person]\n"
+    plain, with_parent = "Dom:\n  $def: class_domain\n  classes: [x]\n", 'Dom[Base]:\n  $def: class_domain\n  classes: ["nose[person]"]\n'
+    for imported, own, shadowed in ((plain, with_parent, "Dom"), (with_parent, plain, "Dom[Base]")):
+        (tmp_path / "lib.yaml").write_text('$dsdl-version: "0.5.0"\n' + base + imported)
+        main = tmp_path / "main.yaml"
+        main.write_text('$dsdl-version: "0.5.0"\n$import: [lib]\n' + own)
+        doc = parse_document(main.read_text(), format="yaml", source=str(main))
+        registry, diags = resolve_imports(doc, LibraryEnvironment(()), source=main)
+        lib = str((tmp_path / "lib.yaml").resolve())
+        assert [(d.severity, d.code, d.path, d.message) for d in diags] == [(
+            Severity.WARNING, "IMPORT_OVERWRITE", f"defs/{own.split(':')[0]}",
+            f"definition {shadowed!r} from {lib} is overwritten by {main}",
+        )]
+        assert registry.get("Dom").parents == (["Base"] if own is with_parent else [])
+        assert registry.provenance["Dom"] == str(main)
+
+
 def test_imported_library_requires_version_header(tmp_path):
     (tmp_path / "broken.yaml").write_text("D:\n  $def: class_domain\n  classes: [x]\n")
     doc = parse_document('$dsdl-version: "0.5.0"\n$import: [broken]\n', format="yaml")

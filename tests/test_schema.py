@@ -214,6 +214,12 @@ def test_lookup_rejects_selectors_of_other_types(my_class_dom):
         assert exc.value.diagnostic.message == f"invalid class selector {bad!r}"
 
 
+def test_lookup_in_what_is_not_a_domain_is_a_type_error():
+    for domain in (None, "MyClassDom", {"cat": 1}):
+        with pytest.raises(TypeError, match="domain must be a ClassDomain, not "):
+            lookup_class(domain, "cat")
+
+
 def test_hierarchical_name_lookup(hierarchical_dom):
     ref = lookup_class(hierarchical_dom, "vehicle.airplane")
     assert ref.path == "vehicle.airplane"

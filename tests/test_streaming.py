@@ -12,13 +12,13 @@ import tracemalloc
 
 import pytest
 
-from dsdl import DsdlError, iter_samples, parse_document, resolve_schema, validate_dataset
+from dsdl import DsdlError, iter_samples, parse_document, resolve_schema, summarize_dataset, validate_dataset
 from dsdl import validation
-from dsdl.validation import Record
+from dsdl.validation import Record, load_external_samples
 
 
 def _whole_file_only(text):
-    raise validation._Unstreamable
+    return 0
     yield  # a generator, like the stream it replaces
 
 
@@ -77,11 +77,10 @@ def test_streaming_equals_the_whole_file_load(tmp_path, library_env, monkeypatch
     stream, fell_back = validation._stream_samples, []
 
     def watched(text):
-        try:
-            yield from stream(text)
-        except validation._Unstreamable:
+        done = yield from stream(text)
+        if done is not None:
             fell_back.append(True)
-            raise
+        return done
 
     monkeypatch.setattr(validation, "_stream_samples", watched)
     got = [_outcome(validate_dataset(schema, data, base=tmp_path, **run)) for run in runs]
@@ -89,6 +88,53 @@ def test_streaming_equals_the_whole_file_load(tmp_path, library_env, monkeypatch
     monkeypatch.setattr(validation, "_stream_samples", _whole_file_only)
     expected = [_outcome(validate_dataset(schema, data, base=tmp_path, **run)) for run in runs]
     assert got == expected
+
+
+def _one_character_edits(text: str):
+    """``text`` with each character deleted, and with ``,``, ``]``, ``"`` or ``{`` inserted at each offset."""
+    for i in range(len(text) + 1):
+        if i < len(text):
+            yield text[:i] + text[i + 1:]
+        for char in ',]"{':
+            yield text[:i] + char + text[i:]
+
+
+def test_a_stream_stops_after_a_sample_only_at_a_fault_that_the_whole_file_load_raises(tmp_path, library_env, monkeypatch):
+    """Every one-character edit of a sample file with a key after its array
+    reads as the whole-file load alone reads it, through every entry point;
+    and a stream that stopped after a sample stopped at a fault, which the
+    whole-file load raises."""
+    schema, data = _schema(library_env, "S")
+    runs = [{"build": build, "max_errors": max_errors} for build in (True, False) for max_errors in (None, 1)]
+    stream, stops = validation._stream_samples, []
+
+    def watched(text):
+        done = yield from stream(text)
+        stops.append(done)
+        return done
+
+    def outcomes() -> list:
+        got = [_outcome(validate_dataset(schema, data, base=tmp_path, **run)) for run in runs]
+        got.append(summarize_dataset(schema, data, base=tmp_path))
+        try:
+            got.append(list(iter_samples(schema, data, base=tmp_path)))
+        except DsdlError as exc:
+            got.append(exc.diagnostic)
+        return got
+
+    seen = set()
+    for text in dict.fromkeys(_one_character_edits('{"samples": [{"n": 1}, {"n": "x"}], "meta": {"k": [1]}}')):
+        (tmp_path / "s.json").write_text(text, encoding="utf-8")
+        stops.clear()
+        monkeypatch.setattr(validation, "_stream_samples", watched)
+        got = outcomes()
+        monkeypatch.setattr(validation, "_stream_samples", _whole_file_only)
+        assert got == outcomes(), text
+        seen.update(stops)
+        if any(stops):
+            with pytest.raises(DsdlError):
+                load_external_samples("s.json", tmp_path)
+    assert {None, 0, 1, 2} <= seen  # streamed whole, not at all, and stopped after each sample
 
 
 def test_iter_samples_yields_the_samples_before_a_fault_then_raises_its_finding(tmp_path, library_env):

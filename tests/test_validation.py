@@ -1027,6 +1027,23 @@ def test_a_hand_built_data_section_gives_the_parsed_finding(library_env, section
     assert list(samples) == []
 
 
+def test_a_data_section_of_another_type_is_a_type_error(library_env):
+    """``data`` is a ``RawDataSection`` or ``None``; anything else, an empty
+    string included, is refused before any sample, not read as no data."""
+    from dsdl import parse_document, resolve_schema, summarize_dataset
+
+    doc = parse_document('$dsdl-version: "0.5.0"\ndefs:\n  S:\n    $def: struct\n    $fields: {n: Int}\n'
+                         "data:\n  sample-type: S\n  samples: [{n: 1}]\n", format="yaml")
+    schema, _ = resolve_schema(doc, library_env)
+    calls = (validate_dataset, lambda *args: validate_dataset(*args, build=False), summarize_dataset,
+             lambda *args: list(iter_samples(*args)))
+    for data in ("", "x", {"samples": []}, 0):
+        for call in calls:
+            with pytest.raises(TypeError, match="data must be a RawDataSection or None, not "):
+                call(schema, data)
+    assert validate_dataset(schema, None).sample_count == 0
+
+
 # -- paths ---------------------------------------------------------------------------------------
 
 
