@@ -384,11 +384,14 @@ def parse_document(
     ``format`` is ``yaml``, ``json``, or ``auto`` (JSON first, then
     YAML). The JSON and YAML renderings of the same content produce
     structurally identical documents. Raises :class:`DocumentError`
-    with a coded diagnostic on any fatal problem, and :class:`TypeError`
-    when ``text`` is not a ``str``.
+    with a coded diagnostic on any fatal problem, :class:`TypeError`
+    when ``text`` or ``format`` is not a ``str``, and :class:`ValueError`
+    for any other ``format`` name.
     """
     if not isinstance(text, str):
         raise TypeError(f"parse_document() text must be str, not {type(text).__name__}")
+    if not isinstance(format, str):
+        raise TypeError(f"parse_document() format must be str, not {type(format).__name__}")
     if format == "json":
         payload = _load_json(text, source)
     elif format == "yaml":

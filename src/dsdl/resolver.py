@@ -540,8 +540,13 @@ def resolve_schema(
     Imports are resolved, definitions built, acyclicity checked, and
     the sample and global-info types instantiated. Returns the schema
     (or ``None`` when a stage it depends on failed) plus all collected
-    diagnostics.
+    diagnostics. A ``doc`` that is not a :class:`RawDocument`, or an
+    ``env`` that is not a :class:`LibraryEnvironment`, raises :class:`TypeError`.
     """
+    if not isinstance(doc, RawDocument):
+        raise TypeError(f"resolve_schema() doc must be a RawDocument, not {type(doc).__name__}")
+    if not isinstance(env, LibraryEnvironment):
+        raise TypeError(f"resolve_schema() env must be a LibraryEnvironment, not {type(env).__name__}")
     registry, diags = resolve_imports(doc, env, source)
 
     cycle_diags = check_acyclic(registry)

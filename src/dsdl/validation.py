@@ -671,16 +671,13 @@ class _Tally(list):
         self.labels, self.locators, self.fill = [], [], []
 
 
-def _strictly(diags: list[Diagnostic], start: int = 0) -> None:
-    """Make each ``FIELD_MISSING`` in ``diags[start:]`` an error, in place: all that ``strict`` changes."""
-    diags[start:] = [error(d.code, d.path, d.message, d.source) if d.code == "FIELD_MISSING" else d for d in diags[start:]]
-
-
-def _run(check, raw, parent, key, strict: bool) -> tuple[object, list[Diagnostic]]:
-    diags: list[Diagnostic] = []
+def _run(check, raw, parent, key, strict: bool, diags: list[Diagnostic] | None = None) -> tuple[object, list[Diagnostic]]:
+    """The value ``check`` gives for ``raw``, and its findings in ``diags`` (a new list by default)
+    with ``strict`` applied: each ``FIELD_MISSING`` made an error, all that ``strict`` changes."""
+    diags = [] if diags is None else diags
     value = check(raw, parent, key, diags)
     if strict:
-        _strictly(diags)
+        diags[:] = [error(d.code, d.path, d.message, d.source) if d.code == "FIELD_MISSING" else d for d in diags]
     return value, diags
 
 
@@ -689,8 +686,11 @@ def validate_value(raw, ctype: ConcreteType, path: str = "", *, strict: bool = F
 
     Returns the typed value (``None`` when unusable) and the located
     diagnostics, in document order. ``strict`` makes a missing required
-    field (``FIELD_MISSING``) an error; every other severity stays.
+    field (``FIELD_MISSING``) an error; every other severity stays. A
+    ``ctype`` that is not a :class:`ConcreteType` raises :class:`TypeError`.
     """
+    if not isinstance(ctype, ConcreteType):
+        raise TypeError(f"validate_value() ctype must be a ConcreteType, not {type(ctype).__name__}")
     return _run(_checker(ctype), raw, None, path, strict)
 
 
@@ -867,6 +867,21 @@ def _raw_samples(data: RawDataSection, base):
         yield from islice(_decode_external(full, text, data.sample_path, "samples"), done, None)
 
 
+def _checked(stype: ConcreteType, items, strict: bool, build: bool | None):
+    """Each raw sample of ``items`` as ``(index, value, findings)``, checked by the ``_checker``
+    closure of ``stype`` for ``build`` into its own list (a ``_Tally`` when counting), ``strict`` applied."""
+    check, top, new = _checker(stype, build), (None, "samples"), list if build is not None else _Tally
+    for index, raw in enumerate(items):
+        yield (index, *_run(check, raw, top, index, strict, new()))
+
+
+def _section(schema: ResolvedSchema, data: RawDataSection | None) -> RawDataSection:
+    """``data`` as ``check_data_section`` gives it, once ``schema`` is a :class:`ResolvedSchema`."""
+    if not isinstance(schema, ResolvedSchema):
+        raise TypeError(f"schema must be a ResolvedSchema, not {type(schema).__name__}")
+    return check_data_section(data)
+
+
 def iter_samples(schema: ResolvedSchema, data: RawDataSection | None, base: str | Path = ".", *, strict: bool = False):
     """Each sample of ``data`` as ``(index, value, diagnostics)``, checked as
     :func:`validate_dataset` checks it; ``value`` is ``None`` when the sample is
@@ -875,11 +890,9 @@ def iter_samples(schema: ResolvedSchema, data: RawDataSection | None, base: str 
     sample; a sample file that does not load raises the :class:`DsdlError` of
     ``validate_dataset``'s finding, a streamed one after the samples before its fault.
     """
-    data = check_data_section(data)
+    data = _section(schema, data)
     if schema.sample_type is not None and data.sample_path is not None:
-        check, top = _checker(schema.sample_type), (None, "samples")
-        for index, raw in enumerate(_raw_samples(data, base)):
-            yield (index, *_run(check, raw, top, index, strict))
+        yield from _checked(schema.sample_type, _raw_samples(data, base), strict, True)
 
 
 def validate_dataset(
@@ -932,42 +945,32 @@ def summarize_dataset(
 
 def _fold(schema: ResolvedSchema, data, base, strict: bool, max_errors, build: bool | None):
     """The report of ``validate_dataset`` and the counts of ``summarize_dataset``,
-    from one loop over ``_raw_samples``. ``build`` picks the sample closures as
-    ``_checker`` does; with ``build`` None each sample's findings go to its own
-    ``_Tally``, which is counted when it holds no error and then appended to the
-    report's findings, while the other two modes append straight to the report's.
-    A stream decodes to its end, after ``max_errors`` too, before the report is used."""
+    folded over ``_checked``: each sample's value is kept when building, its
+    ``_Tally`` counted when counting and it holds no error, and its findings
+    added to the report. Once ``max_errors`` is reached the rest of the raw
+    samples is drawn unchecked, so a stream decodes to its end before the report is used."""
     report, counts = ValidationReport(), SampleCounts()
     try:
-        data = check_data_section(data)
+        data = _section(schema, data)
     except DocumentError as exc:
         return ValidationReport(diagnostics=[exc.diagnostic]), counts
 
     if schema.sample_type is not None and data.sample_path is not None:
-        check, count = _checker(schema.sample_type, build), build is None
-        diags, samples, top = report.diagnostics, report.samples, (None, "samples")
-        limit = _INF if max_errors is None else max(max_errors, 1)
-        items, index, errors_seen = _raw_samples(data, base), 0, 0
+        samples, diags, items = report.samples, report.diagnostics, _raw_samples(data, base)
+        left, index = _INF if max_errors is None else max(max_errors, 1), -1  # errors until truncation
         try:
-            for raw in items:
-                found = _Tally() if count else diags
-                start = len(found)
-                value = check(raw, top, index, found)
-                index += 1
+            for index, value, found in _checked(schema.sample_type, items, strict, build):
                 if build:
                     samples.append(value)
-                if strict:
-                    _strictly(found, start)
-                errors = sum(1 for d in found[start:] if d.severity is Severity.ERROR) if len(found) != start else 0
-                if count:
-                    if not errors:
-                        counts._add(found)
-                    diags += found
-                errors_seen += errors
-                if errors_seen >= limit:
-                    report.truncated = sum(1 for _ in items) > 0  # draws the rest, so a stream decodes to its end
+                errors = sum(1 for d in found if d.severity is Severity.ERROR) if found else 0
+                if build is None and not errors:
+                    counts._add(found)
+                diags += found
+                left -= errors
+                if left <= 0:
+                    report.truncated = sum(1 for _ in items) > 0
                     break
-            report._unkept = 0 if build else index
+            report._unkept = 0 if build else index + 1
         except DsdlError as exc:  # the file does not load: the channel's report is that one finding
             report, counts = ValidationReport(diagnostics=[exc.diagnostic]), SampleCounts()
 

@@ -450,6 +450,8 @@ _FINDINGS = {
         "defs:\n  D: {$def: class_domain, classes: [x]}\n  S: {$def: struct, $fields: {a: 'Label[D, D]'}}\n"
         "data:\n  sample-type: S\n  samples: [{a: x}]\n"
     ): ("EXTRA_PARAM", "data/sample-type/a"),
+    "data:\n  sample-type: 'List[etype=1]'\n  samples: [[1]]\n": ("ARG_KIND", "data/sample-type"),
+    "data:\n  sample-type: 'List[etype=$p]'\n  samples: [[1]]\n": ("MISSING_PARAM", "data/sample-type"),
     # mapping-form arguments: a bool, a number and a $param
     (
         "defs:\n  S: {$def: struct, $fields: {a: {$type: List, etype: Int, ordered: true}}}\n"

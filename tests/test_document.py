@@ -34,6 +34,17 @@ def test_bytes_text_is_a_type_error(fmt):
         parse_document(GET_STARTED_JSON.encode(), format=fmt)
 
 
+@pytest.mark.parametrize("fmt", [None, b"json", 1])
+def test_a_format_that_is_not_a_str_is_a_type_error(fmt):
+    with pytest.raises(TypeError, match="format must be str, not "):
+        parse_document(GET_STARTED_JSON, format=fmt)
+
+
+def test_an_unknown_format_name_is_a_value_error():
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        parse_document(GET_STARTED_JSON, format="xml")
+
+
 def test_json_and_yaml_yield_identical_documents():
     assert parse_document(GET_STARTED_JSON, format="json") == parse_document(
         GET_STARTED_YAML, format="yaml"

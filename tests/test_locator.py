@@ -202,6 +202,17 @@ def test_extension_class_usable_in_fields(library_env):
     assert report.samples[0].values["cloud"].class_name == "PointCloudV2"
 
 
+def test_an_extension_class_takes_no_arguments(library_env):
+    from dsdl import parse_document, resolve_schema
+
+    registry = MediaClassRegistry()
+    registry.register("Mesh", lambda reader, descr: reader.read())
+    doc = parse_document('$dsdl-version: "0.5.0"\ndata:\n  sample-type: "Mesh[x=1]"\n  samples: []\n', format="yaml")
+    schema, diags = resolve_schema(doc, library_env, media_extensions=registry.extension_names())
+    assert schema is None
+    assert [(d.code, d.path, d.message) for d in diags] == [("EXTRA_PARAM", "data/sample-type", "Mesh takes no arguments")]
+
+
 # -- object loading ----------------------------------------------------------------
 
 

@@ -37,6 +37,25 @@ def test_import_from_default_library(library_env):
     assert "ImageClassificationSample" in registry
 
 
+def test_an_import_name_may_carry_its_extension(library_env):
+    doc = parse_document('$dsdl-version: "0.5.0"\n$import: [object-detection.yaml]\n', format="yaml")
+    registry, diags = resolve_imports(doc, library_env)
+    assert diags == []
+    assert "ObjectDetectionSample" in registry
+
+
+def test_resolution_of_what_is_not_a_document_or_against_what_is_not_an_environment_is_a_type_error(library_env):
+    for doc in (None, '$dsdl-version: "0.5.0"\n', {}):
+        with pytest.raises(TypeError, match=r"resolve_schema\(\) doc must be a RawDocument, not "):
+            resolve_schema(doc, library_env)
+    plain = parse_document('$dsdl-version: "0.5.0"\n', format="yaml")
+    importing = parse_document('$dsdl-version: "0.5.0"\n$import: [imageclass]\n', format="yaml")
+    for doc in (plain, importing):
+        for env in (None, ("lib",)):
+            with pytest.raises(TypeError, match=r"resolve_schema\(\) env must be a LibraryEnvironment, not "):
+                resolve_schema(doc, env)
+
+
 def test_unresolvable_import_lists_searched_paths(library_env):
     doc = parse_document('$dsdl-version: "0.5.0"\n$import: [nosuchlib]\n', format="yaml")
     registry, diags = resolve_imports(doc, library_env)
@@ -411,8 +430,13 @@ def test_unsupported_fmt_directive_fails_at_schema_time(detection_registry):
         ),
         ("List[etype=Int, ordered=1]", "ARG_KIND", "List.ordered must be a boolean"),
         ("Date[fmt=1]", "ARG_KIND", "Date.fmt must be a string"),
+        ("List[etype=1]", "ARG_KIND", "List.etype must be a type"),
+        ("List[etype=$p]", "MISSING_PARAM", "no binding for parameter $p"),
     ],
-    ids=["positional-extra", "bound-twice", "domain-as-type", "dangling-percent", "measure", "ordered", "fmt"],
+    ids=[
+        "positional-extra", "bound-twice", "domain-as-type", "dangling-percent", "measure", "ordered", "fmt",
+        "etype-not-a-type", "unbound-param",
+    ],
 )
 def test_instantiation_finding(text, code, message):
     registry = _registry_from(

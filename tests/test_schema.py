@@ -103,6 +103,11 @@ def test_skeleton_bounds_are_validated():
     body["skeleton"] = [[1, 1]]
     _, diags = build_definitions({"D": body})
     assert [d.code for d in diags] == ["MALFORMED_DEF"]
+    body["skeleton"] = [[1]]
+    _, diags = build_definitions({"D": body})
+    assert [(d.code, d.path, d.message) for d in diags] == [
+        ("MALFORMED_DEF", "defs/D/skeleton/0", "skeleton entry [1] is not a pair of integers")
+    ]
     body["skeleton"] = [[2, 1]]
     registry, diags = build_definitions({"D": body})
     assert diags == []

@@ -244,6 +244,11 @@ def test_label_hierarchical_qualified_name():
     assert len(ref.path.split(".")) == 3
 
 
+def test_an_unbound_index_label_prints_in_its_index_form():
+    ref, diags = validate_label("D[1.2]", None)
+    assert (ref, diags, str(ref)) == (ClassRef("D", (1, 2), ""), [], "D[1.2]")
+
+
 def test_label_index_out_of_range(registry):
     ref, diags = validate_label("MyClassDom[9]", registry.get("MyClassDom"))
     assert ref is None
@@ -317,7 +322,7 @@ def test_instance_and_unique_ids(registry):
 
 
 def test_non_finite_numbers_are_range_errors(registry):
-    from dsdl import parse_document, resolve_schema
+    from dsdl import LibraryEnvironment, parse_document, resolve_schema
 
     text = (
         '$dsdl-version: "0.5.0"\n'
@@ -329,7 +334,7 @@ def test_non_finite_numbers_are_range_errors(registry):
         "    - {b: [0, 0, .nan, .inf], i: [.nan, 1]}\n"
     )
     doc = parse_document(text, format="yaml")
-    schema, _ = resolve_schema(doc, None)
+    schema, _ = resolve_schema(doc, LibraryEnvironment())
     report = validate_dataset(schema, doc.data)
     assert [(d.code, d.path) for d in report.diagnostics] == [
         ("RANGE", "samples/0/b/2"),
@@ -1042,6 +1047,26 @@ def test_a_data_section_of_another_type_is_a_type_error(library_env):
             with pytest.raises(TypeError, match="data must be a RawDataSection or None, not "):
                 call(schema, data)
     assert validate_dataset(schema, None).sample_count == 0
+
+
+def test_a_schema_or_type_of_another_type_is_a_type_error(library_env):
+    """The ``None`` schema of a failed resolution, or anything else that is no
+    schema, is refused by each dataset function; no type, by ``validate_value``."""
+    from dsdl import parse_document, resolve_schema, summarize_dataset
+
+    doc = parse_document('$dsdl-version: "0.5.0"\ndata:\n  sample-type: Nothing\n  samples: [1]\n', format="yaml")
+    schema, diags = resolve_schema(doc, library_env)
+    assert (schema, [d.code for d in diags]) == (None, ["UNKNOWN_TYPE"])
+    calls = (validate_dataset, lambda *args: validate_dataset(*args, build=False), summarize_dataset,
+             lambda *args: next(iter_samples(*args)))
+    for bad in (schema, "S", doc):
+        for data in (doc.data, None):
+            for call in calls:
+                with pytest.raises(TypeError, match="schema must be a ResolvedSchema, not "):
+                    call(bad, data)
+    for ctype in ("Int", None, parse_type_expression("Int")):
+        with pytest.raises(TypeError, match=r"validate_value\(\) ctype must be a ConcreteType, not "):
+            validate_value(1, ctype)
 
 
 # -- paths ---------------------------------------------------------------------------------------
