@@ -123,6 +123,12 @@ class ResolvedSchema(Slotted):
         self.meta = meta
 
 
+def _expect(function: str, name: str, value, cls: type) -> None:
+    """Raise :class:`TypeError` when argument ``name`` of ``function`` is not a ``cls``."""
+    if not isinstance(value, cls):
+        raise TypeError(f"{function}() {name} must be a {cls.__name__}, not {type(value).__name__}")
+
+
 def resolve_imports(
     doc: RawDocument,
     env: LibraryEnvironment,
@@ -132,8 +138,12 @@ def resolve_imports(
 
     Returns the merged registry plus diagnostics (``IMPORT_NOT_FOUND``,
     ``IMPORT_CYCLE``, one ``IMPORT_OVERWRITE`` warning per shadowed
-    name, and any definition-build findings).
+    name, and any definition-build findings). A ``doc`` that is not a
+    :class:`RawDocument`, or an ``env`` that is not a
+    :class:`LibraryEnvironment`, raises :class:`TypeError`.
     """
+    _expect("resolve_imports", "doc", doc, RawDocument)
+    _expect("resolve_imports", "env", env, LibraryEnvironment)
     diags: list[Diagnostic] = []
     merged: dict[str, object] = {}
     origins: dict[str, str | None] = {}
@@ -239,8 +249,10 @@ def check_acyclic(registry: DefinitionRegistry) -> list[Diagnostic]:
     """Detect reference cycles among definitions (self-reference counts).
 
     Returns ``CYCLE_DETECTED`` diagnostics naming the full cycle path,
-    or an empty list when the reference graph is a DAG.
+    or an empty list when the reference graph is a DAG. A ``registry``
+    that is not a :class:`DefinitionRegistry` raises :class:`TypeError`.
     """
+    _expect("check_acyclic", "registry", registry, DefinitionRegistry)
     graph: dict[str, list[str]] = {}
     for name, entry in registry.items():
         edges: list[str] = []
@@ -330,8 +342,12 @@ def instantiate_type(
     Positional arguments map to declared parameter order (the builtin
     signature for builtins, ``$params`` for structs) before keyed ones.
     Raises :class:`ResolutionError` on ``UNKNOWN_TYPE``,
-    ``MISSING_PARAM``, ``EXTRA_PARAM``, or ``ARG_KIND`` problems.
+    ``MISSING_PARAM``, ``EXTRA_PARAM``, or ``ARG_KIND`` problems. An
+    ``expr`` that is not a :class:`TypeExpr`, or a ``registry`` that is not
+    a :class:`DefinitionRegistry`, raises :class:`TypeError`.
     """
+    _expect("instantiate_type", "expr", expr, TypeExpr)
+    _expect("instantiate_type", "registry", registry, DefinitionRegistry)
     closed = substitute_params(expr, bindings)
     run = _Instantiation(registry, media_extensions, diags if diags is not None else [])
     return _instantiate_closed(closed, run, _path)
@@ -543,10 +559,8 @@ def resolve_schema(
     diagnostics. A ``doc`` that is not a :class:`RawDocument`, or an
     ``env`` that is not a :class:`LibraryEnvironment`, raises :class:`TypeError`.
     """
-    if not isinstance(doc, RawDocument):
-        raise TypeError(f"resolve_schema() doc must be a RawDocument, not {type(doc).__name__}")
-    if not isinstance(env, LibraryEnvironment):
-        raise TypeError(f"resolve_schema() env must be a LibraryEnvironment, not {type(env).__name__}")
+    _expect("resolve_schema", "doc", doc, RawDocument)
+    _expect("resolve_schema", "env", env, LibraryEnvironment)
     registry, diags = resolve_imports(doc, env, source)
 
     cycle_diags = check_acyclic(registry)

@@ -15,6 +15,7 @@ path (``3.2.5``) walks the hierarchy implied by dotted class names.
 from __future__ import annotations
 
 import re
+from itertools import islice
 
 from .diagnostics import ClassLookupError, Diagnostic, ResolutionError, echo, error, show_key, show_number, warning
 from .document import split_definition_key
@@ -57,19 +58,111 @@ class ClassRef(Frozen):
     ``index_path`` is the 1-based hierarchical position (one entry per
     path segment); it is empty for references that were parsed from a
     qualified name without a resolvable domain.
+
+    The shared ref of a class in a dotted domain places its ``index_path``
+    when that field is first read (equality, hash, repr and pickling read
+    it too): until then it holds its domain's placement, and so keeps the
+    domain's class list alive, though not the domain.
     """
 
-    __slots__ = ("domain", "index_path", "path")
+    __slots__ = ("domain", "index_path", "path", "_placed_by")
 
     def __init__(self, domain: str, index_path: tuple[int, ...], path: str):
         set_field(self, "domain", domain)
         set_field(self, "index_path", index_path)
         set_field(self, "path", path)
 
+    def __getattr__(self, name: str):
+        # reached only for a slot not set: a lazy ref's ``index_path`` before its first read
+        if name != "index_path":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        placement, index = self._placed_by
+        index_path = placement.index_path(index)
+        set_field(self, "index_path", index_path)
+        object.__delattr__(self, "_placed_by")
+        return index_path
+
     def __str__(self) -> str:
         if self.path:
             return f"{self.domain}::{self.path}"
         return f"{self.domain}[{'.'.join(str(i) for i in self.index_path)}]"
+
+
+class _Placement(Slotted):
+    """A domain's sweep that places each child's 1-based position below each
+    dotted prefix (``""`` is the top), in first-appearance order, kept between
+    lookups so that each extends it only as far as it reads.
+
+    ``positions`` covers ``names[:placed]``; ``last`` and ``siblings`` are the
+    sweep's last prefix and its children. The index path of class i depends
+    only on ``names[:i]``, so placing up to i is exact. A flat domain's
+    placement is complete from the start, with ``{"": index}``. ``children``
+    lists the children of each prefix that an index path has walked, as far
+    as it has read them. It holds no domain or ref, so a ref that holds it
+    makes no reference cycle.
+    """
+
+    __slots__ = ("names", "index", "positions", "placed", "last", "siblings", "children")
+
+    def __init__(self, names: list[str], index: dict[str, int]):
+        self.names, self.index, self.children = names, index, {}
+        if any("." in text for text in names):
+            self.positions, self.placed = {"": {}}, 0
+        else:
+            self.positions, self.placed = {"": index}, len(names)
+        self.last, self.siblings = "", self.positions[""]
+
+    def place(self, stop: int, prefix: str | None = None, count: int = 0) -> None:
+        """Extend the sweep over ``names[:stop]``. Given a ``prefix``, stop
+        before the leaf of the first name that begins a run of names below
+        it, or whose new ancestors give it ``count`` children."""
+        if stop <= self.placed:
+            return
+        positions, last, siblings = self.positions, self.last, self.siblings
+        for text in self.names[self.placed:stop]:
+            parent, _, leaf = text.rpartition(".")
+            if parent != last:
+                last, siblings = parent, positions.get(parent)
+                if siblings is None:  # a prefix seen for the first time: place it and its ancestors
+                    above = ""
+                    for seg in parent.split("."):
+                        level = positions.setdefault(above, {})
+                        if seg not in level:
+                            level[seg] = len(level) + 1
+                        above = f"{above}.{seg}" if above else seg
+                    siblings = positions[parent] = {}
+                if prefix is not None and (parent == prefix or len(positions.get(prefix, ())) >= count):
+                    stop = self.index[text] - 1  # this name's leaf is placed on the next call
+                    break
+            siblings.setdefault(leaf, len(siblings) + 1)
+        self.placed, self.last, self.siblings = stop, last, siblings
+
+    def index_path(self, index: int) -> tuple[int, ...]:
+        """The index path of the ``index``-th class (1-based), placing up to it."""
+        self.place(index)
+        positions, prefix, index_path = self.positions, "", []
+        for seg in self.names[index - 1].split("."):
+            index_path.append(positions[prefix][seg])
+            prefix = f"{prefix}.{seg}" if prefix else seg
+        return tuple(index_path)
+
+    def child(self, prefix: str, idx: int) -> str | None:
+        """The text of the ``idx``-th child of ``prefix``, placing names only until
+        it has one; ``None``, with every name placed, when it has none."""
+        names, positions = self.names, self.positions
+        while len(positions.get(prefix, ())) < idx and self.placed < len(names):
+            if self.last == prefix:  # in a run below prefix, each name gives it at most one child
+                self.place(min(len(names), self.placed + idx - len(positions[prefix])))
+            else:
+                self.place(len(names), prefix, idx)
+        siblings = positions.get(prefix, ())
+        if not 1 <= idx <= len(siblings):
+            self.place(len(names))  # so that a range message counts every child
+            return None
+        children = self.children.setdefault(prefix, [])
+        if len(children) < idx:  # the children placed since the last read are the last keys
+            children += reversed([*islice(reversed(siblings), len(siblings) - len(children))])
+        return f"{prefix}.{children[idx - 1]}" if prefix else children[idx - 1]
 
 
 class ClassDomain(Frozen):
@@ -81,24 +174,27 @@ class ClassDomain(Frozen):
     ``names`` (the declared list itself when every item is a plain dotted
     identifier) and ``index``, each text's 1-based position.
 
-    The hierarchy tables are built on the first lookup that reads them and
-    then kept: ``positions``, each child's 1-based position below a dotted
-    prefix (``""`` is the top), on the first :meth:`ref`; ``children``,
-    those children in first-appearance order, on the first multi-level
-    index path; ``leaves``, the last segment of each multi-segment class
-    -> its index (0 when several classes share it), on the first bare name
-    that is not a class text. A flat domain's ``positions`` is
-    ``{"": index}``.
+    The hierarchy tables are built by the lookups that read them and then
+    kept. ``placement`` (a :class:`_Placement`, made on the first
+    :meth:`ref` or index path) places each child's 1-based position below a
+    dotted prefix only as far down the class list as a lookup reads: a
+    name, integer or ``Dom::path`` lookup places nothing, reading a ref's
+    ``index_path`` places up to that class, and an index path places until
+    each prefix it walks has the wanted child (all of the list when one has
+    not). ``leaves``, the last segment of each multi-segment class -> its
+    index (0 when several classes share it), is built on the first bare
+    name that is not a class text.
 
     The :class:`ClassRef` of a class is made by :meth:`ref` on its first
-    lookup and then shared; ``classes``, the classes as segments, is made
-    from ``items`` on first access. Equality, hash and repr mean name,
-    classes, skeleton and parents.
+    lookup and then shared; in a dotted domain it places its ``index_path``
+    on first read (see :class:`ClassRef`). ``classes``, the classes as
+    segments, is made from ``items`` on first access. Equality, hash and
+    repr mean name, classes, skeleton and parents.
     """
 
     __slots__ = (
         "name", "items", "skeleton", "parents", "names", "index",
-        "_refs", "_classes", "_positions", "_children", "_leaves",
+        "_refs", "_classes", "_placement", "_leaves", "__weakref__",
     )
     _fields = ("name", "classes", "skeleton", "parents")
 
@@ -108,7 +204,7 @@ class ClassDomain(Frozen):
     def __setstate__(self, state: list) -> None:
         super().__setstate__(state)
         set_field(self, "_refs", {})  # class index and class text -> its ClassRef
-        for cache in ("_classes", "_positions", "_children", "_leaves"):
+        for cache in ("_classes", "_placement", "_leaves"):
             set_field(self, cache, None)
 
     @property
@@ -123,21 +219,12 @@ class ClassDomain(Frozen):
         return classes
 
     @property
-    def positions(self) -> dict[str, dict[str, int]]:
-        positions = self._positions
-        if positions is None:
-            names = self.names
-            positions = _positions(names) if any("." in text for text in names) else {"": self.index}
-            set_field(self, "_positions", positions)
-        return positions
-
-    @property
-    def children(self) -> dict[str, list[str]]:
-        children = self._children
-        if children is None:
-            children = {prefix: list(siblings) for prefix, siblings in self.positions.items()}
-            set_field(self, "_children", children)
-        return children
+    def placement(self) -> _Placement:
+        placement = self._placement
+        if placement is None:
+            placement = _Placement(self.names, self.index)
+            set_field(self, "_placement", placement)
+        return placement
 
     @property
     def leaves(self) -> dict[str, int]:
@@ -147,19 +234,24 @@ class ClassDomain(Frozen):
             set_field(self, "_leaves", leaves)
         return leaves
 
-    def ref(self, index: int) -> ClassRef:
+    def ref(self, index: int, index_path: tuple[int, ...] | None = None) -> ClassRef:
         """The ref of the ``index``-th class (1-based), made on first use and then
-        shared; an index outside the domain is a ``CLASS_INDEX_RANGE`` lookup error."""
+        shared; an index outside the domain is a ``CLASS_INDEX_RANGE`` lookup error.
+        A new ref takes ``index_path`` when given, else the placement's path
+        when it is placed already, else its path is placed on first read."""
         ref = self._refs.get(index)
         if ref is None:
             if not 1 <= index <= len(self.names):
                 message = f"class index {show_number(index)} out of range 1..{len(self.names)} in {self.name}"
                 raise ClassLookupError(error("CLASS_INDEX_RANGE", "", message))
-            text, positions, prefix, index_path = self.names[index - 1], self.positions, "", []
-            for seg in text.split("."):
-                index_path.append(positions[prefix][seg])
-                prefix = f"{prefix}.{seg}" if prefix else seg
-            ref = self._refs[index] = self._refs[text] = ClassRef(self.name, tuple(index_path), text)
+            text, placement = self.names[index - 1], self.placement
+            if index_path is None and index <= placement.placed:
+                index_path = placement.index_path(index)
+            ref = ClassRef(self.name, index_path, text)
+            if index_path is None:  # placed on its first read
+                object.__delattr__(ref, "index_path")
+                set_field(ref, "_placed_by", (placement, index))
+            self._refs[index] = self._refs[text] = ref
         return ref
 
     def __len__(self) -> int:
@@ -283,7 +375,10 @@ def build_definitions(
     still register, so one bad definition does not hide the rest. A
     builder raises :class:`ResolutionError` at an entry's first error,
     which is recorded here; it appends its warnings as it finds them.
+    A ``raw_defs`` that is not a ``dict`` raises :class:`TypeError`.
     """
+    if not isinstance(raw_defs, dict):
+        raise TypeError(f"build_definitions() raw_defs must be a dict, not {type(raw_defs).__name__}")
     registry = DefinitionRegistry()
     diags: list[Diagnostic] = []
     for key, body in raw_defs.items():
@@ -414,28 +509,6 @@ def _all_plain(items: list) -> bool:
     return True
 
 
-def _positions(names: list[str]) -> dict[str, dict[str, int]]:
-    """The 1-based position of each child below each dotted prefix (``""`` is
-    the top), in first-appearance order, placed in one sweep that keeps the
-    last prefix and its children at hand."""
-    positions: dict[str, dict[str, int]] = {"": {}}
-    last, siblings = "", positions[""]
-    for text in names:
-        prefix, _, leaf = text.rpartition(".")
-        if prefix != last:
-            last, siblings = prefix, positions.get(prefix)
-            if siblings is None:  # a prefix seen for the first time: place it and its ancestors
-                above = ""
-                for seg in prefix.split("."):
-                    level = positions.setdefault(above, {})
-                    if seg not in level:
-                        level[seg] = len(level) + 1
-                    above = f"{above}.{seg}" if above else seg
-                siblings = positions[prefix] = {}
-        siblings.setdefault(leaf, len(siblings) + 1)
-    return positions
-
-
 def _leaves(names: list[str]) -> dict[str, int]:
     """The leaf of each multi-segment class -> its 1-based index, or 0 when
     several classes share the leaf."""
@@ -506,10 +579,11 @@ def lookup_class(domain: ClassDomain, selector: str | int) -> ClassRef:
     ``CLASS_INDEX_RANGE``; a selector that is neither ``str`` nor
     ``int`` (``bool`` included) is an invalid ``CLASS_NOT_FOUND``.
 
-    A lookup reads the domain's tables, each built by the first lookup that
-    needs it, so after that its cost does not depend on the domain's size
-    (an index path costs one step per level); it returns the class's
-    shared ref from :meth:`ClassDomain.ref`. A ``domain`` that is not a
+    A lookup reads the domain's tables, each built or extended by the
+    lookups that need it (see :class:`ClassDomain`): a name or integer
+    lookup then costs the same whatever the domain's size, and an index
+    path one step per level. It returns the class's shared ref from
+    :meth:`ClassDomain.ref`. A ``domain`` that is not a
     :class:`ClassDomain` raises :class:`TypeError`.
     """
     if not isinstance(domain, ClassDomain):
@@ -522,19 +596,20 @@ def lookup_class(domain: ClassDomain, selector: str | int) -> ClassRef:
         parts = index_path(selector)
         if len(parts) == 1:
             return domain.ref(parts[0])
-        children, prefix = domain.children, ""
+        placement, prefix = domain.placement, ""
         for level, idx in enumerate(parts, 1):
-            siblings = children.get(prefix, ())
-            if not 1 <= idx <= len(siblings):
+            text = placement.child(prefix, idx)
+            if text is None:
+                count = len(placement.positions.get(prefix, ()))
                 raise ClassLookupError(
-                    error("CLASS_INDEX_RANGE", "", f"index {show_number(idx)} out of range 1..{len(siblings)} at level {level}")
+                    error("CLASS_INDEX_RANGE", "", f"index {show_number(idx)} out of range 1..{count} at level {level}")
                 )
-            prefix = f"{prefix}.{siblings[idx - 1]}" if prefix else siblings[idx - 1]
+            prefix = text
         index = domain.index.get(prefix)
         if index is None:
             message = f"index path {echo(selector, show=repr)} addresses no declared class in {domain.name}"
             raise ClassLookupError(error("CLASS_NOT_FOUND", "", message))
-        return domain.ref(index)
+        return domain.ref(index, parts)
     ref = domain._refs.get(selector)  # made by an earlier lookup of this class
     if ref is not None:
         return ref

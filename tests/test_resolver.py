@@ -56,6 +56,27 @@ def test_resolution_of_what_is_not_a_document_or_against_what_is_not_an_environm
                 resolve_schema(doc, env)
 
 
+_IMPORTING = '$dsdl-version: "0.5.0"\n$import: [imageclass]\n'
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda env: resolve_imports(None, env), r"resolve_imports\(\) doc must be a RawDocument, not NoneType"),
+        (lambda env: resolve_imports(parse_document(_IMPORTING, format="yaml"), None),
+         r"resolve_imports\(\) env must be a LibraryEnvironment, not NoneType"),
+        (lambda env: check_acyclic(None), r"check_acyclic\(\) registry must be a DefinitionRegistry, not NoneType"),
+        (lambda env: build_definitions(None), r"build_definitions\(\) raw_defs must be a dict, not NoneType"),
+        (lambda env: instantiate_type("Int", {}, resolve_imports(parse_document(_IMPORTING, format="yaml"), env)[0]),
+         r"instantiate_type\(\) expr must be a TypeExpr, not str"),
+    ],
+    ids=["resolve_imports-doc", "resolve_imports-env", "check_acyclic", "build_definitions", "instantiate_type"],
+)
+def test_a_resolution_stage_given_an_argument_of_the_wrong_type_raises_a_type_error(library_env, call, message):
+    with pytest.raises(TypeError, match=message):
+        call(library_env)
+
+
 def test_unresolvable_import_lists_searched_paths(library_env):
     doc = parse_document('$dsdl-version: "0.5.0"\n$import: [nosuchlib]\n', format="yaml")
     registry, diags = resolve_imports(doc, library_env)

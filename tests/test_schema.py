@@ -1,14 +1,18 @@
 """Schema model: definition building, builtin inventory, class lookup."""
 
+import gc
+import json
 import pickle
 import re
 import tracemalloc
+import weakref
+from itertools import islice
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dsdl import build_definitions, lookup_class, parse_document, schema
+from dsdl import LibraryEnvironment, build_definitions, lookup_class, parse_document, resolve_schema, schema, validate_dataset
 from dsdl.diagnostics import ClassLookupError
 from dsdl.resolver import ConcreteType
 from dsdl.schema import BUILTINS, ClassDomain, ClassRef, StructClass
@@ -594,37 +598,61 @@ def _label(dom, raw):
     return ref
 
 
-def test_a_big_domain_builds_each_hierarchy_table_on_the_first_lookup_that_needs_it(monkeypatch):
-    passes = {"positions": 0, "leaves": 0}
-
-    def counting(table):
-        build = getattr(schema, f"_{table}")
-
-        def counted(names):
-            passes[table] += 1
-            return build(names)
-
-        monkeypatch.setattr(schema, f"_{table}", counted)
-
-    counting("positions")
-    counting("leaves")
+def test_a_big_domain_places_positions_only_as_far_as_a_lookup_reads(monkeypatch):
+    leaf_maps = []
+    build_leaves = schema._leaves
+    monkeypatch.setattr(schema, "_leaves", lambda names: leaf_maps.append(1) or build_leaves(names))
     dom = _big_domain()
-    assert passes == {"positions": 0, "leaves": 0} and dom._children is None
-    ref = lookup_class(dom, "top3.mid7.leaf3_7_9")
-    assert ref.index_path == (4, 8, 10)
-    assert passes == {"positions": 1, "leaves": 0} and dom._children is None
-    name, index, qname, leaf, ipath, _ = _BIG_LABELS
-    for raw in (name, index, qname):
+    assert dom._placement is None
+    name, index, qname, leaf, ipath, qindex = _BIG_LABELS
+    ref = _label(dom, name)
+    placement = dom._placement
+    for raw in (name, index, qname, leaf):  # the bare leaf builds the leaf map, and places nothing either
         assert _label(dom, raw) is ref
-    assert passes == {"positions": 1, "leaves": 0} and dom._children is None
-    assert _label(dom, leaf) is ref  # builds the leaf map only
-    assert passes == {"positions": 1, "leaves": 1} and dom._children is None
-    assert _label(dom, ipath) is ref  # builds the children lists, from the positions
-    children = dom._children
-    assert passes == {"positions": 1, "leaves": 1} and children is not None
+    assert placement.placed == 0 and leaf_maps == [1]
+    assert ref.index_path == (4, 8, 10)  # the first read places up to the class
+    assert placement.placed == index
+    positions = {prefix: dict(siblings) for prefix, siblings in placement.positions.items()}
+    # a second read places nothing, nor does a class placed already, in any syntax
+    assert ref.index_path == (4, 8, 10) and pickle.loads(pickle.dumps(ref)) == ref
+    first = lookup_class(dom, 1)
+    assert first.index_path == (1, 1, 1) and pickle.loads(pickle.dumps(first)) == first
+    assert _label(dom, ipath) is ref and _label(dom, qindex) is ref
+    assert placement.placed == index and placement.positions == positions
+    # an index path places until each prefix it walks has the wanted child, here up to its class
+    later = lookup_class(dom, "7.3.20")
+    assert (later.path, placement.placed) == ("top6.mid2.leaf6_2_19", 6 * 1000 + 2 * 50 + 20)
+    assert later.index_path == (7, 3, 20) and placement.placed == 6120
+    assert _label(dom, "Big[7.3.20]") is later and placement.placed == 6120
+    # each walked level keeps its children as a list, read up to the wanted one
+    lists = {"": 7, "top3": 8, "top3.mid7": 10, "top6": 3, "top6.mid2": 20}
+    assert {prefix: len(children) for prefix, children in placement.children.items()} == lists
+    assert lookup_class(dom, "7.3.5").path == "top6.mid2.leaf6_2_4" and placement.placed == 6120
+    assert {prefix: len(children) for prefix, children in placement.children.items()} == lists
+    # out of range at a level, every name is placed, so the message counts all children
+    with pytest.raises(ClassLookupError, match=r"index 51 out of range 1\.\.50 at level 3"):
+        lookup_class(dom, "9.20.51")
+    assert placement.placed == 10_000 and leaf_maps == [1]
     for raw in _BIG_LABELS * 2:
         assert _label(dom, raw) is ref
-    assert passes == {"positions": 1, "leaves": 1} and dom._children is children
+
+
+def test_index_paths_read_in_order_through_a_wide_level_take_each_child_once(monkeypatch):
+    pulled = []
+
+    def counted(iterable):
+        for item in iterable:
+            pulled.append(item)
+            yield item
+
+    monkeypatch.setattr(schema, "islice", lambda iterable, *args: islice(counted(iterable), *args))
+    n = 500
+    registry, _ = build_definitions({"Wide": {"$def": "class_domain", "classes": [f"a.x{i}" for i in range(n)]}})
+    dom = registry.get("Wide")
+    for i in range(1, n + 1):
+        assert lookup_class(dom, f"1.{i}").path == f"a.x{i - 1}" and dom.placement.placed == i
+    # each lookup adds only the newly placed child to the level's list, not a rescan of the level
+    assert len(pulled) == n + 1
 
 
 def test_a_pickled_big_domain_gives_the_same_refs_before_and_after_its_tables_are_built():
@@ -637,3 +665,130 @@ def test_a_pickled_big_domain_gives_the_same_refs_before_and_after_its_tables_ar
     assert after == dom and after == before
     assert [_label(after, raw) for raw in reversed(_BIG_LABELS)] == refs[::-1]
     assert all(ref == refs[0] for ref in refs)
+
+
+# -- lifetime: a lazy ref holds its domain's placement, not its domain ---------------
+
+
+def _big_dataset():
+    """A resolved schema over the big domain, and the built report of two samples labelled in it."""
+    classes = [f"top{a}.mid{b}.leaf{a}_{b}_{c}" for a in range(10) for b in range(20) for c in range(50)]
+    samples = [{"tags": ["top3.mid7.leaf3_7_9", 5]}, {"tags": ["Big::top9.mid19.leaf9_19_49"]}]
+    text = json.dumps({
+        "$dsdl-version": "0.5.0",
+        "Big": {"$def": "class_domain", "classes": classes},
+        "S": {"$def": "struct", "$fields": {"tags": "List[etype=Label[dom=Big]]"}},
+        "data": {"sample-type": "S", "samples": samples},
+    })
+    doc = parse_document(text, format="json")
+    resolved, diags = resolve_schema(doc, LibraryEnvironment(()))
+    assert diags == []
+    report = validate_dataset(resolved, doc.data)
+    assert report.diagnostics == [] and report.sample_count == 2
+    return resolved, report
+
+
+def test_a_ref_outlives_its_schema_and_domain():
+    resolved, report = _big_dataset()
+    read, pickled = report.samples[0]["tags"]
+    del resolved, report
+    gc.collect()
+    assert read.index_path == (4, 8, 10)
+    assert pickle.loads(pickle.dumps(read)) == ClassRef("Big", (4, 8, 10), "top3.mid7.leaf3_7_9")
+    assert pickle.loads(pickle.dumps(pickled)) == ClassRef("Big", (1, 1, 5), "top0.mid0.leaf0_0_4")
+
+
+def test_a_resolved_domain_is_freed_without_the_cyclic_collector():
+    gc.collect()
+    gc.disable()
+    try:
+        resolved, report = _big_dataset()
+        dom = weakref.ref(resolved.registry.get("Big"))
+        assert report.samples[0]["tags"][0].index_path == (4, 8, 10)  # the placement is part way
+        kept = report.samples[1]["tags"][0]
+        del resolved, report
+        assert dom() is None  # freed by reference counting alone: no cycle holds it
+        assert kept.index_path == (10, 20, 50)
+    finally:
+        gc.enable()
+
+
+# -- differential property: lazily placed index paths against the eager oracle -------
+
+_TREE_SEGMENTS = ("a", "b", "c", "d", "e_1")
+
+
+@st.composite
+def _dotted_bodies(draw):
+    """Dotted class lists over a random tree, some of whose prefixes are classes
+    too, declared in nested order (each subtree together, siblings in a drawn
+    order), in sorted order or shuffled; some segments carry ``[parent]``."""
+    paths = draw(st.lists(st.lists(st.sampled_from(_TREE_SEGMENTS), min_size=1, max_size=4).map(tuple), min_size=1, max_size=25, unique=True))
+    order = draw(st.sampled_from(("nested", "sorted", "shuffled")))
+    if order == "nested":
+        rank = {seg: r for r, seg in enumerate(draw(st.permutations(_TREE_SEGMENTS)))}
+        paths.sort(key=lambda path: [rank[seg] for seg in path])
+    elif order == "sorted":
+        paths.sort()
+    else:
+        paths = draw(st.permutations(paths))
+    annotate = draw(st.booleans())
+    items = [".".join(f"{seg}[p]" if annotate and draw(st.booleans()) else seg for seg in path) for path in paths]
+    return {"$def": "class_domain", "classes": items}
+
+
+def _selector(eager, k: int, syntax: str):
+    """Class ``k``'s (1-based) label in ``syntax``, and the selector the oracle looks up."""
+    ref = eager.refs[k - 1]
+    ipath = ".".join(map(str, ref.index_path))
+    return {
+        "name": (ref.path, ref.path), "index": (k, k), "str-index": (str(k), str(k)), "ipath": (ipath, ipath),
+        "leaf": (ref.path.split(".")[-1],) * 2, "qname": (f"Dom::{ref.path}", ref.path),
+        "qindex": (f"Dom[{ipath}]", ipath), "flat-qindex": (f"Dom[{k}]", str(k)),
+    }[syntax]
+
+
+_SYNTAXES = ("name", "index", "str-index", "ipath", "leaf", "qname", "qindex", "flat-qindex")
+
+
+@settings(max_examples=300, deadline=None)
+@given(_dotted_bodies(), st.data())
+def test_lazily_placed_index_paths_match_eager_oracle_in_any_read_order(body, data):
+    from dsdl.validation import validate_label
+
+    (dom, diags), (eager, eager_diags) = _both(body)
+    assert diags == eager_diags and dom is not None
+    n, got = len(eager), []  # got: (ref, the oracle's ref) of each lookup so far
+    op = st.one_of(
+        st.tuples(st.just("lookup"), st.integers(1, n), st.sampled_from(_SYNTAXES)),
+        st.tuples(st.just("miss"), st.lists(st.integers(0, 6), min_size=2, max_size=4).map(lambda p: ".".join(map(str, p)))),
+        st.tuples(st.sampled_from(("read", "pickle")), st.integers(0, 100)),
+        st.just(("pickle-domain",)),
+    )
+    for step in data.draw(st.lists(op, max_size=30)):
+        placed = dom.placement.placed  # a flat domain's placement is complete from the start
+        if step[0] == "lookup":
+            _, k, syntax = step
+            raw, selector = _selector(eager, k, syntax)
+            expected = _outcome(oracle.lookup_class, eager, selector)
+            ref = validate_label(raw, dom, "v")[0] if syntax.startswith("q") else _outcome(lookup_class, dom, selector)
+            if isinstance(expected, ClassRef):
+                got.append((ref, expected))
+            else:  # an ambiguous leaf
+                assert syntax == "leaf" and ref == expected
+            # a lookup places nothing, but an index path, which places no further than its class
+            bound = k if syntax in ("ipath", "qindex") else 0
+            assert dom.placement.placed <= max(placed, bound), step
+        elif step[0] == "miss":
+            assert _outcome(lookup_class, dom, step[1]) == _outcome(oracle.lookup_class, eager, step[1]), step
+        elif step[0] == "pickle-domain":
+            dom = pickle.loads(pickle.dumps(dom))
+        elif got:
+            ref, expected = got[step[1] % len(got)]
+            if step[0] == "read":
+                assert ref.index_path == expected.index_path
+                assert dom.placement.placed <= max(placed, eager.refs.index(expected) + 1)
+            else:
+                assert pickle.loads(pickle.dumps(ref)) == expected
+    for ref, expected in data.draw(st.permutations(got)):
+        assert ref == expected and repr(ref) == repr(expected) and hash(ref) == hash(expected)
