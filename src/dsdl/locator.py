@@ -96,11 +96,27 @@ IdMapper = Callable[[str, str], "str | None"]
 
 
 class ResolutionEnvironment(Frozen):
-    """Everything locator resolution may consult; nothing ambient."""
+    """Everything locator resolution may consult; nothing ambient.
+
+    A ``data_root`` that is neither ``None`` nor a ``str``, ``aliases``
+    that are no mapping of ``str`` names to ``str`` targets, or an
+    ``id_mapper`` that is neither ``None`` nor callable raise
+    :class:`TypeError`.
+    """
 
     __slots__ = ("data_root", "aliases", "id_mapper")
 
     def __init__(self, data_root: str | None = None, aliases: Mapping[str, str] | None = None, id_mapper=None):
+        if data_root is not None and not isinstance(data_root, str):
+            raise TypeError(f"ResolutionEnvironment() data_root must be a str or None, not {type(data_root).__name__}")
+        if aliases is not None and not isinstance(aliases, Mapping):
+            raise TypeError(f"ResolutionEnvironment() aliases must be a mapping or None, not {type(aliases).__name__}")
+        for name, target in (aliases or {}).items():
+            if not isinstance(name, str) or not isinstance(target, str):
+                shown = f"{type(name).__name__} -> {type(target).__name__}"
+                raise TypeError(f"ResolutionEnvironment() aliases must map str names to str targets, not {shown}")
+        if id_mapper is not None and not callable(id_mapper):
+            raise TypeError(f"ResolutionEnvironment() id_mapper must be callable or None, not {type(id_mapper).__name__}")
         set_field(self, "data_root", data_root)
         set_field(self, "aliases", {} if aliases is None else aliases)
         set_field(self, "id_mapper", id_mapper)
@@ -223,8 +239,13 @@ class MediaClassRegistry:
 
         Raises :class:`DsdlError` with ``REGISTER_CONFLICT`` when the
         name collides with a non-media builtin or the registry is
-        frozen.
+        frozen; :class:`TypeError` when ``name`` is not a ``str`` or
+        ``loader`` is neither callable nor has a callable ``load``.
         """
+        if not isinstance(name, str):
+            raise TypeError(f"register() name must be a str, not {type(name).__name__}")
+        if not callable(getattr(loader, "load", loader)):
+            raise TypeError(f"register() loader must be callable or have a callable load, not {type(loader).__name__}")
         if self._frozen:
             raise DsdlError(error("REGISTER_CONFLICT", name, "media registry is frozen"))
         if name in BUILTINS and name not in MEDIA_BUILTINS:
@@ -245,9 +266,18 @@ def default_media_registry() -> MediaClassRegistry:
     return _default_registry
 
 
+def _registry(function: str, registry) -> MediaClassRegistry:
+    """``registry``, or the default one for ``None``; any other type is a :class:`TypeError`."""
+    if registry is None:
+        return _default_registry
+    if not isinstance(registry, MediaClassRegistry):
+        raise TypeError(f"{function}() registry must be a MediaClassRegistry or None, not {type(registry).__name__}")
+    return registry
+
+
 def register_media_class(name: str, loader: Loader, registry: MediaClassRegistry | None = None):
     """Module-level convenience over :meth:`MediaClassRegistry.register`."""
-    return (registry or _default_registry).register(name, loader)
+    return _registry("register_media_class", registry).register(name, loader)
 
 
 ReaderProvider = Callable[[str], object]
@@ -265,10 +295,11 @@ def load_object(
 
     The loader never sees the address, only the open reader. Loader
     exceptions are wrapped as ``LOADER_FAILURE`` with the address for
-    context; resolution errors propagate unchanged.
+    context; resolution errors propagate unchanged. A ``registry`` that
+    is neither ``None`` nor a :class:`MediaClassRegistry` raises
+    :class:`TypeError`, in :func:`register_media_class` too.
     """
-    registry = registry or _default_registry
-    loader = registry.get(class_name)
+    loader = _registry("load_object", registry).get(class_name)
     if loader is None:
         raise DsdlError(
             error("UNKNOWN_MEDIA_CLASS", class_name, f"no unstructured class {class_name!r} registered")

@@ -59,10 +59,10 @@ class ClassRef(Frozen):
     path segment); it is empty for references that were parsed from a
     qualified name without a resolvable domain.
 
-    The shared ref of a class in a dotted domain places its ``index_path``
-    when that field is first read (equality, hash, repr and pickling read
-    it too): until then it holds its domain's placement, and so keeps the
-    domain's class list alive, though not the domain.
+    A domain's shared ref places its ``index_path`` when that field is
+    first read (as equality, hash, repr and pickling do): until then it
+    holds the domain's placement, which keeps the class list alive, though
+    not the domain.
     """
 
     __slots__ = ("domain", "index_path", "path", "_placed_by")
@@ -95,10 +95,9 @@ class _Placement(Slotted):
 
     ``positions`` covers ``names[:placed]``; ``last`` and ``siblings`` are the
     sweep's last prefix and its children. The index path of class i depends
-    only on ``names[:i]``, so placing up to i is exact. A flat domain's
-    placement is complete from the start, with ``{"": index}``. ``children``
-    lists the children of each prefix that an index path has walked, as far
-    as it has read them. It holds no domain or ref, so a ref that holds it
+    only on ``names[:i]``, so placing up to i is exact. ``children`` lists
+    the children of each prefix that an index path has walked, as far as it
+    has read them. It holds no domain or ref, so a ref that holds it
     makes no reference cycle.
     """
 
@@ -106,11 +105,8 @@ class _Placement(Slotted):
 
     def __init__(self, names: list[str], index: dict[str, int]):
         self.names, self.index, self.children = names, index, {}
-        if any("." in text for text in names):
-            self.positions, self.placed = {"": {}}, 0
-        else:
-            self.positions, self.placed = {"": index}, len(names)
-        self.last, self.siblings = "", self.positions[""]
+        self.placed, self.last, self.siblings = 0, "", {}
+        self.positions = {"": self.siblings}
 
     def place(self, stop: int, prefix: str | None = None, count: int = 0) -> None:
         """Extend the sweep over ``names[:stop]``. Given a ``prefix``, stop
@@ -186,10 +182,9 @@ class ClassDomain(Frozen):
     name that is not a class text.
 
     The :class:`ClassRef` of a class is made by :meth:`ref` on its first
-    lookup and then shared; in a dotted domain it places its ``index_path``
-    on first read (see :class:`ClassRef`). ``classes``, the classes as
-    segments, is made from ``items`` on first access. Equality, hash and
-    repr mean name, classes, skeleton and parents.
+    lookup and then shared. ``classes``, the classes as segments, is made
+    from ``items`` on first access. Equality, hash and repr mean name,
+    classes, skeleton and parents.
     """
 
     __slots__ = (
@@ -203,7 +198,7 @@ class ClassDomain(Frozen):
 
     def __setstate__(self, state: list) -> None:
         super().__setstate__(state)
-        set_field(self, "_refs", {})  # class index and class text -> its ClassRef
+        set_field(self, "_refs", {})  # class index, and class text when only a name reads it -> its ClassRef
         for cache in ("_classes", "_placement", "_leaves"):
             set_field(self, cache, None)
 
@@ -234,24 +229,23 @@ class ClassDomain(Frozen):
             set_field(self, "_leaves", leaves)
         return leaves
 
-    def ref(self, index: int, index_path: tuple[int, ...] | None = None) -> ClassRef:
+    def ref(self, index: int) -> ClassRef:
         """The ref of the ``index``-th class (1-based), made on first use and then
         shared; an index outside the domain is a ``CLASS_INDEX_RANGE`` lookup error.
-        A new ref takes ``index_path`` when given, else the placement's path
-        when it is placed already, else its path is placed on first read."""
+        It is kept under its class text too, unless an index path (a leading
+        digit) or ``Dom::path`` (a ``::``) reads that text as a label; no
+        text holds the bracket of ``Dom[idx]``."""
         ref = self._refs.get(index)
         if ref is None:
             if not 1 <= index <= len(self.names):
                 message = f"class index {show_number(index)} out of range 1..{len(self.names)} in {self.name}"
                 raise ClassLookupError(error("CLASS_INDEX_RANGE", "", message))
-            text, placement = self.names[index - 1], self.placement
-            if index_path is None and index <= placement.placed:
-                index_path = placement.index_path(index)
-            ref = ClassRef(self.name, index_path, text)
-            if index_path is None:  # placed on its first read
-                object.__delattr__(ref, "index_path")
-                set_field(ref, "_placed_by", (placement, index))
-            self._refs[index] = self._refs[text] = ref
+            text = self.names[index - 1]
+            ref = self._refs[index] = ClassRef(self.name, None, text)
+            object.__delattr__(ref, "index_path")  # placed on its first read
+            set_field(ref, "_placed_by", (self.placement, index))
+            if not text[0].isdigit() and "::" not in text:
+                self._refs[text] = ref
         return ref
 
     def __len__(self) -> int:
@@ -582,9 +576,8 @@ def lookup_class(domain: ClassDomain, selector: str | int) -> ClassRef:
     A lookup reads the domain's tables, each built or extended by the
     lookups that need it (see :class:`ClassDomain`): a name or integer
     lookup then costs the same whatever the domain's size, and an index
-    path one step per level. It returns the class's shared ref from
-    :meth:`ClassDomain.ref`. A ``domain`` that is not a
-    :class:`ClassDomain` raises :class:`TypeError`.
+    path one step per level. It returns the class's shared ref. A
+    ``domain`` that is not a :class:`ClassDomain` raises :class:`TypeError`.
     """
     if not isinstance(domain, ClassDomain):
         raise TypeError(f"lookup_class() domain must be a ClassDomain, not {type(domain).__name__}")
@@ -609,10 +602,7 @@ def lookup_class(domain: ClassDomain, selector: str | int) -> ClassRef:
         if index is None:
             message = f"index path {echo(selector, show=repr)} addresses no declared class in {domain.name}"
             raise ClassLookupError(error("CLASS_NOT_FOUND", "", message))
-        return domain.ref(index, parts)
-    ref = domain._refs.get(selector)  # made by an earlier lookup of this class
-    if ref is not None:
-        return ref
+        return domain.ref(index)
     index = domain.index.get(selector)
     if index is None:
         # a bare leaf is accepted when it is unambiguous in the domain

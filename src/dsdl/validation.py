@@ -498,18 +498,13 @@ def _make_media(ctype, build):
 
 def _make_label(ctype, build):
     dom: ClassDomain | None = ctype.arg("dom")
-    # the domain's refs by class index and class text, each added on its first
-    # lookup, so a label seen before costs one dict get
+    # the domain's refs by class index and by each class text that reads only
+    # as a name, each added on its first lookup, so a label seen before costs
+    # one dict get (a bool, equal to an index, is not looked up)
     refs = dom._refs if dom is not None else {}
 
     def check(raw, parent, key, diags):
-        if type(raw) is str:
-            ref = refs.get(raw)
-            # a class name may also read as an index path or as ``Dom::path``
-            # (never as ``Dom[idx]``: a class segment holds no bracket)
-            if ref is not None and not raw[0].isdigit() and "::" not in raw:
-                return ref
-        elif type(raw) is int:
+        if type(raw) is str or type(raw) is int:
             ref = refs.get(raw)
             if ref is not None:
                 return ref
@@ -699,8 +694,12 @@ def validate_label(raw, dom: ClassDomain | None, path: str = "") -> tuple[ClassR
 
     Bare names and bare 1-based integers require a bound domain;
     ``Dom::path`` and ``Dom[idx.path]`` carry their own domain and must
-    agree with the bound one when both exist.
+    agree with the bound one when both exist. A ``dom`` that is neither
+    ``None`` nor a class domain, which has a ``str`` ``name`` as a
+    :class:`ClassDomain` has, raises :class:`TypeError`.
     """
+    if dom is not None and not isinstance(getattr(dom, "name", None), str):
+        raise TypeError(f"validate_label() dom must be a ClassDomain or None, not {type(dom).__name__}")
     if isinstance(raw, (bool, float)):
         return None, [error("LABEL_SYNTAX", path, f"label must be a name or integer index, got {raw!r}")]
     if not isinstance(raw, (int, str)) or raw == "":

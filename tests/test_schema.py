@@ -667,6 +667,42 @@ def test_a_pickled_big_domain_gives_the_same_refs_before_and_after_its_tables_ar
     assert all(ref == refs[0] for ref in refs)
 
 
+def test_a_flat_domain_places_positions_only_as_far_as_a_lookup_reads():
+    registry, _ = build_definitions({"Flat": {"$def": "class_domain", "classes": [f"c{i}" for i in range(100)]}})
+    dom = registry.get("Flat")
+    ref = _label(dom, "c41")
+    for raw in ("c41", 42, "42", "Flat::c41", "Flat[42]"):
+        assert _label(dom, raw) is ref
+    assert dom.placement.placed == 0
+    assert ref.index_path == (42,) and dom.placement.placed == 42  # the first read places up to the class
+    for index in (7, 90):
+        assert pickle.loads(pickle.dumps(lookup_class(dom, index))) == ClassRef("Flat", (index,), f"c{index - 1}")
+    assert dom.placement.placed == 90
+
+
+def test_a_class_text_that_another_label_syntax_reads_stays_that_syntax_after_its_class_is_looked_up():
+    """Classes ``3`` and ``a::b``, each looked up by its index first, still read
+    as an index path and as ``Dom::path`` when given as text."""
+    from dsdl.validation import validate_label
+
+    labels = [1, "3", 2, "a::b", "3", "a::b"]
+    text = json.dumps({
+        "$dsdl-version": "0.5.0",
+        "D": {"$def": "class_domain", "classes": ["3", "a::b"]},
+        "S": {"$def": "struct", "$fields": {"tags": "List[etype=Label[dom=D]]"}},
+        "data": {"sample-type": "S", "samples": [{"tags": labels}]},
+    })
+    doc = parse_document(text, format="json")
+    resolved, diags = resolve_schema(doc, LibraryEnvironment(()))
+    assert [d.code for d in diags] == ["CLASS_NAME_SYNTAX"] * 2
+    report = validate_dataset(resolved, doc.data)
+    dom = resolved.registry.get("D")
+    assert report.samples[0]["tags"] == [ClassRef("D", (1,), "3"), None, ClassRef("D", (2,), "a::b"), None, None, None]
+    assert [d.code for d in report.diagnostics] == ["CLASS_INDEX_RANGE", "LABEL_DOMAIN_MISMATCH"] * 2
+    alone = [d for i, raw in enumerate(labels) for d in validate_label(raw, dom, f"samples/0/tags/{i}")[1]]
+    assert report.diagnostics == alone
+
+
 # -- lifetime: a lazy ref holds its domain's placement, not its domain ---------------
 
 
@@ -766,7 +802,7 @@ def test_lazily_placed_index_paths_match_eager_oracle_in_any_read_order(body, da
         st.just(("pickle-domain",)),
     )
     for step in data.draw(st.lists(op, max_size=30)):
-        placed = dom.placement.placed  # a flat domain's placement is complete from the start
+        placed = dom.placement.placed  # what earlier steps placed, in a flat domain as in a dotted one
         if step[0] == "lookup":
             _, k, syntax = step
             raw, selector = _selector(eager, k, syntax)
