@@ -72,6 +72,14 @@ def echo(text: str, limit: int = NAME_LIMIT, show=str) -> str:
     return show(text)
 
 
+def expect(value, kinds, what: str):
+    """``value`` when it is an instance of ``kinds``; otherwise a :class:`TypeError`
+    reading ``what`` (``"f() arg must be a T"``) and the type that was given."""
+    if isinstance(value, kinds):
+        return value
+    raise TypeError(f"{what}, not {type(value).__name__}")
+
+
 def error(code: str, path: str, message: str, source: str | None = None) -> Diagnostic:
     return Diagnostic(code, Severity.ERROR, path, message, source)
 

@@ -18,7 +18,7 @@ import re
 import sys
 from pathlib import Path
 
-from .diagnostics import DocumentError, echo, error, show_key
+from .diagnostics import DocumentError, echo, error, expect, show_key
 from .slotted import Slotted
 
 LOCAL_PATH = "$local"
@@ -384,14 +384,11 @@ def parse_document(
     ``format`` is ``yaml``, ``json``, or ``auto`` (JSON first, then
     YAML). The JSON and YAML renderings of the same content produce
     structurally identical documents. Raises :class:`DocumentError`
-    with a coded diagnostic on any fatal problem, :class:`TypeError`
-    when ``text`` or ``format`` is not a ``str``, and :class:`ValueError`
-    for any other ``format`` name.
+    with a coded diagnostic on any fatal problem, and :class:`ValueError`
+    for a ``format`` that names no format.
     """
-    if not isinstance(text, str):
-        raise TypeError(f"parse_document() text must be str, not {type(text).__name__}")
-    if not isinstance(format, str):
-        raise TypeError(f"parse_document() format must be str, not {type(format).__name__}")
+    expect(text, str, "parse_document() text must be str")
+    expect(format, str, "parse_document() format must be str")
     if format == "json":
         payload = _load_json(text, source)
     elif format == "yaml":
@@ -497,13 +494,9 @@ def check_data_section(section: RawDataSection | None, source: str | None = None
     The first rule broken raises :class:`DocumentError`
     (``MALFORMED_SAMPLES`` or ``MALFORMED_DATA_SECTION``), located at the
     key of the ``data`` mapping, so a parsed section and a hand-built one
-    give the same finding. A ``section`` that is neither ``None`` nor a
-    :class:`RawDataSection` raises :class:`TypeError`.
+    give the same finding.
     """
-    if section is None:
-        section = RawDataSection()
-    elif not isinstance(section, RawDataSection):
-        raise TypeError(f"data must be a RawDataSection or None, not {type(section).__name__}")
+    section = RawDataSection() if section is None else expect(section, RawDataSection, "check_data_section() section must be a RawDataSection or None")
     samples, sample_path = section.samples, section.sample_path
     if samples is not None and not isinstance(samples, list):
         raise DocumentError(error("MALFORMED_SAMPLES", "data/samples", "samples must be a list", source))

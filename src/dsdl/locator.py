@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from collections.abc import Callable, Mapping
 
-from .diagnostics import Diagnostic, DsdlError, LocatorError, echo, error, warning
+from .diagnostics import Diagnostic, DsdlError, LocatorError, echo, error, expect, warning
 from .schema import BUILTINS, MEDIA_BUILTINS
 from .slotted import Frozen, field_setters, set_field
 
@@ -96,27 +96,17 @@ IdMapper = Callable[[str, str], "str | None"]
 
 
 class ResolutionEnvironment(Frozen):
-    """Everything locator resolution may consult; nothing ambient.
-
-    A ``data_root`` that is neither ``None`` nor a ``str``, ``aliases``
-    that are no mapping of ``str`` names to ``str`` targets, or an
-    ``id_mapper`` that is neither ``None`` nor callable raise
-    :class:`TypeError`.
-    """
+    """Everything locator resolution may consult; nothing ambient."""
 
     __slots__ = ("data_root", "aliases", "id_mapper")
 
     def __init__(self, data_root: str | None = None, aliases: Mapping[str, str] | None = None, id_mapper=None):
-        if data_root is not None and not isinstance(data_root, str):
-            raise TypeError(f"ResolutionEnvironment() data_root must be a str or None, not {type(data_root).__name__}")
-        if aliases is not None and not isinstance(aliases, Mapping):
-            raise TypeError(f"ResolutionEnvironment() aliases must be a mapping or None, not {type(aliases).__name__}")
+        expect(data_root, (str, type(None)), "ResolutionEnvironment() data_root must be a str or None")
+        expect(aliases, (Mapping, type(None)), "ResolutionEnvironment() aliases must be a mapping or None")
         for name, target in (aliases or {}).items():
-            if not isinstance(name, str) or not isinstance(target, str):
-                shown = f"{type(name).__name__} -> {type(target).__name__}"
-                raise TypeError(f"ResolutionEnvironment() aliases must map str names to str targets, not {shown}")
-        if id_mapper is not None and not callable(id_mapper):
-            raise TypeError(f"ResolutionEnvironment() id_mapper must be callable or None, not {type(id_mapper).__name__}")
+            expect(name, str, "ResolutionEnvironment() aliases must map str names")
+            expect(target, str, "ResolutionEnvironment() aliases must map to str targets")
+        expect(id_mapper, (Callable, type(None)), "ResolutionEnvironment() id_mapper must be callable or None")
         set_field(self, "data_root", data_root)
         set_field(self, "aliases", {} if aliases is None else aliases)
         set_field(self, "id_mapper", id_mapper)
@@ -157,11 +147,9 @@ def resolve_locator(loc: ObjectLocator, env: ResolutionEnvironment) -> str:
 
     Raises :class:`LocatorError`: ``DATA_ROOT_UNSET``,
     ``ALIAS_UNDEFINED``, ``ID_MAPPER_MISSING``, ``ID_NOT_FOUND``, or
-    ``PATH_ESCAPE`` for ``..`` traversal; :class:`TypeError` when ``env``
-    is not a :class:`ResolutionEnvironment` or ``loc`` not a locator.
+    ``PATH_ESCAPE`` for ``..`` traversal.
     """
-    if not isinstance(env, ResolutionEnvironment):
-        raise TypeError(f"resolve_locator() env must be a ResolutionEnvironment, not {type(env).__name__}")
+    expect(env, ResolutionEnvironment, "resolve_locator() env must be a ResolutionEnvironment")
     if isinstance(loc, RelativePath):
         if env.data_root is None:
             raise LocatorError(
@@ -239,13 +227,10 @@ class MediaClassRegistry:
 
         Raises :class:`DsdlError` with ``REGISTER_CONFLICT`` when the
         name collides with a non-media builtin or the registry is
-        frozen; :class:`TypeError` when ``name`` is not a ``str`` or
-        ``loader`` is neither callable nor has a callable ``load``.
+        frozen. ``loader`` is callable or has a callable ``load``.
         """
-        if not isinstance(name, str):
-            raise TypeError(f"register() name must be a str, not {type(name).__name__}")
-        if not callable(getattr(loader, "load", loader)):
-            raise TypeError(f"register() loader must be callable or have a callable load, not {type(loader).__name__}")
+        expect(name, str, "register() name must be a str")
+        expect(getattr(loader, "load", loader), Callable, "register() loader must be callable or have a callable load")
         if self._frozen:
             raise DsdlError(error("REGISTER_CONFLICT", name, "media registry is frozen"))
         if name in BUILTINS and name not in MEDIA_BUILTINS:
@@ -266,18 +251,10 @@ def default_media_registry() -> MediaClassRegistry:
     return _default_registry
 
 
-def _registry(function: str, registry) -> MediaClassRegistry:
-    """``registry``, or the default one for ``None``; any other type is a :class:`TypeError`."""
-    if registry is None:
-        return _default_registry
-    if not isinstance(registry, MediaClassRegistry):
-        raise TypeError(f"{function}() registry must be a MediaClassRegistry or None, not {type(registry).__name__}")
-    return registry
-
-
 def register_media_class(name: str, loader: Loader, registry: MediaClassRegistry | None = None):
     """Module-level convenience over :meth:`MediaClassRegistry.register`."""
-    return _registry("register_media_class", registry).register(name, loader)
+    expect(registry, (MediaClassRegistry, type(None)), "register_media_class() registry must be a MediaClassRegistry or None")
+    return (_default_registry if registry is None else registry).register(name, loader)
 
 
 ReaderProvider = Callable[[str], object]
@@ -295,11 +272,12 @@ def load_object(
 
     The loader never sees the address, only the open reader. Loader
     exceptions are wrapped as ``LOADER_FAILURE`` with the address for
-    context; resolution errors propagate unchanged. A ``registry`` that
-    is neither ``None`` nor a :class:`MediaClassRegistry` raises
-    :class:`TypeError`, in :func:`register_media_class` too.
+    context; resolution errors propagate unchanged.
     """
-    loader = _registry("load_object", registry).get(class_name)
+    expect(class_name, str, "load_object() class_name must be a str")
+    expect(reader_provider, Callable, "load_object() reader_provider must be callable")
+    expect(registry, (MediaClassRegistry, type(None)), "load_object() registry must be a MediaClassRegistry or None")
+    loader = (_default_registry if registry is None else registry).get(class_name)
     if loader is None:
         raise DsdlError(
             error("UNKNOWN_MEDIA_CLASS", class_name, f"no unstructured class {class_name!r} registered")

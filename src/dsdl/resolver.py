@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import os
 import re
-from pathlib import Path
+from pathlib import Path, PurePath
 
-from .diagnostics import Diagnostic, DocumentError, ResolutionError, echo, error, note, show_key, warning
+from .diagnostics import Diagnostic, DocumentError, ResolutionError, echo, error, expect, note, show_key, warning
 from .document import RawDocument, parse_document, read_utf8, split_definition_key
 from .schema import (
     BUILTINS,
@@ -55,7 +55,10 @@ class LibraryEnvironment(Frozen):
     __slots__ = ("search_paths",)
 
     def __init__(self, search_paths: tuple[Path, ...] = ()):
-        set_field(self, "search_paths", search_paths)
+        what = "LibraryEnvironment() search_paths must be a tuple or list of Path"
+        for path in expect(search_paths, (tuple, list), what):
+            expect(path, Path, what)
+        set_field(self, "search_paths", tuple(search_paths))
 
     @classmethod
     def from_environment(
@@ -123,12 +126,6 @@ class ResolvedSchema(Slotted):
         self.meta = meta
 
 
-def _expect(function: str, name: str, value, cls: type) -> None:
-    """Raise :class:`TypeError` when argument ``name`` of ``function`` is not a ``cls``."""
-    if not isinstance(value, cls):
-        raise TypeError(f"{function}() {name} must be a {cls.__name__}, not {type(value).__name__}")
-
-
 def resolve_imports(
     doc: RawDocument,
     env: LibraryEnvironment,
@@ -138,12 +135,11 @@ def resolve_imports(
 
     Returns the merged registry plus diagnostics (``IMPORT_NOT_FOUND``,
     ``IMPORT_CYCLE``, one ``IMPORT_OVERWRITE`` warning per shadowed
-    name, and any definition-build findings). A ``doc`` that is not a
-    :class:`RawDocument`, or an ``env`` that is not a
-    :class:`LibraryEnvironment`, raises :class:`TypeError`.
+    name, and any definition-build findings).
     """
-    _expect("resolve_imports", "doc", doc, RawDocument)
-    _expect("resolve_imports", "env", env, LibraryEnvironment)
+    expect(doc, RawDocument, "resolve_imports() doc must be a RawDocument")
+    expect(env, LibraryEnvironment, "resolve_imports() env must be a LibraryEnvironment")
+    expect(source, (str, PurePath, type(None)), "resolve_imports() source must be a str, PurePath or None")
     diags: list[Diagnostic] = []
     merged: dict[str, object] = {}
     origins: dict[str, str | None] = {}
@@ -249,10 +245,9 @@ def check_acyclic(registry: DefinitionRegistry) -> list[Diagnostic]:
     """Detect reference cycles among definitions (self-reference counts).
 
     Returns ``CYCLE_DETECTED`` diagnostics naming the full cycle path,
-    or an empty list when the reference graph is a DAG. A ``registry``
-    that is not a :class:`DefinitionRegistry` raises :class:`TypeError`.
+    or an empty list when the reference graph is a DAG.
     """
-    _expect("check_acyclic", "registry", registry, DefinitionRegistry)
+    expect(registry, DefinitionRegistry, "check_acyclic() registry must be a DefinitionRegistry")
     graph: dict[str, list[str]] = {}
     for name, entry in registry.items():
         edges: list[str] = []
@@ -342,12 +337,13 @@ def instantiate_type(
     Positional arguments map to declared parameter order (the builtin
     signature for builtins, ``$params`` for structs) before keyed ones.
     Raises :class:`ResolutionError` on ``UNKNOWN_TYPE``,
-    ``MISSING_PARAM``, ``EXTRA_PARAM``, or ``ARG_KIND`` problems. An
-    ``expr`` that is not a :class:`TypeExpr`, or a ``registry`` that is not
-    a :class:`DefinitionRegistry`, raises :class:`TypeError`.
+    ``MISSING_PARAM``, ``EXTRA_PARAM``, or ``ARG_KIND`` problems.
     """
-    _expect("instantiate_type", "expr", expr, TypeExpr)
-    _expect("instantiate_type", "registry", registry, DefinitionRegistry)
+    expect(expr, TypeExpr, "instantiate_type() expr must be a TypeExpr")
+    expect(bindings, dict, "instantiate_type() bindings must be a dict")
+    expect(registry, DefinitionRegistry, "instantiate_type() registry must be a DefinitionRegistry")
+    expect(media_extensions, (tuple, list), "instantiate_type() media_extensions must be a tuple or list")
+    expect(diags, (list, type(None)), "instantiate_type() diags must be a list or None")
     closed = substitute_params(expr, bindings)
     run = _Instantiation(registry, media_extensions, diags if diags is not None else [])
     return _instantiate_closed(closed, run, _path)
@@ -556,11 +552,12 @@ def resolve_schema(
     Imports are resolved, definitions built, acyclicity checked, and
     the sample and global-info types instantiated. Returns the schema
     (or ``None`` when a stage it depends on failed) plus all collected
-    diagnostics. A ``doc`` that is not a :class:`RawDocument`, or an
-    ``env`` that is not a :class:`LibraryEnvironment`, raises :class:`TypeError`.
+    diagnostics.
     """
-    _expect("resolve_schema", "doc", doc, RawDocument)
-    _expect("resolve_schema", "env", env, LibraryEnvironment)
+    expect(doc, RawDocument, "resolve_schema() doc must be a RawDocument")
+    expect(env, LibraryEnvironment, "resolve_schema() env must be a LibraryEnvironment")
+    expect(source, (str, PurePath, type(None)), "resolve_schema() source must be a str, PurePath or None")
+    expect(media_extensions, (tuple, list), "resolve_schema() media_extensions must be a tuple or list")
     registry, diags = resolve_imports(doc, env, source)
 
     cycle_diags = check_acyclic(registry)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from itertools import islice
 
-from .diagnostics import ClassLookupError, Diagnostic, ResolutionError, echo, error, show_key, show_number, warning
+from .diagnostics import ClassLookupError, Diagnostic, ResolutionError, echo, error, expect, show_key, show_number, warning
 from .document import split_definition_key
 from .slotted import Frozen, Slotted, set_field
 from .typeexpr import (
@@ -369,10 +369,9 @@ def build_definitions(
     still register, so one bad definition does not hide the rest. A
     builder raises :class:`ResolutionError` at an entry's first error,
     which is recorded here; it appends its warnings as it finds them.
-    A ``raw_defs`` that is not a ``dict`` raises :class:`TypeError`.
     """
-    if not isinstance(raw_defs, dict):
-        raise TypeError(f"build_definitions() raw_defs must be a dict, not {type(raw_defs).__name__}")
+    expect(raw_defs, dict, "build_definitions() raw_defs must be a dict")
+    expect(provenance, (dict, type(None)), "build_definitions() provenance must be a dict or None")
     registry = DefinitionRegistry()
     diags: list[Diagnostic] = []
     for key, body in raw_defs.items():
@@ -576,11 +575,9 @@ def lookup_class(domain: ClassDomain, selector: str | int) -> ClassRef:
     A lookup reads the domain's tables, each built or extended by the
     lookups that need it (see :class:`ClassDomain`): a name or integer
     lookup then costs the same whatever the domain's size, and an index
-    path one step per level. It returns the class's shared ref. A
-    ``domain`` that is not a :class:`ClassDomain` raises :class:`TypeError`.
+    path one step per level. It returns the class's shared ref.
     """
-    if not isinstance(domain, ClassDomain):
-        raise TypeError(f"lookup_class() domain must be a ClassDomain, not {type(domain).__name__}")
+    expect(domain, ClassDomain, "lookup_class() domain must be a ClassDomain")
     if isinstance(selector, bool) or not isinstance(selector, (str, int)):
         raise ClassLookupError(error("CLASS_NOT_FOUND", "", f"invalid class selector {echo(repr(selector))}"))
     if isinstance(selector, int):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 
-from .diagnostics import GrammarError
+from .diagnostics import GrammarError, expect
 from .slotted import Frozen, set_field
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -99,8 +99,7 @@ def parse_type_expression(text: str) -> TypeExpr:
     malformed input: unbalanced brackets, ``T[]``, trailing commas,
     a positional argument after a keyed one, or stray trailing text.
     """
-    if not isinstance(text, str):
-        raise TypeError(f"parse_type_expression() text must be str, not {type(text).__name__}")
+    expect(text, str, "parse_type_expression() text must be str")
     return _parse_text(text, 0)
 
 
@@ -176,8 +175,7 @@ def _parse_value(text: str, pos: int, depth: int) -> tuple[ArgValue, int]:
 
 def render_type_expression(expr: TypeExpr) -> str:
     """Canonical text for ``expr``; ``parse(render(t)) == t``."""
-    if not isinstance(expr, TypeExpr):
-        raise TypeError(f"render_type_expression() takes a TypeExpr, not {type(expr).__name__}")
+    expect(expr, TypeExpr, "render_type_expression() takes a TypeExpr")
     if not expr.args:
         return expr.head
     parts = []

@@ -28,7 +28,7 @@ import math
 import re
 from collections import Counter
 from itertools import islice
-from pathlib import Path
+from pathlib import Path, PurePath
 
 from .diagnostics import (
     ClassLookupError,
@@ -40,6 +40,7 @@ from .diagnostics import (
     Severity,
     echo,
     error,
+    expect,
     show_key,
     show_number,
     warning,
@@ -681,11 +682,9 @@ def validate_value(raw, ctype: ConcreteType, path: str = "", *, strict: bool = F
 
     Returns the typed value (``None`` when unusable) and the located
     diagnostics, in document order. ``strict`` makes a missing required
-    field (``FIELD_MISSING``) an error; every other severity stays. A
-    ``ctype`` that is not a :class:`ConcreteType` raises :class:`TypeError`.
+    field (``FIELD_MISSING``) an error; every other severity stays.
     """
-    if not isinstance(ctype, ConcreteType):
-        raise TypeError(f"validate_value() ctype must be a ConcreteType, not {type(ctype).__name__}")
+    expect(ctype, ConcreteType, "validate_value() ctype must be a ConcreteType")
     return _run(_checker(ctype), raw, None, path, strict)
 
 
@@ -694,11 +693,9 @@ def validate_label(raw, dom: ClassDomain | None, path: str = "") -> tuple[ClassR
 
     Bare names and bare 1-based integers require a bound domain;
     ``Dom::path`` and ``Dom[idx.path]`` carry their own domain and must
-    agree with the bound one when both exist. A ``dom`` that is neither
-    ``None`` nor a class domain, which has a ``str`` ``name`` as a
-    :class:`ClassDomain` has, raises :class:`TypeError`.
+    agree with the bound one when both exist.
     """
-    if dom is not None and not isinstance(getattr(dom, "name", None), str):
+    if dom is not None and not isinstance(getattr(dom, "name", None), str):  # any domain with a str name, as ClassDomain has
         raise TypeError(f"validate_label() dom must be a ClassDomain or None, not {type(dom).__name__}")
     if isinstance(raw, (bool, float)):
         return None, [error("LABEL_SYNTAX", path, f"label must be a name or integer index, got {raw!r}")]
@@ -729,6 +726,8 @@ def validate_label(raw, dom: ClassDomain | None, path: str = "") -> tuple[ClassR
 
 def load_external_samples(path: str, base: str | Path) -> list:
     """Load the ``samples`` list from an external JSON or YAML file."""
+    expect(path, str, "load_external_samples() path must be a str")
+    expect(base, (str, PurePath), "load_external_samples() base must be a str or PurePath")
     full, text = _read_external(path, base)
     return _decode_external(full, text, path, "samples")
 
@@ -874,10 +873,11 @@ def _checked(stype: ConcreteType, items, strict: bool, build: bool | None):
         yield (index, *_run(check, raw, top, index, strict, new()))
 
 
-def _section(schema: ResolvedSchema, data: RawDataSection | None) -> RawDataSection:
-    """``data`` as ``check_data_section`` gives it, once ``schema`` is a :class:`ResolvedSchema`."""
-    if not isinstance(schema, ResolvedSchema):
-        raise TypeError(f"schema must be a ResolvedSchema, not {type(schema).__name__}")
+def _section(function: str, schema: ResolvedSchema, data: RawDataSection | None, base) -> RawDataSection:
+    """``data`` as ``check_data_section`` gives it, once the arguments of ``function`` have their types."""
+    expect(schema, ResolvedSchema, f"{function}() schema must be a ResolvedSchema")
+    expect(base, (str, PurePath), f"{function}() base must be a str or PurePath")
+    expect(data, (RawDataSection, type(None)), f"{function}() data must be a RawDataSection or None")
     return check_data_section(data)
 
 
@@ -889,7 +889,7 @@ def iter_samples(schema: ResolvedSchema, data: RawDataSection | None, base: str 
     sample; a sample file that does not load raises the :class:`DsdlError` of
     ``validate_dataset``'s finding, a streamed one after the samples before its fault.
     """
-    data = _section(schema, data)
+    data = _section("iter_samples", schema, data, base)
     if schema.sample_type is not None and data.sample_path is not None:
         yield from _checked(schema.sample_type, _raw_samples(data, base), strict, True)
 
@@ -921,7 +921,7 @@ def validate_dataset(
     text has decoded; any other file is loaded whole, as is one whose
     stream stops at a fault, which gives that fault's finding.
     """
-    return _fold(schema, data, base, strict, max_errors, bool(build))[0]
+    return _fold("validate_dataset", schema, data, base, strict, max_errors, bool(build))[0]
 
 
 def summarize_dataset(
@@ -939,18 +939,19 @@ def summarize_dataset(
     locator checked once, and only when its findings, with ``strict``
     applied, hold no error; no sample is kept. Global info is not counted.
     """
-    return _fold(schema, data, base, strict, max_errors, None)
+    return _fold("summarize_dataset", schema, data, base, strict, max_errors, None)
 
 
-def _fold(schema: ResolvedSchema, data, base, strict: bool, max_errors, build: bool | None):
+def _fold(function: str, schema: ResolvedSchema, data, base, strict: bool, max_errors, build: bool | None):
     """The report of ``validate_dataset`` and the counts of ``summarize_dataset``,
     folded over ``_checked``: each sample's value is kept when building, its
     ``_Tally`` counted when counting and it holds no error, and its findings
     added to the report. Once ``max_errors`` is reached the rest of the raw
     samples is drawn unchecked, so a stream decodes to its end before the report is used."""
+    expect(max_errors, (int, type(None)), f"{function}() max_errors must be an int or None")
     report, counts = ValidationReport(), SampleCounts()
     try:
-        data = _section(schema, data)
+        data = _section(function, schema, data, base)
     except DocumentError as exc:
         return ValidationReport(diagnostics=[exc.diagnostic]), counts
 

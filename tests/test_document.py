@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dsdl import parse_document
 from dsdl.diagnostics import DocumentError, DsdlError
-from dsdl.document import _MAX_DEPTH, _CoreLoader, _DuplicateKey, _load_events, _load_yaml
+from dsdl.document import _MAX_DEPTH, _CoreLoader, _DuplicateKey, _load_events, _load_yaml, check_data_section
 from dsdl.validation import load_external_samples
 
 from conftest import CORPUS, load_perfbench
@@ -38,6 +38,12 @@ def test_bytes_text_is_a_type_error(fmt):
 def test_a_format_that_is_not_a_str_is_a_type_error(fmt):
     with pytest.raises(TypeError, match="format must be str, not "):
         parse_document(GET_STARTED_JSON, format=fmt)
+
+
+@pytest.mark.parametrize("section", ["", {"samples": []}, 0])
+def test_checking_a_data_section_of_another_type_is_a_type_error(section):
+    with pytest.raises(TypeError, match=r"check_data_section\(\) section must be a RawDataSection or None, not "):
+        check_data_section(section)
 
 
 def test_an_unknown_format_name_is_a_value_error():

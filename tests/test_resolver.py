@@ -122,6 +122,35 @@ def test_importing_file_overwrites_what_it_imports(tmp_path):
     assert registry.provenance["S"] == lib["liba"]
 
 
+def test_a_list_of_search_paths_is_kept_as_the_tuple_it_equals(tmp_path):
+    assert LibraryEnvironment([tmp_path]).search_paths == (tmp_path,)
+    assert hash(LibraryEnvironment([tmp_path])) == hash(LibraryEnvironment((tmp_path,)))
+
+
+def test_an_import_found_but_unreadable_is_a_cannot_read_finding_and_the_rest_still_merge(tmp_path, monkeypatch):
+    """An ``OSError`` from reading a found import file is an ``IMPORT_NOT_FOUND`` finding at
+    its ``$import`` entry; resolution goes on with the next import."""
+    (tmp_path / "locked.yaml").write_text('$dsdl-version: "0.5.0"\nA:\n  $def: struct\n  $fields:\n    a: Int\n')
+    (tmp_path / "open.yaml").write_text('$dsdl-version: "0.5.0"\nB:\n  $def: struct\n  $fields:\n    b: Int\n')
+    locked, read = (tmp_path / "locked.yaml").resolve(), resolver.read_utf8
+
+    def refuse_locked(file, path):
+        if file == locked:
+            raise PermissionError(13, "Permission denied", str(file))
+        return read(file, path)
+
+    monkeypatch.setattr(resolver, "read_utf8", refuse_locked)
+    doc = parse_document('$dsdl-version: "0.5.0"\n$import: [locked, open]\n', format="yaml")
+    registry, diags = resolve_imports(doc, LibraryEnvironment((tmp_path,)))
+    assert [(d.code, d.severity, d.path, d.message) for d in diags] == [(
+        "IMPORT_NOT_FOUND",
+        Severity.ERROR,
+        "$import/locked",
+        f"cannot read {locked}: [Errno 13] Permission denied: '{locked}'",
+    )]
+    assert "A" not in registry and list(registry.get("B").fields) == ["b"]
+
+
 def test_own_definition_overwrites_import_with_warning(tmp_path):
     (tmp_path / "liba.yaml").write_text(
         '$dsdl-version: "0.5.0"\nD:\n  $def: class_domain\n  classes: [x]\n'
