@@ -3,11 +3,11 @@ Data Set Description Language.
 
 Typical use::
 
-    from dsdl import parse_document, LibraryEnvironment, resolve_schema, validate_dataset
+    from dsdl import LibraryEnvironment, resolve_file, validate_dataset
 
-    doc = parse_document(text, format="auto", source=path)
-    schema, diags = resolve_schema(doc, LibraryEnvironment.from_environment(), source=path)
-    report = validate_dataset(schema, doc.data, base=path.parent)
+    doc, schema, diags = resolve_file(path, LibraryEnvironment.from_environment())
+    if schema is not None:
+        report = validate_dataset(schema, doc.data, base=path.parent)
 
 ``import dsdl`` loads parsing and resolution only; the locator and
 validation layers load on the first use of one of their names.
@@ -30,6 +30,7 @@ from .resolver import (
     ResolvedSchema,
     check_acyclic,
     instantiate_type,
+    resolve_file,
     resolve_imports,
     resolve_schema,
 )
@@ -94,6 +95,7 @@ __all__ = sorted(
         "parse_sample_type_spec",
         "parse_type_expression",
         "render_type_expression",
+        "resolve_file",
         "resolve_imports",
         "resolve_schema",
         *_LAZY,

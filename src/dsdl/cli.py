@@ -16,9 +16,8 @@ import sys
 from pathlib import Path
 
 from .diagnostics import Diagnostic, DocumentError, DsdlError, LocatorError, Severity, echo, printable
-from .document import RawDocument, parse_document, read_utf8
-from .locator import ResolutionEnvironment, default_media_registry, parse_locator, resolve_locator
-from .resolver import ConcreteType, LibraryEnvironment, ResolvedSchema, resolve_schema
+from .locator import ResolutionEnvironment, parse_locator, resolve_locator
+from .resolver import ConcreteType, LibraryEnvironment, ResolvedSchema, resolve_file
 from .schema import ClassDomain
 from .typeexpr import TypeExpr, render_type_expression
 
@@ -98,29 +97,15 @@ class _UsageFailure(Exception):
     """Exit 2: the input cannot be read. The message is the stderr line."""
 
 
-def _resolve(args: argparse.Namespace) -> tuple[RawDocument | None, ResolvedSchema | None, list[Diagnostic]]:
-    """parse -> resolve, with the diagnostics in that order; a document that
-    does not parse gives no schema and its one diagnostic."""
-    path = Path(args.file)
-    shown = echo(str(path))
+def _resolve(args: argparse.Namespace):
+    """:func:`resolve_file` on the operand; a file that cannot be read is a usage failure."""
+    env = LibraryEnvironment.from_environment(args.library_path)
     try:
-        text = read_utf8(path, shown)
+        return resolve_file(args.file, env, allow_version=args.allow_version)
     except OSError as exc:
-        raise _UsageFailure(f"dsdl: error: cannot read {shown}: {echo(str(exc))}") from exc
+        raise _UsageFailure(f"dsdl: error: cannot read {echo(str(Path(args.file)))}: {echo(str(exc))}") from exc
     except DocumentError as exc:
         raise _UsageFailure(exc.diagnostic.format()) from exc
-    fmt = {".json": "json", ".yaml": "yaml", ".yml": "yaml"}.get(path.suffix, "auto")
-    try:
-        doc = parse_document(text, format=fmt, source=str(path), allow_version=args.allow_version)
-    except DocumentError as exc:
-        return None, None, [exc.diagnostic]
-    schema, diags = resolve_schema(
-        doc,
-        LibraryEnvironment.from_environment(args.library_path),
-        source=path,
-        media_extensions=default_media_registry().extension_names(),
-    )
-    return doc, schema, diags
 
 
 def _validate(

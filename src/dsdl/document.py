@@ -16,12 +16,16 @@ from __future__ import annotations
 import json
 import re
 import sys
-from pathlib import Path
+from pathlib import Path, PurePath
 
 from .diagnostics import DocumentError, echo, error, expect, show_key
 from .slotted import Slotted
 
 LOCAL_PATH = "$local"
+
+# the host format of a file by its suffix; with any other, a description file
+# is parsed as "auto" (see resolver.resolve_file) and an external data file as JSON
+HOSTS = {".json": "json", ".yaml": "yaml", ".yml": "yaml"}
 
 _VERSION_RE = re.compile(r"0\.5(\.\w+)?")
 _DEF_KEY_RE = re.compile(r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)(\[(?P<parents>[^\]]+)\])?")
@@ -376,7 +380,7 @@ def parse_document(
     text: str,
     format: str = "auto",
     *,
-    source: str | None = None,
+    source: str | PurePath | None = None,
     allow_version: bool = False,
 ) -> RawDocument:
     """Parse ``text`` into a :class:`RawDocument`.
@@ -385,10 +389,13 @@ def parse_document(
     YAML). The JSON and YAML renderings of the same content produce
     structurally identical documents. Raises :class:`DocumentError`
     with a coded diagnostic on any fatal problem, and :class:`ValueError`
-    for a ``format`` that names no format.
+    for a ``format`` that names no format. Each finding's source is
+    ``str(source)``.
     """
     expect(text, str, "parse_document() text must be str")
     expect(format, str, "parse_document() format must be str")
+    if expect(source, (str, PurePath, type(None)), "parse_document() source must be a str, PurePath or None") is not None:
+        source = str(source)
     if format == "json":
         payload = _load_json(text, source)
     elif format == "yaml":

@@ -21,7 +21,7 @@ import re
 from pathlib import Path, PurePath
 
 from .diagnostics import Diagnostic, DocumentError, ResolutionError, echo, error, expect, note, show_key, warning
-from .document import RawDocument, parse_document, read_utf8, split_definition_key
+from .document import HOSTS, RawDocument, parse_document, read_utf8, split_definition_key
 from .schema import (
     BUILTINS,
     BuiltinSignature,
@@ -203,7 +203,7 @@ def resolve_imports(
             try:
                 imported = parse_document(
                     read_utf8(resolved, f"$import/{echo(name)}"),
-                    format="yaml" if resolved.suffix == ".yaml" else "json",
+                    format=HOSTS.get(resolved.suffix, "auto"),
                     source=str(resolved),
                 )
             except OSError as exc:
@@ -598,6 +598,30 @@ def resolve_schema(
         return None, diags
     schema = ResolvedSchema(sample_type, global_info_type, registry, dict(doc.meta))
     return schema, diags
+
+
+def resolve_file(
+    file: str | PurePath, env: LibraryEnvironment, *, allow_version: bool = False
+) -> tuple[RawDocument | None, ResolvedSchema | None, list[Diagnostic]]:
+    """Read, parse and resolve the description file ``file``.
+
+    The host format is ``document.HOSTS`` of the file's suffix, ``auto``
+    for any other; the types are resolved with the media classes of the
+    default registry. A document that does not parse gives no document,
+    no schema and its one finding. ``OSError``, and the ``ENCODING_ERROR``
+    :class:`DocumentError` of a file that is not UTF-8, propagate.
+    """
+    from .locator import default_media_registry
+
+    path = Path(expect(file, (str, PurePath), "resolve_file() file must be a str or PurePath"))
+    expect(env, LibraryEnvironment, "resolve_file() env must be a LibraryEnvironment")
+    text = read_utf8(path, echo(str(path)))
+    try:
+        doc = parse_document(text, HOSTS.get(path.suffix, "auto"), source=path, allow_version=allow_version)
+    except DocumentError as exc:
+        return None, None, [exc.diagnostic]
+    schema, diags = resolve_schema(doc, env, source=path, media_extensions=default_media_registry().extension_names())
+    return doc, schema, diags
 
 
 def _instantiate_spec(

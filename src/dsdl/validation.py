@@ -46,6 +46,7 @@ from .diagnostics import (
     warning,
 )
 from .document import (
+    HOSTS,
     LOCAL_PATH,
     RawDataSection,
     _DuplicateKey,
@@ -180,7 +181,9 @@ def _fail(diags: list[Diagnostic], code: str, parent, key, message: str) -> None
 # the input is unusable. ``parent`` is None at the top, else the chain
 # ``(parent, key)`` of the struct or list holding the value; only ``_path``
 # unpacks it, so a tuple key stays one key, and only to report. The closure
-# may accept its common exact-typed input first. A factory
+# may accept its common exact-typed input first, in one pass: a ``BBox`` or
+# ``ImageShape`` list, a finite ``Num``, a ``Label`` in its domain, a ``Polygon``
+# ring of at least 3 ``[x, y]`` lists of finite ints or floats. A factory
 # ``make(ctype, build)`` reads the type's arguments once and returns the
 # closure, one for both modes. With ``build`` false the closure only checks:
 # the same checks and findings, and None where the building closure gives
@@ -685,6 +688,7 @@ def validate_value(raw, ctype: ConcreteType, path: str = "", *, strict: bool = F
     field (``FIELD_MISSING``) an error; every other severity stays.
     """
     expect(ctype, ConcreteType, "validate_value() ctype must be a ConcreteType")
+    expect(path, str, "validate_value() path must be a str")
     return _run(_checker(ctype), raw, None, path, strict)
 
 
@@ -697,6 +701,7 @@ def validate_label(raw, dom: ClassDomain | None, path: str = "") -> tuple[ClassR
     """
     if dom is not None and not isinstance(getattr(dom, "name", None), str):  # any domain with a str name, as ClassDomain has
         raise TypeError(f"validate_label() dom must be a ClassDomain or None, not {type(dom).__name__}")
+    expect(path, str, "validate_label() path must be a str")
     if isinstance(raw, (bool, float)):
         return None, [error("LABEL_SYNTAX", path, f"label must be a name or integer index, got {raw!r}")]
     if not isinstance(raw, (int, str)) or raw == "":
@@ -733,7 +738,6 @@ def load_external_samples(path: str, base: str | Path) -> list:
 
 
 _MISSING_KEY_CODES = {"samples": "MISSING_SAMPLES_KEY", "global-info": "MISSING_GLOBAL_INFO_KEY"}
-_YAML_SUFFIXES = (".yaml", ".yml")
 
 
 def _read_external(path: str, base: str | Path) -> tuple[Path, str]:
@@ -754,7 +758,7 @@ def _read_external(path: str, base: str | Path) -> tuple[Path, str]:
 def _decode_external(full: Path, text: str, path: str, key: str):
     """The top-level ``key`` of the external data file ``full``, decoded whole from its ``text``."""
     try:
-        payload = _load_yaml(text, str(full)) if full.suffix in _YAML_SUFFIXES else _load_json(text, str(full))
+        payload = _load_yaml(text, str(full)) if HOSTS.get(full.suffix) == "yaml" else _load_json(text, str(full))
     except DocumentError as exc:
         raise DsdlError(exc.diagnostic) from exc
     shown = echo(str(path))
@@ -859,7 +863,7 @@ def _raw_samples(data: RawDataSection, base):
         return
     full, text = _read_external(data.sample_path, base)
     done = 0
-    if full.suffix not in _YAML_SUFFIXES:
+    if HOSTS.get(full.suffix) != "yaml":
         done = yield from _stream_samples(text)
     if done is not None:  # the whole-file load gives the finding, or reads what the stream did not
         yield from islice(_decode_external(full, text, data.sample_path, "samples"), done, None)

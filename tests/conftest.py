@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from dsdl import LibraryEnvironment, parse_document, resolve_schema, validate_dataset
+from dsdl import LibraryEnvironment, resolve_file, validate_dataset
 from dsdl.cli import main as cli_main
 from dsdl.diagnostics import Severity
 
@@ -70,15 +70,13 @@ def load_perfbench(name: str):
 
 def load_corpus_doc(rel: str):
     path = CORPUS / rel
-    fmt = "json" if path.suffix == ".json" else "yaml"
-    return parse_document(path.read_text(encoding="utf-8"), format=fmt, source=str(path)), path
+    return resolve_file(path, LibraryEnvironment.from_environment())[0], path
 
 
 def run_corpus_pipeline(rel: str, *, strict: bool = False, extra_paths: tuple = ()):
     """parse -> resolve -> validate one corpus file; returns (schema, report, diags)."""
-    doc, path = load_corpus_doc(rel)
-    env = LibraryEnvironment.from_environment(tuple(extra_paths))
-    schema, diags = resolve_schema(doc, env, source=path)
+    path = CORPUS / rel
+    doc, schema, diags = resolve_file(path, LibraryEnvironment.from_environment(tuple(extra_paths)))
     report = None
     if schema is not None:
         report = validate_dataset(schema, doc.data, base=path.parent, strict=strict)

@@ -49,6 +49,44 @@ def test_validate_non_utf8_file_exits_two(tmp_path):
         assert err.startswith(f"error ENCODING_ERROR {bad} ")
 
 
+# a flow mapping that does not close: the JSON and the YAML parser each report it in their own words
+_UNCLOSED = '{"$dsdl-version": "0.5.0", meta: ['
+
+
+@pytest.mark.parametrize(
+    "name, host", [("d.json", "JSON"), ("d.yaml", "YAML"), ("d.yml", "YAML"), ("d", "JSON"), ("d.txt", "JSON")]
+)
+def test_the_host_format_of_a_description_follows_its_suffix(tmp_path, name, host):
+    """.json is JSON, .yaml and .yml YAML, and any other suffix ``auto``: JSON
+    first, whose finding it gives for text that opens with a brace."""
+    (tmp_path / name).write_text(_UNCLOSED)
+    code, out, _ = run_cli("validate", str(tmp_path / name))
+    assert code == 1
+    assert out.startswith(f"error SYNTAX_ERROR  malformed {host}: ")
+
+
+@pytest.mark.parametrize("name", ["get-started.yml", "get-started"])
+def test_a_yml_or_extensionless_copy_of_a_yaml_description_validates(tmp_path, name):
+    copy = tmp_path / name
+    copy.write_text((CORPUS / "get-started.yaml").read_text(encoding="utf-8"))
+    assert run_cli("validate", str(copy)) == (0, "2 samples validated, 0 errors, 0 warnings\n", "")
+
+
+@pytest.mark.parametrize(
+    "name, text", [("s.yml", "samples:\n  - {n: 1}\n  - {n: 2}\n"), ("s.dat", '{"samples": [{"n": 1}, {"n": 2}]}')]
+)
+def test_an_external_sample_file_is_yaml_by_its_suffix_and_json_otherwise(tmp_path, name, text):
+    defs = {"S": {"$def": "struct", "$fields": {"n": "Int"}}}
+    description = {"$dsdl-version": "0.5.0", "defs": defs, "data": {"sample-type": "S", "sample-path": name}}
+    (tmp_path / "d.json").write_text(json.dumps(description))
+    (tmp_path / name).write_text(text)
+    assert run_cli("validate", str(tmp_path / "d.json")) == (0, "2 samples validated, 0 errors, 0 warnings\n", "")
+    (tmp_path / name).write_text(_UNCLOSED)
+    code, out, _ = run_cli("validate", str(tmp_path / "d.json"))
+    assert code == 1
+    assert f"malformed {'YAML' if name.endswith('.yml') else 'JSON'}: " in out
+
+
 _DEEP_NEST = "[" * 100_000 + "]" * 100_000
 _DEEP_CASES = {
     "yaml-description": ({"d.yaml": '$dsdl-version: "0.5.0"\nmeta: {a: ' + _DEEP_NEST + "}\n"}, "YAML"),
@@ -764,6 +802,14 @@ def test_parsing_and_resolving_json_loads_no_validation_or_datetime():
         "doc = dsdl.parse_document(path.read_text(), source=str(path)); "
         "schema, _ = dsdl.resolve_schema(doc, dsdl.LibraryEnvironment.from_environment(environ={}), source=path); "
         "assert schema is not None"
+    )
+    assert _fresh_modules(run) & {"dsdl.validation", "datetime", "yaml"} == set()
+
+
+def test_resolving_a_json_file_loads_no_validation_datetime_or_yaml():
+    run = (
+        f"import dsdl; doc, schema, diags = dsdl.resolve_file({corpus('get-started.json')!r}, "
+        "dsdl.LibraryEnvironment.from_environment(environ={})); assert schema is not None and diags == []"
     )
     assert _fresh_modules(run) & {"dsdl.validation", "datetime", "yaml"} == set()
 

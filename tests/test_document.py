@@ -1,6 +1,8 @@
 """Description-file parsing: structure, headers, reserved keys."""
 
+import json
 import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -44,6 +46,14 @@ def test_a_format_that_is_not_a_str_is_a_type_error(fmt):
 def test_checking_a_data_section_of_another_type_is_a_type_error(section):
     with pytest.raises(TypeError, match=r"check_data_section\(\) section must be a RawDataSection or None, not "):
         check_data_section(section)
+
+
+def test_a_finding_from_a_path_source_carries_it_as_text_and_round_trips_through_json():
+    with pytest.raises(DocumentError) as exc:
+        parse_document("a: [", source=Path("d.yaml"))
+    jsonable = exc.value.diagnostic.to_jsonable()
+    assert jsonable["source"] == "d.yaml"
+    assert json.loads(json.dumps(jsonable)) == jsonable
 
 
 def test_an_unknown_format_name_is_a_value_error():

@@ -28,6 +28,7 @@ from dsdl import (
     parse_type_expression,
     register_media_class,
     render_type_expression,
+    resolve_file,
     resolve_imports,
     resolve_locator,
     resolve_schema,
@@ -36,6 +37,8 @@ from dsdl import (
     validate_label,
     validate_value,
 )
+
+from conftest import CORPUS
 
 _DOC = '$dsdl-version: "0.5.0"\ndefs:\n  S:\n    $def: struct\n    $fields: {n: Int}\ndata:\n  sample-type: S\n  samples: [{n: 1}]\n'
 _IMPORTING = '$dsdl-version: "0.5.0"\n$import: [imageclass]\n'
@@ -117,11 +120,15 @@ _ROWS = [
     ("load_object", "class_name", lambda: load_object(5, "x.jpg", None, _ENV, open), "load_object() class_name must be"),
     ("load_object", "loc", lambda: load_object("Image", 5, None, _ENV, open), "not an ObjectLocator"),
     ("load_object", "reader_provider", lambda: load_object("Image", "x.jpg", None, _ENV, "open"), "load_object() reader_provider must be"),
+    ("parse_document", "source", lambda: parse_document("a: 1", source=5), "parse_document() source must be"),
+    ("validate_value", "path", lambda: validate_value("a", _schema()[0].sample_type, 5), "validate_value() path must be"),
+    ("validate_label", "path", lambda: validate_label("x", _dom(), 5), "validate_label() path must be"),
+    ("resolve_file", "file", lambda: resolve_file(5, LibraryEnvironment(())), "resolve_file() file must be"),
+    ("resolve_file", "env", lambda: resolve_file(CORPUS / "get-started.json", None), "resolve_file() env must be"),
 ]
 
 # the parameters with no row, and why any value of theirs is in the callable's domain
 _ANY_VALUE = {
-    ("parse_document", "source"): "copied into each finding as its source",
     ("parse_locator", "text"): "any other value than a non-empty str is a LOC_SYNTAX finding",
     ("parse_sample_type_spec", "raw"): "any other value than a str or mapping is a GRAMMAR_ERROR finding",
     ("lookup_class", "selector"): "any other value than a str or int is a CLASS_NOT_FOUND finding",
@@ -129,11 +136,10 @@ _ANY_VALUE = {
     ("load_object", "descr"): "handed to the loader as it is",
     ("validate_value", "raw"): "any value: a finding names what it is",
     ("validate_label", "raw"): "any value: a LABEL_SYNTAX finding names what it is",
-    ("validate_value", "path"): "copied into the findings, as the path they start from",
-    ("validate_label", "path"): "copied into the findings, as their path",
     **dict.fromkeys(
-        [("parse_document", "allow_version"), ("validate_value", "strict"), ("iter_samples", "strict"),
-         ("validate_dataset", "strict"), ("validate_dataset", "build"), ("summarize_dataset", "strict")],
+        [("parse_document", "allow_version"), ("resolve_file", "allow_version"), ("validate_value", "strict"),
+         ("iter_samples", "strict"), ("validate_dataset", "strict"), ("validate_dataset", "build"),
+         ("summarize_dataset", "strict")],
         "read for its truth value",
     ),
 }

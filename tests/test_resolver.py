@@ -11,12 +11,13 @@ from dsdl import (
     check_acyclic,
     instantiate_type,
     parse_document,
+    resolve_file,
     resolve_imports,
     resolve_schema,
     resolver,
     validate_dataset,
 )
-from dsdl.diagnostics import ResolutionError, Severity
+from dsdl.diagnostics import DocumentError, ResolutionError, Severity
 from dsdl.document import RawDataSection, RawDocument
 from dsdl.resolver import ConcreteType, _check_fmt, substitute_params
 from dsdl.schema import ClassDomain, build_definitions
@@ -740,6 +741,34 @@ def test_resolve_dota_schema_with_global_info(library_env):
     assert error_diags(diags) == []
     assert schema.sample_type.head == "OrientedObjectDetectionSample"
     assert schema.global_info_type.describe() == "ClassMapInfo[cdom=DOTAV2ClassDom]"
+
+
+def test_resolve_file_reads_parses_and_resolves_a_description(library_env):
+    path = CORPUS / "get-started.yaml"
+    doc, schema, diags = resolve_file(str(path), library_env)
+    assert diags == [] and doc.dsdl_version == "0.5.0"
+    assert schema.sample_type.describe() == "ImageClassificationSample"
+
+
+def test_resolve_file_on_a_missing_file_raises_os_error(tmp_path):
+    with pytest.raises(OSError):
+        resolve_file(tmp_path / "missing.yaml", LibraryEnvironment(()))
+
+
+def test_resolve_file_on_a_file_that_is_not_utf8_raises_encoding_error(tmp_path):
+    bad = tmp_path / "latin.yaml"
+    bad.write_bytes(b'$dsdl-version: "0.5.0"\nmeta: {name: caf\xe9}\n')
+    with pytest.raises(DocumentError) as exc:
+        resolve_file(bad, LibraryEnvironment(()))
+    assert (exc.value.code, exc.value.diagnostic.path) == ("ENCODING_ERROR", str(bad))
+
+
+def test_resolve_file_on_text_that_does_not_parse_gives_only_its_finding(tmp_path):
+    path = tmp_path / "d.yaml"
+    path.write_text("a: [")
+    doc, schema, diags = resolve_file(path, LibraryEnvironment(()))
+    assert (doc, schema) == (None, None)
+    assert [(d.code, d.source) for d in diags] == [("SYNTAX_ERROR", str(path))]
 
 
 def test_data_section_without_sample_type(library_env):
