@@ -3,11 +3,16 @@ Data Set Description Language.
 
 Typical use::
 
-    from dsdl import LibraryEnvironment, resolve_file, validate_dataset
+    from dsdl import LibraryEnvironment, check_file, iter_samples, resolve_file
 
-    doc, schema, diags = resolve_file(path, LibraryEnvironment.from_environment())
+    env = LibraryEnvironment.from_environment()
+    report, counts = check_file(path, env, count=True)  # as ``dsdl validate`` / ``summary``
+
+    # typed values: resolve, then iter_samples (or validate_dataset, which keeps them)
+    doc, schema, diags = resolve_file(path, env)
     if schema is not None:
-        report = validate_dataset(schema, doc.data, base=path.parent)
+        for index, sample, found in iter_samples(schema, doc.data, base=path.parent):
+            ...
 
 ``import dsdl`` loads parsing and resolution only; the locator and
 validation layers load on the first use of one of their names.
@@ -58,7 +63,7 @@ _LAZY = {
     for home, names in {
         "locator": "AliasPath MediaClassRegistry ObjectId ObjectLocator RelativePath ResolutionEnvironment "
         "default_media_registry load_object parse_locator register_media_class resolve_locator",
-        "validation": "SampleCounts ValidationReport iter_samples load_external_samples summarize_dataset "
+        "validation": "SampleCounts ValidationReport check_file iter_samples load_external_samples summarize_dataset "
         "validate_dataset validate_label validate_value",
     }.items()
     for name in names.split()

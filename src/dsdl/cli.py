@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .diagnostics import Diagnostic, DocumentError, DsdlError, LocatorError, Severity, echo, printable
 from .locator import ResolutionEnvironment, parse_locator, resolve_locator
-from .resolver import ConcreteType, LibraryEnvironment, ResolvedSchema, resolve_file
+from .resolver import ConcreteType, LibraryEnvironment, resolve_file
 from .schema import ClassDomain
 from .typeexpr import TypeExpr, render_type_expression
 
@@ -97,36 +97,16 @@ class _UsageFailure(Exception):
     """Exit 2: the input cannot be read. The message is the stderr line."""
 
 
-def _resolve(args: argparse.Namespace):
-    """:func:`resolve_file` on the operand; a file that cannot be read is a usage failure."""
+def _read(args: argparse.Namespace, run, **options):
+    """``run`` (:func:`resolve_file`, or ``check_file``) on the operand; a file that
+    cannot be read is a usage failure."""
     env = LibraryEnvironment.from_environment(args.library_path)
     try:
-        return resolve_file(args.file, env, allow_version=args.allow_version)
+        return run(args.file, env, allow_version=args.allow_version, **options)
     except OSError as exc:
         raise _UsageFailure(f"dsdl: error: cannot read {echo(str(Path(args.file)))}: {echo(str(exc))}") from exc
     except DocumentError as exc:
         raise _UsageFailure(exc.diagnostic.format()) from exc
-
-
-def _validate(
-    args: argparse.Namespace, count: bool = False
-) -> tuple[ResolvedSchema | None, ValidationReport, SampleCounts]:
-    """:func:`_resolve`, then the samples are validated if the schema resolved,
-    and no typed value is built; with ``count`` they are also counted (see
-    ``summarize_dataset``). The report holds every diagnostic, in that order.
-    The validation layer loads here, so ``inspect`` never loads it."""
-    from .validation import SampleCounts, ValidationReport, summarize_dataset, validate_dataset
-
-    doc, schema, diags = _resolve(args)
-    report, counts = ValidationReport(), SampleCounts()
-    if schema is not None:
-        options = {"base": Path(args.file).parent, "strict": args.strict, "max_errors": args.max_errors}
-        if count:
-            report, counts = summarize_dataset(schema, doc.data, **options)
-        else:
-            report = validate_dataset(schema, doc.data, build=False, **options)
-    report.diagnostics[:0] = diags
-    return schema, report, counts
 
 
 def _exit_code(report: ValidationReport, args: argparse.Namespace) -> int:
@@ -153,7 +133,9 @@ def _emit_failure(args: argparse.Namespace, diagnostics: list[Diagnostic]) -> No
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    _, report, _ = _validate(args)
+    from .validation import check_file  # validation loads here and in summary, so inspect never loads it
+
+    report, _ = _read(args, check_file, strict=args.strict, max_errors=args.max_errors)
     summary = f"{report.sample_count} samples validated, {report.errors} errors, {report.warnings} warnings"
     if report.truncated:
         summary += " (truncated)"
@@ -190,7 +172,7 @@ def _concrete(ctype: ConcreteType, indent: str, lines: list[str]) -> dict:
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
-    doc, schema, diags = _resolve(args)
+    doc, schema, diags = _read(args, resolve_file)
     if schema is None or any(d.severity is Severity.ERROR for d in diags):
         _emit_failure(args, diags)
         return EXIT_FINDINGS if diags else EXIT_OK
@@ -269,8 +251,10 @@ def cmd_resolve_loc(args: argparse.Namespace) -> int:
 
 
 def cmd_summary(args: argparse.Namespace) -> int:
-    schema, report, counts = _validate(args, count=True)
-    if report.errors or schema is None:
+    from .validation import check_file
+
+    report, counts = _read(args, check_file, strict=args.strict, max_errors=args.max_errors, count=True)
+    if report.errors:
         _emit_failure(args, report.diagnostics)
         return EXIT_FINDINGS
 

@@ -24,8 +24,9 @@ from .slotted import Slotted
 LOCAL_PATH = "$local"
 
 # the host format of a file by its suffix; with any other, a description file
-# is parsed as "auto" (see resolver.resolve_file) and an external data file as JSON
-HOSTS = {".json": "json", ".yaml": "yaml", ".yml": "yaml"}
+# is parsed as "auto" (see resolver.resolve_file) and an external data file as
+# JSON. The order is the order in which an ``$import`` name tries the suffixes
+HOSTS = {".yaml": "yaml", ".json": "json", ".yml": "yaml"}
 
 _VERSION_RE = re.compile(r"0\.5(\.\w+)?")
 _DEF_KEY_RE = re.compile(r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)(\[(?P<parents>[^\]]+)\])?")

@@ -2,10 +2,12 @@
 
 ``$import`` names are resolved against the importing file's directory
 first, then the library search paths (default library directory, then
-``DSDL_LIBRARY_PATH`` entries, then caller-supplied paths), preferring
-``.yaml`` over ``.json``. Definitions merge in import order with the
-importing file's own definitions last; a name collision keeps the later
-definition and raises an ``IMPORT_OVERWRITE`` warning.
+``DSDL_LIBRARY_PATH`` entries, then caller-supplied paths). A name that
+ends in ``.yaml``, ``.json`` or ``.yml`` is looked for as given; any other
+name tries those suffixes in that order (``document.HOSTS``) in each
+directory. Definitions merge in import order with the importing file's
+own definitions last; a name collision keeps the later definition and
+raises an ``IMPORT_OVERWRITE`` warning.
 
 Instantiation substitutes ``$param`` references from the given
 bindings, binds positional arguments to declared parameter order, and
@@ -44,7 +46,6 @@ from .typeexpr import (
 )
 
 LIBRARY_PATH_VAR = "DSDL_LIBRARY_PATH"
-_IMPORT_EXTENSIONS = (".yaml", ".json")
 
 DEFAULT_LIBRARY_DIR = Path(__file__).parent / "library"
 
@@ -225,10 +226,7 @@ def resolve_imports(
 
 
 def _find_import(name: str, base: Path | None, env: LibraryEnvironment) -> Path | None:
-    if name.endswith(_IMPORT_EXTENSIONS):
-        stems = [name]
-    else:
-        stems = [name + ext for ext in _IMPORT_EXTENSIONS]
+    stems = [name] if name.endswith(tuple(HOSTS)) else [name + suffix for suffix in HOSTS]
     roots = ([base] if base is not None else []) + list(env.search_paths)
     for root in roots:
         for stem in stems:
@@ -303,7 +301,7 @@ def substitute_params(expr: TypeExpr, bindings: dict[str, object]) -> TypeExpr:
 
 
 class _Instantiation(Slotted):
-    """What one :func:`instantiate_type` call shares.
+    """What one :func:`instantiate_type` call, or one type that :func:`resolve_schema` instantiates, shares.
 
     ``depth`` counts the types open around the one being built, struct
     fields included; a concrete type nests at most ``MAX_TYPE_DEPTH``
@@ -330,7 +328,6 @@ def instantiate_type(
     *,
     media_extensions: tuple[str, ...] = (),
     diags: list[Diagnostic] | None = None,
-    _path: str = "",
 ) -> ConcreteType:
     """Bind ``expr`` into a :class:`ConcreteType`.
 
@@ -346,7 +343,7 @@ def instantiate_type(
     expect(diags, (list, type(None)), "instantiate_type() diags must be a list or None")
     closed = substitute_params(expr, bindings)
     run = _Instantiation(registry, media_extensions, diags if diags is not None else [])
-    return _instantiate_closed(closed, run, _path)
+    return _instantiate_closed(closed, run, "")
 
 
 def _bind_args(
@@ -637,7 +634,7 @@ def _instantiate_spec(
         diags.append(error(exc.diagnostic.code, path, exc.diagnostic.message))
         return None
     try:
-        return instantiate_type(expr, {}, registry, media_extensions=media_extensions, diags=diags, _path=path)
+        return _instantiate_closed(substitute_params(expr, {}), _Instantiation(registry, media_extensions, diags), path)
     except ResolutionError as exc:
         diag = exc.diagnostic
         diags.append(error(diag.code, diag.path or path, diag.message))

@@ -167,11 +167,11 @@ class _Placement(Slotted):
 class ClassDomain(Frozen):
     """An ordered, possibly hierarchical list of class paths.
 
-    Only :func:`build_definitions` creates domains, and at resolve time it
-    does only the per-class work that its checks need. A domain keeps the
-    declared ``items``, the canonical dotted text of each class in
-    ``names`` (the declared list itself when every item is a plain dotted
-    identifier) and ``index``, each text's 1-based position.
+    :func:`build_definitions` builds the domains of a description, and at
+    resolve time does only the per-class work that its checks need. A
+    domain keeps the declared ``items``, the canonical dotted text of each
+    class in ``names`` (the declared list itself when every item is a plain
+    dotted identifier) and ``index``, each text's 1-based position.
 
     The hierarchy tables are built by the lookups that read them and then
     kept. ``placement`` (a :class:`_Placement`, made on the first

@@ -57,7 +57,7 @@ from .document import (
     read_utf8,
 )
 from .locator import ObjectLocator, parse_locator
-from .resolver import ConcreteType, ResolvedSchema
+from .resolver import ConcreteType, LibraryEnvironment, ResolvedSchema, resolve_file
 from .schema import ClassDomain, ClassRef, index_path, lookup_class
 from .slotted import Frozen, Slotted, field_setters, set_field
 
@@ -944,6 +944,28 @@ def summarize_dataset(
     applied, hold no error; no sample is kept. Global info is not counted.
     """
     return _fold("summarize_dataset", schema, data, base, strict, max_errors, None)
+
+
+def check_file(file: str | PurePath, env: LibraryEnvironment, *, strict: bool = False, max_errors: int | None = None,
+               count: bool = False, allow_version: bool = False) -> tuple[ValidationReport, SampleCounts]:
+    """Check the description file ``file``, as ``dsdl validate`` and ``dsdl summary`` do.
+
+    :func:`resolve_file`, then, if the schema resolved, the samples of its
+    ``data`` section, with paths below the file's directory, are checked as by
+    ``validate_dataset(..., build=False)``, or with ``count`` as by
+    :func:`summarize_dataset`. The report holds the resolve findings first; the
+    counts are empty unless ``count`` is set. ``OSError``, and the
+    ``ENCODING_ERROR`` :class:`DocumentError` of a file that is not UTF-8, propagate.
+    """
+    path = Path(expect(file, (str, PurePath), "check_file() file must be a str or PurePath"))
+    expect(env, LibraryEnvironment, "check_file() env must be a LibraryEnvironment")
+    expect(max_errors, (int, type(None)), "check_file() max_errors must be an int or None")
+    doc, schema, diags = resolve_file(path, env, allow_version=allow_version)
+    report, counts = ValidationReport(), SampleCounts()
+    if schema is not None:
+        report, counts = _fold("check_file", schema, doc.data, path.parent, strict, max_errors, None if count else False)
+    report.diagnostics[:0] = diags
+    return report, counts
 
 
 def _fold(function: str, schema: ResolvedSchema, data, base, strict: bool, max_errors, build: bool | None):

@@ -814,6 +814,16 @@ def test_resolving_a_json_file_loads_no_validation_datetime_or_yaml():
     assert _fresh_modules(run) & {"dsdl.validation", "datetime", "yaml"} == set()
 
 
+@pytest.mark.parametrize("count", [False, True])
+def test_checking_a_json_file_loads_no_datetime_or_yaml(count):
+    run = (
+        f"import dsdl; report, counts = dsdl.check_file({corpus('get-started.json')!r}, "
+        f"dsdl.LibraryEnvironment.from_environment(environ={{}}), count={count}); "
+        "assert report.sample_count == 2 and report.diagnostics == []"
+    )
+    assert _fresh_modules(run) & {"datetime", "yaml", "dataclasses"} == set()
+
+
 def test_validate_loads_datetime_only_for_a_date_field(tmp_path):
     dated = tmp_path / "dated.json"
     dated.write_text(

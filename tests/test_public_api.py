@@ -18,6 +18,7 @@ from dsdl import (
     StructClass,
     build_definitions,
     check_acyclic,
+    check_file,
     instantiate_type,
     iter_samples,
     load_external_samples,
@@ -125,6 +126,9 @@ _ROWS = [
     ("validate_label", "path", lambda: validate_label("x", _dom(), 5), "validate_label() path must be"),
     ("resolve_file", "file", lambda: resolve_file(5, LibraryEnvironment(())), "resolve_file() file must be"),
     ("resolve_file", "env", lambda: resolve_file(CORPUS / "get-started.json", None), "resolve_file() env must be"),
+    ("check_file", "file", lambda: check_file(5, LibraryEnvironment(())), "check_file() file must be"),
+    ("check_file", "env", lambda: check_file(CORPUS / "get-started.json", None), "check_file() env must be"),
+    ("check_file", "max_errors", lambda: check_file(CORPUS / "get-started.json", LibraryEnvironment(()), max_errors="1"), "check_file() max_errors must be"),
 ]
 
 # the parameters with no row, and why any value of theirs is in the callable's domain
@@ -132,14 +136,14 @@ _ANY_VALUE = {
     ("parse_locator", "text"): "any other value than a non-empty str is a LOC_SYNTAX finding",
     ("parse_sample_type_spec", "raw"): "any other value than a str or mapping is a GRAMMAR_ERROR finding",
     ("lookup_class", "selector"): "any other value than a str or int is a CLASS_NOT_FOUND finding",
-    ("instantiate_type", "_path"): "private: the path that resolve_schema gives a type it instantiates",
     ("load_object", "descr"): "handed to the loader as it is",
     ("validate_value", "raw"): "any value: a finding names what it is",
     ("validate_label", "raw"): "any value: a LABEL_SYNTAX finding names what it is",
     **dict.fromkeys(
         [("parse_document", "allow_version"), ("resolve_file", "allow_version"), ("validate_value", "strict"),
          ("iter_samples", "strict"), ("validate_dataset", "strict"), ("validate_dataset", "build"),
-         ("summarize_dataset", "strict")],
+         ("summarize_dataset", "strict"), ("check_file", "strict"), ("check_file", "count"),
+         ("check_file", "allow_version")],
         "read for its truth value",
     ),
 }
@@ -198,3 +202,18 @@ def test_a_public_callable_given_an_argument_of_the_wrong_type_raises_a_type_err
     with pytest.raises(TypeError) as exc:
         call()
     assert message in str(exc.value), str(exc.value)
+
+
+def test_the_readme_library_example_runs_from_the_repository_root(monkeypatch, capsys):
+    """The ``## Library`` python block of README.md, run as it stands, so it cannot drift from the code."""
+    root = CORPUS.parent.parent
+    section = (root / "README.md").read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    monkeypatch.chdir(root)
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == [
+        "2 0 {'VOCClassDom::bicycle': 1, 'VOCClassDom::cat': 2, 'VOCClassDom::sofa': 2}",
+        "0 ['VOCClassDom::bicycle'] []",
+        "1 ['VOCClassDom::cat', 'VOCClassDom::cat', 'VOCClassDom::sofa', 'VOCClassDom::sofa'] []",
+        "2 {}",
+    ]

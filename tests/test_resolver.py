@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from dsdl import (
     LibraryEnvironment,
     check_acyclic,
+    check_file,
     instantiate_type,
     parse_document,
     resolve_file,
@@ -43,6 +44,30 @@ def test_an_import_name_may_carry_its_extension(library_env):
     registry, diags = resolve_imports(doc, library_env)
     assert diags == []
     assert "ObjectDetectionSample" in registry
+
+
+_LIB = '$dsdl-version: "0.5.0"\ndefs:\n  Dom:\n    $def: class_domain\n    classes: [{}]\n'
+
+
+@pytest.mark.parametrize("name", ["lib", "lib.yml"])
+def test_a_yml_library_is_imported_by_its_stem_or_its_file_name(tmp_path, name):
+    (tmp_path / "lib.yml").write_text(_LIB.format("a"))
+    path = tmp_path / "d.yaml"
+    path.write_text(f'$dsdl-version: "0.5.0"\n$import: [{name}]\ndata:\n  sample-type: Label[dom=Dom]\n  samples: [a]\n')
+    report, _ = check_file(path, LibraryEnvironment(()))
+    assert (report.diagnostics, report.sample_count) == ([], 1)
+
+
+@pytest.mark.parametrize(
+    "present, found", [(("yaml", "json", "yml"), "yaml"), (("json", "yml"), "json"), (("yml",), "yml")]
+)
+def test_an_import_stem_tries_yaml_then_json_then_yml(tmp_path, present, found):
+    for suffix in present:
+        lib = {"$dsdl-version": "0.5.0", "defs": {"Dom": {"$def": "class_domain", "classes": [suffix]}}}
+        (tmp_path / f"lib.{suffix}").write_text(json.dumps(lib) if suffix == "json" else _LIB.format(suffix))
+    doc = parse_document('$dsdl-version: "0.5.0"\n$import: [lib]\n', format="yaml")
+    registry, diags = resolve_imports(doc, LibraryEnvironment(()), source=tmp_path / "d.yaml")
+    assert diags == [] and registry.get("Dom").names == [found]
 
 
 def test_resolution_of_what_is_not_a_document_or_against_what_is_not_an_environment_is_a_type_error(library_env):

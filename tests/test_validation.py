@@ -1181,3 +1181,44 @@ def test_an_undeclared_tuple_key_is_one_key_of_its_path(registry, key):
     assert [(d.code, d.path, d.message) for d in report.diagnostics] == [
         (code, path.replace("v/0", "samples/0"), message) for code, path, message in expected
     ]
+
+
+def test_a_label_seen_before_costs_no_lookup_and_places_nothing_whatever_its_domains_size(monkeypatch):
+    """README: once the tables that a lookup reads are built, the cost of a label
+    does not depend on the size of its domain. Validating the same class texts and
+    indices again, after their refs' index paths were read, calls ``validate_label``
+    0 times and places no more names, on a 20-, a 1k- and a 10k-class (dotted) domain."""
+    import json
+
+    from dsdl import LibraryEnvironment, parse_document, resolve_schema
+    from dsdl import validation
+
+    sizes = {"D20": 20, "D1k": 1000, "D10k": 10000}
+    classes = {
+        name: [f"g{i // 100}.s{i // 10 % 10}.c{i % 10}" if n == 10000 else f"c{i}" for i in range(n)]
+        for name, n in sizes.items()
+    }
+    defs = {name: {"$def": "class_domain", "classes": names} for name, names in classes.items()}
+    defs["S"] = {"$def": "struct", "$fields": {name: f"List[etype=Label[dom={name}]]" for name in sizes}}
+    sample = {
+        name: [names[0], names[n // 2], names[-1], 1, n // 3, n] for (name, names), n in zip(classes.items(), sizes.values())
+    }
+    text = json.dumps({"$dsdl-version": "0.5.0", "defs": defs, "data": {"sample-type": "S", "samples": [sample]}})
+    doc = parse_document(text, format="json")
+    schema, diags = resolve_schema(doc, LibraryEnvironment(()))
+    assert diags == []
+    record = validate_dataset(schema, doc.data).samples[0]
+    for name, n in sizes.items():
+        paths = [ref.index_path for ref in record[name]]
+        assert paths[-1] == ((n,) if n < 10000 else (100, 10, 10))
+    domains = [schema.registry.get(name) for name in sizes]
+    placed = [dom.placement.placed for dom in domains]
+
+    calls = []
+    looked_up = validation.validate_label
+    monkeypatch.setattr(validation, "validate_label", lambda *a: calls.append(a) or looked_up(*a))
+    for build in (True, False):
+        report = validate_dataset(schema, doc.data, build=build)
+        assert (report.diagnostics, report.sample_count) == ([], 1)
+    assert calls == []
+    assert [dom.placement.placed for dom in domains] == placed
