@@ -112,9 +112,8 @@ def __getattr__(name: str):
     home = _LAZY.get(name)
     if home is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
-    value = globals()[name] = getattr(import_module(f"{__name__}.{home}"), name)
+    # ``__import__``, unlike ``importlib.import_module``, is listed by ``python -X importtime``
+    value = globals()[name] = getattr(__import__(f"{__name__}.{home}", fromlist=[name]), name)
     return value
 
 

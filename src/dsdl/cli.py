@@ -109,7 +109,7 @@ def _read(args: argparse.Namespace, run, **options):
         raise _UsageFailure(exc.diagnostic.format()) from exc
 
 
-def _exit_code(report: ValidationReport, args: argparse.Namespace) -> int:
+def _exit_code(report, args: argparse.Namespace) -> int:
     return EXIT_FINDINGS if report.errors or (args.strict and report.warnings) else EXIT_OK
 
 

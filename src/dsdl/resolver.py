@@ -83,12 +83,12 @@ class ConcreteType(Frozen):
     ``args`` maps parameter names to materialized values: class-domain
     entries for domain refs, nested concrete types for type refs, and
     plain scalars otherwise. Struct heads additionally carry a concrete
-    field map and their optional-field set. ``_check``, ``_check_only`` and
-    ``_count`` keep the node's building, check-only and counting validation
-    closures, each once it is compiled (see ``validation._checker``).
+    field map and their optional-field set. ``_check`` and ``_check_only``
+    keep the node's building and check-only validation closures, each once
+    it is compiled (see ``validation._checker``).
     """
 
-    __slots__ = ("head", "shape", "args", "fields", "optional", "_check", "_check_only", "_count")
+    __slots__ = ("head", "shape", "args", "fields", "optional", "_check", "_check_only")
 
     def __init__(self, head: str, shape: str, args=None, fields: dict | None = None, optional=frozenset()):
         set_field(self, "head", head)

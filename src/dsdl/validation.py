@@ -189,9 +189,9 @@ def _fail(diags: list[Diagnostic], code: str, parent, key, message: str) -> None
 # the same checks and findings, and None where the building closure gives
 # None, but no typed value is built. A value-building shape then calls
 # ``_unbuilt`` in place of its value class, and a struct or list returns ``raw``.
-# With ``build`` None the closure checks only and counts: ``diags`` is then a
-# ``_Tally``, and a label, a media or Text value, and a struct with an optional
-# field wrap their check-only closure to note what it found there.
+# A check-only closure's ``diags`` is a ``_Tally``, and it also notes there
+# what ``summarize_dataset`` counts: a label's ref, the locator kind of a
+# media or ``$loc`` Text value, and each struct with an optional field.
 
 _INF = math.inf
 _NUMBER = (int, float)
@@ -455,7 +455,7 @@ def _make_datetime(ctype, build):
 
 def _make_media(ctype, build):
     """A locator string or a ``{$loc, $descr}`` mapping; Text may also be inline."""
-    head, text = ctype.head, ctype.shape == "text"
+    head, text, noting = ctype.head, ctype.shape == "text", not build
     make = MediaRef if build else _unbuilt
     if text:
         what = "Text value must be a string or $loc mapping"
@@ -486,17 +486,10 @@ def _make_media(ctype, build):
             locator = parse_locator(raw)
         except LocatorError as exc:
             return _fail(diags, "LOC_SYNTAX", parent, key, exc.diagnostic.message)
+        if noting:
+            diags.locators.append(locator.kind)
         return make(head, locator, tuple(descr.items()) if descr is not None else None)
 
-    if build is None:
-
-        def count(raw, parent, key, diags):
-            parts = check(raw, parent, key, diags)
-            if type(parts) is tuple:  # not inline Text, which is its own string
-                diags.locators.append(parts[1].kind)
-            return parts
-
-        return count
     return check
 
 
@@ -505,25 +498,17 @@ def _make_label(ctype, build):
     # the domain's refs by class index and by each class text that reads only
     # as a name, each added on its first lookup, so a label seen before costs
     # one dict get (a bool, equal to an index, is not looked up)
-    refs = dom._refs if dom is not None else {}
+    refs, noting = dom._refs if dom is not None else {}, not build
 
     def check(raw, parent, key, diags):
-        if type(raw) is str or type(raw) is int:
-            ref = refs.get(raw)
-            if ref is not None:
-                return ref
-        ref, found = validate_label(raw, dom)  # a path is joined only for a finding it returns
-        diags.extend([error(d.code, _path(parent, key), d.message) for d in found])
+        ref = refs.get(raw) if type(raw) is str or type(raw) is int else None
+        if ref is None:
+            ref, found = validate_label(raw, dom)  # a path is joined only for a finding it returns
+            diags.extend([error(d.code, _path(parent, key), d.message) for d in found])
+        if noting:
+            diags.labels.append(ref)
         return ref
 
-    if build is None:
-
-        def count(raw, parent, key, diags):
-            ref = check(raw, parent, key, diags)
-            diags.labels.append(ref)
-            return ref
-
-        return count
     return check
 
 
@@ -545,10 +530,14 @@ def _make_struct(ctype, build):
     head, names = ctype.head, ctype.fields
     fields = tuple((name, name in ctype.optional, _checker(ftype, build)) for name, ftype in ctype.fields.items())
     mismatch = f"expected a {head} record, got"
+    # the optional fields a check-only closure notes, as ``((struct, field), field)``
+    counted = () if build else tuple(((head, name), name) for name in sorted(ctype.optional))
 
     def check(raw, parent, key, diags):
         if not isinstance(raw, dict):
             return _fail(diags, "TYPE_MISMATCH", parent, key, f"{mismatch} {_type_name(raw)}")
+        if counted:
+            diags.fill.append((counted, raw))
         # the fields of a record at the top with an empty path are at their bare names
         inner = (parent, key) if parent is not None or key else None
         values: dict[str, object] | None = {} if build else None
@@ -569,15 +558,6 @@ def _make_struct(ctype, build):
                     diags.append(warning("FIELD_UNKNOWN", _path(inner, show_number(name)), message))
         return Record(head, values) if build else raw
 
-    if build is None and ctype.optional:
-        optional = tuple(((head, name), name) for name in sorted(ctype.optional))
-
-        def count(raw, parent, key, diags):
-            if isinstance(raw, dict):
-                diags.fill.extend([(at, raw.get(name) is not None) for at, name in optional])
-            return check(raw, parent, key, diags)
-
-        return count
     return check
 
 
@@ -607,13 +587,13 @@ _CHECKS = {
 }
 
 
-def _checker(ctype: ConcreteType, build: bool | None = True):
-    """The closure of ``ctype``: building, check-only with ``build`` false, or
-    check-only and counting into a ``_Tally`` with ``build`` None. Each is
-    compiled on first use from the same ``_CHECKS`` entry and kept in the
-    node's ``_check``, ``_check_only`` or ``_count`` slot, so a node shared by
-    many fields (see ``resolver._Instantiation``) or calls compiles once per mode."""
-    slot = "_count" if build is None else "_check" if build else "_check_only"
+def _checker(ctype: ConcreteType, build: bool = True):
+    """The closure of ``ctype``: building, or with ``build`` false check-only,
+    noting what it counts into a ``_Tally``. Each is compiled on first use from
+    the same ``_CHECKS`` entry and kept in the node's ``_check`` or
+    ``_check_only`` slot, so a node shared by many fields (see
+    ``resolver._Instantiation``) or calls compiles once per mode."""
+    slot = "_check" if build else "_check_only"
     check = getattr(ctype, slot, None)
     if check is None:
         check = _compile(ctype, build)
@@ -621,7 +601,7 @@ def _checker(ctype: ConcreteType, build: bool | None = True):
     return check
 
 
-def _compile(ctype: ConcreteType, build: bool | None = True):
+def _compile(ctype: ConcreteType, build: bool = True):
     return _CHECKS[ctype.shape](ctype, build)
 
 
@@ -651,18 +631,20 @@ class SampleCounts(Slotted):
             labels[label] = labels.get(label, 0) + 1
         for kind in tally.locators:
             locators[kind] = locators.get(kind, 0) + 1
-        for at, present in tally.fill:
-            counted = fill.get(at)
-            if counted is None:
-                counted = fill[at] = [0, 0]
-            counted[0] += present
-            counted[1] += 1
+        for optional, raw in tally.fill:
+            for at, name in optional:
+                counted = fill.get(at)
+                if counted is None:
+                    counted = fill[at] = [0, 0]
+                counted[0] += raw.get(name) is not None
+                counted[1] += 1
 
 
 class _Tally(list):
-    """One sample's findings in counting mode, and what its closures noted
-    in walk order: each label's ref, each locator's kind, and for each
-    optional field of each struct reached ``((struct, field), present)``."""
+    """One sample's findings in check-only mode, and what its closures noted
+    in walk order: each label's ref, each locator's kind, and for each struct
+    with an optional field that was reached, its optional fields as
+    ``((struct, field), field)`` and its raw mapping."""
 
     __slots__ = ("labels", "locators", "fill")
 
@@ -869,10 +851,10 @@ def _raw_samples(data: RawDataSection, base):
         yield from islice(_decode_external(full, text, data.sample_path, "samples"), done, None)
 
 
-def _checked(stype: ConcreteType, items, strict: bool, build: bool | None):
+def _checked(stype: ConcreteType, items, strict: bool, build: bool):
     """Each raw sample of ``items`` as ``(index, value, findings)``, checked by the ``_checker``
-    closure of ``stype`` for ``build`` into its own list (a ``_Tally`` when counting), ``strict`` applied."""
-    check, top, new = _checker(stype, build), (None, "samples"), list if build is not None else _Tally
+    closure of ``stype`` for ``build`` into its own list (a ``_Tally`` when checking only), ``strict`` applied."""
+    check, top, new = _checker(stype, build), (None, "samples"), list if build else _Tally
     for index, raw in enumerate(items):
         yield (index, *_run(check, raw, top, index, strict, new()))
 
@@ -925,7 +907,7 @@ def validate_dataset(
     text has decoded; any other file is loaded whole, as is one whose
     stream stops at a fault, which gives that fault's finding.
     """
-    return _fold("validate_dataset", schema, data, base, strict, max_errors, bool(build))[0]
+    return _fold("validate_dataset", schema, data, base, strict, max_errors, bool(build), False)[0]
 
 
 def summarize_dataset(
@@ -943,7 +925,7 @@ def summarize_dataset(
     locator checked once, and only when its findings, with ``strict``
     applied, hold no error; no sample is kept. Global info is not counted.
     """
-    return _fold("summarize_dataset", schema, data, base, strict, max_errors, None)
+    return _fold("summarize_dataset", schema, data, base, strict, max_errors, False, True)
 
 
 def check_file(file: str | PurePath, env: LibraryEnvironment, *, strict: bool = False, max_errors: int | None = None,
@@ -963,15 +945,15 @@ def check_file(file: str | PurePath, env: LibraryEnvironment, *, strict: bool = 
     doc, schema, diags = resolve_file(path, env, allow_version=allow_version)
     report, counts = ValidationReport(), SampleCounts()
     if schema is not None:
-        report, counts = _fold("check_file", schema, doc.data, path.parent, strict, max_errors, None if count else False)
+        report, counts = _fold("check_file", schema, doc.data, path.parent, strict, max_errors, False, count)
     report.diagnostics[:0] = diags
     return report, counts
 
 
-def _fold(function: str, schema: ResolvedSchema, data, base, strict: bool, max_errors, build: bool | None):
+def _fold(function: str, schema: ResolvedSchema, data, base, strict: bool, max_errors, build: bool, count: bool):
     """The report of ``validate_dataset`` and the counts of ``summarize_dataset``,
     folded over ``_checked``: each sample's value is kept when building, its
-    ``_Tally`` counted when counting and it holds no error, and its findings
+    ``_Tally`` counted with ``count`` set when it holds no error, and its findings
     added to the report. Once ``max_errors`` is reached the rest of the raw
     samples is drawn unchecked, so a stream decodes to its end before the report is used."""
     expect(max_errors, (int, type(None)), f"{function}() max_errors must be an int or None")
@@ -989,7 +971,7 @@ def _fold(function: str, schema: ResolvedSchema, data, base, strict: bool, max_e
                 if build:
                     samples.append(value)
                 errors = sum(1 for d in found if d.severity is Severity.ERROR) if found else 0
-                if build is None and not errors:
+                if count and not errors:
                     counts._add(found)
                 diags += found
                 left -= errors
@@ -1010,7 +992,8 @@ def _fold(function: str, schema: ResolvedSchema, data, base, strict: bool, max_e
         except DsdlError as exc:
             report.diagnostics.append(exc.diagnostic)
         else:
-            value, diags = _run(_checker(schema.global_info_type, bool(build)), raw_info, None, "global-info", strict)
+            check = _checker(schema.global_info_type, build)
+            value, diags = _run(check, raw_info, None, "global-info", strict, [] if build else _Tally())
             if build:
                 report.global_info = value
             report.diagnostics.extend(diags)

@@ -861,6 +861,15 @@ def test_dir_and_a_star_import_give_every_public_name_in_a_fresh_interpreter():
     assert {"dsdl.validation", "dsdl.locator"} <= _fresh_modules(run)
 
 
+@pytest.mark.parametrize("name, home", [("check_file", "dsdl.validation"), ("parse_locator", "dsdl.locator")])
+def test_python_importtime_lists_a_lazily_loaded_module(name, home):
+    env = {**os.environ, "PYTHONPATH": str(_REPO / "src")}
+    run = [sys.executable, "-X", "importtime", "-c", f"import dsdl; dsdl.{name}"]
+    done = subprocess.run(run, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert home in [line.rpartition("|")[2].strip() for line in done.stderr.splitlines()], done.stderr
+
+
 def test_an_unknown_name_is_the_standard_attribute_error():
     import dsdl
 

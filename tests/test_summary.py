@@ -212,6 +212,33 @@ def test_summary_checks_each_label_and_locator_once(tmp_path, monkeypatch):
     assert calls == checked == {"parse_locator": 5, "validate_label": 2}
 
 
+@pytest.mark.parametrize("order", ["check-first", "count-first"])
+def test_summary_runs_the_closures_check_only_validation_runs(tmp_path, monkeypatch, order):
+    """Counting compiles no closure of its own: after one of check-only
+    validation and the summary has run on a schema, the other compiles no
+    type node, the global-info type's included."""
+    text = _DESCRIPTION + "  global-info-type: Part\n  global-info: {tag: a, note: {$loc: g.txt}}\n"
+    doc, schema = _resolve(text, tmp_path / "d.yaml", "yaml")
+    runs = [
+        lambda: validate_dataset(schema, doc.data, base=tmp_path, build=False),
+        lambda: summarize_dataset(schema, doc.data, base=tmp_path)[0],
+    ]
+    if order == "count-first":
+        runs.reverse()
+    compiled, compile_node = [], validation._compile
+
+    def counting(ctype, build=True):
+        compiled.append(ctype)
+        return compile_node(ctype, build)
+
+    monkeypatch.setattr(validation, "_compile", counting)
+    first = runs[0]()
+    assert compiled
+    compiled.clear()
+    assert runs[1]() == first
+    assert compiled == []
+
+
 def test_validate_dataset_reads_build_as_a_plain_flag():
     """Any false ``build``, None included, gives the check-only report."""
     from conftest import CORPUS_FILES, load_corpus_doc

@@ -925,10 +925,10 @@ def test_check_only_closures_match_building_closures(raw):
     """The check-only closure of each type gives the building closure's
     findings, and None exactly where it gives None, at the top and at a
     list item's path."""
-    from dsdl.validation import _checker
+    from dsdl.validation import _checker, _Tally
 
     def run(ct, build):
-        diags = []
+        diags = _Tally()
         value = _checker(ct, build)(raw, None, "v", diags)
         return value is None, [(d.severity, d.code, d.path, d.message) for d in diags]
 
@@ -937,7 +937,7 @@ def test_check_only_closures_match_building_closures(raw):
         for node in (ct, listed):
             assert run(node, False) == run(node, True), node.describe()
         items = [raw, raw]
-        assert _checker(listed, False)(items, None, "v", []) is items
+        assert _checker(listed, False)(items, None, "v", _Tally()) is items
 
 
 def test_each_shape_is_one_closure_in_both_modes(registry):
