@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .slotted import Frozen, set_field
+from .slotted import Frozen
 
 
 class Severity(str, Enum):
@@ -26,13 +26,7 @@ class Diagnostic(Frozen):
     """A single located finding."""
 
     __slots__ = ("code", "severity", "path", "message", "source")
-
-    def __init__(self, code: str, severity: Severity, path: str, message: str, source: str | None = None):
-        set_field(self, "code", code)
-        set_field(self, "severity", severity)
-        set_field(self, "path", path)
-        set_field(self, "message", message)
-        set_field(self, "source", source)
+    _defaults = {"source": None}
 
     def format(self) -> str:
         """One-line rendering: ``severity code path message``, through :func:`printable`."""

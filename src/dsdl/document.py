@@ -43,16 +43,7 @@ class RawDataSection(Slotted):
     """
 
     __slots__ = ("sample_type", "sample_path", "samples", "global_info_type", "global_info_path", "global_info")
-
-    def __init__(
-        self, sample_type=None, sample_path=None, samples=None, global_info_type=None, global_info_path=None, global_info=None
-    ):
-        self.sample_type = sample_type
-        self.sample_path = sample_path
-        self.samples = samples
-        self.global_info_type = global_info_type
-        self.global_info_path = global_info_path
-        self.global_info = global_info
+    _defaults = dict.fromkeys(__slots__)
 
 
 class RawDocument(Slotted):

@@ -22,7 +22,7 @@ from collections.abc import Callable, Mapping
 
 from .diagnostics import Diagnostic, DsdlError, LocatorError, echo, error, expect, warning
 from .schema import BUILTINS, MEDIA_BUILTINS
-from .slotted import Frozen, field_setters, set_field
+from .slotted import Frozen, set_field
 
 ALIAS_ENV_PREFIX = "DSDL_ALIAS_"
 
@@ -33,34 +33,15 @@ class RelativePath(Frozen):
     __slots__ = ("path", "text")
     kind = "relative"
 
-    def __init__(self, path: str, text: str):
-        _relative_path(self, path)
-        _relative_text(self, text)
-
 
 class AliasPath(Frozen):
     __slots__ = ("alias", "remainder", "text")
     kind = "alias"
 
-    def __init__(self, alias: str, remainder: str, text: str):
-        _alias_alias(self, alias)
-        _alias_remainder(self, remainder)
-        _alias_text(self, text)
-
 
 class ObjectId(Frozen):
     __slots__ = ("domain", "object_id", "text")
     kind = "object-id"
-
-    def __init__(self, domain: str, object_id: str, text: str):
-        _id_domain(self, domain)
-        _id_object_id(self, object_id)
-        _id_text(self, text)
-
-
-_relative_path, _relative_text = field_setters(RelativePath)
-_alias_alias, _alias_remainder, _alias_text = field_setters(AliasPath)
-_id_domain, _id_object_id, _id_text = field_setters(ObjectId)
 
 ObjectLocator = RelativePath | AliasPath | ObjectId
 
@@ -181,10 +162,7 @@ class LoadedMedia(Frozen):
     """What the stub loaders return: raw payload plus the descriptor."""
 
     __slots__ = ("payload", "descr")
-
-    def __init__(self, payload: bytes, descr: Mapping | None = None):
-        set_field(self, "payload", payload)
-        set_field(self, "descr", descr)
+    _defaults = {"descr": None}
 
 
 def _stub_loader(reader, descr) -> LoadedMedia:

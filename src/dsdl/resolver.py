@@ -120,12 +120,6 @@ def _expression(value):
 class ResolvedSchema(Slotted):
     __slots__ = ("sample_type", "global_info_type", "registry", "meta")
 
-    def __init__(self, sample_type, global_info_type, registry: DefinitionRegistry, meta: dict):
-        self.sample_type = sample_type
-        self.global_info_type = global_info_type
-        self.registry = registry
-        self.meta = meta
-
 
 def resolve_imports(
     doc: RawDocument,
@@ -171,6 +165,7 @@ def resolve_imports(
     while frames:
         doc_source, names, defs = frames[-1]
         base = doc_source.parent if doc_source is not None else None
+        importer = str(doc_source) if doc_source is not None else None
         for name in names:
             resolved = _find_import(name, base, env)
             if resolved is None:
@@ -182,7 +177,7 @@ def resolve_imports(
                         "IMPORT_NOT_FOUND",
                         f"$import/{echo(name)}",
                         f"cannot resolve import {echo(name, show=repr)}; searched: {searched}",
-                        str(doc_source) if doc_source else None,
+                        importer,
                     )
                 )
                 continue
@@ -194,7 +189,7 @@ def resolve_imports(
                         "IMPORT_CYCLE",
                         f"$import/{echo(name)}",
                         f"import cycle: {' -> '.join(cycle)}",
-                        str(doc_source) if doc_source else None,
+                        importer,
                     )
                 )
                 continue
@@ -209,7 +204,7 @@ def resolve_imports(
                 )
             except OSError as exc:
                 message = f"cannot read {echo(str(resolved))}: {echo(str(exc))}"
-                diags.append(error("IMPORT_NOT_FOUND", f"$import/{echo(name)}", message))
+                diags.append(error("IMPORT_NOT_FOUND", f"$import/{echo(name)}", message, importer))
                 continue
             except DocumentError as exc:
                 diags.append(exc.diagnostic)

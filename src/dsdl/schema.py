@@ -43,10 +43,7 @@ class ClassSegment(Frozen):
     """One dotted-path segment, optionally annotated ``name[parent]``."""
 
     __slots__ = ("name", "parent")
-
-    def __init__(self, name: str, parent: str | None = None):
-        set_field(self, "name", name)
-        set_field(self, "parent", parent)
+    _defaults = {"parent": None}
 
 
 ClassPath = tuple[ClassSegment, ...]
@@ -66,11 +63,6 @@ class ClassRef(Frozen):
     """
 
     __slots__ = ("domain", "index_path", "path", "_placed_by")
-
-    def __init__(self, domain: str, index_path: tuple[int, ...], path: str):
-        set_field(self, "domain", domain)
-        set_field(self, "index_path", index_path)
-        set_field(self, "path", path)
 
     def __getattr__(self, name: str):
         # reached only for a slot not set: a lazy ref's ``index_path`` before its first read
@@ -273,22 +265,12 @@ Definition = ClassDomain | StructClass
 
 
 class ParamSpec(Frozen):
-    __slots__ = ("name", "kind", "required", "default")
-
-    def __init__(self, name: str, kind: str, required: bool = True, default: object = None):
-        set_field(self, "name", name)
-        set_field(self, "kind", kind)  # domain-ref | type-ref | string | bool
-        set_field(self, "required", required)
-        set_field(self, "default", default)
+    __slots__ = ("name", "kind", "required", "default")  # kind: domain-ref | type-ref | string | bool
+    _defaults = {"required": True, "default": None}
 
 
 class BuiltinSignature(Frozen):
     __slots__ = ("name", "params", "shape")
-
-    def __init__(self, name: str, params: tuple[ParamSpec, ...], shape: str):
-        set_field(self, "name", name)
-        set_field(self, "params", params)
-        set_field(self, "shape", shape)
 
 
 def _sig(name: str, shape: str, *params: ParamSpec) -> BuiltinSignature:

@@ -1,18 +1,35 @@
-"""Base classes of the value types, which list their fields in ``__slots__`` and write their own ``__init__``.
+"""Base classes of the value types, which list their fields in ``__slots__``.
 
-A slot named with a leading underscore is a cache, outside equality,
-hash, repr and pickling; a class may compare and show fewer fields by
-naming them in ``_fields``.
+A value class that writes no ``__init__`` gets one that takes its fields
+in ``__slots__`` order, the trailing ones defaulting to the values of its
+``_defaults`` mapping (immutable values only, as they are shared). A class
+that checks its arguments, or turns ``None`` into a fresh container,
+writes its own. A slot named with a leading underscore is a cache,
+outside ``__init__``, equality, hash, repr and pickling; a class may
+compare and show fewer fields by naming them in ``_fields``.
 """
 
-set_field = object.__setattr__  # how a frozen class's __init__ sets a field
+set_field = object.__setattr__  # how a frozen class's own __init__ sets a field
 
 
-def field_setters(cls) -> tuple:
-    """The ``__set__`` of each field's slot descriptor, in ``__init__`` order.
-    A frozen value class built once per sample value sets its fields with
-    these, which skip the by-name lookup that ``set_field`` makes."""
-    return tuple([cls.__dict__[name].__set__ for name in cls.__match_args__])
+def _make_init(cls):
+    """The ``__init__`` of ``cls``, compiled once from its own field names
+    (slot names, which Python holds to be identifiers), as ``dataclasses``
+    does. A frozen class sets each field with its slot descriptor's
+    ``__set__``, which skips the refused ``__setattr__``; a mutable one
+    assigns, which Python specialises."""
+    names = cls.__match_args__
+    defaults = vars(cls).get("_defaults", {})
+    if set(names[len(names) - len(defaults):]) != set(defaults):
+        raise TypeError(f"{cls.__name__}._defaults must name its trailing fields")
+    frozen = issubclass(cls, Frozen)
+    namespace = {f"_set_{name}": vars(cls)[name].__set__ for name in names} if frozen else {}
+    body = [f"_set_{name}(self, {name})" if frozen else f"self.{name} = {name}" for name in names]
+    exec(f"def __init__(self, {', '.join(names)}):\n    " + "\n    ".join(body), namespace)
+    init = namespace["__init__"]
+    init.__defaults__ = tuple(defaults[name] for name in names if name in defaults)
+    init.__module__, init.__qualname__ = cls.__module__, f"{cls.__qualname__}.__init__"
+    return init
 
 
 class Slotted:
@@ -24,6 +41,8 @@ class Slotted:
         # the fields in __init__ order, which pattern matching and pickling read
         cls.__match_args__ = tuple(name for name in cls.__slots__ if name[0] != "_")
         cls._fields = cls.__dict__.get("_fields", cls.__match_args__)
+        if cls.__match_args__ and "__init__" not in vars(cls):
+            cls.__init__ = _make_init(cls)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 
 from .diagnostics import GrammarError, expect
-from .slotted import Frozen, set_field
+from .slotted import Frozen
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 # optional whitespace, then an identifier, a number, a whole quoted
@@ -40,17 +40,11 @@ class ParamRef(Frozen):
 
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
-        set_field(self, "name", name)
-
 
 class NumberLit(Frozen):
     """Numeric literal kept as its exact source text."""
 
     __slots__ = ("text",)
-
-    def __init__(self, text: str):
-        set_field(self, "text", text)
 
     def as_number(self) -> int | float:
         try:
@@ -62,17 +56,10 @@ class NumberLit(Frozen):
 class Arg(Frozen):
     __slots__ = ("key", "value")
 
-    def __init__(self, key: str | None, value: ArgValue):
-        set_field(self, "key", key)
-        set_field(self, "value", value)
-
 
 class TypeExpr(Frozen):
     __slots__ = ("head", "args")
-
-    def __init__(self, head: str, args: tuple[Arg, ...] = ()):
-        set_field(self, "head", head)
-        set_field(self, "args", args)
+    _defaults = {"args": ()}
 
 
 ArgValue = TypeExpr | ParamRef | NumberLit | str | bool

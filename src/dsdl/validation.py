@@ -56,10 +56,10 @@ from .document import (
     check_data_section,
     read_utf8,
 )
-from .locator import ObjectLocator, parse_locator
+from .locator import parse_locator
 from .resolver import ConcreteType, LibraryEnvironment, ResolvedSchema, resolve_file
 from .schema import ClassDomain, ClassRef, index_path, lookup_class
-from .slotted import Frozen, Slotted, field_setters, set_field
+from .slotted import Frozen, Slotted, set_field
 
 _QUALIFIED_NAME = re.compile(r"(?P<dom>[A-Za-z_][A-Za-z0-9_]*)::(?P<path>.+)", re.DOTALL)
 _QUALIFIED_INDEX = re.compile(r"(?P<dom>[A-Za-z_][A-Za-z0-9_]*)\[(?P<idx>\d+(\.\d+)*)\]")
@@ -68,19 +68,9 @@ _QUALIFIED_INDEX = re.compile(r"(?P<dom>[A-Za-z_][A-Za-z0-9_]*)\[(?P<idx>\d+(\.\
 class Box(Frozen):
     __slots__ = ("x", "y", "w", "h")
 
-    def __init__(self, x: float, y: float, w: float, h: float):
-        _box_x(self, x)
-        _box_y(self, y)
-        _box_w(self, w)
-        _box_h(self, h)
-
 
 class IntervalValue(Frozen):
     __slots__ = ("begin", "end")
-
-    def __init__(self, begin: float, end: float):
-        _interval_begin(self, begin)
-        _interval_end(self, end)
 
 
 class ImageShapeValue(Frozen):
@@ -88,18 +78,9 @@ class ImageShapeValue(Frozen):
 
     __slots__ = ("width", "height")
 
-    def __init__(self, width: int, height: int):
-        _shape_width(self, width)
-        _shape_height(self, height)
-
 
 class RotatedBox(Frozen):
     __slots__ = ("mode", "measure", "values")
-
-    def __init__(self, mode: str, measure: str, values: tuple[float, ...]):
-        _rotated_mode(self, mode)
-        _rotated_measure(self, measure)
-        _rotated_values(self, values)
 
 
 class KeypointSet(Frozen):
@@ -107,37 +88,17 @@ class KeypointSet(Frozen):
 
     __slots__ = ("domain", "points")
 
-    def __init__(self, domain: str, points: tuple[tuple[float, float, float], ...]):
-        _keypoint_domain(self, domain)
-        _keypoint_points(self, points)
-
 
 class MediaRef(Frozen):
     __slots__ = ("class_name", "locator", "descr")
-
-    def __init__(self, class_name: str, locator: ObjectLocator, descr: tuple | None = None):
-        _media_class_name(self, class_name)
-        _media_locator(self, locator)
-        _media_descr(self, descr)
+    _defaults = {"descr": None}
 
     def descriptor(self) -> dict | None:
         return dict(self.descr) if self.descr is not None else None
 
 
-_box_x, _box_y, _box_w, _box_h = field_setters(Box)
-_interval_begin, _interval_end = field_setters(IntervalValue)
-_shape_width, _shape_height = field_setters(ImageShapeValue)
-_rotated_mode, _rotated_measure, _rotated_values = field_setters(RotatedBox)
-_keypoint_domain, _keypoint_points = field_setters(KeypointSet)
-_media_class_name, _media_locator, _media_descr = field_setters(MediaRef)
-
-
 class Record(Slotted):
     __slots__ = ("struct_name", "values")
-
-    def __init__(self, struct_name: str, values: dict[str, object]):
-        self.struct_name = struct_name
-        self.values = values
 
     def __getitem__(self, name: str):
         return self.values[name]
@@ -712,7 +673,8 @@ def validate_label(raw, dom: ClassDomain | None, path: str = "") -> tuple[ClassR
 
 
 def load_external_samples(path: str, base: str | Path) -> list:
-    """Load the ``samples`` list from an external JSON or YAML file."""
+    """Load the ``samples`` list from the external JSON or YAML file ``path``,
+    which must lie below the parent of ``base`` (else ``PATH_ESCAPE``)."""
     expect(path, str, "load_external_samples() path must be a str")
     expect(base, (str, PurePath), "load_external_samples() base must be a str or PurePath")
     full, text = _read_external(path, base)
@@ -723,14 +685,19 @@ _MISSING_KEY_CODES = {"samples": "MISSING_SAMPLES_KEY", "global-info": "MISSING_
 
 
 def _read_external(path: str, base: str | Path) -> tuple[Path, str]:
-    """The full path and the text of the external data file ``path``."""
+    """The full path and the text of the external data file ``path``, which
+    must resolve, symlinks followed, below the dataset root: the parent of
+    ``base``, the description's directory."""
     full = Path(base) / path
     try:
+        if not full.resolve().is_relative_to(Path(base).resolve().parent):
+            message = f"external data file {echo(str(path), show=repr)} traverses above the dataset root"
+            raise DsdlError(error("PATH_ESCAPE", echo(str(path)), message))
         if not full.is_file():
             message = f"external data file {echo(str(full))} does not exist"
             raise DsdlError(error("FILE_NOT_FOUND", echo(str(path)), message))
         return full, read_utf8(full, echo(str(path)))
-    except OSError as exc:
+    except (OSError, RuntimeError, ValueError) as exc:  # resolve() raises the last two on a symlink loop or a NUL
         message = f"cannot read external data file {echo(str(full))}: {echo(str(exc))}"
         raise DsdlError(error("FILE_NOT_FOUND", echo(str(path)), message)) from exc
     except DocumentError as exc:

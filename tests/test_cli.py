@@ -1011,6 +1011,25 @@ def test_library_path_entry_the_os_refuses_is_skipped(monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("channel", ["sample-path", "global-info-path"])
+def test_an_external_file_above_the_dataset_root_is_one_path_escape_finding(tmp_path, channel):
+    (tmp_path / "outside.json").write_text('{"samples": [1], "global-info": 1}')
+    (tmp_path / "root" / "set").mkdir(parents=True)
+    target = tmp_path / "root" / "set" / "d.yaml"
+    target.write_text(
+        '$dsdl-version: "0.5.0"\n'
+        "data:\n"
+        "  sample-type: Int\n"
+        "  global-info-type: Int\n"
+        f"  {channel}: ../../outside.json\n"
+    )
+    line = "error PATH_ESCAPE ../../outside.json external data file '../../outside.json' traverses above the dataset root"
+    for argv in (("validate",), ("summary",)):
+        code, out, err = run_cli(*argv, str(target))
+        assert (code, err) == (1, ""), argv
+        assert [row for row in out.splitlines() if "PATH_ESCAPE" in row] == [line], argv
+
+
+@pytest.mark.parametrize("channel", ["sample-path", "global-info-path"])
 def test_external_file_name_the_os_refuses_is_a_coded_finding(tmp_path, channel):
     target = tmp_path / "d.yaml"
     target.write_text(

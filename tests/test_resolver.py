@@ -177,6 +177,28 @@ def test_an_import_found_but_unreadable_is_a_cannot_read_finding_and_the_rest_st
     assert "A" not in registry and list(registry.get("B").fields) == ["b"]
 
 
+def test_an_import_finding_names_the_importing_file_whether_unfound_or_unreadable(tmp_path, monkeypatch):
+    main, lib = tmp_path / "main.yaml", tmp_path / "lib.yaml"
+    main.write_text('$dsdl-version: "0.5.0"\n$import: [locked, nosuchlib, lib]\n')
+    lib.write_text('$dsdl-version: "0.5.0"\n$import: [nosuchlib]\n')
+    (tmp_path / "locked.yaml").write_text('$dsdl-version: "0.5.0"\n')
+    locked, read = (tmp_path / "locked.yaml").resolve(), resolver.read_utf8
+
+    def refuse_locked(file, path):
+        if file == locked:
+            raise PermissionError(13, "Permission denied", str(file))
+        return read(file, path)
+
+    monkeypatch.setattr(resolver, "read_utf8", refuse_locked)
+    doc = parse_document(main.read_text(), format="yaml", source=main)
+    _, diags = resolve_imports(doc, LibraryEnvironment(()), source=main)
+    assert [(d.path, d.message.split()[1], d.source) for d in diags] == [
+        ("$import/locked", "read", str(main)),
+        ("$import/nosuchlib", "resolve", str(main)),
+        ("$import/nosuchlib", "resolve", str(lib.resolve())),
+    ]
+
+
 def test_own_definition_overwrites_import_with_warning(tmp_path):
     (tmp_path / "liba.yaml").write_text(
         '$dsdl-version: "0.5.0"\nD:\n  $def: class_domain\n  classes: [x]\n'

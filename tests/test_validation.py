@@ -430,6 +430,53 @@ def test_external_file_not_utf8(tmp_path):
     assert exc.value.diagnostic.path == "bad.json"
 
 
+@pytest.fixture
+def dataset(tmp_path):
+    """A description directory ``root/set``, whose dataset root is ``root``, beside ``outside.json``."""
+    base = tmp_path / "root" / "set"
+    base.mkdir(parents=True)
+    (tmp_path / "root" / "defs").mkdir()
+    for file in (tmp_path / "outside.json", tmp_path / "root" / "defs" / "s.json"):
+        file.write_text('{"samples": [1]}')
+    return base
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["../../outside.json", "../../missing.json", "../../root/../outside.json", "OUTSIDE", "OUTSIDE-MISSING"],
+)
+def test_an_external_file_outside_the_dataset_root_is_a_path_escape(dataset, name):
+    name = {"OUTSIDE": str(dataset.parent.parent / "outside.json"), "OUTSIDE-MISSING": "/no/such/file.json"}.get(name, name)
+    with pytest.raises(DsdlError) as exc:
+        load_external_samples(name, dataset)
+    assert (exc.value.code, exc.value.diagnostic.path) == ("PATH_ESCAPE", echo(name))
+    assert exc.value.diagnostic.message == f"external data file {name!r} traverses above the dataset root"
+
+
+def test_an_external_file_anywhere_below_the_dataset_root_is_read(dataset):
+    (dataset / "link.json").symlink_to(dataset.parent / "defs" / "s.json")
+    for name in ("../defs/s.json", "link.json", str(dataset.parent / "defs" / "s.json"), "./../set/../defs/s.json"):
+        assert load_external_samples(name, dataset) == [1]
+
+
+def test_a_symlink_out_of_the_dataset_root_is_a_path_escape(dataset):
+    (dataset / "link.json").symlink_to(dataset.parent.parent / "outside.json")
+    (dataset.parent / "up").symlink_to(dataset.parent.parent, target_is_directory=True)
+    for name in ("link.json", "../up/outside.json"):
+        with pytest.raises(DsdlError) as exc:
+            load_external_samples(name, dataset)
+        assert (exc.value.code, exc.value.diagnostic.path) == ("PATH_ESCAPE", name)
+
+
+def test_a_symlink_loop_or_a_nul_in_an_external_file_name_is_file_not_found(dataset):
+    (dataset / "loop.json").symlink_to(dataset / "loop.json")
+    for name in ("loop.json", "a\x00b.json"):
+        with pytest.raises(DsdlError) as exc:
+            load_external_samples(name, dataset)
+        assert (exc.value.code, exc.value.diagnostic.path) == ("FILE_NOT_FOUND", echo(name))
+        assert exc.value.diagnostic.message.startswith(f"cannot read external data file {echo(str(dataset / name))}: ")
+
+
 def test_trackingnet_nested_samples():
     samples = load_external_samples("train_samples.json", CORPUS / "trackingnet/set-train")
     assert samples[0]["video_name"] == "0-6LB4FqxoE_0"
