@@ -27,7 +27,6 @@ import json
 import math
 import re
 from collections import Counter
-from itertools import islice
 from pathlib import Path, PurePath
 
 from .diagnostics import (
@@ -732,32 +731,30 @@ def _stream_samples(text: str):
     one at a time over ``text`` itself, so that only the element being
     checked is held; the rest of the text is decoded after the last one.
 
-    Returns ``None`` once the whole text has decoded, else the number of
-    elements yielded: 0 for text that does not open with ``{"samples": [``,
-    or as many as came before what the stream cannot decode (a syntax
-    error, a duplicate key, an integer past the digit limit, too deep a
-    nest). ``_load_json`` over the whole text then gives the finding, with
-    its own line and column.
+    Returns whether the whole text decoded. It does not for text that does
+    not open with ``{"samples": [``, which yields nothing, nor at what the
+    stream cannot decode (a syntax error, a duplicate key, an integer past
+    the digit limit, too deep a nest), which ``_load_json`` over the whole
+    text also fails on, giving the finding with its own line and column.
     """
     at = _HEAD.match(text)
     if at is None:
-        return 0
-    scan, done = json.JSONDecoder(object_pairs_hook=_json_pairs_hook).scan_once, 0
+        return False
+    scan = json.JSONDecoder(object_pairs_hook=_json_pairs_hook).scan_once
     while not at.group(1):  # until the closing bracket
         try:
             item, pos = scan(text, at.end())
         except _UNDECODABLE:
-            return done
+            return False
         yield item
-        done += 1
         at = _NEXT.match(text, pos)
         if at is None:
-            return done
+            return False
     try:  # the keys after the array, the closing brace and trailing whitespace; a second "samples" is a duplicate
         json.loads('{"samples": 0' + text[at.end():], object_pairs_hook=_json_pairs_hook)
     except _UNDECODABLE:
-        return done
-    return None
+        return False
+    return True
 
 
 class ValidationReport(Slotted):
@@ -804,18 +801,16 @@ class ValidationReport(Slotted):
 
 def _raw_samples(data: RawDataSection, base):
     """Each raw sample of ``data``, once and in order: inline, or from its
-    external file, which streams when it is JSON. A stream stops after a
-    sample only at a fault; the whole-file load then raises its finding as a
-    :class:`DsdlError`, as it does for any file that does not load."""
+    external file, which streams when it is JSON. A file that is YAML, or
+    whose stream did not decode the whole text, is loaded whole; a stream
+    stops after a sample only at a fault, so that load then raises its
+    finding as a :class:`DsdlError`, as it does for any file that does not load."""
     if data.sample_path == LOCAL_PATH:
         yield from data.samples
         return
     full, text = _read_external(data.sample_path, base)
-    done = 0
-    if HOSTS.get(full.suffix) != "yaml":
-        done = yield from _stream_samples(text)
-    if done is not None:  # the whole-file load gives the finding, or reads what the stream did not
-        yield from islice(_decode_external(full, text, data.sample_path, "samples"), done, None)
+    if HOSTS.get(full.suffix) == "yaml" or not (yield from _stream_samples(text)):
+        yield from _decode_external(full, text, data.sample_path, "samples")
 
 
 def _checked(stype: ConcreteType, items, strict: bool, build: bool):

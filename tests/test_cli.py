@@ -397,6 +397,31 @@ def test_inspect_shows_a_struct_parameter_bound_to_a_type(tmp_path, spec):
     assert payload["sample_type"]["args"] == {"t": {"type_expression": _BOX_TYPES[spec]}}
 
 
+def test_inspect_shows_a_struct_parameter_bound_to_a_number(tmp_path):
+    """A number bound to a struct parameter reads back as its text in the
+    type expression, and as the number in JSON."""
+    target = tmp_path / "n.yaml"
+    target.write_text(
+        '$dsdl-version: "0.5.0"\n'
+        "defs:\n  S: {$def: struct, $params: [n], $fields: {x: Int}}\n"
+        "data:\n  sample-type: 'S[n=3]'\n  samples: [{x: 1}]\n"
+    )
+    code, text, payload = _assert_inspect_formats_agree(str(target))
+    assert code == 0
+    assert "sample-type: S[n=3]" in text.splitlines()
+    assert payload["sample_type"]["args"] == {"n": 3}
+
+
+def test_a_mapping_form_domain_that_is_not_a_name_is_an_unknown_type(tmp_path):
+    """A domain given as a string in mapping form is looked up by that string, name or not."""
+    target = tmp_path / "d.yaml"
+    target.write_text('$dsdl-version: "0.5.0"\ndata:\n  sample-type: {$type: Label, dom: "not a name"}\n  samples: []\n')
+    for command in ("validate", "inspect"):
+        code, out, err = run_cli(command, str(target))
+        finding = "error UNKNOWN_TYPE data/sample-type Label.dom: unknown class domain 'not a name'"
+        assert (code, out.splitlines()[0], err) == (1, finding, ""), command
+
+
 def test_inspect_lists_the_fields_below_nested_lists(tmp_path):
     target = tmp_path / "holder.yaml"
     target.write_text(_BOX_DEFS + "Holder\n")

@@ -8,12 +8,13 @@ whole-file load. Each case here is compared with that whole-file load.
 from __future__ import annotations
 
 import json
+import sys
 import tracemalloc
 
 import pytest
 
-from dsdl import DsdlError, iter_samples, parse_document, resolve_schema, summarize_dataset, validate_dataset
-from dsdl import validation
+from dsdl import DocumentError, DsdlError, iter_samples, parse_document, resolve_schema, summarize_dataset, validate_dataset
+from dsdl import document, validation
 from dsdl.validation import Record, load_external_samples
 
 
@@ -77,10 +78,10 @@ def test_streaming_equals_the_whole_file_load(tmp_path, library_env, monkeypatch
     stream, fell_back = validation._stream_samples, []
 
     def watched(text):
-        done = yield from stream(text)
-        if done is not None:
+        whole = yield from stream(text)
+        if not whole:
             fell_back.append(True)
-        return done
+        return whole
 
     monkeypatch.setattr(validation, "_stream_samples", watched)
     got = [_outcome(validate_dataset(schema, data, base=tmp_path, **run)) for run in runs]
@@ -109,9 +110,16 @@ def test_a_stream_stops_after_a_sample_only_at_a_fault_that_the_whole_file_load_
     stream, stops = validation._stream_samples, []
 
     def watched(text):
-        done = yield from stream(text)
-        stops.append(done)
-        return done
+        """The stream, noting ``None`` when it decodes the whole text, else the number of samples it yielded."""
+        items, yielded = stream(text), 0
+        while True:
+            try:
+                item = next(items)
+            except StopIteration as stop:
+                stops.append(None if stop.value else yielded)
+                return stop.value
+            yield item
+            yielded += 1
 
     def outcomes() -> list:
         got = [_outcome(validate_dataset(schema, data, base=tmp_path, **run)) for run in runs]
@@ -135,6 +143,52 @@ def test_a_stream_stops_after_a_sample_only_at_a_fault_that_the_whole_file_load_
             with pytest.raises(DsdlError):
                 load_external_samples("s.json", tmp_path)
     assert {None, 0, 1, 2} <= seen  # streamed whole, not at all, and stopped after each sample
+
+
+def _deeper(frames: int, call):
+    """``call()``, run ``frames`` Python frames below the caller."""
+    return _deeper(frames - 1, call) if frames else call()
+
+
+def _nested(depth: int) -> str:
+    """A sample file of three samples, the second a list nested ``depth`` deep."""
+    return '{"samples": [1, ' + "[" * depth + "]" * depth + ", 2]}"
+
+
+def _streamed(text: str) -> int:
+    """How many samples ``_stream_samples`` yields from ``text``."""
+    return sum(1 for _ in validation._stream_samples(text))
+
+
+@pytest.mark.parametrize("frames", [0, 200])
+def test_a_stream_stops_after_a_sample_only_where_the_whole_file_load_fails_too(tmp_path, library_env, frames):
+    """Over a band of nesting depths around the one where the stream stops,
+    found by bisection below twice the recursion limit, with the caller
+    shallow and 200 frames deeper: wherever the stream stops after a sample,
+    ``_load_json`` of the same text raises, and ``validate_dataset`` reports
+    that ``SYNTAX_ERROR``. So no sample is ever read from two sources."""
+    schema, data = _schema(library_env, "Int")
+
+    def probe() -> list[int]:
+        low, high = 1, 2 * sys.getrecursionlimit()
+        assert (_streamed(_nested(low)), _streamed(_nested(high))) == (3, 1)
+        while high - low > 1:  # the stream reads all three samples at ``low`` and stops after one at ``high``
+            middle = (low + high) // 2
+            low, high = (middle, high) if _streamed(_nested(middle)) == 3 else (low, middle)
+        stopped = []
+        for depth in range(high - 16, high + 16):
+            text = _nested(depth)
+            if 1 <= _streamed(text) < 3:
+                stopped.append(depth)
+                with pytest.raises(DocumentError) as raised:
+                    document._load_json(text, None)
+                assert raised.value.diagnostic.code == "SYNTAX_ERROR"
+                (tmp_path / "s.json").write_text(text, encoding="utf-8")
+                found = validate_dataset(schema, data, base=tmp_path).diagnostics
+                assert [(d.code, d.message) for d in found] == [("SYNTAX_ERROR", raised.value.diagnostic.message)], depth
+        return stopped
+
+    assert _deeper(frames, probe)
 
 
 def test_iter_samples_yields_the_samples_before_a_fault_then_raises_its_finding(tmp_path, library_env):

@@ -1,8 +1,8 @@
 """``summarize_dataset`` and ``dsdl summary``: counts folded sample by sample.
 
 The counts are held against ``_summary_oracle``, which walks the typed
-values that ``validate_dataset(..., build=True)`` keeps; against a run
-without a fallback when a stream falls back to the whole-file load;
+values that ``validate_dataset(..., build=True)`` keeps; against the
+whole-file load's finding when a stream stops at a fault;
 against the benchmark generator's manifest; and, in memory, against
 check-only validation.
 """
@@ -24,10 +24,13 @@ from _summary_oracle import counts as oracle_counts
 from conftest import load_perfbench
 from dsdl import (
     DocumentError,
+    DsdlError,
     LibraryEnvironment,
     SampleCounts,
+    ValidationReport,
     default_media_registry,
     iter_samples,
+    load_external_samples,
     parse_document,
     resolve_schema,
     summarize_dataset,
@@ -261,12 +264,18 @@ _STREAMED = {
 }
 
 
+# elements at which the stream stops and the whole-file load fails: a syntax
+# error, a duplicate key and an integer past the digit limit
+_FAULTS = ('{"image": ]', '{"image": "e.jpg", "image": "f.jpg"}', '{"image": ' + "9" * 5000 + "}")
+
+
 @pytest.mark.parametrize("max_errors", [None, 1])
 def test_a_stream_that_falls_back_counts_each_sample_once(tmp_path, monkeypatch, max_errors):
-    """A stream that stops part-way hands over to the whole-file load at the
-    sample it stopped at, so every sample is checked and counted once: the
-    summary, both modes of ``validate_dataset`` and ``iter_samples`` read as
-    when the stream runs to its end."""
+    """A stream that stops at a fault after k samples falls back to the
+    whole-file load, which raises that fault's finding: each of the k samples
+    is checked once, and then the finding follows. The summary and both modes
+    of ``validate_dataset`` report the finding alone; ``iter_samples`` yields
+    the k samples as it does from a file of those k alone, then raises it."""
     text = (
         '$dsdl-version: "0.5.0"\n'
         "defs:\n"
@@ -275,57 +284,51 @@ def test_a_stream_that_falls_back_counts_each_sample_once(tmp_path, monkeypatch,
         "    $optional: [note]\n"
         "data:\n  sample-type: S\n  sample-path: s.json\n"
     )
-    (tmp_path / "s.json").write_text(json.dumps(_STREAMED), encoding="utf-8")
     doc, schema = _resolve(text, tmp_path / "d.yaml", "yaml")
-    expected = summarize_dataset(schema, doc.data, base=tmp_path, max_errors=max_errors)
-    assert expected[0].errors == 1
+    checker, checked = validation._checker, []
 
-    stream, fell_back = validation._stream_samples, []
+    def counting(ctype, build=True):
+        """The checker of ``ctype``, noting the key of each sample it checks in a list per call."""
+        check = checker(ctype, build)
+        if ctype is not schema.sample_type:
+            return check
+        keys = []
+        checked.append(keys)
 
-    def stops_after(k: int):
-        def stream_k(text):
-            for i, item in enumerate(stream(text)):
-                if i == k:
-                    fell_back.append(k)
-                    return k
-                yield item
+        def counted(raw, parent, key, diags):
+            keys.append(key)
+            return check(raw, parent, key, diags)
 
-        return stream_k
+        return counted
 
-    for k in range(len(_STREAMED["samples"])):
-        monkeypatch.setattr(validation, "_stream_samples", stops_after(k))
-        assert summarize_dataset(schema, doc.data, base=tmp_path, max_errors=max_errors) == expected
-    assert fell_back == list(range(len(_STREAMED["samples"])))
+    def raised_by(run):
+        with pytest.raises(DsdlError) as raised:
+            run()
+        return raised.value.diagnostic
 
-    def runs():
-        """The sample keys that each call checks, and what the calls return."""
-        checker, checked = validation._checker, []
-
-        def counting(ctype, build=True):
-            check = checker(ctype, build)
-            if ctype is not schema.sample_type:
-                return check
-            keys = []
-            checked.append(keys)
-
-            def counted(raw, parent, key, diags):
-                keys.append(key)
-                return check(raw, parent, key, diags)
-
-            return counted
-
-        monkeypatch.setattr(validation, "_checker", counting)
-        reports = [validate_dataset(schema, doc.data, base=tmp_path, max_errors=max_errors, build=b) for b in (True, False)]
-        return checked, reports, list(iter_samples(schema, doc.data, base=tmp_path))
-
-    monkeypatch.setattr(validation, "_stream_samples", stream)
-    _, reports, samples = runs()
-    assert [index for index, _, _ in samples] == list(range(len(_STREAMED["samples"])))
-    for k in range(len(_STREAMED["samples"])):
-        monkeypatch.setattr(validation, "_stream_samples", stops_after(k))
-        checked, *got = runs()
-        assert got == [reports, samples]
-        assert len(checked) == 3 and all(keys == list(range(len(keys))) for keys in checked), (k, checked)
+    monkeypatch.setattr(validation, "_checker", counting)
+    for k in range(len(_STREAMED["samples"]) + 1):
+        head = [json.dumps(sample) for sample in _STREAMED["samples"][:k]]
+        (tmp_path / "s.json").write_text('{"samples": [' + ", ".join(head) + "]}", encoding="utf-8")
+        expected = list(iter_samples(schema, doc.data, base=tmp_path))
+        for fault in _FAULTS:
+            (tmp_path / "s.json").write_text('{"samples": [' + ", ".join([*head, fault]) + "]}", encoding="utf-8")
+            finding = raised_by(lambda: load_external_samples("s.json", tmp_path))
+            checked.clear()
+            assert summarize_dataset(schema, doc.data, base=tmp_path, max_errors=max_errors) == (
+                ValidationReport(diagnostics=[finding]),
+                SampleCounts(),
+            )
+            for build in (True, False):
+                report = validate_dataset(schema, doc.data, base=tmp_path, max_errors=max_errors, build=build)
+                assert report == ValidationReport(diagnostics=[finding])
+            got = []
+            assert raised_by(lambda: got.extend(iter_samples(schema, doc.data, base=tmp_path))) == finding
+            assert got == expected, (k, fault)
+            assert len(checked) == 4 and all(keys == list(range(len(keys))) for keys in checked), (k, checked)
+            assert checked[-1] == list(range(k))  # iter_samples checks every sample before the fault
+            if max_errors is None:
+                assert checked == [list(range(k))] * 4
 
 
 def _cli(*argv: str) -> tuple[int, str]:
